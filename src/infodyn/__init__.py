@@ -19,6 +19,7 @@ from .errors import (
     InfodynError,
     InsufficientSweep,
     InvalidInput,
+    NonFiniteOutput,
     NotPositiveDefinite,
     SeriesDiverges,
     StepTooLarge,
@@ -67,6 +68,7 @@ __all__ = [
     "LinearMeasurement",
     "MatchProblem",
     "MatchResult",
+    "NonFiniteOutput",
     "NotPositiveDefinite",
     "RunConfig",
     "RunResult",

@@ -4,10 +4,11 @@ All subcommands read the same flat JSON config (see
 :func:`infodyn.simulator.parse_config`).  Exit status is 0 on success, 1 for
 configuration and I/O problems, and 2 when the numerics refuse the request
 (step outside its validity region, loss of positive definiteness, divergent
-series expansion).
+series expansion, non-finite output).
 """
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -18,12 +19,19 @@ from .errors import (
     DomainError,
     InfodynError,
     InsufficientSweep,
+    NonFiniteOutput,
     NotPositiveDefinite,
     SeriesDiverges,
     StepTooLarge,
 )
 
-NUMERIC_ERRORS = (StepTooLarge, NotPositiveDefinite, SeriesDiverges, DomainError)
+NUMERIC_ERRORS = (
+    StepTooLarge,
+    NotPositiveDefinite,
+    SeriesDiverges,
+    DomainError,
+    NonFiniteOutput,
+)
 
 
 def _add_config_arg(parser):
@@ -143,14 +151,7 @@ def _cmd_compare_exact(args):
 def _cmd_direct(args):
     config = simulator.load_config(args.config)
     result = simulator.run_ifd(
-        simulator.RunConfig(
-            model=config.model,
-            total_time=config.total_time,
-            resolution=config.resolution,
-            seed=config.seed,
-            initial_data=config.initial_data,
-            scheme=simulator.SCHEME_DIRECT,
-        )
+        dataclasses.replace(config, scheme=simulator.SCHEME_DIRECT)
     )
     print("final data:", " ".join(simulator.CSV_FLOAT_FORMAT % x for x in result.final_data))
     print(f"final deviation      : {result.final_deviation:.6e}")

@@ -3,7 +3,7 @@
 Every error raised on a contract violation derives from :class:`InfodynError`
 so callers can catch the package's failures with one handler.  Numerical
 failures (a step size outside the validity region, a matrix that is not
-positive definite, a diverging series) are kept distinct from input and
+positive definite, a diverging series, non-finite output) are kept distinct from input and
 configuration mistakes because the command line maps them to different exit
 codes.
 """
@@ -31,6 +31,10 @@ class SeriesDiverges(InfodynError):
 
 class StepTooLarge(InfodynError):
     """The time step violates the validity condition of the linearized update."""
+
+
+class NonFiniteOutput(InfodynError):
+    """A run produced NaN or infinity, e.g. when an explicit update grows without bound."""
 
 
 class DegenerateMassError(InfodynError, ValueError):

@@ -78,14 +78,16 @@ class GaussianDensity:
         w, _ = self._spectrum
         return float(np.sum(np.log(w)))
 
+    def quadratic_form(self, delta):
+        """delta^T Sigma^-1 delta for one vector (n,) or each row of a batch (..., n)."""
+        w, q = self._spectrum
+        # Via the spectral basis: ||diag(w^-1/2) Q^T delta||^2.
+        proj = np.asarray(delta, dtype=float) @ q
+        return np.sum(proj * proj / w, axis=-1)
+
     def log_density(self, x):
         """Log density at ``x``; accepts a single point (n,) or a batch (..., n)."""
-        x = np.asarray(x, dtype=float)
-        delta = x - self.mean
-        w, q = self._spectrum
-        # Quadratic form via the spectral basis: ||diag(w^-1/2) Q^T delta||^2.
-        proj = delta @ q
-        quad = np.sum(proj * proj / w, axis=-1)
+        quad = self.quadratic_form(np.asarray(x, dtype=float) - self.mean)
         return -0.5 * (quad + self.dim * LOG_2PI + self.log_det_cov())
 
 
@@ -200,21 +202,31 @@ def evidence(prior, measurement):
     )
 
 
-def kl_divergence(p, q):
-    """Relative entropy D(p || q) between Gaussian densities.
+def kl_covariance_term(p, q):
+    """Mean-independent part of D(p || q): 1/2 sum_j (x_j - log(1 + x_j)).
 
-    Evaluates 1/2 [tr(Sigma_q^-1 Sigma_p) + dm^T Sigma_q^-1 dm - n
-    + log det Sigma_q - log det Sigma_p] with dm = mean_p - mean_q.
-    Nonnegative, zero exactly at p = q.
+    The x_j are the eigenvalues of the whitened covariance difference
+    Sigma_q^-1/2 (Sigma_p - Sigma_q) Sigma_q^-1/2.  This equals
+    1/2 [tr(Sigma_q^-1 Sigma_p) - n - log det(Sigma_q^-1 Sigma_p)], but each
+    summand is nonnegative in floating point as well (log1p is monotone and
+    below the identity), and equal covariances give exactly 0 instead of a
+    cancellation residue of either sign.
     """
     if p.dim != q.dim:
         raise InvalidInput(f"dimension mismatch: {p.dim} vs {q.dim}")
-    q_inv = q.inv_cov()
-    delta = p.mean - q.mean
-    trace = float(np.trace(q_inv @ p.cov))
-    quad = float(delta @ q_inv @ delta)
-    log_ratio = q.log_det_cov() - p.log_det_cov()
-    return 0.5 * (trace + quad - p.dim + log_ratio)
+    w, v = q._spectrum
+    whiten = v / np.sqrt(w)
+    x, _ = matfun.spectral_decompose(whiten.T @ (p.cov - q.cov) @ whiten)
+    return 0.5 * float(np.sum(x - np.log1p(x)))
+
+
+def kl_divergence(p, q):
+    """Relative entropy D(p || q) between Gaussian densities.
+
+    Evaluates :func:`kl_covariance_term` + 1/2 dm^T Sigma_q^-1 dm with
+    dm = mean_p - mean_q.  Nonnegative, zero exactly at p = q.
+    """
+    return kl_covariance_term(p, q) + 0.5 * float(q.quadratic_form(p.mean - q.mean))
 
 
 def differential_entropy(p):

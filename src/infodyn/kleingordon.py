@@ -250,6 +250,11 @@ def build_generator(model):
     return l_mat
 
 
+def _component_omegas(model):
+    """w_k for each packed component of one field part: w_0, w_1, w_1, w_2, w_2, ..."""
+    return model.omega(np.repeat(np.arange(model.n_modes), 2)[1:])
+
+
 def exact_step(model, dt):
     """Exact evolution matrix A(dt) of the packed field.
 
@@ -262,31 +267,57 @@ def exact_step(model, dt):
     if not np.isfinite(dt):
         raise InvalidInput(f"dt must be finite, got {dt!r}")
     p = model.part_dim
+    w = _component_omegas(model)
+    cos, sin = np.cos(w * dt), np.sin(w * dt)
     a = np.zeros((model.signal_dim, model.signal_dim))
-    for k in range(model.n_modes):
-        w = float(model.omega(k))
-        cos, sin = np.cos(w * dt), np.sin(w * dt)
-        block = np.array([[cos, sin / w], [-w * sin, cos]])
-        idx = [0] if k == 0 else [2 * k - 1, 2 * k]
-        for i in idx:
-            pair = (i, p + i)
-            a[np.ix_(pair, pair)] = block
+    a[:p, :p] = np.diag(cos)
+    a[:p, p:] = np.diag(sin / w)
+    a[p:, :p] = np.diag(-w * sin)
+    a[p:, p:] = np.diag(cos)
     return a
 
 
+def exact_evolve(model, packed, times):
+    """States A(t) x for every t in ``times``, shape (len(times), 4n - 2).
+
+    Applies the per-mode rotation of :func:`exact_step` in closed form at
+    each time, so a trajectory costs no matrix products and accumulates no
+    round-off from repeated steps.
+    """
+    x = np.asarray(packed, dtype=float)
+    if x.shape != (model.signal_dim,):
+        raise InvalidInput(
+            f"packed field has shape {x.shape}, expected ({model.signal_dim},)"
+        )
+    p = model.part_dim
+    w = _component_omegas(model)
+    phase = np.multiply.outer(np.asarray(times, dtype=float), w)
+    cos, sin = np.cos(phase), np.sin(phase)
+    phi, chi = x[:p], x[p:]
+    out = np.empty((phase.shape[0], model.signal_dim))
+    out[:, :p] = cos * phi + sin * (chi / w)
+    out[:, p:] = cos * chi - sin * (w * phi)
+    return out
+
+
 def field_energy(model, packed):
-    """Energy of a packed state; conserved exactly by :func:`exact_step`.
+    """Energy of a packed state, or of each row of a batch; conserved by :func:`exact_step`.
 
     H = (|chi_0|^2 + mu^2 |phi_0|^2)/(4 pi)
         + sum_{k>0} (|chi_k|^2 + w_k^2 |phi_k|^2)/(2 pi).
+    Returns a float for one state (4n - 2,) and an array for a batch (..., 4n - 2).
     """
-    phi, chi = unpack_field(model, packed)
-    w2 = model.omegas**2
-    zero = (abs(chi[0]) ** 2 + model.mu**2 * abs(phi[0]) ** 2) / (4.0 * np.pi)
-    rest = np.sum(np.abs(chi[1:]) ** 2 + w2[1:] * np.abs(phi[1:]) ** 2) / (
-        2.0 * np.pi
-    )
-    return float(zero + rest)
+    x = np.asarray(packed, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != model.signal_dim:
+        raise InvalidInput(
+            f"packed field has shape {x.shape}, expected (..., {model.signal_dim})"
+        )
+    p = model.part_dim
+    weight = np.full(p, 1.0 / (2.0 * np.pi))
+    weight[0] = 1.0 / (4.0 * np.pi)
+    w2 = _component_omegas(model) ** 2
+    energy = (x[..., p:] ** 2 + w2 * x[..., :p] ** 2) @ weight
+    return float(energy) if energy.ndim == 0 else energy
 
 
 def _pack_data_part(model, coeffs):
@@ -437,12 +468,13 @@ def build_update_matrix(model, dt):
         raise StepTooLarge(
             f"dt = {dt!r} outside validity region dt < {model.dt_limit!r}"
         )
-    for part in (PART_PHI, PART_CHI):
-        logger.info(
-            "data-space Gram condition number (%s part): %.6g",
-            part,
-            data_gram_condition(model, part),
-        )
+    if logger.isEnabledFor(logging.INFO):
+        for part in (PART_PHI, PART_CHI):
+            logger.info(
+                "data-space Gram condition number (%s part): %.6g",
+                part,
+                data_gram_condition(model, part),
+            )
     return np.eye(model.data_dim) + dt * update_generator(model)
 
 

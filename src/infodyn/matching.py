@@ -23,6 +23,10 @@ Three branches cover the geometry of H:
     subspace and the returned u' is its unique norm-minimal element,
     obtained by restricting the normal equations to the span of the
     nonvanishing eigenvalue directions.
+
+:func:`match` and :func:`branches` share the branch decision; the latter
+decides it for many evolved means against one covariance and setup, as a
+simulation run needs once per step.
 """
 
 from dataclasses import dataclass, field
@@ -170,6 +174,41 @@ def nullspace_projector(matrix, rel_tol=SINGULAR_RTOL):
     return p, int(np.count_nonzero(keep))
 
 
+def _hessian_is_regular(h, rel_tol):
+    w_eval, _ = matfun.spectral_decompose(h)
+    return bool(w_eval[0] > rel_tol * max(w_eval[-1], 0.0))
+
+
+def _linear_term_vanishes(problem, evolved_means, rel_tol):
+    """Zero-branch test for ``problem`` with each row of ``evolved_means`` as m*.
+
+    Row i of ``g`` is the linear term W'^T D*^-1 (D' Phi'^-1 psi' - m*_i);
+    it counts as vanishing relative to the scale of its factors.
+    """
+    d_star_inv = problem.evolved_inv_cov
+    g = (problem._prior_pull - evolved_means) @ (d_star_inv @ problem._w)
+    scale = (
+        np.linalg.norm(problem._w, 2)
+        * np.linalg.norm(d_star_inv, 2)
+        * (np.linalg.norm(problem._prior_pull) + np.linalg.norm(evolved_means, axis=1))
+    )
+    return np.linalg.norm(g, axis=1) <= rel_tol * np.maximum(scale, 1.0)
+
+
+def branches(problem, evolved_means, rel_tol=SINGULAR_RTOL):
+    """Branch :func:`match` takes for ``problem`` with each row of ``evolved_means`` as m*.
+
+    The Hessian does not depend on m*, so whether the problem is regular is
+    decided once; only the zero-versus-projected test runs per row, as one
+    batched product.  Returns one branch label per row.
+    """
+    means = np.asarray(evolved_means, dtype=float)
+    if _hessian_is_regular(problem.hessian(), rel_tol):
+        return [BRANCH_REGULAR] * len(means)
+    flat = _linear_term_vanishes(problem, means, rel_tol)
+    return [BRANCH_ZERO if f else BRANCH_PROJECTED for f in flat]
+
+
 def match(problem, rel_tol=SINGULAR_RTOL):
     """Minimize the matching objective in closed form.
 
@@ -181,10 +220,9 @@ def match(problem, rel_tol=SINGULAR_RTOL):
         applied: ``regular``, ``zero`` or ``projected``.
     """
     h = problem.hessian()
-    w_eval, _ = matfun.spectral_decompose(h)
     d_star_inv = problem.evolved_inv_cov
     w_t = problem._w.T
-    if w_eval[0] > rel_tol * max(w_eval[-1], 0.0):
+    if _hessian_is_regular(h, rel_tol):
         # Unique minimizer.  Writing the solution against (m* - psi') and
         # adding R' psi' keeps the round trip u' = R' psi' exact when the
         # evolved density equals the fresh prior posterior.
@@ -192,13 +230,7 @@ def match(problem, rel_tol=SINGULAR_RTOL):
         rhs = w_t @ (d_star_inv @ (problem.evolved_mean - psi))
         u = np.linalg.solve(h, rhs) + problem.new_meas.response @ psi
         return MatchResult(data=u, branch=BRANCH_REGULAR)
-    g = problem.linear_term()
-    scale = float(
-        np.linalg.norm(w_t, 2)
-        * np.linalg.norm(d_star_inv, 2)
-        * (np.linalg.norm(problem._prior_pull) + np.linalg.norm(problem.evolved_mean))
-    )
-    if np.linalg.norm(g) <= rel_tol * max(scale, 1.0):
+    if _linear_term_vanishes(problem, problem.evolved_mean[None, :], rel_tol)[0]:
         # Objective is constant in the flat directions and the linear term
         # vanishes: the norm-minimal minimizer is the origin.
         return MatchResult(data=np.zeros(problem.data_dim), branch=BRANCH_ZERO)

@@ -12,7 +12,6 @@ rejected.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, InvalidInput, NotPositiveDefinite, SeriesDiverges
 
@@ -165,7 +164,11 @@ def expm_general(matrix):
 
     The symmetric spectral path does not apply to non-normal generators, so
     this delegates to scipy's scaling-and-squaring Pade implementation.
+    scipy.linalg is imported here, not at module load: it is most of the
+    package's import time and only this function needs it.
     """
+    import scipy.linalg
+
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {m.shape}")

@@ -1,8 +1,11 @@
 """Data-space simulation loop, exact-reference comparison and convergence sweep.
 
 A run evolves the packed data vector u by the closed-form update matrix
-M = 1 + dt M' over 2^N equal steps of total time T.  Every step records two
-relative entropies measured against the exactly evolved posterior
+M = 1 + dt M' over 2^N equal steps of total time T.  The update loop does
+nothing but u <- M u.  The per-step diagnostics are computed after it,
+batched over the stacked trajectory, from matrices factored once per run:
+only the means change from step to step.  Each step gets two relative
+entropies measured against the exactly evolved posterior
 N(A m, A D A^T), where m is the posterior mean of the previous data vector
 and A the exact one-step evolution:
 
@@ -31,12 +34,19 @@ bit-identical across repeats.
 import dataclasses
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dynamics, gaussian, kleingordon, matching, matfun
-from .errors import ConfigError, InfodynError, InsufficientSweep, InvalidInput
+from .errors import (
+    ConfigError,
+    InfodynError,
+    InsufficientSweep,
+    InvalidInput,
+    NonFiniteOutput,
+)
 from .kleingordon import KGModel
 
 logger = logging.getLogger(__name__)
@@ -63,6 +73,10 @@ CONFIG_KEYS = (
 _MODEL_KEYS = ("n_modes", "Y", "mu", "beta", "sigma_n2")
 
 CSV_FLOAT_FORMAT = "%.17g"
+
+# The exact reference is evaluated in row blocks of at most this many state
+# entries, so its transient arrays stay a few MB whatever 2^N is.
+REFERENCE_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -247,21 +261,26 @@ def dump_config(config, path):
         fh.write("\n")
 
 
-def resolve_initial_data(config):
+def resolve_initial_data(config, prior=None, meas=None):
     """Initial packed data vector of a run.
 
     For ``initial_data = 'generate'`` a field state is drawn from the thermal
     prior with the config seed, pushed through the response, and white noise
     of variance sigma_n2 from the stream seeded with seed + 1 is added.  Any
     other value is read as a JSON file holding a flat list of 2(Y + 2)
-    numbers.
+    numbers.  ``prior`` and ``meas`` are the model's prior density and
+    measurement; they are built here when the caller has not built them.
     """
     model = config.model
     if config.initial_data == GENERATE:
-        s0 = gaussian.sample(kleingordon.prior_density(model), 1, config.seed)[0]
+        if prior is None:
+            prior = kleingordon.prior_density(model)
+        if meas is None:
+            meas = kleingordon.measurement(model)
+        s0 = gaussian.sample(prior, 1, config.seed)[0]
         noise_rng = np.random.Generator(np.random.PCG64(config.seed + 1))
         noise = np.sqrt(model.sigma_n2) * noise_rng.standard_normal(model.data_dim)
-        return kleingordon.measurement(model).response @ s0 + noise
+        return meas.response @ s0 + noise
     try:
         with open(config.initial_data, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -282,58 +301,97 @@ def resolve_initial_data(config):
     return d0
 
 
+def _exact_reference(config, mean, response, last_only=False):
+    """R2 A(t_i) m_0 at every step time, from the closed-form rotation.
+
+    Works through the times in row blocks, so no (2^N + 1, 4n - 2) state
+    array exists.  With ``last_only`` the returned ``data`` holds only the
+    final row; the energy drift still covers every time.
+    """
+    model = config.model
+    times = config.dt * np.arange(config.steps + 1)
+    data = np.empty((1 if last_only else len(times), model.data_dim))
+    energy_0 = kleingordon.field_energy(model, mean)
+    drift = 0.0
+    block = max(1, REFERENCE_BLOCK_ENTRIES // model.signal_dim)
+    for start in range(0, len(times), block):
+        states = kleingordon.exact_evolve(model, mean, times[start : start + block])
+        energies = kleingordon.field_energy(model, states)
+        drift = max(drift, float(np.max(np.abs(energies - energy_0))))
+        if not last_only:
+            data[start : start + len(states)] = states @ response.T
+    if last_only:
+        data[0] = response @ states[-1]
+    return ExactReference(times=times, data=data, energy_drift=drift)
+
+
 def run_exact_reference(config, initial_data=None):
-    """Evolve the initial posterior mean with the exact step and project to data.
+    """Evolve the initial posterior mean with the exact evolution and project to data.
 
     The reference below is what a perfect scheme would report: the posterior
-    mean of the initial data, evolved by A(dt) per step, seen through the
+    mean of the initial data, evolved by A(t) = A(dt)^i, seen through the
     noise-free response.  Energy along the evolved mean is conserved to
     roundoff, which :attr:`ExactReference.energy_drift` makes checkable.
     """
     model = config.model
-    if initial_data is None:
-        initial_data = resolve_initial_data(config)
     prior = kleingordon.prior_density(model)
     meas = kleingordon.measurement(model)
-    a_step = kleingordon.exact_step(model, config.dt)
+    if initial_data is None:
+        initial_data = resolve_initial_data(config, prior, meas)
     mean = gaussian.posterior(prior, meas, initial_data).mean
-    steps = config.steps
-    times = config.dt * np.arange(steps + 1)
-    data = np.empty((steps + 1, model.data_dim))
-    data[0] = meas.response @ mean
-    energy_0 = kleingordon.field_energy(model, mean)
-    drift = 0.0
-    for i in range(1, steps + 1):
-        mean = a_step @ mean
-        data[i] = meas.response @ mean
-        drift = max(drift, abs(kleingordon.field_energy(model, mean) - energy_0))
-    return ExactReference(times=times, data=data, energy_drift=drift)
+    return _exact_reference(config, mean, meas.response)
+
+
+def _first_nonfinite_step(columns):
+    """(1-based step, name) of the first row of any named array that is not finite."""
+    first = None
+    for name, values in columns.items():
+        bad = ~np.isfinite(values).reshape(len(values), -1).all(axis=1)
+        if bad.any():
+            row = int(np.argmax(bad))
+            if first is None or row < first[0]:
+                first = (row, name)
+    return None if first is None else (first[0] + 1, first[1])
 
 
 def run_ifd(config):
-    """Run the iterated data update and collect per-step diagnostics.
+    """Run the iterated data update, then compute per-step diagnostics batched.
 
-    Every step multiplies the data vector by M = 1 + dt M', records the two
-    relative entropies described in the module docstring, the deviation from
-    the exact reference, and the branch the entropic matcher takes on the
-    same step (the closed form is used for the update either way).  The
-    diagnostics push the posterior through the linearized step 1 + dt L,
-    which needs the stricter bound dt ||L|| < 1; a config can therefore pass
-    validation (which checks the update matrix region dt < 1/w_{n-1}) and
-    still be refused here with :class:`StepTooLarge`.  Scheme 'direct' has
-    no such constraint.  A
-    non-regular branch is announced once per run at warning level: it means
-    the match Hessian is singular and the matched vector is the minimum-norm
-    one, which for this data packing is the generic situation since the
-    conjugate-alias pair makes the lifted response rank deficient.
+    The loop multiplies the data vector by M = 1 + dt M' and stores it,
+    nothing else.  Afterwards, over all steps at once, the run computes the
+    two relative entropies described in the module docstring (a constant
+    covariance term, factored once, plus a quadratic form of the mean
+    offset per step), the deviation from the exact reference, and the
+    branch the entropic matcher would take on each step (the closed form is
+    used for the update either way).  The diagnostics push the posterior
+    through the linearized step 1 + dt L, which needs the stricter bound
+    dt ||L|| < 1; a config can therefore pass validation (which checks the
+    update matrix region dt < 1/w_{n-1}) and still be refused here with
+    :class:`StepTooLarge`.  Scheme 'direct' has no such constraint.  A
+    non-regular branch is announced once per run at warning level, naming
+    its first step: it means the match Hessian is singular and the matched
+    vector is the minimum-norm one, which for this data packing is the
+    generic situation since the conjugate-alias pair makes the lifted
+    response rank deficient.  Output that overflows to NaN or infinity
+    raises :class:`NonFiniteOutput` naming the first such step.
     """
     model = config.model
-    d0 = resolve_initial_data(config)
-    reference = run_exact_reference(config, d0)
+    dt = config.dt
+    prior = kleingordon.prior_density(model)
+    meas = kleingordon.measurement(model)
+    d0 = resolve_initial_data(config, prior, meas)
+    # Its mean starts the exact reference; its covariance D does not depend
+    # on the data and is the fixed posterior covariance of every step.
+    post = gaussian.posterior(prior, meas, d0)
+    reference = _exact_reference(
+        config, post.mean, meas.response, last_only=config.scheme == SCHEME_DIRECT
+    )
 
     direct_data = None
     if config.scheme in (SCHEME_DIRECT, SCHEME_BOTH):
         direct_data = kleingordon.direct_simulate(model, d0, config.total_time)
+        if not np.all(np.isfinite(direct_data)):
+            raise NonFiniteOutput("the direct endpoint exp(T M') d(0) is not finite")
     if config.scheme == SCHEME_DIRECT:
         deviation = float(np.linalg.norm(direct_data - reference.data[-1]))
         return RunResult(
@@ -346,11 +404,7 @@ def run_ifd(config):
             direct_data=direct_data,
         )
 
-    prior = kleingordon.prior_density(model)
-    meas = kleingordon.measurement(model)
     w = gaussian.wiener_filter(prior, meas)
-    d_cov = gaussian.posterior(prior, meas, np.zeros(model.data_dim)).cov
-    dt = config.dt
     dyn = dynamics.AffineDynamics(
         generator=kleingordon.build_generator(model),
         drift=np.zeros(model.signal_dim),
@@ -358,74 +412,113 @@ def run_ifd(config):
     )
     g_step = dyn.step_matrix()
     a_step = kleingordon.exact_step(model, dt)
-    exact_cov = matfun.symmetrize(a_step @ d_cov @ a_step.T)
-    linear_cov = matfun.symmetrize(g_step @ d_cov @ g_step.T)
+    # The evolved covariances are the same at every step: check and factor
+    # them once.  Only the means below depend on the step.
+    zero = np.zeros(model.signal_dim)
+    exact = gaussian.GaussianDensity(
+        zero, matfun.symmetrize(a_step @ post.cov @ a_step.T)
+    )
+    linear = gaussian.GaussianDensity(
+        zero, matfun.symmetrize(g_step @ post.cov @ g_step.T)
+    )
+    m_update = kleingordon.build_update_matrix(model, dt)
+
+    steps = config.steps
+    data = np.empty((steps + 1, model.data_dim))
+    data[0] = u = d0
+    for i in range(1, steps + 1):
+        u = m_update @ u
+        data[i] = u
+
+    # Overflow is reported by the checks below, not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = data @ w.T
+        prev, new = means[:-1], means[1:]
+        exact_means = prev @ a_step.T
+        linear_means = prev @ g_step.T
+        bad = _first_nonfinite_step(
+            {"exact": exact_means, "posterior": new, "linear": linear_means}
+        )
+        if bad is not None:
+            raise InvalidInput(f"step {bad[0]}: {bad[1]} mean entries must be finite")
+        kl_step = gaussian.kl_covariance_term(exact, post) + 0.5 * post.quadratic_form(
+            exact_means - new
+        )
+        kl_evolution = gaussian.kl_covariance_term(
+            exact, linear
+        ) + 0.5 * linear.quadratic_form(prev @ (a_step - g_step).T)
+        kl_cumulative = np.cumsum(kl_step)
+        deviation = np.linalg.norm(data[1:] - reference.data[1:], axis=1)
+        direct_gap = None
+        if direct_data is not None:
+            direct_gap = float(np.linalg.norm(u - direct_data))
+    bad = _first_nonfinite_step(
+        {
+            "data": data[1:],
+            "kl_step": kl_step,
+            "kl_cumulative": kl_cumulative,
+            "kl_evolution": kl_evolution,
+            "exact_deviation": deviation,
+        }
+    )
+    if bad is not None:
+        raise NonFiniteOutput(
+            f"step {bad[0]} of {steps}: {bad[1]} is not finite; the iterated "
+            "update has overflowed"
+        )
+    if direct_gap is not None and not np.isfinite(direct_gap):
+        raise NonFiniteOutput("the iterated-direct gap is not finite")
+
     # The matcher needs a positive definite evolved inverse covariance.  The
     # truncated form of dynamics.approx_inv_cov holds only for much smaller
     # dt than the update matrix tolerates, so the diagnostic uses the exact
     # inverse of the pushed-forward covariance; the branch taken is the same
     # for any positive definite choice (it is decided by the response rank).
-    evolved_inv_cov = gaussian.GaussianDensity(
-        np.zeros(model.signal_dim), linear_cov
-    ).inv_cov()
-    m_update = kleingordon.build_update_matrix(model, dt)
+    problem = matching.MatchProblem(
+        evolved_mean=linear_means[0],
+        evolved_inv_cov=linear.inv_cov(),
+        new_prior=prior,
+        new_meas=meas,
+    )
+    labels = matching.branches(problem, linear_means)
+    first = next(
+        (i for i, b in enumerate(labels, 1) if b != matching.BRANCH_REGULAR), None
+    )
+    if first is not None:
+        logger.warning(
+            "step %d: entropic matching took the %r branch; the match "
+            "Hessian is singular and the minimum-norm data vector is "
+            "used. Expected here: the packed coefficients (Y-1)/2 and "
+            "(Y+1)/2 duplicate one conjugate pair.",
+            first,
+            labels[first - 1],
+        )
+    logger.info("branch counts over %d steps: %s", steps, dict(Counter(labels)))
 
-    records = []
-    u = d0
-    cumulative = 0.0
-    warned = False
-    branch_counts = {}
-    for i in range(1, config.steps + 1):
-        mean_prev = w @ u
-        u = m_update @ u
-        exact_density = gaussian.GaussianDensity(a_step @ mean_prev, exact_cov)
-        kl_step = gaussian.kl_divergence(
-            exact_density, gaussian.GaussianDensity(w @ u, d_cov)
+    records = tuple(
+        StepRecord(
+            step=i,
+            t=i * dt,
+            data=data[i],
+            kl_step=ks,
+            kl_cumulative=kc,
+            kl_evolution=ke,
+            exact_deviation=dev,
+            branch=branch,
         )
-        kl_evolution = gaussian.kl_divergence(
-            exact_density, gaussian.GaussianDensity(g_step @ mean_prev, linear_cov)
+        for i, ks, kc, ke, dev, branch in zip(
+            range(1, steps + 1),
+            kl_step.tolist(),
+            kl_cumulative.tolist(),
+            kl_evolution.tolist(),
+            deviation.tolist(),
+            labels,
         )
-        cumulative += kl_step
-        result = matching.match(
-            matching.MatchProblem(
-                evolved_mean=g_step @ mean_prev,
-                evolved_inv_cov=evolved_inv_cov,
-                new_prior=prior,
-                new_meas=meas,
-            )
-        )
-        branch_counts[result.branch] = branch_counts.get(result.branch, 0) + 1
-        if result.branch != matching.BRANCH_REGULAR and not warned:
-            logger.warning(
-                "step %d: entropic matching took the %r branch; the match "
-                "Hessian is singular and the minimum-norm data vector is "
-                "used. Expected here: the packed coefficients (Y-1)/2 and "
-                "(Y+1)/2 duplicate one conjugate pair.",
-                i,
-                result.branch,
-            )
-            warned = True
-        records.append(
-            StepRecord(
-                step=i,
-                t=i * dt,
-                data=u,
-                kl_step=kl_step,
-                kl_cumulative=cumulative,
-                kl_evolution=kl_evolution,
-                exact_deviation=float(np.linalg.norm(u - reference.data[i])),
-                branch=result.branch,
-            )
-        )
-    logger.info("branch counts over %d steps: %s", config.steps, branch_counts)
-
-    direct_gap = None
-    if direct_data is not None:
-        direct_gap = float(np.linalg.norm(u - direct_data))
+    )
     return RunResult(
         config=config,
         initial_data=d0,
-        records=tuple(records),
+        records=records,
         final_data=u,
         final_deviation=records[-1].exact_deviation,
         reference_energy_drift=reference.energy_drift,

@@ -1,6 +1,7 @@
 """End-to-end command line checks: outputs, determinism, exit codes."""
 
 import json
+import re
 
 import pytest
 
@@ -136,3 +137,21 @@ def test_numeric_refusal_exits_2(tmp_path, capsys):
     direct["scheme"] = "direct"
     path.write_text(json.dumps(direct))
     assert cli.main(["direct", "--config", str(path)]) == 0
+
+
+def test_overflowing_run_exits_2_before_writing(tmp_path, config_path, capsys):
+    # T = 1000 at N = 14: the explicit update grows like (1 + dt^2 w^2)^(steps/2)
+    # until the diagnostics overflow.  The run must refuse, naming the step,
+    # instead of writing NaN and inf.
+    mapping = json.loads(config_path.read_text())
+    mapping.update(T=1000.0, N=14)
+    config_path.write_text(json.dumps(mapping))
+    out = tmp_path / "run.csv"
+    report = tmp_path / "report.json"
+    code = cli.main(
+        ["simulate", "--config", str(config_path), "--out", str(out),
+         "--report", str(report)]
+    )
+    assert code == 2
+    assert re.search(r"step \d+ of 16384: \w+ is not finite", capsys.readouterr().err)
+    assert not out.exists() and not report.exists()

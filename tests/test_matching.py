@@ -224,3 +224,24 @@ def test_objective_validates_shape():
         matching.objective(problem, np.zeros(3))
     with pytest.raises(InvalidInput):
         matching.objective_gradient(problem, np.zeros(5))
+
+
+def test_batched_branches_agree_with_match_per_row():
+    rng = np.random.default_rng(353)
+    for deficient, zero_means in ((False, False), (True, False), (True, True)):
+        problem = _random_problem(rng, 4, 3, deficient=deficient, zero_means=zero_means)
+        means = np.vstack([np.zeros(4), rng.standard_normal((3, 4))])
+        expected = [
+            matching.match(
+                MatchProblem(
+                    evolved_mean=m,
+                    evolved_inv_cov=problem.evolved_inv_cov,
+                    new_prior=problem.new_prior,
+                    new_meas=problem.new_meas,
+                )
+            ).branch
+            for m in means
+        ]
+        assert matching.branches(problem, means) == expected
+    # All three branches occur among the cases above.
+    assert expected == [matching.BRANCH_ZERO] + [matching.BRANCH_PROJECTED] * 3

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from infodyn import gaussian, kleingordon, matching, simulator
+from infodyn import dynamics, gaussian, kleingordon, matching, simulator
 from infodyn.errors import ConfigError, InsufficientSweep, StepTooLarge
 
 
@@ -138,6 +138,78 @@ def test_exact_reference_conserves_energy():
     assert reference.times[0] == 0.0
     assert_allclose(reference.times[-1], config.total_time, rtol=1e-12)
     assert reference.energy_drift < 1e-10
+
+
+def test_closed_form_reference_matches_repeated_exact_steps():
+    config = _config(N=6)
+    model = config.model
+    d0 = simulator.resolve_initial_data(config)
+    reference = simulator.run_exact_reference(config, d0)
+    prior = kleingordon.prior_density(model)
+    meas = kleingordon.measurement(model)
+    mean = gaussian.posterior(prior, meas, d0).mean
+    a_step = kleingordon.exact_step(model, config.dt)
+    for i in range(config.steps + 1):
+        assert_allclose(reference.data[i], meas.response @ mean, rtol=1e-10)
+        mean = a_step @ mean
+
+
+def test_direct_deviation_uses_last_reference_row():
+    both = _run_at(4)
+    direct = _run_at(4, scheme=simulator.SCHEME_DIRECT)
+    last = simulator.run_exact_reference(both.config).data[-1]
+    assert_allclose(
+        direct.final_deviation, np.linalg.norm(direct.final_data - last), rtol=1e-12
+    )
+    assert direct.reference_energy_drift == both.reference_energy_drift
+
+
+def test_batched_diagnostics_match_per_step_oracle():
+    # The per-step construction the batched diagnostics replace: fresh
+    # densities, two KL evaluations and one match problem per step.
+    run = _run_at(4)
+    model = run.config.model
+    dt = run.config.dt
+    prior = kleingordon.prior_density(model)
+    meas = kleingordon.measurement(model)
+    w = gaussian.wiener_filter(prior, meas)
+    d_cov = gaussian.posterior(prior, meas, np.zeros(model.data_dim)).cov
+    g_step = dynamics.AffineDynamics(
+        generator=kleingordon.build_generator(model),
+        drift=np.zeros(model.signal_dim),
+        dt=dt,
+    ).step_matrix()
+    a_step = kleingordon.exact_step(model, dt)
+    exact_cov = a_step @ d_cov @ a_step.T
+    linear_cov = g_step @ d_cov @ g_step.T
+    inv_cov = gaussian.GaussianDensity(np.zeros(model.signal_dim), linear_cov).inv_cov()
+    u = run.initial_data
+    for rec in run.records:
+        mean_prev = w @ u
+        u = rec.data
+        exact = gaussian.GaussianDensity(a_step @ mean_prev, exact_cov)
+        kl_step = gaussian.kl_divergence(exact, gaussian.GaussianDensity(w @ u, d_cov))
+        kl_evolution = gaussian.kl_divergence(
+            exact, gaussian.GaussianDensity(g_step @ mean_prev, linear_cov)
+        )
+        problem = matching.MatchProblem(
+            evolved_mean=g_step @ mean_prev,
+            evolved_inv_cov=inv_cov,
+            new_prior=prior,
+            new_meas=meas,
+        )
+        assert rec.branch == matching.match(problem).branch
+        assert_allclose(rec.kl_step, kl_step, rtol=1e-9)
+        assert_allclose(rec.kl_evolution, kl_evolution, rtol=1e-6)
+
+
+def test_relative_entropies_never_negative_at_vanishing_step():
+    # At T = 1e-300 the evolved and fresh posteriors coincide to roundoff;
+    # the covariance term must come out as 0, not as a tiny negative residue.
+    run = simulator.run_ifd(_config(T=1e-300, scheme="both"))
+    assert all(rec.kl_step >= 0.0 for rec in run.records)
+    assert all(rec.kl_evolution >= 0.0 for rec in run.records)
+    assert run.records[-1].kl_cumulative >= 0.0
 
 
 def test_run_records_and_cumulative_sum():
