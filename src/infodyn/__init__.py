@@ -2,8 +2,8 @@
 
 The package splits into small layers: spectral matrix functions
 (:mod:`infodyn.matfun`), Gaussian densities and the linear-measurement update
-(:mod:`infodyn.gaussian`), affine pushforwards of densities
-(:mod:`infodyn.dynamics`), entropic matching of an evolved density by new
+(:mod:`infodyn.gaussian`), the linearized evolution step with its validity
+guard (:mod:`infodyn.dynamics`), entropic matching of an evolved density by new
 data (:mod:`infodyn.matching`), the periodic Klein-Gordon field with its
 exact solution (:mod:`infodyn.kleingordon`), and the iterated data-space
 simulation driving it all (:mod:`infodyn.simulator`, CLI in
@@ -11,24 +11,21 @@ simulation driving it all (:mod:`infodyn.simulator`, CLI in
 """
 
 from . import dynamics, errors, gaussian, kleingordon, matching, matfun, simulator
-from .dynamics import AffineDynamics, approx_inv_cov, jacobian_det, push_forward
+from .dynamics import AffineDynamics
 from .errors import (
     ConfigError,
     DegenerateMassError,
-    DomainError,
     InfodynError,
     InsufficientSweep,
     InvalidInput,
     NonFiniteOutput,
     NotPositiveDefinite,
-    SeriesDiverges,
     StepTooLarge,
     UnsupportedPixelCount,
 )
 from .gaussian import (
     GaussianDensity,
     LinearMeasurement,
-    differential_entropy,
     evidence,
     info_hamiltonian,
     kl_divergence,
@@ -44,7 +41,6 @@ from .simulator import (
     StepRecord,
     SweepResult,
     convergence_sweep,
-    dump_config,
     load_config,
     parse_config,
     run_exact_reference,
@@ -59,7 +55,6 @@ __all__ = [
     "AffineDynamics",
     "ConfigError",
     "DegenerateMassError",
-    "DomainError",
     "GaussianDensity",
     "InfodynError",
     "InsufficientSweep",
@@ -72,21 +67,16 @@ __all__ = [
     "NotPositiveDefinite",
     "RunConfig",
     "RunResult",
-    "SeriesDiverges",
     "StepRecord",
     "StepTooLarge",
     "SweepResult",
     "UnsupportedPixelCount",
-    "approx_inv_cov",
     "convergence_sweep",
-    "differential_entropy",
-    "dump_config",
     "dynamics",
     "errors",
     "evidence",
     "gaussian",
     "info_hamiltonian",
-    "jacobian_det",
     "kl_divergence",
     "kleingordon",
     "load_config",
@@ -95,7 +85,6 @@ __all__ = [
     "matfun",
     "parse_config",
     "posterior",
-    "push_forward",
     "run_exact_reference",
     "run_ifd",
     "sample",

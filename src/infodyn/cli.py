@@ -3,8 +3,8 @@
 All subcommands read the same flat JSON config (see
 :func:`infodyn.simulator.parse_config`).  Exit status is 0 on success, 1 for
 configuration and I/O problems, and 2 when the numerics refuse the request
-(step outside its validity region, loss of positive definiteness, divergent
-series expansion, non-finite output).
+(step outside its validity region, loss of positive definiteness, non-finite
+output).
 """
 
 import argparse
@@ -16,22 +16,14 @@ import sys
 from . import simulator
 from .errors import (
     ConfigError,
-    DomainError,
     InfodynError,
     InsufficientSweep,
     NonFiniteOutput,
     NotPositiveDefinite,
-    SeriesDiverges,
     StepTooLarge,
 )
 
-NUMERIC_ERRORS = (
-    StepTooLarge,
-    NotPositiveDefinite,
-    SeriesDiverges,
-    DomainError,
-    NonFiniteOutput,
-)
+NUMERIC_ERRORS = (StepTooLarge, NotPositiveDefinite, NonFiniteOutput)
 
 
 def _add_config_arg(parser):

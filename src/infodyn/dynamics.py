@@ -1,50 +1,34 @@
-"""Affine pushforward of Gaussian densities under linearized field evolution.
+"""Linearized one-step field evolution with its validity guard.
 
-One explicit Euler step of the field equation d(phi)/dt = L phi + c moves a
-Gaussian N(m, D) to
-
-    m'' = (1 + dt L) m + dt c,
-    D'' = (1 + dt L) D (1 + dt L)^T,
-
-exactly, because an affine map of a Gaussian is Gaussian.  The inverse
-covariance of the pushforward admits the first order truncation
-
-    D''^-1 ~ D^-1 - dt (D^-1 L + L^T D^-1) =: D*^-1,
-
-whose deviation from the exact inverse is second order in dt.  The step is
-trusted only while ||dt L|| < 1 (spectral norm), which keeps (1 + dt L)
-invertible with a convergent Neumann series; a violation raises
-:class:`infodyn.errors.StepTooLarge` instead of being clamped.
+One explicit Euler step of the field equation d(phi)/dt = L phi is the
+matrix 1 + dt L (:meth:`AffineDynamics.step_matrix`).  It moves a Gaussian
+N(m, D) to N((1 + dt L) m, (1 + dt L) D (1 + dt L)^T) exactly, because a
+linear map of a Gaussian is Gaussian.  The step is trusted only while
+||dt L|| < 1 (spectral norm), which keeps 1 + dt L invertible; a violation
+raises :class:`infodyn.errors.StepTooLarge` at construction instead of being
+clamped.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import matfun
 from .errors import InvalidInput, StepTooLarge
-from .gaussian import GaussianDensity
 
 
 @dataclass(frozen=True)
 class AffineDynamics:
-    """Generator L, drift c and step size dt of one linearized evolution step."""
+    """Generator L and step size dt of one linearized evolution step."""
 
     generator: np.ndarray
-    drift: np.ndarray
     dt: float
 
     def __post_init__(self):
         l = np.asarray(self.generator, dtype=float)
-        c = np.asarray(self.drift, dtype=float)
         if l.ndim != 2 or l.shape[0] != l.shape[1]:
             raise InvalidInput(f"generator must be square, got shape {l.shape}")
-        if c.shape != (l.shape[0],):
-            raise InvalidInput(
-                f"drift shape {c.shape} does not match generator {l.shape}"
-            )
-        if not (np.all(np.isfinite(l)) and np.all(np.isfinite(c))):
-            raise InvalidInput("generator and drift entries must be finite")
+        if not np.all(np.isfinite(l)):
+            raise InvalidInput("generator entries must be finite")
         dt = float(self.dt)
         if not np.isfinite(dt) or dt < 0.0:
             raise InvalidInput(f"dt must be finite and nonnegative, got {dt!r}")
@@ -55,9 +39,7 @@ class AffineDynamics:
                 "its validity region"
             )
         l.setflags(write=False)
-        c.setflags(write=False)
         object.__setattr__(self, "generator", l)
-        object.__setattr__(self, "drift", c)
         object.__setattr__(self, "dt", dt)
 
     @property
@@ -67,44 +49,3 @@ class AffineDynamics:
     def step_matrix(self):
         """(1 + dt L)."""
         return np.eye(self.dim) + self.dt * self.generator
-
-
-def push_forward(dyn, density):
-    """Exact Gaussian pushforward under one affine step."""
-    if density.dim != dyn.dim:
-        raise InvalidInput(
-            f"density dimension {density.dim} does not match generator {dyn.dim}"
-        )
-    g = dyn.step_matrix()
-    mean = g @ density.mean + dyn.dt * dyn.drift
-    cov = matfun.symmetrize(g @ density.cov @ g.T)
-    return GaussianDensity(mean=mean, cov=cov)
-
-
-def approx_inv_cov(dyn, density):
-    """First order truncation of the pushforward inverse covariance.
-
-    Returns D^-1 - dt (D^-1 L + L^T D^-1), which matches the exact
-    (1 + dt L)^-T D^-1 (1 + dt L)^-1 up to O(dt^2).  The result must stay
-    positive definite; if the step is too coarse for that, the failure is
-    reported rather than repaired.
-    """
-    if density.dim != dyn.dim:
-        raise InvalidInput(
-            f"density dimension {density.dim} does not match generator {dyn.dim}"
-        )
-    d_inv = density.inv_cov()
-    truncated = matfun.symmetrize(
-        d_inv - dyn.dt * (d_inv @ dyn.generator + dyn.generator.T @ d_inv)
-    )
-    if not matfun.is_positive_definite(truncated):
-        raise StepTooLarge(
-            "truncated inverse covariance lost positive definiteness; "
-            "reduce dt"
-        )
-    return truncated
-
-
-def jacobian_det(dyn):
-    """Determinant of the step map, det(1 + dt L) = 1 + dt tr L + O(dt^2)."""
-    return float(np.linalg.det(dyn.step_matrix()))

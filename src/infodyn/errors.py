@@ -3,7 +3,7 @@
 Every error raised on a contract violation derives from :class:`InfodynError`
 so callers can catch the package's failures with one handler.  Numerical
 failures (a step size outside the validity region, a matrix that is not
-positive definite, a diverging series, non-finite output) are kept distinct from input and
+positive definite, non-finite output) are kept distinct from input and
 configuration mistakes because the command line maps them to different exit
 codes.
 """
@@ -17,16 +17,8 @@ class InvalidInput(InfodynError, ValueError):
     """An argument violates a documented precondition (shape, finiteness, range)."""
 
 
-class DomainError(InfodynError, ValueError):
-    """A spectral function was applied to an eigenvalue outside its domain."""
-
-
 class NotPositiveDefinite(InfodynError):
     """A matrix required to be symmetric positive definite is not."""
-
-
-class SeriesDiverges(InfodynError):
-    """The Neumann series does not converge for the given matrix."""
 
 
 class StepTooLarge(InfodynError):

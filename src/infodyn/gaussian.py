@@ -229,11 +229,6 @@ def kl_divergence(p, q):
     return kl_covariance_term(p, q) + 0.5 * float(q.quadratic_form(p.mean - q.mean))
 
 
-def differential_entropy(p):
-    """Differential entropy 1/2 log det(2 pi e Sigma)."""
-    return 0.5 * (p.dim * (LOG_2PI + 1.0) + p.log_det_cov())
-
-
 def info_hamiltonian(prior, measurement, data, signal):
     """Negative log of the joint density of (data, signal).
 

@@ -56,6 +56,8 @@ class KGModel:
     ``pixels`` is the odd number Y of measurement bins, ``mu`` the field
     mass, ``beta`` the inverse temperature of the thermal prior and
     ``sigma_n2`` the white noise variance on the packed data coefficients.
+    Every data coefficient must be reached by some field mode, which needs
+    ``n_modes - 1 >= (pixels - 1)/2``.
     """
 
     n_modes: int
@@ -72,6 +74,12 @@ class KGModel:
         if self.pixels <= 1 or self.pixels % 2 == 0:
             raise UnsupportedPixelCount(
                 f"pixel count must be odd and greater than one, got {self.pixels}"
+            )
+        if 2 * (self.n_modes - 1) < self.pixels - 1:
+            raise InvalidInput(
+                "every data coefficient must be reached by a field mode, so "
+                f"n_modes - 1 >= (pixels - 1)/2; got n_modes={self.n_modes}, "
+                f"pixels={self.pixels}"
             )
         if not np.isfinite(self.mu):
             raise InvalidInput(f"mu must be finite, got {self.mu!r}")
@@ -118,52 +126,9 @@ class KGModel:
         return np.sqrt(np.asarray(k, dtype=float) ** 2 + self.mu**2)
 
     @property
-    def omegas(self):
-        return self.omega(np.arange(self.n_modes))
-
-    @property
     def dt_limit(self):
         """Validity threshold: the update matrix needs dt < 1/w_{n-1}."""
         return 1.0 / float(self.omega(self.n_modes - 1))
-
-
-def pack_field(model, phi_modes, chi_modes):
-    """Pack complex mode coefficients (k = 0..n-1 per part) into the real layout."""
-    phi = np.asarray(phi_modes, dtype=complex)
-    chi = np.asarray(chi_modes, dtype=complex)
-    n = model.n_modes
-    if phi.shape != (n,) or chi.shape != (n,):
-        raise InvalidInput(
-            f"expected {n} modes per part, got shapes {phi.shape} and {chi.shape}"
-        )
-    scale = max(np.max(np.abs(phi)), np.max(np.abs(chi)), 1.0)
-    if abs(phi[0].imag) > 1e-12 * scale or abs(chi[0].imag) > 1e-12 * scale:
-        raise InvalidInput("mode 0 of a real field must be real")
-    out = np.empty(model.signal_dim)
-    for offset, modes in ((0, phi), (model.part_dim, chi)):
-        out[offset] = modes[0].real
-        out[offset + 1 : offset + model.part_dim : 2] = modes[1:].real
-        out[offset + 2 : offset + model.part_dim : 2] = modes[1:].imag
-    return out
-
-
-def unpack_field(model, packed):
-    """Inverse of :func:`pack_field`; returns (phi_modes, chi_modes)."""
-    x = np.asarray(packed, dtype=float)
-    if x.shape != (model.signal_dim,):
-        raise InvalidInput(
-            f"packed field has shape {x.shape}, expected ({model.signal_dim},)"
-        )
-    parts = []
-    for offset in (0, model.part_dim):
-        modes = np.empty(model.n_modes, dtype=complex)
-        modes[0] = x[offset]
-        modes[1:] = (
-            x[offset + 1 : offset + model.part_dim : 2]
-            + 1j * x[offset + 2 : offset + model.part_dim : 2]
-        )
-        parts.append(modes)
-    return parts[0], parts[1]
 
 
 def _part_prior_diag(model, part):
@@ -320,66 +285,6 @@ def field_energy(model, packed):
     return float(energy) if energy.ndim == 0 else energy
 
 
-def _pack_data_part(model, coeffs):
-    out = np.empty(model.data_part_dim)
-    out[0] = coeffs[0].real
-    out[1::2] = coeffs[1:].real
-    out[2::2] = coeffs[1:].imag
-    return out
-
-
-def _unpack_data_part(model, packed_part):
-    coeffs = np.empty(model.k_max + 1, dtype=complex)
-    coeffs[0] = packed_part[0]
-    coeffs[1:] = packed_part[1::2] + 1j * packed_part[2::2]
-    return coeffs
-
-
-def dft_data(model, pixel_data):
-    """Pixel-space data (phi averages then chi averages) to the packed Fourier layout.
-
-    The forward transform is d_k = Delta sum_j exp(i k j Delta) d_j for
-    k = 0..(Y+1)/2; the inverse used by :func:`idft_data` carries the 1/(2 pi)
-    weight.  Constant data of value 1 therefore maps to a single k = 0
-    coefficient of 2 pi.
-    """
-    y = model.pixels
-    d = np.asarray(pixel_data, dtype=float)
-    if d.shape != (2 * y,):
-        raise InvalidInput(f"pixel data has shape {d.shape}, expected ({2 * y},)")
-    out = np.empty(model.data_dim)
-    for i, part in enumerate((d[:y], d[y:])):
-        # Delta * sum_j exp(+i k j Delta) d_j == 2 pi ifft(d)_k.
-        coeffs = 2.0 * np.pi * np.fft.ifft(part)
-        sl = slice(i * model.data_part_dim, (i + 1) * model.data_part_dim)
-        out[sl] = _pack_data_part(model, coeffs[: model.k_max + 1])
-    return out
-
-
-def idft_data(model, packed):
-    """Packed Fourier data back to pixel space.
-
-    Coefficients beyond (Y+1)/2 are reconstructed by conjugate symmetry of
-    real pixel sequences.  For packings that violate that symmetry (the
-    stored coefficient (Y+1)/2 is redundant with (Y-1)/2) the real part of
-    the inverse transform is returned.
-    """
-    y = model.pixels
-    x = np.asarray(packed, dtype=float)
-    if x.shape != (model.data_dim,):
-        raise InvalidInput(f"packed data has shape {x.shape}, expected ({model.data_dim},)")
-    out = np.empty(2 * y)
-    for i in range(2):
-        part = x[i * model.data_part_dim : (i + 1) * model.data_part_dim]
-        stored = _unpack_data_part(model, part)
-        coeffs = np.empty(y, dtype=complex)
-        coeffs[: model.k_max + 1] = stored
-        for k in range(model.k_max + 1, y):
-            coeffs[k] = np.conj(stored[y - k])
-        out[i * y : (i + 1) * y] = np.real(np.fft.fft(coeffs)) / (2.0 * np.pi)
-    return out
-
-
 def rphi_rt_diag(model, part):
     """Closed-form diagonal of the data-space prior Gram R Phi_part R^T.
 
@@ -390,8 +295,9 @@ def rphi_rt_diag(model, part):
               [1(m = k mod Y) + 1(m = Y - k mod Y)]
 
     with w(m) = 1/w_m^2 for phi and 1 for chi.  Returned as the full
-    diagonal vector of length Y + 2.  All entries are positive whenever
-    every data coefficient is reached by some mode, i.e. n - 1 >= (Y-1)/2.
+    diagonal vector of length Y + 2.  All entries are positive because
+    :class:`KGModel` requires every data coefficient to be reached by some
+    mode, i.e. n - 1 >= (Y-1)/2.
     """
     n, y, beta = model.n_modes, model.pixels, model.beta
     m = np.arange(1, n)
@@ -445,12 +351,6 @@ def update_generator(model):
     diag = np.concatenate(
         [rphi_rt_diag(model, PART_PHI), rphi_rt_diag(model, PART_CHI)]
     )
-    if np.any(diag <= 0.0):
-        raise InvalidInput(
-            "closed-form Gram diagonal has zero entries; the update matrix "
-            f"needs n_modes - 1 >= (pixels - 1)/2, got n_modes={model.n_modes}, "
-            f"pixels={model.pixels}"
-        )
     scaled = sandwich / (diag + model.sigma_n2)  # right-multiply by H
     return scaled + (model.sigma_n2 / diag)[:, None] * scaled  # left (1 + s^2 G)
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import matfun
 from .errors import InvalidInput
-from .gaussian import GaussianDensity, kl_divergence, wiener_filter
+from .gaussian import GaussianDensity, kl_divergence, posterior, wiener_filter
 
 # Relative eigenvalue threshold deciding which Hessian directions count as
 # zero.  Shared by match() and nullspace_projector().
@@ -84,22 +84,16 @@ class MatchProblem:
                 f"does not match prior dimension {self.new_prior.dim}"
             )
         w = wiener_filter(self.new_prior, self.new_meas, "signal_space")
-        r = self.new_meas.response
-        n_inv = np.linalg.inv(self.new_meas.noise_cov)
-        phi_inv = np.linalg.inv(self.new_prior.cov)
-        post_info = matfun.symmetrize(phi_inv + r.T @ n_inv @ r)
-        pw, pq = matfun.spectral_decompose(post_info)
-        matfun._require_pd(pw, "MatchProblem new posterior information")
-        post_cov = (pq / pw) @ pq.T
-        # D' Phi'^-1 psi' is the u-independent part of the new posterior mean:
+        # The posterior at u = 0 has covariance D' and mean D' Phi'^-1 psi',
+        # the u-independent part of the new posterior mean:
         # m'(u) = W' u + prior_pull.
-        prior_pull = post_cov @ (phi_inv @ self.new_prior.mean)
+        post = posterior(self.new_prior, self.new_meas, np.zeros(self.data_dim))
         m_star.setflags(write=False)
         object.__setattr__(self, "evolved_mean", m_star)
         object.__setattr__(self, "evolved_inv_cov", inv_cov)
         object.__setattr__(self, "_w", w)
-        object.__setattr__(self, "_post_cov", post_cov)
-        object.__setattr__(self, "_prior_pull", prior_pull)
+        object.__setattr__(self, "_post_cov", post.cov)
+        object.__setattr__(self, "_prior_pull", post.mean)
 
     @property
     def data_dim(self):

@@ -70,7 +70,6 @@ CONFIG_KEYS = (
     "initial_data",
     "scheme",
 )
-_MODEL_KEYS = ("n_modes", "Y", "mu", "beta", "sigma_n2")
 
 CSV_FLOAT_FORMAT = "%.17g"
 
@@ -254,13 +253,6 @@ def load_config(path):
     return parse_config(raw)
 
 
-def dump_config(config, path):
-    """Write a config file that :func:`load_config` reproduces exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_dict(config), fh, indent=2)
-        fh.write("\n")
-
-
 def resolve_initial_data(config, prior=None, meas=None):
     """Initial packed data vector of a run.
 
@@ -407,7 +399,6 @@ def run_ifd(config):
     w = gaussian.wiener_filter(prior, meas)
     dyn = dynamics.AffineDynamics(
         generator=kleingordon.build_generator(model),
-        drift=np.zeros(model.signal_dim),
         dt=dt,
     )
     g_step = dyn.step_matrix()
@@ -469,11 +460,12 @@ def run_ifd(config):
     if direct_gap is not None and not np.isfinite(direct_gap):
         raise NonFiniteOutput("the iterated-direct gap is not finite")
 
-    # The matcher needs a positive definite evolved inverse covariance.  The
-    # truncated form of dynamics.approx_inv_cov holds only for much smaller
-    # dt than the update matrix tolerates, so the diagnostic uses the exact
-    # inverse of the pushed-forward covariance; the branch taken is the same
-    # for any positive definite choice (it is decided by the response rank).
+    # The matcher needs a positive definite evolved inverse covariance: the
+    # exact inverse of the linearly pushed-forward covariance, factored above.
+    # Its first-order truncation D^-1 - dt (D^-1 L + L^T D^-1) can lose
+    # positive definiteness at steps the update matrix still accepts.  The
+    # branch taken is the same for any positive definite choice (it is
+    # decided by the response rank).
     problem = matching.MatchProblem(
         evolved_mean=linear_means[0],
         evolved_inv_cov=linear.inv_cov(),

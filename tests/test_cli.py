@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+import infodyn
 from infodyn import cli
 
 
@@ -99,8 +100,16 @@ def test_config_errors_exit_1(tmp_path, config_path, capsys):
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps({"n_modes": 4}))
     assert cli.main(["simulate", "--config", str(wrong), "--out", "x.csv"]) == 1
+    # Too few modes to reach every data coefficient: refused at load time.
+    few = json.loads(config_path.read_text())
+    few.update(n_modes=3, Y=7)
+    config_path.write_text(json.dumps(few))
+    out = tmp_path / "few.csv"
+    assert cli.main(["simulate", "--config", str(config_path), "--out", str(out)]) == 1
+    assert not out.exists()
     err = capsys.readouterr().err
-    assert err.count("error:") == 3
+    assert err.count("error:") == 4
+    assert "n_modes - 1 >= (pixels - 1)/2" in err
 
 
 def test_bad_n_list_exits_1(config_path, capsys):
@@ -155,3 +164,10 @@ def test_overflowing_run_exits_2_before_writing(tmp_path, config_path, capsys):
     assert code == 2
     assert re.search(r"step \d+ of 16384: \w+ is not finite", capsys.readouterr().err)
     assert not out.exists() and not report.exists()
+
+
+@pytest.mark.parametrize("name", infodyn.__all__)
+def test_public_names_resolve(name):
+    namespace = {}
+    exec("from infodyn import *", namespace)
+    assert namespace[name] is getattr(infodyn, name)

@@ -1,10 +1,10 @@
-"""Affine pushforward and the truncated inverse covariance, with order checks."""
+"""The linearized step 1 + dt L: moments, order checks and its validity guard."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from infodyn import dynamics, gaussian, matfun
+from infodyn import gaussian, matfun
 from infodyn.dynamics import AffineDynamics
 from infodyn.errors import InvalidInput, StepTooLarge
 from infodyn.gaussian import GaussianDensity
@@ -15,32 +15,16 @@ def _spd(rng, n, lo=0.3, hi=3.0):
     return (q * rng.uniform(lo, hi, n)) @ q.T
 
 
-def test_push_forward_moments():
-    rng = np.random.default_rng(211)
-    for _ in range(10):
-        n = int(rng.integers(1, 6))
-        gen = rng.standard_normal((n, n))
-        drift = rng.standard_normal(n)
-        dt = 0.1 / max(1.0, np.linalg.norm(gen, 2))
-        dyn = AffineDynamics(generator=gen, drift=drift, dt=dt)
-        density = GaussianDensity(mean=rng.standard_normal(n), cov=_spd(rng, n))
-        pushed = dynamics.push_forward(dyn, density)
-        g = np.eye(n) + dt * gen
-        assert_allclose(pushed.mean, g @ density.mean + dt * drift, rtol=1e-13)
-        assert_allclose(pushed.cov, g @ density.cov @ g.T, atol=1e-13)
-
-
 def test_push_forward_matches_mapped_samples():
+    # Samples mapped by the step matrix G have the moments (G m, G D G^T).
     rng = np.random.default_rng(223)
     n = 3
-    gen = rng.standard_normal((n, n))
-    dyn = AffineDynamics(generator=gen, drift=rng.standard_normal(n), dt=0.05)
+    dyn = AffineDynamics(generator=rng.standard_normal((n, n)), dt=0.05)
     density = GaussianDensity(mean=rng.standard_normal(n), cov=_spd(rng, n))
-    pushed = dynamics.push_forward(dyn, density)
-    xs = gaussian.sample(density, 400**2, seed=9)
-    mapped = xs @ dyn.step_matrix().T + dyn.dt * dyn.drift
-    assert_allclose(np.mean(mapped, axis=0), pushed.mean, atol=0.05)
-    assert_allclose(np.cov(mapped.T), pushed.cov, atol=0.1)
+    g = dyn.step_matrix()
+    mapped = gaussian.sample(density, 400**2, seed=9) @ g.T
+    assert_allclose(np.mean(mapped, axis=0), g @ density.mean, atol=0.05)
+    assert_allclose(np.cov(mapped.T), g @ density.cov @ g.T, atol=0.1)
 
 
 def test_cov_product_equals_three_term_expansion():
@@ -50,63 +34,33 @@ def test_cov_product_equals_three_term_expansion():
     gen = rng.standard_normal((n, n))
     cov = _spd(rng, n)
     dt = 0.07
-    dyn = AffineDynamics(generator=gen, drift=np.zeros(n), dt=dt)
-    density = GaussianDensity(mean=np.zeros(n), cov=cov)
-    pushed = dynamics.push_forward(dyn, density)
+    g = AffineDynamics(generator=gen, dt=dt).step_matrix()
     expanded = (
         cov
         + dt * (gen @ cov + cov @ gen.T)
         + dt**2 * gen @ cov @ gen.T
     )
-    assert_allclose(pushed.cov, expanded, atol=1e-12)
-
-
-def test_truncated_inverse_scalar_oracle():
-    # D = 1, L = l: truncated inverse is exactly 1 - 2 dt l, the exact
-    # inverse is (1 + dt l)^-2, and their gap is 3 (dt l)^2 + O(dt^3).
-    ell, dt = 0.5, 0.1
-    x = dt * ell
-    dyn = AffineDynamics(generator=[[ell]], drift=[0.0], dt=dt)
-    density = GaussianDensity(mean=[0.0], cov=[[1.0]])
-    truncated = dynamics.approx_inv_cov(dyn, density)
-    assert_allclose(truncated, [[1.0 - 2.0 * x]], rtol=1e-14)
-    exact = (1.0 + x) ** -2
-    assert abs(exact - truncated[0, 0] - 3.0 * x**2) <= 5.0 * x**3
-
-
-def test_truncated_inverse_second_order_in_dt():
-    rng = np.random.default_rng(229)
-    n = 4
-    gen = rng.standard_normal((n, n))
-    density = GaussianDensity(mean=np.zeros(n), cov=_spd(rng, n))
-    dts = 0.04 * 0.5 ** np.arange(5)
-    gaps = []
-    for dt in dts:
-        dyn = AffineDynamics(generator=gen, drift=np.zeros(n), dt=dt)
-        pushed = dynamics.push_forward(dyn, density)
-        exact_inv = pushed.inv_cov()
-        gaps.append(np.linalg.norm(dynamics.approx_inv_cov(dyn, density) - exact_inv, 2))
-    slope = np.polyfit(np.log(dts), np.log(gaps), 1)[0]
-    assert 1.7 < slope < 2.3
+    assert_allclose(g @ cov @ g.T, expanded, atol=1e-12)
 
 
 def test_kl_of_truncation_fourth_order_in_dt():
-    # The truncated and exact pushforward densities share the mean and agree
-    # on the covariance to O(dt^2); relative entropy is quadratically flat in
-    # such perturbations, so the entropy falls off like dt^4.  That is
-    # stronger than, and implies, an O(dt^2) bound.
+    # The linearly and the exactly evolved densities, N(G m, G D G^T) and
+    # N(e^{dt L} m, e^{dt L} D e^{dt L}^T), agree on mean and covariance to
+    # O(dt^2); relative entropy is quadratically flat in such perturbations,
+    # so the entropy falls off like dt^4.
     rng = np.random.default_rng(233)
     n = 3
     gen = rng.standard_normal((n, n))
-    density = GaussianDensity(mean=np.zeros(n), cov=_spd(rng, n))
+    mean = rng.standard_normal(n)
+    cov = _spd(rng, n)
     dts = 0.04 * 0.5 ** np.arange(5)
     kls = []
     for dt in dts:
-        dyn = AffineDynamics(generator=gen, drift=np.zeros(n), dt=dt)
-        pushed = dynamics.push_forward(dyn, density)
-        w, q = matfun.spectral_decompose(dynamics.approx_inv_cov(dyn, density))
-        truncated_density = GaussianDensity(mean=pushed.mean, cov=(q / w) @ q.T)
-        kls.append(gaussian.kl_divergence(pushed, truncated_density))
+        g = AffineDynamics(generator=gen, dt=dt).step_matrix()
+        a = matfun.expm_general(dt * gen)
+        exact = GaussianDensity(mean=a @ mean, cov=a @ cov @ a.T)
+        linear = GaussianDensity(mean=g @ mean, cov=g @ cov @ g.T)
+        kls.append(gaussian.kl_divergence(exact, linear))
     slope = np.polyfit(np.log(dts), np.log(kls), 1)[0]
     assert 3.5 < slope < 4.5
     assert all(kl <= dt**2 for kl, dt in zip(kls, dts))
@@ -117,8 +71,7 @@ def test_jacobian_det_first_order():
     n = 4
     gen = rng.standard_normal((n, n))
     for dt in (0.04, 0.02, 0.01):
-        dyn = AffineDynamics(generator=gen, drift=np.zeros(n), dt=dt)
-        det = dynamics.jacobian_det(dyn)
+        det = np.linalg.det(AffineDynamics(generator=gen, dt=dt).step_matrix())
         # Remainder after the linear term is O(dt^2) with a norm constant.
         bound = (dt * np.linalg.norm(gen, 2)) ** 2 * 2.0 ** (n - 1)
         assert abs(det - (1.0 + dt * np.trace(gen))) <= bound
@@ -126,26 +79,11 @@ def test_jacobian_det_first_order():
 
 def test_step_too_large_at_construction():
     with pytest.raises(StepTooLarge):
-        AffineDynamics(generator=[[10.0]], drift=[0.0], dt=0.2)
-
-
-def test_truncated_inverse_positive_definiteness_guard():
-    # ||dt L|| is fine but the truncation destroys positivity: report, do
-    # not repair.
-    density = GaussianDensity(mean=[0.0, 0.0], cov=np.diag([1.0, 0.001]))
-    dyn = AffineDynamics(
-        generator=[[0.0, 1.0], [-1.0, 0.0]], drift=[0.0, 0.0], dt=0.1
-    )
-    with pytest.raises(StepTooLarge):
-        dynamics.approx_inv_cov(dyn, density)
+        AffineDynamics(generator=[[10.0]], dt=0.2)
 
 
 def test_dimension_mismatch():
-    dyn = AffineDynamics(generator=np.zeros((2, 2)), drift=np.zeros(2), dt=0.1)
-    density = GaussianDensity(mean=[0.0], cov=[[1.0]])
     with pytest.raises(InvalidInput):
-        dynamics.push_forward(dyn, density)
+        AffineDynamics(generator=np.zeros((2, 3)), dt=0.1)
     with pytest.raises(InvalidInput):
-        dynamics.approx_inv_cov(dyn, density)
-    with pytest.raises(InvalidInput):
-        AffineDynamics(generator=np.zeros((2, 2)), drift=np.zeros(3), dt=0.1)
+        AffineDynamics(generator=np.zeros(2), dt=0.1)

@@ -150,24 +150,6 @@ def test_kl_matches_monte_carlo():
         assert abs(gaussian.kl_divergence(p, q) - estimate) < 3.0 * stderr
 
 
-def test_entropy_scalar_frozen_and_formula():
-    flat = GaussianDensity(mean=[0.0], cov=[[1.0 / (2.0 * np.pi * np.e)]])
-    assert abs(gaussian.differential_entropy(flat)) < 1e-14
-    rng = np.random.default_rng(137)
-    p, _ = _random_setup(rng, 3, 1)
-    expected = 0.5 * np.log(np.linalg.det(2.0 * np.pi * np.e * p.cov))
-    assert_allclose(gaussian.differential_entropy(p), expected, rtol=1e-12)
-
-
-def test_entropy_matches_monte_carlo():
-    rng = np.random.default_rng(139)
-    p, _ = _random_setup(rng, 2, 1)
-    xs = gaussian.sample(p, 10**6, seed=77)
-    values = -p.log_density(xs)
-    stderr = float(np.std(values, ddof=1) / np.sqrt(len(values)))
-    assert abs(gaussian.differential_entropy(p) - np.mean(values)) < 3.0 * stderr
-
-
 def test_evidence_moments():
     rng = np.random.default_rng(149)
     prior, meas = _random_setup(rng, 3, 2)

@@ -197,21 +197,6 @@ def test_field_energy_frozen_and_conserved():
         assert abs(kg.field_energy(model, state) - e0) < 1e-10
 
 
-def test_pack_unpack_round_trip():
-    model = _model()
-    rng = np.random.default_rng(409)
-    phi = rng.standard_normal(model.n_modes) + 1j * rng.standard_normal(model.n_modes)
-    chi = rng.standard_normal(model.n_modes) + 1j * rng.standard_normal(model.n_modes)
-    phi[0] = phi[0].real
-    chi[0] = chi[0].real
-    packed = kg.pack_field(model, phi, chi)
-    phi2, chi2 = kg.unpack_field(model, packed)
-    assert_allclose(phi2, phi, rtol=1e-15)
-    assert_allclose(chi2, chi, rtol=1e-15)
-    with pytest.raises(InvalidInput):
-        kg.pack_field(model, phi + 1j, chi)
-
-
 def test_model_validation():
     with pytest.raises(InvalidInput):
         _model(n_modes=1)
@@ -229,41 +214,6 @@ def test_model_validation():
 
 def test_dt_limit_frozen():
     assert_allclose(_model().dt_limit, 1.0 / np.sqrt(10.0), rtol=1e-15)
-
-
-def test_dft_constant_data():
-    model = _model()
-    y = model.pixels
-    packed = kg.dft_data(model, np.ones(2 * y))
-    expected = np.zeros(model.data_dim)
-    expected[0] = 2.0 * np.pi
-    expected[model.data_part_dim] = 2.0 * np.pi
-    assert_allclose(packed, expected, atol=1e-12)
-
-
-def test_dft_round_trip_and_parseval():
-    model = _model()
-    rng = np.random.default_rng(419)
-    pixel = rng.standard_normal(2 * model.pixels)
-    packed = kg.dft_data(model, pixel)
-    assert_allclose(kg.idft_data(model, packed), pixel, atol=1e-10)
-    y, dp = model.pixels, model.data_part_dim
-    for i in range(2):
-        part = packed[i * dp : (i + 1) * dp]
-        coeffs = part[1::2] + 1j * part[2::2]
-        # Coefficient (Y+1)/2 duplicates (Y-1)/2, so Parseval runs over the
-        # distinct indices 0..(Y-1)/2 with conjugate pairs counted twice.
-        power = part[0] ** 2 + 2.0 * np.sum(np.abs(coeffs[:-1]) ** 2)
-        pixels_sq = np.sum(pixel[i * y : (i + 1) * y] ** 2)
-        assert_allclose(pixels_sq, power * y / (4.0 * np.pi**2), rtol=1e-10)
-
-
-def test_dft_validates_shape():
-    model = _model()
-    with pytest.raises(InvalidInput):
-        kg.dft_data(model, np.ones(3))
-    with pytest.raises(InvalidInput):
-        kg.idft_data(model, np.ones(3))
 
 
 def _dense_gram(model, part):
@@ -317,12 +267,16 @@ def test_gram_single_mode_per_coefficient_formula():
 
 
 def test_gram_diagonal_positive_iff_enough_modes():
-    assert np.all(kg.rphi_rt_diag(_model(n_modes=4, pixels=5), kg.PART_PHI) > 0.0)
-    # n = 2 on Y = 7: coefficients 2..4 are reached by no mode.
-    sparse = kg.rphi_rt_diag(_model(n_modes=2, pixels=7), kg.PART_PHI)
-    assert np.any(sparse == 0.0)
-    with pytest.raises(InvalidInput):
-        kg.update_generator(_model(n_modes=2, pixels=7))
+    # With n - 1 >= (Y-1)/2 every coefficient is reached; (3, 5) and (4, 7)
+    # sit on the boundary.
+    for n, y in ((4, 5), (3, 5), (4, 7)):
+        for part in (kg.PART_PHI, kg.PART_CHI):
+            assert np.all(kg.rphi_rt_diag(_model(n_modes=n, pixels=y), part) > 0.0)
+    # With fewer modes some coefficient is reached by no mode and its Gram
+    # entry would be 0; the model refuses to be built.
+    for n, y in ((2, 7), (3, 7), (4, 9)):
+        with pytest.raises(InvalidInput, match="n_modes - 1 >= "):
+            _model(n_modes=n, pixels=y)
 
 
 def test_update_generator_noise_free_limit():

@@ -188,6 +188,8 @@ def test_match_round_trip_at_fresh_posterior():
         result = matching.match(problem)
         assert result.branch == matching.BRANCH_REGULAR
         assert_allclose(result.data, u, atol=1e-8)
+        # There the new posterior equals the evolved density: zero entropy.
+        assert abs(matching.objective(problem, u)) < 1e-10
 
 
 def test_branch_stable_against_tiny_perturbation():

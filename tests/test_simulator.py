@@ -1,6 +1,7 @@
 """Run loop, config handling, CSV determinism and convergence slopes."""
 
 import dataclasses
+import json
 import logging
 
 import numpy as np
@@ -53,7 +54,7 @@ def test_config_dict_round_trip():
 def test_config_file_round_trip(tmp_path):
     config = _config(T=0.5, N=3)
     path = tmp_path / "run.json"
-    simulator.dump_config(config, path)
+    path.write_text(json.dumps(simulator.config_dict(config)))
     assert simulator.load_config(path) == config
 
 
@@ -176,7 +177,6 @@ def test_batched_diagnostics_match_per_step_oracle():
     d_cov = gaussian.posterior(prior, meas, np.zeros(model.data_dim)).cov
     g_step = dynamics.AffineDynamics(
         generator=kleingordon.build_generator(model),
-        drift=np.zeros(model.signal_dim),
         dt=dt,
     ).step_matrix()
     a_step = kleingordon.exact_step(model, dt)
