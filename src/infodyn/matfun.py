@@ -5,7 +5,8 @@ for any f whose domain contains the spectrum.  Everything symmetric here
 goes through one eigendecomposition; there is no Cholesky or LU path, so the
 square root, the log-determinant and the positive-definiteness test share
 the same numerical behaviour.  The one non-symmetric function,
-:func:`expm_general`, delegates to scipy.
+:func:`expm_general`, is the Pade [13/13] scaling-and-squaring exponential
+of Higham (2005), written with numpy alone.
 
 Floating-point input is re-symmetrized as (M + M^T)/2 before decomposition,
 so mild asymmetry from accumulated round-off is tolerated rather than
@@ -19,6 +20,26 @@ from .errors import InvalidInput, NotPositiveDefinite
 # Relative eigenvalue floor separating "positive definite" from "numerically
 # singular": smallest eigenvalue must exceed PD_RTOL times the largest.
 PD_RTOL = 1e-12
+
+# Pade [13/13] coefficients b_0..b_13 of exp and the 1-norm up to which that
+# approximant is accurate to double precision (Higham 2005).
+_PADE_13 = (
+    64764752532480000.0,
+    32382376266240000.0,
+    7771770303897600.0,
+    1187353796428800.0,
+    129060195264000.0,
+    10559470521600.0,
+    670442572800.0,
+    33522128640.0,
+    1323241920.0,
+    40840800.0,
+    960960.0,
+    16380.0,
+    182.0,
+    1.0,
+)
+_THETA_13 = 5.371920351148152
 
 
 def symmetrize(matrix):
@@ -80,15 +101,39 @@ def expm_general(matrix):
     """Matrix exponential without a symmetry requirement.
 
     The symmetric spectral path does not apply to non-normal generators, so
-    this delegates to scipy's scaling-and-squaring Pade implementation.
-    scipy.linalg is imported here, not at module load: it is most of the
-    package's import time and only this function needs it.
+    this is the fixed-degree Pade [13/13] scaling-and-squaring method of
+    N. J. Higham, "The scaling and squaring method for the matrix
+    exponential revisited", SIAM J. Matrix Anal. Appl. 26 (2005) 1179-1193:
+    scale A by 2^-s until its 1-norm is at most theta_13, evaluate the
+    [13/13] Pade approximant r(A) = (V - U)^{-1} (V + U) from A^2, A^4 and
+    A^6, then square the result s times.  A diagonal matrix is exponentiated
+    entrywise, so the zero matrix gives the identity exactly.
     """
-    import scipy.linalg
-
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidInput("matrix entries must be finite")
-    return scipy.linalg.expm(m)
+    if np.array_equal(m, np.diag(np.diag(m))):
+        # The rational approximant would round even exp(0) = 1 here.
+        return np.diag(np.exp(np.diag(m)))
+    norm = np.linalg.norm(m, 1)
+    squarings = int(np.ceil(np.log2(norm / _THETA_13))) if norm > _THETA_13 else 0
+    a = np.ldexp(m, -squarings)
+    b = _PADE_13
+    ident = np.eye(m.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (
+        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident
+    )
+    v = (
+        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    )
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        r = r @ r
+    return r

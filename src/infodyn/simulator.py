@@ -77,12 +77,19 @@ CSV_FLOAT_FORMAT = "%.17g"
 # entries, so its transient arrays stay a few MB whatever 2^N is.
 REFERENCE_BLOCK_ENTRIES = 1 << 18
 
+# Largest (2^N + 1) x data_dim float64 trajectory a run may hold, in bytes.
+# A run stores the iterated and the exact-reference trajectory plus a few
+# per-step columns, so its memory is a small multiple of this.  Configs
+# whose N exceeds it are refused at load time instead of failing in numpy.
+MAX_TRAJECTORY_BYTES = 1 << 30
+
 
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run parameters: model, horizon T, resolution N, seed, scheme.
 
-    The step count is 2^N.  Construction checks that the step dt = T/2^N
+    The step count is 2^N.  Construction checks that the (2^N + 1) x data_dim
+    trajectory fits in ``MAX_TRAJECTORY_BYTES`` and that the step dt = T/2^N
     lies inside the validity region dt < 1/w_{n-1} of the update matrix,
     so any loaded config is runnable.
     """
@@ -118,6 +125,16 @@ class RunConfig:
         object.__setattr__(self, "total_time", t)
         object.__setattr__(self, "resolution", int(self.resolution))
         object.__setattr__(self, "seed", int(self.seed))
+        # 2^N + 1 <= max_rows, i.e. 2^N <= max_rows - 1, tested on the bit
+        # length so that no 2^N is formed for an absurd N.
+        max_rows = MAX_TRAJECTORY_BYTES // (8 * self.model.data_dim)
+        max_resolution = (max_rows - 1).bit_length() - 1
+        if self.resolution > max_resolution:
+            raise ConfigError(
+                f"config field 'N' must be at most {max_resolution}, so that the "
+                f"(2^N + 1) x {self.model.data_dim} trajectory fits in "
+                f"{MAX_TRAJECTORY_BYTES} bytes, got {self.resolution!r}"
+            )
         if self.dt >= self.model.dt_limit:
             raise ConfigError(
                 f"config fields 'T' and 'N' give step dt = {self.dt!r}, outside "

@@ -1,7 +1,11 @@
 """End-to-end command line checks: outputs, determinism, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -107,9 +111,17 @@ def test_config_errors_exit_1(tmp_path, config_path, capsys):
     out = tmp_path / "few.csv"
     assert cli.main(["simulate", "--config", str(config_path), "--out", str(out)]) == 1
     assert not out.exists()
+    # 2^64 + 1 trajectory rows: refused at load time, not failed in numpy.
+    huge = json.loads(config_path.read_text())
+    huge.update(n_modes=4, Y=5, N=64)
+    config_path.write_text(json.dumps(huge))
+    out = tmp_path / "huge.csv"
+    assert cli.main(["simulate", "--config", str(config_path), "--out", str(out)]) == 1
+    assert not out.exists()
     err = capsys.readouterr().err
-    assert err.count("error:") == 4
+    assert err.count("error:") == 5
     assert "n_modes - 1 >= (pixels - 1)/2" in err
+    assert "config field 'N' must be at most 23" in err
 
 
 def test_bad_n_list_exits_1(config_path, capsys):
@@ -164,6 +176,29 @@ def test_overflowing_run_exits_2_before_writing(tmp_path, config_path, capsys):
     assert code == 2
     assert re.search(r"step \d+ of 16384: \w+ is not finite", capsys.readouterr().err)
     assert not out.exists() and not report.exists()
+
+
+def test_runs_do_not_import_scipy(tmp_path, config_path):
+    # A fresh interpreter, because this test process has scipy loaded.
+    script = textwrap.dedent(
+        f"""
+        import sys
+        from infodyn import cli
+        config = {str(config_path)!r}
+        out = {str(tmp_path / "run.csv")!r}
+        assert cli.main(["simulate", "--config", config, "--out", out]) == 0
+        assert cli.main(["direct", "--config", config]) == 0
+        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(infodyn.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("name", infodyn.__all__)

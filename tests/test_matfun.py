@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from infodyn import matfun
 from infodyn.errors import InvalidInput, NotPositiveDefinite
+from infodyn.kleingordon import KGModel, update_generator
 
 
 def _det_small(a):
@@ -137,3 +139,41 @@ def test_expm_general_matches_series_and_rejects_nonsquare():
     assert_allclose(matfun.expm_general(t * gen), expected, atol=1e-12)
     with pytest.raises(InvalidInput):
         matfun.expm_general(np.ones((2, 3)))
+
+
+def _assert_matches_scipy_expm(a):
+    # Norm-relative, so tiny entries of exp(A) are not held to their own digits.
+    expected = scipy.linalg.expm(a)
+    error = np.linalg.norm(matfun.expm_general(a) - expected, 1)
+    assert error <= 1e-12 * np.linalg.norm(expected, 1)
+
+
+def test_expm_general_matches_scipy_on_nonnormal_matrices():
+    # 1-norms from 1e-3 (no squaring) to 200 (six squarings).
+    rng = np.random.default_rng(29)
+    for norm in np.geomspace(1e-3, 200.0, 25):
+        a = rng.standard_normal((12, 12)) + np.triu(3.0 * rng.standard_normal((12, 12)), 1)
+        _assert_matches_scipy_expm(a * (norm / np.linalg.norm(a, 1)))
+
+
+def test_expm_general_rotation_at_every_scale():
+    # exp(t [[0, 1], [-1, 0]]) is the rotation by t.  Its spectral radius
+    # equals its 1-norm, so too few squarings for a norm shows at once.
+    for t in np.geomspace(1e-3, 200.0, 25):
+        expected = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
+        result = matfun.expm_general([[0.0, t], [-t, 0.0]])
+        assert np.linalg.norm(result - expected, 1) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "n_modes, pixels, total_time", [(4, 5, 1.0), (64, 127, 0.005), (16, 31, 0.05)]
+)
+def test_expm_general_matches_scipy_on_update_generators(n_modes, pixels, total_time):
+    model = KGModel(n_modes=n_modes, pixels=pixels, mu=1.0, beta=1.0, sigma_n2=0.01)
+    _assert_matches_scipy_expm(total_time * update_generator(model))
+
+
+def test_expm_general_zero_and_scalar():
+    assert np.array_equal(matfun.expm_general(np.zeros((5, 5))), np.eye(5))
+    for x in (-3.0, 0.5, 7.0):
+        assert_allclose(matfun.expm_general([[x]]), [[np.exp(x)]], rtol=1e-15)
