@@ -42,10 +42,11 @@ for part in (kleingordon.PART_PHI, kleingordon.PART_CHI):
 result = simulator.run_ifd(config)
 
 print("\n step      t    kl_step   kl_cumulative   deviation   branch")
-for rec in result.records:
-    if rec.step in (1, 2, 4, 8, 16, 32, 64):
-        print(f"{rec.step:5d}  {rec.t:5.3f}  {rec.kl_step:9.3e}  "
-              f"{rec.kl_cumulative:13.3e}  {rec.exact_deviation:9.4f}   {rec.branch}")
+for step in (1, 2, 4, 8, 16, 32, 64):
+    i = step - 1  # column entry i belongs to step i + 1, at t = (i + 1) dt
+    print(f"{step:5d}  {step * config.dt:5.3f}  {result.kl_step[i]:9.3e}  "
+          f"{result.kl_cumulative[i]:13.3e}  {result.exact_deviation[i]:9.4f}   "
+          f"{result.branch[i]}")
 
 print("\nfinal deviation from exact reference:", f"{result.final_deviation:.4f}")
 print("reference energy drift (exact step)  :",

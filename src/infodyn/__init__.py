@@ -38,7 +38,6 @@ from .matching import MatchProblem, MatchResult, match
 from .simulator import (
     RunConfig,
     RunResult,
-    StepRecord,
     SweepResult,
     convergence_sweep,
     load_config,
@@ -67,7 +66,6 @@ __all__ = [
     "NotPositiveDefinite",
     "RunConfig",
     "RunResult",
-    "StepRecord",
     "StepTooLarge",
     "SweepResult",
     "UnsupportedPixelCount",

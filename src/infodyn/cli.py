@@ -84,11 +84,10 @@ def _cmd_simulate(args):
     simulator.write_csv(result, args.out)
     if args.report is not None:
         simulator.write_report(result, args.report)
-    print(f"wrote {len(result.records)} steps to {args.out}")
-    if result.records:
-        last = result.records[-1]
-        print(f"kl_step (final)     : {last.kl_step:.6e}")
-        print(f"kl_cumulative       : {last.kl_cumulative:.6e}")
+    print(f"wrote {len(result.kl_step)} steps to {args.out}")
+    if result.kl_step.size:
+        print(f"kl_step (final)     : {result.kl_step[-1]:.6e}")
+        print(f"kl_cumulative       : {result.kl_cumulative[-1]:.6e}")
     print(f"final deviation      : {result.final_deviation:.6e}")
     if result.direct_gap is not None:
         print(f"iterated-direct gap  : {result.direct_gap:.6e}")
@@ -123,18 +122,10 @@ def _cmd_compare_exact(args):
     config = simulator.load_config(args.config)
     result = simulator.run_ifd(config)
     if args.out is not None:
-        lines = ["step,t,deviation"]
-        for rec in result.records:
-            lines.append(
-                f"{rec.step},{simulator.CSV_FLOAT_FORMAT % rec.t},"
-                f"{simulator.CSV_FLOAT_FORMAT % rec.exact_deviation}"
-            )
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        simulator.write_deviation_csv(result, args.out)
         print(f"wrote deviations to {args.out}")
-    deviations = [rec.exact_deviation for rec in result.records]
-    if deviations:
-        print(f"max deviation        : {max(deviations):.6e}")
+    if result.exact_deviation.size:
+        print(f"max deviation        : {result.exact_deviation.max():.6e}")
     print(f"final deviation      : {result.final_deviation:.6e}")
     print(f"reference energy drift: {result.reference_energy_drift:.6e}")
     return 0

@@ -152,27 +152,13 @@ class RunConfig:
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    """Diagnostics of one update step; ``data`` is the vector after the step."""
-
-    step: int
-    t: float
-    data: np.ndarray
-    kl_step: float
-    kl_cumulative: float
-    kl_evolution: float
-    exact_deviation: float
-    branch: str
-
-
-@dataclass(frozen=True)
 class ExactReference:
     """Exact trajectory R2 A(t) m_0 of the initial posterior mean.
 
     ``data`` has shape (2^N + 1, data_dim) including the t = 0 row
     R2 m_0.  ``energy_drift`` is the largest absolute change of the field
     energy along the evolved mean; the exact step conserves it, so this is
-    a roundoff-level number.
+    a roundoff-level number, or NaN if the energy overflowed.
     """
 
     times: np.ndarray
@@ -182,16 +168,27 @@ class ExactReference:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of :func:`run_ifd`.
+    """Outcome of :func:`run_ifd`: per-step columns and end-of-run values.
 
-    ``records`` is empty for scheme 'direct'.  ``direct_data`` and
+    Entry i - 1 of each column belongs to step i, at time t = i dt.
+    ``data`` is the (2^N, data_dim) trajectory after each step (the vector
+    before the first is ``initial_data``), ``branch`` holds the matcher
+    branch label of each step and ``branch_counts`` their tally.  Scheme
+    'direct' takes no steps, so its columns are empty.  ``direct_data`` and
     ``direct_gap`` are None unless the scheme includes the direct endpoint
     (the gap additionally needs the iterated endpoint, i.e. scheme 'both').
+    Every number a result holds is finite.
     """
 
     config: RunConfig
     initial_data: np.ndarray
-    records: tuple
+    data: np.ndarray
+    kl_step: np.ndarray
+    kl_cumulative: np.ndarray
+    kl_evolution: np.ndarray
+    exact_deviation: np.ndarray
+    branch: tuple
+    branch_counts: dict
     final_data: np.ndarray
     final_deviation: float
     reference_energy_drift: float
@@ -326,12 +323,13 @@ def _exact_reference(config, mean, response, last_only=False):
     for start in range(0, len(times), block):
         states = kleingordon.exact_evolve(model, mean, times[start : start + block])
         energies = kleingordon.field_energy(model, states)
-        drift = max(drift, float(np.max(np.abs(energies - energy_0))))
+        # np.maximum, unlike max(), keeps a NaN from an overflowed energy.
+        drift = np.maximum(drift, np.max(np.abs(energies - energy_0)))
         if not last_only:
             data[start : start + len(states)] = states @ response.T
     if last_only:
         data[0] = response @ states[-1]
-    return ExactReference(times=times, data=data, energy_drift=drift)
+    return ExactReference(times=times, data=data, energy_drift=float(drift))
 
 
 def run_exact_reference(config, initial_data=None):
@@ -351,74 +349,35 @@ def run_exact_reference(config, initial_data=None):
     return _exact_reference(config, mean, meas.response)
 
 
-def _first_nonfinite_step(columns):
-    """(1-based step, name) of the first row of any named array that is not finite."""
-    first = None
-    for name, values in columns.items():
-        bad = ~np.isfinite(values).reshape(len(values), -1).all(axis=1)
-        if bad.any():
-            row = int(np.argmax(bad))
-            if first is None or row < first[0]:
-                first = (row, name)
-    return None if first is None else (first[0] + 1, first[1])
+def _refuse_nonfinite(steps, columns, values):
+    """Raise :class:`NonFiniteOutput` naming the first step or value that is not finite.
 
-
-def run_ifd(config):
-    """Run the iterated data update, then compute per-step diagnostics batched.
-
-    The loop multiplies the data vector by M = 1 + dt M' and stores it,
-    nothing else.  Afterwards, over all steps at once, the run computes the
-    two relative entropies described in the module docstring (a constant
-    covariance term, factored once, plus a quadratic form of the mean
-    offset per step), the deviation from the exact reference, and the
-    branch the entropic matcher would take on each step (the closed form is
-    used for the update either way).  The diagnostics push the posterior
-    through the linearized step 1 + dt L, which needs the stricter bound
-    dt ||L|| < 1; a config can therefore pass validation (which checks the
-    update matrix region dt < 1/w_{n-1}) and still be refused here with
-    :class:`StepTooLarge`.  Scheme 'direct' has no such constraint.  A
-    non-regular branch is announced once per run at warning level, naming
-    its first step: it means the match Hessian is singular and the matched
-    vector is the minimum-norm one, which for this data packing is the
-    generic situation since the conjugate-alias pair makes the lifted
-    response rank deficient.  Output that overflows to NaN or infinity
-    raises :class:`NonFiniteOutput` naming the first such step.
+    ``columns`` hold one row per step; None entries of ``values`` are skipped.
     """
+    first = None
+    for name, column in columns.items():
+        finite = np.isfinite(column)
+        bad = np.flatnonzero(~(finite.all(axis=1) if finite.ndim == 2 else finite))
+        if bad.size and (first is None or bad[0] < first[0]):
+            first = (int(bad[0]), name)
+    if first is not None:
+        raise NonFiniteOutput(
+            f"step {first[0] + 1} of {steps}: {first[1]} is not finite; "
+            "the run has overflowed"
+        )
+    for name, value in values.items():
+        if value is not None and not np.all(np.isfinite(value)):
+            raise NonFiniteOutput(f"{name} is not finite; the run has overflowed")
+
+
+def _iterate(config, prior, meas, post, d0, reference):
+    """Per-step columns of :class:`RunResult`, means and branch labels, unchecked."""
     model = config.model
     dt = config.dt
-    prior = kleingordon.prior_density(model)
-    meas = kleingordon.measurement(model)
-    d0 = resolve_initial_data(config, prior, meas)
-    # Its mean starts the exact reference; its covariance D does not depend
-    # on the data and is the fixed posterior covariance of every step.
-    post = gaussian.posterior(prior, meas, d0)
-    reference = _exact_reference(
-        config, post.mean, meas.response, last_only=config.scheme == SCHEME_DIRECT
-    )
-
-    direct_data = None
-    if config.scheme in (SCHEME_DIRECT, SCHEME_BOTH):
-        direct_data = kleingordon.direct_simulate(model, d0, config.total_time)
-        if not np.all(np.isfinite(direct_data)):
-            raise NonFiniteOutput("the direct endpoint exp(T M') d(0) is not finite")
-    if config.scheme == SCHEME_DIRECT:
-        deviation = float(np.linalg.norm(direct_data - reference.data[-1]))
-        return RunResult(
-            config=config,
-            initial_data=d0,
-            records=(),
-            final_data=direct_data,
-            final_deviation=deviation,
-            reference_energy_drift=reference.energy_drift,
-            direct_data=direct_data,
-        )
-
     w = gaussian.wiener_filter(prior, meas)
-    dyn = dynamics.AffineDynamics(
-        generator=kleingordon.build_generator(model),
-        dt=dt,
-    )
-    g_step = dyn.step_matrix()
+    g_step = dynamics.AffineDynamics(
+        generator=kleingordon.build_generator(model), dt=dt
+    ).step_matrix()
     a_step = kleingordon.exact_step(model, dt)
     # The evolved covariances are the same at every step: check and factor
     # them once.  Only the means below depend on the step.
@@ -431,51 +390,29 @@ def run_ifd(config):
     )
     m_update = kleingordon.build_update_matrix(model, dt)
 
-    steps = config.steps
-    data = np.empty((steps + 1, model.data_dim))
+    data = np.empty((config.steps + 1, model.data_dim))
     data[0] = u = d0
-    for i in range(1, steps + 1):
+    for i in range(1, config.steps + 1):
         u = m_update @ u
         data[i] = u
 
-    # Overflow is reported by the checks below, not as numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        means = data @ w.T
-        prev, new = means[:-1], means[1:]
-        exact_means = prev @ a_step.T
-        linear_means = prev @ g_step.T
-        bad = _first_nonfinite_step(
-            {"exact": exact_means, "posterior": new, "linear": linear_means}
-        )
-        if bad is not None:
-            raise InvalidInput(f"step {bad[0]}: {bad[1]} mean entries must be finite")
-        kl_step = gaussian.kl_covariance_term(exact, post) + 0.5 * post.quadratic_form(
-            exact_means - new
-        )
-        kl_evolution = gaussian.kl_covariance_term(
-            exact, linear
-        ) + 0.5 * linear.quadratic_form(prev @ (a_step - g_step).T)
-        kl_cumulative = np.cumsum(kl_step)
-        deviation = np.linalg.norm(data[1:] - reference.data[1:], axis=1)
-        direct_gap = None
-        if direct_data is not None:
-            direct_gap = float(np.linalg.norm(u - direct_data))
-    bad = _first_nonfinite_step(
-        {
-            "data": data[1:],
-            "kl_step": kl_step,
-            "kl_cumulative": kl_cumulative,
-            "kl_evolution": kl_evolution,
-            "exact_deviation": deviation,
-        }
+    means = data @ w.T
+    prev, new = means[:-1], means[1:]
+    exact_means = prev @ a_step.T
+    linear_means = prev @ g_step.T
+    kl_step = gaussian.kl_covariance_term(exact, post) + 0.5 * post.quadratic_form(
+        exact_means - new
     )
-    if bad is not None:
-        raise NonFiniteOutput(
-            f"step {bad[0]} of {steps}: {bad[1]} is not finite; the iterated "
-            "update has overflowed"
-        )
-    if direct_gap is not None and not np.isfinite(direct_gap):
-        raise NonFiniteOutput("the iterated-direct gap is not finite")
+    kl_evolution = gaussian.kl_covariance_term(
+        exact, linear
+    ) + 0.5 * linear.quadratic_form(prev @ (a_step - g_step).T)
+    columns = {
+        "data": data[1:],
+        "kl_step": kl_step,
+        "kl_cumulative": np.cumsum(kl_step),
+        "kl_evolution": kl_evolution,
+        "exact_deviation": np.linalg.norm(data[1:] - reference.data[1:], axis=1),
+    }
 
     # The matcher needs a positive definite evolved inverse covariance: the
     # exact inverse of the linearly pushed-forward covariance, factored above.
@@ -489,9 +426,82 @@ def run_ifd(config):
         new_prior=prior,
         new_meas=meas,
     )
-    labels = matching.branches(problem, linear_means)
+    step_means = {
+        "posterior mean": new,
+        "exact mean": exact_means,
+        "linear mean": linear_means,
+    }
+    return columns, step_means, tuple(matching.branches(problem, linear_means))
+
+
+def run_ifd(config):
+    """Run the iterated data update, then compute per-step diagnostics batched.
+
+    The loop multiplies the data vector by M = 1 + dt M' and stores it,
+    nothing else.  Afterwards, over all steps at once, the run computes the
+    two relative entropies described in the module docstring (a constant
+    covariance term, factored once, plus a quadratic form of the mean
+    offset per step), the deviation from the exact reference, and the
+    branch the entropic matcher would take on each step (the closed form is
+    used for the update either way), each held as a column of the result.
+    The diagnostics push the posterior through the linearized step
+    1 + dt L, which needs the stricter bound dt ||L|| < 1; a config can
+    therefore pass validation (which checks the update matrix region
+    dt < 1/w_{n-1}) and still be refused here with :class:`StepTooLarge`.
+    Scheme 'direct' has no such constraint.  A non-regular branch is
+    announced once per run at warning level, naming its first step: it
+    means the match Hessian is singular and the matched vector is the
+    minimum-norm one, which for this data packing is the generic situation
+    since the conjugate-alias pair makes the lifted response rank
+    deficient.  If anything the result holds, or a per-step mean,
+    overflowed to NaN or infinity, the run raises :class:`NonFiniteOutput`
+    naming the first such step.
+    """
+    model = config.model
+    prior = kleingordon.prior_density(model)
+    meas = kleingordon.measurement(model)
+    d0 = resolve_initial_data(config, prior, meas)
+    # Its mean starts the exact reference; its covariance D does not depend
+    # on the data and is the fixed posterior covariance of every step.
+    post = gaussian.posterior(prior, meas, d0)
+    direct = config.scheme == SCHEME_DIRECT
+    # Overflow is refused by the one check below, not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        reference = _exact_reference(config, post.mean, meas.response, last_only=direct)
+        direct_data = direct_gap = None
+        if config.scheme != SCHEME_ITERATED:
+            direct_data = kleingordon.direct_simulate(model, d0, config.total_time)
+        if direct:
+            # No steps: every per-step column is empty.
+            columns = dict.fromkeys(
+                ("kl_step", "kl_cumulative", "kl_evolution", "exact_deviation"),
+                np.empty(0),
+            )
+            columns["data"] = np.empty((0, model.data_dim))
+            step_means, branch = {}, ()
+            final_data = direct_data
+            final_deviation = float(np.linalg.norm(direct_data - reference.data[-1]))
+        else:
+            columns, step_means, branch = _iterate(
+                config, prior, meas, post, d0, reference
+            )
+            final_data = columns["data"][-1]
+            final_deviation = float(columns["exact_deviation"][-1])
+        if config.scheme == SCHEME_BOTH:
+            direct_gap = float(np.linalg.norm(final_data - direct_data))
+    _refuse_nonfinite(
+        config.steps,
+        {**columns, **step_means},
+        {
+            "the direct endpoint exp(T M') d(0)": direct_data,
+            "the final deviation from the exact reference": final_deviation,
+            "the reference energy drift": reference.energy_drift,
+            "the iterated-direct gap": direct_gap,
+        },
+    )
+
     first = next(
-        (i for i, b in enumerate(labels, 1) if b != matching.BRANCH_REGULAR), None
+        (i for i, b in enumerate(branch, 1) if b != matching.BRANCH_REGULAR), None
     )
     if first is not None:
         logger.warning(
@@ -500,36 +510,19 @@ def run_ifd(config):
             "used. Expected here: the packed coefficients (Y-1)/2 and "
             "(Y+1)/2 duplicate one conjugate pair.",
             first,
-            labels[first - 1],
+            branch[first - 1],
         )
-    logger.info("branch counts over %d steps: %s", steps, dict(Counter(labels)))
-
-    records = tuple(
-        StepRecord(
-            step=i,
-            t=i * dt,
-            data=data[i],
-            kl_step=ks,
-            kl_cumulative=kc,
-            kl_evolution=ke,
-            exact_deviation=dev,
-            branch=branch,
-        )
-        for i, ks, kc, ke, dev, branch in zip(
-            range(1, steps + 1),
-            kl_step.tolist(),
-            kl_cumulative.tolist(),
-            kl_evolution.tolist(),
-            deviation.tolist(),
-            labels,
-        )
-    )
+    branch_counts = dict(Counter(branch))
+    if not direct:
+        logger.info("branch counts over %d steps: %s", config.steps, branch_counts)
     return RunResult(
         config=config,
         initial_data=d0,
-        records=records,
-        final_data=u,
-        final_deviation=records[-1].exact_deviation,
+        **columns,
+        branch=branch,
+        branch_counts=branch_counts,
+        final_data=final_data,
+        final_deviation=final_deviation,
         reference_energy_drift=reference.energy_drift,
         direct_data=direct_data,
         direct_gap=direct_gap,
@@ -601,8 +594,8 @@ def convergence_sweep(config, resolutions):
             dataclasses.replace(config, resolution=n, scheme=SCHEME_BOTH)
         )
         dts.append(run.config.dt)
-        per_step.append(run.records[0].kl_step)
-        cumulative.append(run.records[-1].kl_cumulative)
+        per_step.append(run.kl_step[0])
+        cumulative.append(run.kl_cumulative[-1])
         deviations.append(run.final_deviation)
         gaps.append(run.direct_gap)
     dts = np.asarray(dts)
@@ -628,26 +621,46 @@ def convergence_sweep(config, resolutions):
     )
 
 
+def _write_rows(result, path, header, fmt, columns):
+    """Write ``header``, then ``fmt % (step, t, *cells)`` for each step, as it comes.
+
+    ``columns`` are sequences with one cell per step.
+    """
+    dt = result.config.dt
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        for i, cells in enumerate(zip(*columns), 1):
+            fh.write(fmt % (i, i * dt, *cells))
+
+
 def write_csv(result, path):
     """Write one row per step: step, t, kl_step, kl_cumulative, exact_deviation, branch, data_*.
 
     Floats are printed with %.17g so repeated runs of the same config give
-    bit-identical files.
+    bit-identical files.  Scheme 'direct' writes the header only.
     """
     data_dim = result.config.model.data_dim
     header = "step,t,kl_step,kl_cumulative,exact_deviation,branch," + ",".join(
         f"data_{j}" for j in range(data_dim)
     )
-    lines = [header]
-    for rec in result.records:
-        floats = [rec.t, rec.kl_step, rec.kl_cumulative, rec.exact_deviation]
-        cells = [str(rec.step)]
-        cells += [CSV_FLOAT_FORMAT % x for x in floats]
-        cells.append(rec.branch)
-        cells += [CSV_FLOAT_FORMAT % x for x in rec.data]
-        lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    fmt = ",".join(
+        ["%d", *[CSV_FLOAT_FORMAT] * 4, "%s", *[CSV_FLOAT_FORMAT] * data_dim]
+    )
+    columns = [
+        result.kl_step.tolist(),
+        result.kl_cumulative.tolist(),
+        result.exact_deviation.tolist(),
+        result.branch,
+        *result.data.T.tolist(),
+    ]
+    _write_rows(result, path, header, fmt + "\n", columns)
+
+
+def write_deviation_csv(result, path):
+    """Write one row per step: step, t, deviation (the ``exact_deviation`` column)."""
+    fmt = f"%d,{CSV_FLOAT_FORMAT},{CSV_FLOAT_FORMAT}\n"
+    columns = [result.exact_deviation.tolist()]
+    _write_rows(result, path, "step,t,deviation", fmt, columns)
 
 
 def report_dict(result):
@@ -660,16 +673,11 @@ def report_dict(result):
         "final_deviation": result.final_deviation,
         "reference_energy_drift": result.reference_energy_drift,
     }
-    if result.records:
-        counts = {}
-        for rec in result.records:
-            counts[rec.branch] = counts.get(rec.branch, 0) + 1
-        out["branch_counts"] = counts
-        out["kl_total"] = result.records[-1].kl_cumulative
-        out["kl_step_final"] = result.records[-1].kl_step
-        out["kl_evolution_total"] = float(
-            sum(rec.kl_evolution for rec in result.records)
-        )
+    if result.kl_step.size:
+        out["branch_counts"] = result.branch_counts
+        out["kl_total"] = float(result.kl_cumulative[-1])
+        out["kl_step_final"] = float(result.kl_step[-1])
+        out["kl_evolution_total"] = float(np.sum(result.kl_evolution))
     if result.direct_data is not None:
         out["direct_data"] = [float(x) for x in result.direct_data]
     if result.direct_gap is not None:

@@ -6,11 +6,12 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import pytest
 
 import infodyn
-from infodyn import cli
+from infodyn import cli, simulator
 
 
 @pytest.fixture
@@ -88,6 +89,21 @@ def test_compare_exact_writes_deviations(tmp_path, config_path, capsys):
     assert "reference energy drift" in stdout
 
 
+def test_compare_exact_rows_match_simulate_csv(tmp_path, config_path):
+    # Both CSVs come from one row writer: compare-exact's rows are the step,
+    # t and exact_deviation cells of the simulate CSV, byte for byte.
+    sim = tmp_path / "run.csv"
+    dev = tmp_path / "dev.csv"
+    config = str(config_path)
+    assert cli.main(["simulate", "--config", config, "--out", str(sim)]) == 0
+    assert cli.main(["compare-exact", "--config", config, "--out", str(dev)]) == 0
+    sim_rows = sim.read_bytes().splitlines()[1:]
+    dev_rows = dev.read_bytes().splitlines()[1:]
+    assert len(dev_rows) == 16
+    expected = [b",".join(row.split(b",")[i] for i in (0, 1, 4)) for row in sim_rows]
+    assert dev_rows == expected
+
+
 def test_direct_prints_endpoint(config_path, capsys):
     assert cli.main(["direct", "--config", str(config_path)]) == 0
     stdout = capsys.readouterr().out
@@ -160,22 +176,62 @@ def test_numeric_refusal_exits_2(tmp_path, capsys):
     assert cli.main(["direct", "--config", str(path)]) == 0
 
 
+def _simulate_quietly(tmp_path, config_path, mapping):
+    """Exit code of simulate --report on ``mapping``; any numpy warning fails."""
+    config_path.write_text(json.dumps(mapping))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return cli.main(
+            ["simulate", "--config", str(config_path),
+             "--out", str(tmp_path / "run.csv"),
+             "--report", str(tmp_path / "report.json")]
+        )
+
+
+def _scaled_initial_data(tmp_path, mapping, factor):
+    """Path of a file holding ``factor`` times the seed-0 initial data."""
+    config = simulator.parse_config({**mapping, "seed": 0, "initial_data": "generate"})
+    d0 = factor * simulator.resolve_initial_data(config)
+    path = tmp_path / "d0.json"
+    path.write_text(json.dumps(d0.tolist()))
+    return str(path)
+
+
 def test_overflowing_run_exits_2_before_writing(tmp_path, config_path, capsys):
     # T = 1000 at N = 14: the explicit update grows like (1 + dt^2 w^2)^(steps/2)
-    # until the diagnostics overflow.  The run must refuse, naming the step,
-    # instead of writing NaN and inf.
+    # until the diagnostics overflow.  Initial data of order 1e200 overflow
+    # the diagnostics at once, and the exact reference's energy and the
+    # update itself later.  The run must refuse, naming the step, instead
+    # of writing NaN and inf, and numpy must not warn on the way.
     mapping = json.loads(config_path.read_text())
     mapping.update(T=1000.0, N=14)
-    config_path.write_text(json.dumps(mapping))
-    out = tmp_path / "run.csv"
-    report = tmp_path / "report.json"
-    code = cli.main(
-        ["simulate", "--config", str(config_path), "--out", str(out),
-         "--report", str(report)]
-    )
-    assert code == 2
-    assert re.search(r"step \d+ of 16384: \w+ is not finite", capsys.readouterr().err)
-    assert not out.exists() and not report.exists()
+    big = {
+        **mapping,
+        "seed": 0,
+        "scheme": "iterated",
+        "initial_data": _scaled_initial_data(tmp_path, mapping, 1e200),
+    }
+    for case in (mapping, big):
+        assert _simulate_quietly(tmp_path, config_path, case) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"step \d+ of 16384: \w+ is not finite", err)
+        assert not (tmp_path / "run.csv").exists()
+        assert not (tmp_path / "report.json").exists()
+
+
+def test_direct_overflow_exits_2_before_writing(tmp_path, config_path, capsys):
+    # Initial data of order 1e200 under scheme 'direct': the endpoint is
+    # finite, but its distance to the exact reference overflows to inf and
+    # the reference's energy drift to NaN.  This used to exit 0 and write
+    # inf into the report.
+    mapping = json.loads(config_path.read_text())
+    mapping.update(T=1.0, N=6, seed=0, scheme="direct")
+    mapping["initial_data"] = _scaled_initial_data(tmp_path, mapping, 1e200)
+    assert _simulate_quietly(tmp_path, config_path, mapping) == 2
+    err = capsys.readouterr().err
+    assert "the final deviation from the exact reference is not finite" in err
+    assert not (tmp_path / "run.csv").exists()
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_runs_do_not_import_scipy(tmp_path, config_path):

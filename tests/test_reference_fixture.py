@@ -48,10 +48,11 @@ RTOL = {
 def snapshot(name):
     run = simulator.run_ifd(simulator.parse_config({**CONFIGS[name], **COMMON}))
     per_step = {
-        field: [getattr(rec, field) for rec in run.records]
-        for field in ("kl_step", "kl_cumulative", "kl_evolution", "exact_deviation", "branch")
+        field: getattr(run, field).tolist()
+        for field in ("kl_step", "kl_cumulative", "kl_evolution", "exact_deviation")
     }
-    per_step["data"] = [[float(x) for x in rec.data] for rec in run.records]
+    per_step["branch"] = list(run.branch)
+    per_step["data"] = run.data.tolist()
     return {
         **per_step,
         "direct_gap": run.direct_gap,

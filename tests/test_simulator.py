@@ -141,6 +141,16 @@ def test_exact_reference_conserves_energy():
     assert reference.energy_drift < 1e-10
 
 
+def test_energy_drift_keeps_overflow_nan():
+    # Initial data of order 1e200 overflow the field energy; the drift must
+    # come out NaN, which the run refuses, not 0.0 from max() dropping NaN.
+    config = _config(N=4)
+    d0 = 1e200 * simulator.resolve_initial_data(config)
+    with np.errstate(over="ignore", invalid="ignore"):
+        reference = simulator.run_exact_reference(config, d0)
+    assert np.isnan(reference.energy_drift)
+
+
 def test_closed_form_reference_matches_repeated_exact_steps():
     config = _config(N=6)
     model = config.model
@@ -184,9 +194,9 @@ def test_batched_diagnostics_match_per_step_oracle():
     linear_cov = g_step @ d_cov @ g_step.T
     inv_cov = gaussian.GaussianDensity(np.zeros(model.signal_dim), linear_cov).inv_cov()
     u = run.initial_data
-    for rec in run.records:
+    for i, u_next in enumerate(run.data):
         mean_prev = w @ u
-        u = rec.data
+        u = u_next
         exact = gaussian.GaussianDensity(a_step @ mean_prev, exact_cov)
         kl_step = gaussian.kl_divergence(exact, gaussian.GaussianDensity(w @ u, d_cov))
         kl_evolution = gaussian.kl_divergence(
@@ -198,35 +208,40 @@ def test_batched_diagnostics_match_per_step_oracle():
             new_prior=prior,
             new_meas=meas,
         )
-        assert rec.branch == matching.match(problem).branch
-        assert_allclose(rec.kl_step, kl_step, rtol=1e-9)
-        assert_allclose(rec.kl_evolution, kl_evolution, rtol=1e-6)
+        assert run.branch[i] == matching.match(problem).branch
+        assert_allclose(run.kl_step[i], kl_step, rtol=1e-9)
+        assert_allclose(run.kl_evolution[i], kl_evolution, rtol=1e-6)
 
 
 def test_relative_entropies_never_negative_at_vanishing_step():
     # At T = 1e-300 the evolved and fresh posteriors coincide to roundoff;
     # the covariance term must come out as 0, not as a tiny negative residue.
     run = simulator.run_ifd(_config(T=1e-300, scheme="both"))
-    assert all(rec.kl_step >= 0.0 for rec in run.records)
-    assert all(rec.kl_evolution >= 0.0 for rec in run.records)
-    assert run.records[-1].kl_cumulative >= 0.0
+    assert np.all(run.kl_step >= 0.0)
+    assert np.all(run.kl_evolution >= 0.0)
+    assert run.kl_cumulative[-1] >= 0.0
 
 
 def test_run_records_and_cumulative_sum():
     run = _run_at(4)
     config = run.config
-    assert len(run.records) == config.steps
-    assert run.records[-1].step == config.steps
-    assert_allclose(run.records[-1].t, config.total_time, rtol=1e-12)
-    assert_allclose(run.final_data, run.records[-1].data, rtol=0.0, atol=0.0)
-    assert run.final_deviation == run.records[-1].exact_deviation
+    assert run.data.shape == (config.steps, config.model.data_dim)
+    for column in (
+        run.kl_step, run.kl_cumulative, run.kl_evolution, run.exact_deviation
+    ):
+        assert column.shape == (config.steps,)
+    assert len(run.branch) == config.steps
+    assert_allclose(run.final_data, run.data[-1], rtol=0.0, atol=0.0)
+    assert run.final_deviation == run.exact_deviation[-1]
     total = 0.0
-    for rec in run.records:
-        assert rec.kl_step > 0.0
-        assert rec.kl_evolution >= 0.0
-        total += rec.kl_step
-        assert_allclose(rec.kl_cumulative, total, rtol=1e-12)
-    cums = [rec.kl_cumulative for rec in run.records]
+    for kl_step, kl_evolution, kl_cumulative in zip(
+        run.kl_step, run.kl_evolution, run.kl_cumulative
+    ):
+        assert kl_step > 0.0
+        assert kl_evolution >= 0.0
+        total += kl_step
+        assert_allclose(kl_cumulative, total, rtol=1e-12)
+    cums = run.kl_cumulative.tolist()
     assert all(b > a for a, b in zip(cums, cums[1:]))
 
 
@@ -234,9 +249,18 @@ def test_every_step_takes_projected_branch_and_warns_once(caplog):
     config = _config(N=4, seed=9)
     with caplog.at_level(logging.WARNING, logger="infodyn.simulator"):
         run = simulator.run_ifd(config)
-    assert all(rec.branch == matching.BRANCH_PROJECTED for rec in run.records)
+    assert run.branch == (matching.BRANCH_PROJECTED,) * config.steps
     warnings = [r for r in caplog.records if "minimum-norm" in r.message]
     assert len(warnings) == 1
+
+
+def _assert_no_steps(run):
+    assert run.data.shape == (0, run.config.model.data_dim)
+    for column in (
+        run.kl_step, run.kl_cumulative, run.kl_evolution, run.exact_deviation
+    ):
+        assert column.shape == (0,)
+    assert run.branch == () and run.branch_counts == {}
 
 
 def test_diagnostics_refuse_steps_beyond_linearized_region():
@@ -248,12 +272,12 @@ def test_diagnostics_refuse_steps_beyond_linearized_region():
         simulator.run_ifd(config)
     # The direct endpoint has no step restriction at all.
     direct = simulator.run_ifd(dataclasses.replace(config, scheme="direct"))
-    assert direct.records == ()
+    _assert_no_steps(direct)
 
 
 def test_direct_scheme_skips_records():
     run = _run_at(4, scheme=simulator.SCHEME_DIRECT)
-    assert run.records == ()
+    _assert_no_steps(run)
     assert run.direct_gap is None
     assert_allclose(run.final_data, run.direct_data, rtol=0.0, atol=0.0)
     assert run.final_deviation > 0.0
@@ -276,8 +300,8 @@ def test_per_step_entropy_decays_faster_than_linearly():
     fine = _run_at(6)
     # dt shrinks 4x; the one-step entropy should shrink much faster than 4x
     # and the evolution-truncation entropy faster still.
-    step_ratio = coarse.records[0].kl_step / fine.records[0].kl_step
-    evolution_ratio = coarse.records[0].kl_evolution / fine.records[0].kl_evolution
+    step_ratio = coarse.kl_step[0] / fine.kl_step[0]
+    evolution_ratio = coarse.kl_evolution[0] / fine.kl_evolution[0]
     assert step_ratio > 8.0
     assert evolution_ratio > step_ratio
 
@@ -307,9 +331,13 @@ def test_csv_layout_and_determinism(tmp_path):
     assert len(first) == 6 + dim
     assert first[0] == "1"
     assert first[5] == matching.BRANCH_PROJECTED
-    assert_allclose(float(first[1]), run.records[0].t, rtol=1e-16)
+    assert_allclose(float(first[1]), run.config.dt, rtol=1e-16)
     # %.17g survives the float round trip bit for bit.
-    assert float(first[6]) == run.records[0].data[0]
+    assert float(first[6]) == run.data[0][0]
+    # The writer numbers the steps and times them; the last is step 2^N at T.
+    last = lines[-1].split(",")
+    assert last[0] == str(run.config.steps)
+    assert_allclose(float(last[1]), run.config.total_time, rtol=1e-12)
 
 
 def test_report_dict_contents():
@@ -318,7 +346,7 @@ def test_report_dict_contents():
     assert report["config"] == simulator.config_dict(run.config)
     assert report["steps"] == run.config.steps
     assert report["branch_counts"] == {matching.BRANCH_PROJECTED: run.config.steps}
-    assert_allclose(report["kl_total"], run.records[-1].kl_cumulative, rtol=1e-15)
+    assert_allclose(report["kl_total"], run.kl_cumulative[-1], rtol=1e-15)
     assert "direct_gap" in report
 
 
@@ -348,8 +376,8 @@ def test_sweep_slopes_and_monotonicity():
 def test_sweep_rerun_matches_single_runs():
     sweep = simulator.convergence_sweep(_config(), (4, 5, 6))
     run = _run_at(5)
-    assert_allclose(sweep.per_step_kl[1], run.records[0].kl_step, rtol=1e-15)
-    assert_allclose(sweep.cumulative_kl[1], run.records[-1].kl_cumulative, rtol=1e-15)
+    assert_allclose(sweep.per_step_kl[1], run.kl_step[0], rtol=1e-15)
+    assert_allclose(sweep.cumulative_kl[1], run.kl_cumulative[-1], rtol=1e-15)
     assert_allclose(sweep.final_deviations[1], run.final_deviation, rtol=1e-15)
 
 
