@@ -626,11 +626,11 @@ def _write_rows(result, path, header, fmt, columns):
 
     ``columns`` are sequences with one cell per step.
     """
-    dt = result.config.dt
+    steps = np.arange(1, len(result.kl_step) + 1)
+    rows = zip(steps.tolist(), (steps * result.config.dt).tolist(), *columns)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        for i, cells in enumerate(zip(*columns), 1):
-            fh.write(fmt % (i, i * dt, *cells))
+        fh.writelines(fmt % row for row in rows)
 
 
 def write_csv(result, path):
