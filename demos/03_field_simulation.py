@@ -5,7 +5,8 @@ of a random thermal field state, next to the exact per-mode solution.  Two
 things to notice in the output: the per-step relative entropy is tiny and
 shrinks with dt, while the deviation from the exact reference saturates;
 the pixel data cannot tell certain field modes apart (aliasing), so part of
-the exact trajectory is invisible to any data-space update.
+the exact trajectory is invisible to any data-space update, and the closed
+form errs on the conjugate pair the data packing stores twice.
 
     python3 demos/03_field_simulation.py
 """

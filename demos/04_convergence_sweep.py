@@ -3,8 +3,9 @@
 Halving dt should quarter the one-step relative entropy (slope 2 in a
 log-log fit) and halve both its sum over the horizon and the distance to
 the continuous-limit endpoint exp(T M') (slope 1).  The deviation from the
-exact field reference is different: it sits on an aliasing floor that no dt
-can remove, so its slope is near zero.
+exact field reference is different: it sits on a floor that no dt can
+remove (aliasing, and the closed form's error on the conjugate pair the data
+packing stores twice), so its slope is near zero.
 
     python3 demos/04_convergence_sweep.py
 """
@@ -47,4 +48,4 @@ print("\nfitted log-log slopes vs dt:")
 print(f"  first-step kl  : {sweep.slope_per_step:+.4f}   (expected ~ +2)")
 print(f"  cumulative kl  : {sweep.slope_cumulative:+.4f}   (expected ~ +1)")
 print(f"  direct gap     : {sweep.slope_direct_gap:+.4f}   (expected ~ +1)")
-print(f"  deviation      : {sweep.slope_deviation:+.4f}   (aliasing floor)")
+print(f"  deviation      : {sweep.slope_deviation:+.4f}   (floor)")

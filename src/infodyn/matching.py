@@ -26,7 +26,8 @@ Three branches cover the geometry of H:
 
 :func:`match` and :func:`branches` share the branch decision; the latter
 decides it for many evolved means against one covariance and setup, as a
-simulation run needs once per step.
+simulation run needs once per step, and takes the setup's W' and D' from
+its caller, which has computed them already.
 """
 
 from dataclasses import dataclass, field
@@ -48,7 +49,14 @@ BRANCH_PROJECTED = "projected"
 
 @dataclass(frozen=True)
 class MatchProblem:
-    """Evolved density (m*, D*^-1) and the measurement setup to match it with."""
+    """Evolved density (m*, D*^-1) and the measurement setup to match it with.
+
+    Construction checks that D*^-1 is positive definite and derives, once,
+    the new setup's Wiener filter W' (:func:`gaussian.wiener_filter`), its
+    posterior covariance D' (:func:`gaussian.posterior`) and the prior pull
+    D' Phi'^-1 psi'.  A simulation run, which already holds W' and D', asks
+    :func:`branches` directly instead of building a problem.
+    """
 
     evolved_mean: np.ndarray
     evolved_inv_cov: np.ndarray
@@ -58,6 +66,8 @@ class MatchProblem:
     _w: np.ndarray = field(init=False, repr=False, compare=False)
     _post_cov: np.ndarray = field(init=False, repr=False, compare=False)
     _prior_pull: np.ndarray = field(init=False, repr=False, compare=False)
+    # ||D*^-1||_2, the largest eigenvalue of the positive definite D*^-1.
+    _inv_cov_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m_star = np.asarray(self.evolved_mean, dtype=float)
@@ -83,17 +93,16 @@ class MatchProblem:
                 f"new measurement signal dimension {self.new_meas.signal_dim} "
                 f"does not match prior dimension {self.new_prior.dim}"
             )
-        w = wiener_filter(self.new_prior, self.new_meas, "signal_space")
-        # The posterior at u = 0 has covariance D' and mean D' Phi'^-1 psi',
-        # the u-independent part of the new posterior mean:
-        # m'(u) = W' u + prior_pull.
+        w = wiener_filter(self.new_prior, self.new_meas)
+        # D' does not depend on the data, so any data vector gives it.
         post = posterior(self.new_prior, self.new_meas, np.zeros(self.data_dim))
         m_star.setflags(write=False)
         object.__setattr__(self, "evolved_mean", m_star)
         object.__setattr__(self, "evolved_inv_cov", inv_cov)
         object.__setattr__(self, "_w", w)
         object.__setattr__(self, "_post_cov", post.cov)
-        object.__setattr__(self, "_prior_pull", post.mean)
+        object.__setattr__(self, "_prior_pull", _prior_pull(post.cov, self.new_prior))
+        object.__setattr__(self, "_inv_cov_norm", float(w_eval[-1]))
 
     @property
     def data_dim(self):
@@ -111,13 +120,23 @@ class MatchProblem:
 
     def hessian(self):
         """H = W'^T D*^-1 W', the quadratic form of the objective."""
-        return matfun.symmetrize(self._w.T @ self.evolved_inv_cov @ self._w)
+        return _hessian(self._w, self.evolved_inv_cov)
 
     def linear_term(self):
         """g = W'^T D*^-1 (D' Phi'^-1 psi' - m*), so grad = H u + g."""
         return self._w.T @ (
             self.evolved_inv_cov @ (self._prior_pull - self.evolved_mean)
         )
+
+
+def _prior_pull(post_cov, prior):
+    """D' Phi'^-1 psi', the part of the new posterior mean that no data vector moves."""
+    w, q = prior._spectrum
+    return post_cov @ (q @ ((prior.mean @ q) / w))
+
+
+def _hessian(new_filter, evolved_inv_cov):
+    return matfun.symmetrize(new_filter.T @ evolved_inv_cov @ new_filter)
 
 
 @dataclass(frozen=True)
@@ -173,33 +192,51 @@ def _hessian_is_regular(h, rel_tol):
     return bool(w_eval[0] > rel_tol * max(w_eval[-1], 0.0))
 
 
-def _linear_term_vanishes(problem, evolved_means, rel_tol):
-    """Zero-branch test for ``problem`` with each row of ``evolved_means`` as m*.
+def _linear_term_vanishes(
+    new_filter, evolved_inv_cov, inv_cov_norm, prior_pull, evolved_means, rel_tol
+):
+    """Zero-branch test with each row of ``evolved_means`` as m*.
 
     Row i of ``g`` is the linear term W'^T D*^-1 (D' Phi'^-1 psi' - m*_i);
-    it counts as vanishing relative to the scale of its factors.
+    it counts as vanishing relative to the scale of its factors, with
+    ``inv_cov_norm`` = ||D*^-1||_2.
     """
-    d_star_inv = problem.evolved_inv_cov
-    g = (problem._prior_pull - evolved_means) @ (d_star_inv @ problem._w)
+    g = (prior_pull - evolved_means) @ (evolved_inv_cov @ new_filter)
     scale = (
-        np.linalg.norm(problem._w, 2)
-        * np.linalg.norm(d_star_inv, 2)
-        * (np.linalg.norm(problem._prior_pull) + np.linalg.norm(evolved_means, axis=1))
+        np.linalg.norm(new_filter, 2)
+        * inv_cov_norm
+        * (np.linalg.norm(prior_pull) + np.linalg.norm(evolved_means, axis=1))
     )
     return np.linalg.norm(g, axis=1) <= rel_tol * np.maximum(scale, 1.0)
 
 
-def branches(problem, evolved_means, rel_tol=SINGULAR_RTOL):
-    """Branch :func:`match` takes for ``problem`` with each row of ``evolved_means`` as m*.
+def branches(
+    new_filter, new_post_cov, new_prior, evolved, evolved_means, rel_tol=SINGULAR_RTOL
+):
+    """Branch :func:`match` takes with each row of ``evolved_means`` as m*.
 
-    The Hessian does not depend on m*, so whether the problem is regular is
-    decided once; only the zero-versus-projected test runs per row, as one
-    batched product.  Returns one branch label per row.
+    ``new_filter`` and ``new_post_cov`` are the Wiener filter W' and the
+    posterior covariance D' of the new setup, as :func:`gaussian.wiener_filter`
+    and :func:`gaussian.posterior` give them for ``new_prior`` and the new
+    measurement.  ``evolved`` is the evolved density; only its covariance
+    D* enters, through its cached spectrum, so neither D*^-1 nor its norm
+    takes a factorization here.  The Hessian does not depend on m*, so
+    whether the problem is regular is decided once; only the
+    zero-versus-projected test runs per row, as one batched product.
+    Returns one branch label per row.
     """
     means = np.asarray(evolved_means, dtype=float)
-    if _hessian_is_regular(problem.hessian(), rel_tol):
+    inv_cov = matfun.symmetrize(evolved.inv_cov())
+    if _hessian_is_regular(_hessian(new_filter, inv_cov), rel_tol):
         return [BRANCH_REGULAR] * len(means)
-    flat = _linear_term_vanishes(problem, means, rel_tol)
+    flat = _linear_term_vanishes(
+        new_filter,
+        inv_cov,
+        1.0 / float(evolved._spectrum[0][0]),
+        _prior_pull(new_post_cov, new_prior),
+        means,
+        rel_tol,
+    )
     return [BRANCH_ZERO if f else BRANCH_PROJECTED for f in flat]
 
 
@@ -224,7 +261,15 @@ def match(problem, rel_tol=SINGULAR_RTOL):
         rhs = w_t @ (d_star_inv @ (problem.evolved_mean - psi))
         u = np.linalg.solve(h, rhs) + problem.new_meas.response @ psi
         return MatchResult(data=u, branch=BRANCH_REGULAR)
-    if _linear_term_vanishes(problem, problem.evolved_mean[None, :], rel_tol)[0]:
+    flat = _linear_term_vanishes(
+        problem._w,
+        d_star_inv,
+        problem._inv_cov_norm,
+        problem._prior_pull,
+        problem.evolved_mean[None, :],
+        rel_tol,
+    )
+    if flat[0]:
         # Objective is constant in the flat directions and the linear term
         # vanishes: the norm-minimal minimizer is the origin.
         return MatchResult(data=np.zeros(problem.data_dim), branch=BRANCH_ZERO)

@@ -4,7 +4,11 @@ A symmetric matrix A = Q diag(a_1..a_n) Q^T defines f(A) = Q diag(f(a_k)) Q^T
 for any f whose domain contains the spectrum.  Everything symmetric here
 goes through one eigendecomposition; there is no Cholesky or LU path, so the
 square root, the log-determinant and the positive-definiteness test share
-the same numerical behaviour.  The one non-symmetric function,
+the same numerical behaviour.  A diagonal matrix is not factored: its
+spectrum is read off the diagonal, sorted, with permutation eigenvectors.
+LAPACK returns exactly these eigenvalues for a diagonal input, so anything
+built from them is unchanged, and diagonal covariances such as a thermal
+prior or white noise cost no O(n^3) work.  The one non-symmetric function,
 :func:`expm_general`, is the Pade [13/13] scaling-and-squaring exponential
 of Higham (2005), written with numpy alone.
 
@@ -67,11 +71,20 @@ def spectral_decompose(matrix):
     eigenvalues : (n,) ndarray
         Ascending.
     eigenvectors : (n, n) ndarray
-        Orthonormal columns, ``matrix ~ Q @ diag(w) @ Q.T``.
+        Orthonormal columns, ``matrix ~ Q @ diag(w) @ Q.T``.  For a
+        diagonal input they are the unit vectors in the order of a stable
+        ascending sort of the diagonal, and no eigensolver runs.
     """
     a = symmetrize(matrix)
-    eigenvalues, eigenvectors = np.linalg.eigh(a)
-    return eigenvalues, eigenvectors
+    if _is_diagonal(a):
+        d = np.diag(a)
+        order = np.argsort(d, kind="stable")
+        return d[order], np.eye(len(d))[:, order]
+    return np.linalg.eigh(a)
+
+
+def _is_diagonal(a):
+    return np.count_nonzero(a) == np.count_nonzero(np.diag(a))
 
 
 def sqrtm_spd(matrix):
@@ -114,7 +127,7 @@ def expm_general(matrix):
         raise InvalidInput(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidInput("matrix entries must be finite")
-    if np.array_equal(m, np.diag(np.diag(m))):
+    if _is_diagonal(m):
         # The rational approximant would round even exp(0) = 1 here.
         return np.diag(np.exp(np.diag(m)))
     norm = np.linalg.norm(m, 1)

@@ -174,6 +174,15 @@ def test_numeric_refusal_exits_2(tmp_path, capsys):
     direct["scheme"] = "direct"
     path.write_text(json.dumps(direct))
     assert cli.main(["direct", "--config", str(path)]) == 0
+    capsys.readouterr()
+    # A posterior that fails the positive definiteness test is refused by
+    # both commands, whether the prior, the noise or the posterior is at fault.
+    for key, value in (("sigma_n2", 1e-14), ("mu", 1e-8), ("beta", 1e-10)):
+        path.write_text(json.dumps({**direct, "N": 6, key: value}))
+        assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert cli.main(["direct", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.count("positive definiteness test") == 2
+        assert not out.exists()
 
 
 def _simulate_quietly(tmp_path, config_path, mapping):

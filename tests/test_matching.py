@@ -244,6 +244,15 @@ def test_batched_branches_agree_with_match_per_row():
             ).branch
             for m in means
         ]
-        assert matching.branches(problem, means) == expected
+        # The new setup's W' and D', built as a simulation run builds them.
+        prior, meas = problem.new_prior, problem.new_meas
+        batched = matching.branches(
+            gaussian.wiener_filter(prior, meas),
+            gaussian.posterior(prior, meas, np.zeros(3)).cov,
+            prior,
+            problem.evolved_density(),
+            means,
+        )
+        assert batched == expected
     # All three branches occur among the cases above.
     assert expected == [matching.BRANCH_ZERO] + [matching.BRANCH_PROJECTED] * 3

@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose
 
 from infodyn import matfun
 from infodyn.errors import InvalidInput, NotPositiveDefinite
-from infodyn.kleingordon import KGModel, update_generator
+from infodyn.gaussian import GaussianDensity
+from infodyn.kleingordon import KGModel, build_prior_cov, update_generator
 
 
 def _det_small(a):
@@ -83,6 +84,55 @@ def test_spectral_decompose_exchange_matrix():
     w, q = matfun.spectral_decompose([[0.0, 1.0], [1.0, 0.0]])
     assert_allclose(w, [-1.0, 1.0], atol=1e-15)
     assert_allclose(q.T @ q, np.eye(2), atol=1e-15)
+
+
+_PRIOR_16_31 = np.diag(
+    build_prior_cov(KGModel(n_modes=16, pixels=31, mu=1.0, beta=1.0, sigma_n2=0.01))
+)
+
+
+@pytest.mark.parametrize(
+    "diagonal, refused",
+    [
+        ([3.0, 1.0, 3.0, 1.0, 2.0], False),
+        (_PRIOR_16_31, False),
+        ([0.7], False),
+        ([2.0, 0.0, 5.0], True),
+        ([4.0, -1.0, 4.0, 0.5], True),
+        ([1.0, 0.5 * matfun.PD_RTOL, 2.0], True),
+    ],
+    ids=["tied", "kg-prior", "1x1", "zero", "negative", "below-floor"],
+)
+def test_diagonal_spectrum_is_read_off_like_eigh(diagonal, refused, monkeypatch):
+    # A diagonal input skips the eigensolver.  Its spectrum, and every
+    # inverse and square root built from it, must be what LAPACK gives.
+    a = np.diag(np.asarray(diagonal, dtype=float))
+    w_lapack, q_lapack = np.linalg.eigh(a)
+
+    def no_eigensolver(matrix):
+        raise AssertionError("a diagonal input reached np.linalg.eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigensolver)
+    w, q = matfun.spectral_decompose(a)
+    assert w.tobytes() == w_lapack.tobytes()
+    assert np.array_equal(q.T @ q, np.eye(len(w)))
+    assert np.array_equal((q * w) @ q.T, a)
+    if w[0] > 0.0:
+        assert np.array_equal((q / w) @ q.T, (q_lapack / w_lapack) @ q_lapack.T)
+        root = (q * np.sqrt(w)) @ q.T
+        assert np.array_equal(root, (q_lapack * np.sqrt(w_lapack)) @ q_lapack.T)
+    if refused:
+        for op in (
+            matfun.sqrtm_spd,
+            matfun.log_det_spd,
+            lambda cov: GaussianDensity(np.zeros(len(cov)), cov),
+        ):
+            with pytest.raises(NotPositiveDefinite):
+                op(a)
+    else:
+        assert np.array_equal(matfun.sqrtm_spd(a), root)
+        assert matfun.log_det_spd(a) == np.sum(np.log(w))
+        GaussianDensity(np.zeros(len(w)), a)
 
 
 def test_symmetrize_rejects_bad_input():

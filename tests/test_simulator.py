@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -252,6 +253,35 @@ def test_every_step_takes_projected_branch_and_warns_once(caplog):
     assert run.branch == (matching.BRANCH_PROJECTED,) * config.steps
     warnings = [r for r in caplog.records if "minimum-norm" in r.message]
     assert len(warnings) == 1
+
+
+def test_run_factors_each_matrix_once(monkeypatch, caplog):
+    # One run computes the posterior and the Wiener filter once, hands both
+    # to the matcher, and factors no diagonal matrix (the prior, the white
+    # noise and, at this model, the posterior covariance).  The eigh calls
+    # left are the evolved covariances, the two whitened KL covariance
+    # differences, the posterior information matrix and the match Hessian.
+    counts = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        # By-name imports inside the package are counted too.
+        for module in (owner, gaussian, matching, simulator, kleingordon):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+
+    count(np.linalg, "eigh")
+    count(gaussian, "posterior")
+    count(gaussian, "wiener_filter")
+    # The Gram condition numbers are factored only when INFO is logged.
+    caplog.set_level(logging.WARNING, logger="infodyn")
+    simulator.run_ifd(_config(n_modes=16, Y=31, T=0.05, N=5, scheme="both"))
+    assert counts == {"eigh": 6, "posterior": 1, "wiener_filter": 1}
 
 
 def _assert_no_steps(run):
