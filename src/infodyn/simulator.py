@@ -159,10 +159,10 @@ class RunConfig:
 class ExactReference:
     """Exact trajectory R2 A(t) m_0 of the initial posterior mean.
 
-    ``data`` has shape (2^N + 1, data_dim) including the t = 0 row
-    R2 m_0.  ``energy_drift`` is the largest absolute change of the field
-    energy along the evolved mean; the exact step conserves it, so this is
-    a roundoff-level number, or NaN if the energy overflowed.
+    ``data`` has one row per entry of ``times``, the times a run compares
+    against: every step time, or t = 0 and T for scheme 'direct'.
+    ``energy_drift`` is the largest change of the field energy over those
+    times: roundoff-level, as the exact step conserves it, or NaN on overflow.
     """
 
     times: np.ndarray
@@ -311,16 +311,13 @@ def resolve_initial_data(config, prior=None, meas=None):
     return d0
 
 
-def _exact_reference(config, mean, response, last_only=False):
-    """R2 A(t_i) m_0 at every step time, from the closed-form rotation.
+def _exact_reference(model, mean, response, times):
+    """R2 A(t) m_0 and its energy drift at exactly ``times``, by closed-form rotation.
 
-    Works through the times in row blocks, so no (2^N + 1, 4n - 2) state
-    array exists.  With ``last_only`` the returned ``data`` holds only the
-    final row; the energy drift still covers every time.
+    Works through the times in row blocks, so no (len(times), 4n - 2)
+    state array exists.
     """
-    model = config.model
-    times = config.dt * np.arange(config.steps + 1)
-    data = np.empty((1 if last_only else len(times), model.data_dim))
+    data = np.empty((len(times), model.data_dim))
     energy_0 = kleingordon.field_energy(model, mean)
     drift = 0.0
     block = max(1, REFERENCE_BLOCK_ENTRIES // model.signal_dim)
@@ -329,10 +326,7 @@ def _exact_reference(config, mean, response, last_only=False):
         energies = kleingordon.field_energy(model, states)
         # np.maximum, unlike max(), keeps a NaN from an overflowed energy.
         drift = np.maximum(drift, np.max(np.abs(energies - energy_0)))
-        if not last_only:
-            data[start : start + len(states)] = states @ response.T
-    if last_only:
-        data[0] = response @ states[-1]
+        data[start : start + len(states)] = states @ response.T
     return ExactReference(times=times, data=data, energy_drift=float(drift))
 
 
@@ -341,8 +335,8 @@ def run_exact_reference(config, initial_data=None):
 
     The reference below is what a perfect scheme would report: the posterior
     mean of the initial data, evolved by A(t) = A(dt)^i, seen through the
-    noise-free response.  Energy along the evolved mean is conserved to
-    roundoff, which :attr:`ExactReference.energy_drift` makes checkable.
+    noise-free response, at every step time.  Energy along it is conserved
+    to roundoff, which :attr:`ExactReference.energy_drift` makes checkable.
     """
     model = config.model
     prior = kleingordon.prior_density(model)
@@ -350,7 +344,8 @@ def run_exact_reference(config, initial_data=None):
     if initial_data is None:
         initial_data = resolve_initial_data(config, prior, meas)
     mean = gaussian.posterior(prior, meas, initial_data).mean
-    return _exact_reference(config, mean, meas.response)
+    times = config.dt * np.arange(config.steps + 1)
+    return _exact_reference(model, mean, meas.response, times)
 
 
 def _refuse_nonfinite(steps, columns, values):
@@ -454,7 +449,8 @@ def run_ifd(config):
     since the conjugate-alias pair makes the lifted response rank
     deficient.  If anything the result holds, or a per-step mean,
     overflowed to NaN or infinity, the run raises :class:`NonFiniteOutput`
-    naming the first such step.
+    naming the first such step.  The exact reference and its energy drift
+    cover every step time, or only t = 0 and T under scheme 'direct'.
     """
     model = config.model
     prior = kleingordon.prior_density(model)
@@ -466,7 +462,11 @@ def run_ifd(config):
     direct = config.scheme == SCHEME_DIRECT
     # Overflow is refused by the one check below, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        reference = _exact_reference(config, post.mean, meas.response, last_only=direct)
+        if direct:
+            times = np.array([0.0, config.total_time])
+        else:
+            times = config.dt * np.arange(config.steps + 1)
+        reference = _exact_reference(model, post.mean, meas.response, times)
         direct_data = direct_gap = None
         if config.scheme != SCHEME_ITERATED:
             direct_data = kleingordon.direct_simulate(model, d0, config.total_time)

@@ -173,7 +173,34 @@ def test_direct_deviation_uses_last_reference_row():
     assert_allclose(
         direct.final_deviation, np.linalg.norm(direct.final_data - last), rtol=1e-12
     )
-    assert direct.reference_energy_drift == both.reference_energy_drift
+    # Scheme 'direct' evaluates the reference at t = 0 and T only, so its
+    # drift covers two times, not all 2^N + 1 that scheme 'both' covers.
+    assert np.isfinite(direct.reference_energy_drift)
+    assert 0.0 <= direct.reference_energy_drift < 1e-10
+
+
+def test_direct_reference_evaluates_only_the_endpoints(monkeypatch):
+    rows = []
+    exact_evolve = kleingordon.exact_evolve
+
+    def counting_exact_evolve(model, packed, times):
+        rows.append(len(times))
+        return exact_evolve(model, packed, times)
+
+    monkeypatch.setattr(kleingordon, "exact_evolve", counting_exact_evolve)
+
+    def run(resolution, scheme):
+        rows.clear()
+        config = _config(n_modes=16, Y=31, T=0.05, N=resolution, scheme=scheme)
+        return simulator.run_ifd(config), sum(rows)
+
+    assert run(10, simulator.SCHEME_DIRECT)[1] == 2
+    assert run(10, simulator.SCHEME_BOTH)[1] == 2**10 + 1
+    # The endpoint does not depend on N, bit for bit, up to the cap N 20 of Y 31.
+    coarse, _ = run(4, simulator.SCHEME_DIRECT)
+    fine, _ = run(20, simulator.SCHEME_DIRECT)
+    assert np.array_equal(coarse.final_data, fine.final_data)
+    assert coarse.final_deviation == fine.final_deviation
 
 
 def test_batched_diagnostics_match_per_step_oracle():
