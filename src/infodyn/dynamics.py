@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import matfun
 from .errors import InvalidInput, StepTooLarge
 
 
@@ -32,7 +33,7 @@ class AffineDynamics:
         dt = float(self.dt)
         if not np.isfinite(dt) or dt < 0.0:
             raise InvalidInput(f"dt must be finite and nonnegative, got {dt!r}")
-        norm = np.linalg.norm(dt * l, 2)
+        norm = matfun.norm2(dt * l)
         if norm >= 1.0:
             raise StepTooLarge(
                 f"||dt L|| = {norm!r} >= 1; the linearized step is outside "

@@ -9,7 +9,8 @@ with covariance D = (Phi^-1 + R^T N^-1 R)^-1 and mean psi + W (d - R psi),
 where W is the generalized Wiener filter.  The filter has two algebraically
 equal representations, one inverting in signal space and one in data space;
 both are kept because their conditioning differs and their agreement is a
-useful internal consistency check.
+useful internal consistency check.  A caller that holds the posterior
+covariance D already reads W = D R^T N^-1 off it (:func:`posterior_filter`).
 
 All covariance manipulation goes through the spectral helpers in
 :mod:`infodyn.matfun`, so positive definiteness failures surface as
@@ -169,6 +170,18 @@ def wiener_filter(prior, measurement, representation="signal_space"):
         matfun._require_pd(w, "wiener_filter data-space gram")
         return phi @ r.T @ ((q / w) @ q.T)
     raise InvalidInput(f"unknown representation {representation!r}")
+
+
+def posterior_filter(post_cov, measurement):
+    """Wiener filter W = D R^T N^-1, read off the posterior covariance D.
+
+    D must be the posterior covariance of ``measurement`` (as
+    :func:`posterior` returns it); W then equals :func:`wiener_filter` for
+    the prior D came from, whose signal-space form solves for the same
+    matrix, at the cost of products and the inverse of N alone.
+    """
+    n_inv = _spd_inv(measurement.noise_cov, "posterior_filter noise covariance")
+    return post_cov @ (measurement.response.T @ n_inv)
 
 
 def posterior(prior, measurement, data):

@@ -18,12 +18,11 @@ Y + 2 numbers per field part, 2(Y + 2) in total.  Note that for odd Y the
 coefficients (Y-1)/2 and (Y+1)/2 are complex conjugates of each other, so
 this packing carries each part twice in those four slots.  The pixel-average
 response, the thermal prior, the evolution generator and the per-mode data
-Gram diagonal all have closed forms implemented below; the data update
-matrix is assembled from those closed forms without inverting any dense
-matrix.
+Gram diagonal all have closed forms implemented below; the generator M' of
+the data update is assembled from those closed forms without inverting any
+dense matrix.
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,12 +31,9 @@ from . import matfun
 from .errors import (
     DegenerateMassError,
     InvalidInput,
-    StepTooLarge,
     UnsupportedPixelCount,
 )
 from .gaussian import GaussianDensity, LinearMeasurement
-
-logger = logging.getLogger(__name__)
 
 PART_PHI = "phi"
 PART_CHI = "chi"
@@ -344,7 +340,10 @@ def update_generator(model):
     M' = (1 + sigma^2 G) R2 L Phi R2^T H with G the reciprocal of the
     closed-form Gram diagonal, H the reciprocal of (Gram diagonal + sigma^2)
     and R2 the two-part response lift.  Only diagonal reciprocals appear;
-    the dense factors enter through matrix products.
+    the dense factors enter through matrix products.  One step of length dt
+    updates the data by M = 1 + dt M', valid for dt < 1/w_{n-1}
+    (:attr:`KGModel.dt_limit`, the Neumann expansion behind the closed
+    form), and the continuous-limit endpoint is exp(T M') d(0).
     """
     r2 = lift_response(build_response(model))
     sandwich = r2 @ build_generator(model) @ build_prior_cov(model) @ r2.T
@@ -353,42 +352,6 @@ def update_generator(model):
     )
     scaled = sandwich / (diag + model.sigma_n2)  # right-multiply by H
     return scaled + (model.sigma_n2 / diag)[:, None] * scaled  # left (1 + s^2 G)
-
-
-def build_update_matrix(model, dt):
-    """One-step data update M = 1 + dt M'.
-
-    Valid for dt^2 < 1/w_{n-1}^2 (the Neumann expansion behind the closed
-    form); larger steps raise :class:`StepTooLarge`.
-    """
-    dt = float(dt)
-    if not (np.isfinite(dt) and dt >= 0.0):
-        raise InvalidInput(f"dt must be finite and nonnegative, got {dt!r}")
-    if dt >= model.dt_limit:
-        raise StepTooLarge(
-            f"dt = {dt!r} outside validity region dt < {model.dt_limit!r}"
-        )
-    if logger.isEnabledFor(logging.INFO):
-        for part in (PART_PHI, PART_CHI):
-            logger.info(
-                "data-space Gram condition number (%s part): %.6g",
-                part,
-                data_gram_condition(model, part),
-            )
-    return np.eye(model.data_dim) + dt * update_generator(model)
-
-
-def direct_simulate(model, initial_data, t_final):
-    """Continuous-limit data trajectory endpoint exp(T M') d(0)."""
-    d0 = np.asarray(initial_data, dtype=float)
-    if d0.shape != (model.data_dim,):
-        raise InvalidInput(
-            f"initial data has shape {d0.shape}, expected ({model.data_dim},)"
-        )
-    t_final = float(t_final)
-    if not (np.isfinite(t_final) and t_final >= 0.0):
-        raise InvalidInput(f"t_final must be finite and nonnegative, got {t_final!r}")
-    return matfun.expm_general(t_final * update_generator(model)) @ d0
 
 
 def prior_density(model):

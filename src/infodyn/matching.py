@@ -203,7 +203,7 @@ def _linear_term_vanishes(
     """
     g = (prior_pull - evolved_means) @ (evolved_inv_cov @ new_filter)
     scale = (
-        np.linalg.norm(new_filter, 2)
+        matfun.norm2(new_filter)
         * inv_cov_norm
         * (np.linalg.norm(prior_pull) + np.linalg.norm(evolved_means, axis=1))
     )

@@ -3,14 +3,19 @@
 A symmetric matrix A = Q diag(a_1..a_n) Q^T defines f(A) = Q diag(f(a_k)) Q^T
 for any f whose domain contains the spectrum.  Everything symmetric here
 goes through one eigendecomposition; there is no Cholesky or LU path, so the
-square root, the log-determinant and the positive-definiteness test share
-the same numerical behaviour.  A diagonal matrix is not factored: its
-spectrum is read off the diagonal, sorted, with permutation eigenvectors.
-LAPACK returns exactly these eigenvalues for a diagonal input, so anything
-built from them is unchanged, and diagonal covariances such as a thermal
-prior or white noise cost no O(n^3) work.  The one non-symmetric function,
-:func:`expm_general`, is the Pade [13/13] scaling-and-squaring exponential
-of Higham (2005), written with numpy alone.
+square root, the log-determinant, the spectral norm and the
+positive-definiteness test share the same numerical behaviour.  The one
+non-symmetric function, :func:`expm_general`, is the Pade [13/13]
+scaling-and-squaring exponential of Higham (2005), written with numpy alone.
+
+A matrix that is block diagonal up to a permutation is factored block by
+block.  The blocks are the connected components of its exact nonzero
+pattern (no tolerance), and all blocks of one size go to one stacked call,
+so a Klein-Gordon run, whose matrices couple only the modes of one Fourier
+class, does no dense O(n^3) work.  A 1x1 block is not factored: its
+eigenvalue is its entry, so a diagonal matrix such as a thermal prior or
+white noise has its spectrum read off, exactly as LAPACK would return it.
+A matrix that is one block is factored whole, by one unstacked call.
 
 Floating-point input is re-symmetrized as (M + M^T)/2 before decomposition,
 so mild asymmetry from accumulated round-off is tolerated rather than
@@ -71,20 +76,58 @@ def spectral_decompose(matrix):
     eigenvalues : (n,) ndarray
         Ascending.
     eigenvectors : (n, n) ndarray
-        Orthonormal columns, ``matrix ~ Q @ diag(w) @ Q.T``.  For a
-        diagonal input they are the unit vectors in the order of a stable
-        ascending sort of the diagonal, and no eigensolver runs.
+        Orthonormal columns, ``matrix ~ Q @ diag(w) @ Q.T``.  Each column is
+        supported on one block of the input (see the module docstring); for
+        a diagonal input they are unit vectors and no eigensolver runs.
     """
     a = symmetrize(matrix)
-    if _is_diagonal(a):
-        d = np.diag(a)
-        order = np.argsort(d, kind="stable")
-        return d[order], np.eye(len(d))[:, order]
-    return np.linalg.eigh(a)
+    groups = _blocks(a != 0)
+    if len(a) > 1 and groups[-1].shape[1] == len(a):
+        return np.linalg.eigh(a)
+    # Eigenpair j of the block on indices m goes to slot m[j], so the
+    # eigenvectors keep the block pattern of the input.
+    w = np.empty(len(a))
+    q = np.zeros_like(a)
+    for members in groups:
+        rows, cols = members[:, :, None], members[:, None, :]
+        block = a[rows, cols]
+        if members.shape[1] == 1:
+            w[members], q[rows, cols] = block[:, 0], 1.0
+        else:
+            w[members], q[rows, cols] = np.linalg.eigh(block)
+    order = np.argsort(w, kind="stable")
+    return w[order], q[:, order]
 
 
-def _is_diagonal(a):
-    return np.count_nonzero(a) == np.count_nonzero(np.diag(a))
+def _blocks(pattern):
+    """Connected components of a symmetric boolean pattern, grouped by size.
+
+    Returns one (k, s) integer array per component size s, ascending in s,
+    so a pattern that is one component gives [arange(n)[None]].  Each row
+    lists the indices of one component in ascending order, and the rows are
+    ordered by their smallest index.
+    """
+    n = len(pattern)
+    labels = np.arange(n)
+    while True:
+        # Take the smallest label among the neighbours, then that label's
+        # own label.  Labels only fall and stay inside their component, and
+        # they stop changing once each component carries its smallest index.
+        nearest = np.min(np.where(pattern, labels, n), axis=1, initial=n)
+        new = np.minimum(labels, nearest)
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    sizes = np.bincount(labels, minlength=n)[labels]
+    # Stable, so each component's indices stay ascending.
+    order = np.argsort(labels, kind="stable")
+    first = np.flatnonzero(labels == np.arange(n))
+    starts = np.searchsorted(labels[order], first)
+    return [
+        order[starts[sizes[first] == s][:, None] + np.arange(s)]
+        for s in np.flatnonzero(np.bincount(sizes))
+    ]
 
 
 def sqrtm_spd(matrix):
@@ -110,6 +153,22 @@ def _require_pd(eigenvalues, op_name):
         )
 
 
+def norm2(matrix):
+    """Spectral norm ||A||_2 = sqrt(lambda_max(A^T A)), by :func:`spectral_decompose`.
+
+    A is first scaled by a power of two, which is exact, so that A^T A
+    cannot overflow while ||A||_2 is finite.
+    """
+    a = np.asarray(matrix, dtype=float)
+    peak = np.max(np.abs(a), initial=0.0)
+    if peak == 0.0:
+        return 0.0
+    exponent = int(np.frexp(peak)[1])
+    scaled = np.ldexp(a, -exponent)
+    w, _ = spectral_decompose(scaled.T @ scaled)
+    return float(np.ldexp(np.sqrt(w[-1]), exponent))
+
+
 def expm_general(matrix):
     """Matrix exponential without a symmetry requirement.
 
@@ -119,22 +178,37 @@ def expm_general(matrix):
     exponential revisited", SIAM J. Matrix Anal. Appl. 26 (2005) 1179-1193:
     scale A by 2^-s until its 1-norm is at most theta_13, evaluate the
     [13/13] Pade approximant r(A) = (V - U)^{-1} (V + U) from A^2, A^4 and
-    A^6, then square the result s times.  A diagonal matrix is exponentiated
-    entrywise, so the zero matrix gives the identity exactly.
+    A^6, then square the result s times.  The blocks are those of the
+    pattern of |A| + |A^T| (see the module docstring), each with its own
+    scaling; a 1x1 block is exponentiated directly, so a diagonal matrix is
+    exponentiated entrywise and the zero matrix gives the identity exactly.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidInput("matrix entries must be finite")
-    if _is_diagonal(m):
-        # The rational approximant would round even exp(0) = 1 here.
-        return np.diag(np.exp(np.diag(m)))
-    norm = np.linalg.norm(m, 1)
-    squarings = int(np.ceil(np.log2(norm / _THETA_13))) if norm > _THETA_13 else 0
-    a = np.ldexp(m, -squarings)
+    groups = _blocks((m != 0) | (m.T != 0))
+    if len(m) > 1 and groups[-1].shape[1] == len(m):
+        return _pade_expm(m[None])[0]
+    r = np.zeros_like(m)
+    for members in groups:
+        rows, cols = members[:, :, None], members[:, None, :]
+        block = m[rows, cols]
+        # The rational approximant would round even exp(0) = 1 on a 1x1 block.
+        r[rows, cols] = np.exp(block) if members.shape[1] == 1 else _pade_expm(block)
+    return r
+
+
+def _pade_expm(stack):
+    """exp of each matrix of a (k, s, s) stack, each scaled by its own 1-norm."""
+    norm = np.max(np.sum(np.abs(stack), axis=-2), axis=-1)
+    squarings = np.zeros(len(stack), dtype=int)
+    large = norm > _THETA_13
+    squarings[large] = np.ceil(np.log2(norm[large] / _THETA_13))
+    a = np.ldexp(stack, -squarings[:, None, None])
     b = _PADE_13
-    ident = np.eye(m.shape[0])
+    ident = np.eye(stack.shape[-1])
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a2 @ a4
@@ -147,6 +221,7 @@ def expm_general(matrix):
         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
     )
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        r = r @ r
+    for step in range(squarings.max(initial=0)):
+        more = squarings > step
+        r[more] = r[more] @ r[more]
     return r

@@ -244,7 +244,9 @@ def test_direct_overflow_exits_2_before_writing(tmp_path, config_path, capsys):
 
 
 def test_runs_do_not_import_scipy(tmp_path, config_path):
-    # A fresh interpreter, because this test process has scipy loaded.
+    # A fresh interpreter, because this test process has scipy loaded.  Nor
+    # may a run import numpy.ma, which np.unique pulls in lazily at a cost
+    # in start-up time and memory.
     script = textwrap.dedent(
         f"""
         import sys
@@ -253,7 +255,10 @@ def test_runs_do_not_import_scipy(tmp_path, config_path):
         out = {str(tmp_path / "run.csv")!r}
         assert cli.main(["simulate", "--config", config, "--out", out]) == 0
         assert cli.main(["direct", "--config", config]) == 0
-        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+        print(sorted(
+            m for m in sys.modules
+            if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"]
+        ))
         """
     )
     src = os.path.dirname(os.path.dirname(infodyn.__file__))

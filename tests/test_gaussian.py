@@ -29,8 +29,11 @@ def test_wiener_representations_agree():
         prior, meas = _random_setup(rng, n, y)
         w_signal = gaussian.wiener_filter(prior, meas, "signal_space")
         w_data = gaussian.wiener_filter(prior, meas, "data_space")
+        post_cov = gaussian.posterior(prior, meas, np.zeros(y)).cov
+        w_post = gaussian.posterior_filter(post_cov, meas)
         scale = max(1.0, np.max(np.abs(w_signal)))
         assert np.max(np.abs(w_signal - w_data)) < 1e-10 * scale
+        assert np.max(np.abs(w_signal - w_post)) < 1e-10 * scale
 
 
 def test_wiener_unknown_representation():

@@ -227,3 +227,94 @@ def test_expm_general_zero_and_scalar():
     assert np.array_equal(matfun.expm_general(np.zeros((5, 5))), np.eye(5))
     for x in (-3.0, 0.5, 7.0):
         assert_allclose(matfun.expm_general([[x]]), [[np.exp(x)]], rtol=1e-15)
+
+
+def _permuted_blocks(rng, sizes, make_block):
+    """Block diagonal matrix of ``make_block(s)`` blocks, rows and columns permuted.
+
+    Also returns the boolean mask of the entries the blocks may fill.
+    """
+    n = sum(sizes)
+    a = np.zeros((n, n))
+    mask = np.zeros((n, n), dtype=bool)
+    start = 0
+    for s in sizes:
+        a[start : start + s, start : start + s] = make_block(s)
+        mask[start : start + s, start : start + s] = True
+        start += s
+    perm = rng.permutation(n)
+    return a[np.ix_(perm, perm)], mask[np.ix_(perm, perm)]
+
+
+def _tied_symmetric_block(rng, s):
+    # Eigenvalues from a small set, so blocks share them; 1x1 blocks may be 0.
+    values = rng.choice([0.0, 1.0, 2.5, -3.0], size=s)
+    q, _ = np.linalg.qr(rng.standard_normal((s, s)))
+    return (q * values) @ q.T
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_block_diagonal_decomposes_block_by_block(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    sizes = list(rng.choice([1, 1, 2, 3, 4, 8], size=12))
+    a, mask = _permuted_blocks(rng, sizes, lambda s: _tied_symmetric_block(rng, s))
+    a[3, :] = a[:, 3] = 0.0  # a zero row splits its block
+    w_ref = np.linalg.eigvalsh(a)
+    seen = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(matrix):
+        seen.append(np.shape(matrix)[-1])
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    w, q = matfun.spectral_decompose(a)
+    assert max(seen, default=1) <= max(sizes) < len(a)
+    scale = np.max(np.abs(w_ref))
+    assert np.all(np.diff(w) >= 0.0)
+    assert_allclose(w, w_ref, rtol=1e-13, atol=1e-13 * scale)
+    assert_allclose(q.T @ q, np.eye(len(a)), atol=1e-13)
+    assert_allclose((q * w) @ q.T, a, atol=1e-13 * scale)
+    # Each eigenvector stays inside one block.
+    assert np.all(mask[(np.abs(q) @ np.abs(q).T) != 0])
+
+
+def test_one_block_input_goes_to_eigh_whole():
+    # A dense matrix, and a tridiagonal one that is one block despite its
+    # zeros, are factored by one eigh call on the symmetrized input, exactly.
+    rng = np.random.default_rng(37)
+    dense = rng.standard_normal((7, 7))
+    tridiagonal = np.diag(rng.standard_normal(9)) + np.diag(np.ones(8), 1)
+    for a in (dense, tridiagonal):
+        w, q = matfun.spectral_decompose(a)
+        w_ref, q_ref = np.linalg.eigh(matfun.symmetrize(a))
+        assert w.tobytes() == w_ref.tobytes()
+        assert q.tobytes() == q_ref.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_expm_general_matches_scipy_on_permuted_blocks(seed):
+    # Non-normal blocks of 1-norms from 1e-3 to 200, so each block takes
+    # its own number of squarings.
+    rng = np.random.default_rng(41 + seed)
+    sizes = [1, 2, 2, 3, 5, 1, 4]
+
+    def make_block(s):
+        b = rng.standard_normal((s, s)) + np.triu(3.0 * rng.standard_normal((s, s)), 1)
+        return b * (10.0 ** rng.uniform(-3.0, 2.3) / max(np.linalg.norm(b, 1), 1e-300))
+
+    a, mask = _permuted_blocks(rng, sizes, make_block)
+    result = matfun.expm_general(a)
+    _assert_matches_scipy_expm(a)
+    assert np.all(result[~mask] == 0.0)
+
+
+def test_norm2_matches_svd_norm():
+    rng = np.random.default_rng(43)
+    block, _ = _permuted_blocks(rng, [1, 2, 3, 4], lambda s: rng.standard_normal((s, s)))
+    for a in (rng.standard_normal((5, 3)), rng.standard_normal((3, 5)), block):
+        assert_allclose(matfun.norm2(a), np.linalg.norm(a, 2), rtol=1e-14)
+    assert matfun.norm2(np.zeros((3, 2))) == 0.0
+    # A^T A of this matrix overflows; its norm does not.
+    huge = 1e300 * np.array([[3.0, 0.0], [4.0, 0.0]])
+    assert_allclose(matfun.norm2(huge), 5e300, rtol=1e-15)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import logging
+import sys
 from collections import Counter
 
 import numpy as np
@@ -283,32 +284,41 @@ def test_every_step_takes_projected_branch_and_warns_once(caplog):
 
 
 def test_run_factors_each_matrix_once(monkeypatch, caplog):
-    # One run computes the posterior and the Wiener filter once, hands both
-    # to the matcher, and factors no diagonal matrix (the prior, the white
-    # noise and, at this model, the posterior covariance).  The eigh calls
-    # left are the evolved covariances, the two whitened KL covariance
-    # differences, the posterior information matrix and the match Hessian.
+    # One run computes the posterior and M' once each, and factors every
+    # matrix block by block.  At (16, 31) the largest block is the Fourier
+    # class of the duplicated conjugate pair: data coefficients 15 and 16,
+    # real and imaginary, phi and chi, 8 in all.  No eigh or solve may see a
+    # larger matrix, and no 2-norm may take an SVD.
     counts = Counter()
+    sizes = []
+    # np.linalg.norm(x, 2) calls svd by name in the module that defines it.
+    linalg_impl = sys.modules[np.linalg.norm.__wrapped__.__globals__["__name__"]]
 
     def count(owner, name):
         original = getattr(owner, name)
 
         def counted(*args, **kwargs):
             counts[name] += 1
+            if name in ("eigh", "solve"):
+                sizes.append(np.shape(args[0])[-1])
             return original(*args, **kwargs)
 
         # By-name imports inside the package are counted too.
-        for module in (owner, gaussian, matching, simulator, kleingordon):
+        for module in (owner, linalg_impl, gaussian, matching, simulator, kleingordon):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
 
-    count(np.linalg, "eigh")
+    for name in ("eigh", "solve", "svd"):
+        count(np.linalg, name)
     count(gaussian, "posterior")
-    count(gaussian, "wiener_filter")
+    count(kleingordon, "update_generator")
     # The Gram condition numbers are factored only when INFO is logged.
     caplog.set_level(logging.WARNING, logger="infodyn")
     simulator.run_ifd(_config(n_modes=16, Y=31, T=0.05, N=5, scheme="both"))
-    assert counts == {"eigh": 6, "posterior": 1, "wiener_filter": 1}
+    assert sizes and max(sizes) <= 8
+    assert counts["svd"] == 0
+    assert counts["posterior"] == 1
+    assert counts["update_generator"] == 1
 
 
 def _assert_no_steps(run):
