@@ -36,7 +36,7 @@ import numpy as np
 
 from . import matfun
 from .errors import InvalidInput
-from .gaussian import GaussianDensity, kl_divergence, posterior, wiener_filter
+from .gaussian import GaussianDensity, kl_divergence, posterior, posterior_filter
 
 # Relative eigenvalue threshold deciding which Hessian directions count as
 # zero.  Shared by match() and nullspace_projector().
@@ -52,10 +52,11 @@ class MatchProblem:
     """Evolved density (m*, D*^-1) and the measurement setup to match it with.
 
     Construction checks that D*^-1 is positive definite and derives, once,
-    the new setup's Wiener filter W' (:func:`gaussian.wiener_filter`), its
-    posterior covariance D' (:func:`gaussian.posterior`) and the prior pull
-    D' Phi'^-1 psi'.  A simulation run, which already holds W' and D', asks
-    :func:`branches` directly instead of building a problem.
+    the new setup's posterior covariance D' (:func:`gaussian.posterior`),
+    its Wiener filter W' read off D' (:func:`gaussian.posterior_filter`) and
+    the prior pull D' Phi'^-1 psi'.  A simulation run, which already holds
+    W' and D', asks :func:`branches` directly instead of building a
+    problem.
     """
 
     evolved_mean: np.ndarray
@@ -93,9 +94,9 @@ class MatchProblem:
                 f"new measurement signal dimension {self.new_meas.signal_dim} "
                 f"does not match prior dimension {self.new_prior.dim}"
             )
-        w = wiener_filter(self.new_prior, self.new_meas)
         # D' does not depend on the data, so any data vector gives it.
         post = posterior(self.new_prior, self.new_meas, np.zeros(self.data_dim))
+        w = posterior_filter(post.cov, self.new_meas)
         m_star.setflags(write=False)
         object.__setattr__(self, "evolved_mean", m_star)
         object.__setattr__(self, "evolved_inv_cov", inv_cov)
@@ -216,13 +217,14 @@ def branches(
     """Branch :func:`match` takes with each row of ``evolved_means`` as m*.
 
     ``new_filter`` and ``new_post_cov`` are the Wiener filter W' and the
-    posterior covariance D' of the new setup, as :func:`gaussian.wiener_filter`
-    and :func:`gaussian.posterior` give them for ``new_prior`` and the new
-    measurement.  ``evolved`` is the evolved density; only its covariance
-    D* enters, through its cached spectrum, so neither D*^-1 nor its norm
-    takes a factorization here.  The Hessian does not depend on m*, so
-    whether the problem is regular is decided once; only the
-    zero-versus-projected test runs per row, as one batched product.
+    posterior covariance D' of the new setup, as
+    :func:`gaussian.posterior_filter` and :func:`gaussian.posterior` give
+    them for ``new_prior`` and the new measurement.  ``evolved`` is the
+    evolved density; only its covariance D* enters, through its cached
+    spectrum, so neither D*^-1 nor its norm takes a factorization here.
+    The Hessian does not depend on m*, so whether the problem is regular is
+    decided once; only the zero-versus-projected test runs per row, as one
+    batched product.
     Returns one branch label per row.
     """
     means = np.asarray(evolved_means, dtype=float)

@@ -15,7 +15,8 @@ so a Klein-Gordon run, whose matrices couple only the modes of one Fourier
 class, does no dense O(n^3) work.  A 1x1 block is not factored: its
 eigenvalue is its entry, so a diagonal matrix such as a thermal prior or
 white noise has its spectrum read off, exactly as LAPACK would return it.
-A matrix that is one block is factored whole, by one unstacked call.
+A matrix that is one block is decomposed whole, by one unstacked eigh
+call on the matrix itself.
 
 Floating-point input is re-symmetrized as (M + M^T)/2 before decomposition,
 so mild asymmetry from accumulated round-off is tolerated rather than
@@ -188,11 +189,8 @@ def expm_general(matrix):
         raise InvalidInput(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidInput("matrix entries must be finite")
-    groups = _blocks((m != 0) | (m.T != 0))
-    if len(m) > 1 and groups[-1].shape[1] == len(m):
-        return _pade_expm(m[None])[0]
     r = np.zeros_like(m)
-    for members in groups:
+    for members in _blocks((m != 0) | (m.T != 0)):
         rows, cols = members[:, :, None], members[:, None, :]
         block = m[rows, cols]
         # The rational approximant would round even exp(0) = 1 on a 1x1 block.

@@ -440,12 +440,13 @@ def run_ifd(config):
 
     The generator M' is built once; the update M = 1 + dt M' and the direct
     endpoint exp(T M') d(0) both come from it.  The loop multiplies the data
-    vector by M and stores it, nothing else.  Afterwards, over all steps at once, the run computes the
-    two relative entropies described in the module docstring (a constant
-    covariance term, factored once, plus a quadratic form of the mean
-    offset per step), the deviation from the exact reference, and the
-    branch the entropic matcher would take on each step (the closed form is
-    used for the update either way), each held as a column of the result.
+    vector by M and stores it, nothing else.  Afterwards, over all steps at
+    once, the run computes the two relative entropies described in the
+    module docstring (a constant covariance term, factored once, plus a
+    quadratic form of the mean offset per step), the deviation from the
+    exact reference, and the branch the entropic matcher would take on each
+    step (the closed form is used for the update either way), each held as
+    a column of the result.
     The diagnostics push the posterior through the linearized step
     1 + dt L, which needs the stricter bound dt ||L|| < 1; a config can
     therefore pass validation (which checks the update matrix region

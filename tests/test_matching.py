@@ -246,9 +246,10 @@ def test_batched_branches_agree_with_match_per_row():
         ]
         # The new setup's W' and D', built as a simulation run builds them.
         prior, meas = problem.new_prior, problem.new_meas
+        post_cov = gaussian.posterior(prior, meas, np.zeros(3)).cov
         batched = matching.branches(
-            gaussian.wiener_filter(prior, meas),
-            gaussian.posterior(prior, meas, np.zeros(3)).cov,
+            gaussian.posterior_filter(post_cov, meas),
+            post_cov,
             prior,
             problem.evolved_density(),
             means,
