@@ -4,16 +4,14 @@ After a posterior has been pushed through some dynamics there is no
 guarantee that any data vector reproduces it exactly; entropic matching
 minimizes the relative entropy between the fresh posterior N(m'(u), D') and
 the evolved density over u.  The minimizer is a linear solve, with two
-degenerate branches when the quadratic form is singular.  The last part
-asks for the branch of several evolved means at once, from a Wiener filter
-W' and posterior covariance D' built beforehand, as a simulation run does.
+degenerate branches when the quadratic form is singular.
 
     python3 demos/02_entropic_matching.py
 """
 
 import numpy as np
 
-from infodyn import gaussian, matching
+from infodyn import matching
 from infodyn.gaussian import GaussianDensity, LinearMeasurement
 from infodyn.matching import MatchProblem
 
@@ -70,13 +68,3 @@ print("objective drift along nullspace:",
       f"{matching.objective(problem2, shifted) - matching.objective(problem2, result2.data):+.2e}")
 print("norm of match     :", f"{np.linalg.norm(result2.data):.4f}")
 print("norm of shifted   :", f"{np.linalg.norm(shifted):.4f}  (same objective, larger norm)")
-
-# A simulation run already holds the new setup's Wiener filter W' and
-# posterior covariance D', and needs the branch for many evolved means at
-# once; matching.branches takes W' and D' from it instead of deriving them.
-dup_meas = problem2.new_meas
-w_new = gaussian.wiener_filter(prior, dup_meas)
-d_new = gaussian.posterior(prior, dup_meas, np.zeros(y)).cov
-evolved = GaussianDensity(mean=evolved_mean, cov=0.8 * np.eye(n))
-means = np.vstack([evolved_mean, prior.mean + 0.3 * rng.standard_normal((3, n))])
-print("\nbatched branches  :", matching.branches(w_new, d_new, prior, evolved, means))

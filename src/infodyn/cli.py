@@ -8,7 +8,6 @@ output).
 """
 
 import argparse
-import dataclasses
 import json
 import logging
 import sys
@@ -132,10 +131,8 @@ def _cmd_compare_exact(args):
 
 
 def _cmd_direct(args):
-    config = simulator.load_config(args.config)
-    result = simulator.run_ifd(
-        dataclasses.replace(config, scheme=simulator.SCHEME_DIRECT)
-    )
+    config = simulator.load_config(args.config, scheme=simulator.SCHEME_DIRECT)
+    result = simulator.run_ifd(config)
     print("final data:", " ".join(simulator.CSV_FLOAT_FORMAT % x for x in result.final_data))
     print(f"final deviation      : {result.final_deviation:.6e}")
     return 0

@@ -19,15 +19,22 @@ from .errors import InvalidInput, StepTooLarge
 
 @dataclass(frozen=True)
 class AffineDynamics:
-    """Generator L and step size dt of one linearized evolution step."""
+    """Generator L and step size dt of one linearized evolution step.
+
+    L may also be a stack (k, n, n) of the diagonal blocks of a
+    block-diagonal generator; ||dt L|| is then the largest block norm, and
+    :meth:`step_matrix` returns the blocks of 1 + dt L.
+    """
 
     generator: np.ndarray
     dt: float
 
     def __post_init__(self):
         l = np.asarray(self.generator, dtype=float)
-        if l.ndim != 2 or l.shape[0] != l.shape[1]:
-            raise InvalidInput(f"generator must be square, got shape {l.shape}")
+        if l.ndim not in (2, 3) or l.shape[-1] != l.shape[-2]:
+            raise InvalidInput(
+                f"generator must be square or a stack of square blocks, got shape {l.shape}"
+            )
         if not np.all(np.isfinite(l)):
             raise InvalidInput("generator entries must be finite")
         dt = float(self.dt)
@@ -45,8 +52,8 @@ class AffineDynamics:
 
     @property
     def dim(self):
-        return self.generator.shape[0]
+        return self.generator.shape[-1]
 
     def step_matrix(self):
-        """(1 + dt L)."""
+        """(1 + dt L), or its blocks."""
         return np.eye(self.dim) + self.dt * self.generator

@@ -227,9 +227,21 @@ def kl_covariance_term(p, q):
     """
     if p.dim != q.dim:
         raise InvalidInput(f"dimension mismatch: {p.dim} vs {q.dim}")
-    w, v = q._spectrum
-    whiten = v / np.sqrt(w)
-    x, _ = matfun.spectral_decompose(whiten.T @ (p.cov - q.cov) @ whiten)
+    return _kl_covariance(p.cov, q.cov, q._spectrum)
+
+
+def _kl_covariance(p_cov, q_cov, q_spectrum):
+    """:func:`kl_covariance_term` from covariance matrices, summed over a stack of blocks.
+
+    ``p_cov`` and ``q_cov`` are (n, n) or stacks (k, n, n), and
+    ``q_spectrum`` holds the eigenvalues and eigenvectors of ``q_cov``
+    (one stack each).  For the diagonal blocks of two block-diagonal
+    covariances the sum over the blocks is the term of the whole matrices.
+    """
+    w, v = q_spectrum
+    whiten = v / np.sqrt(w)[..., None, :]
+    diff = np.swapaxes(whiten, -1, -2) @ (p_cov - q_cov) @ whiten
+    x = np.linalg.eigvalsh(0.5 * (diff + np.swapaxes(diff, -1, -2)))
     return 0.5 * float(np.sum(x - np.log1p(x)))
 
 

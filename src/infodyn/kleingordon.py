@@ -21,6 +21,13 @@ response, the thermal prior, the evolution generator and the per-mode data
 Gram diagonal all have closed forms implemented below; the generator M' of
 the data update is assembled from those closed forms without inverting any
 dense matrix.
+
+The prior is diagonal, the noise white, the generator couples each mode's
+phi with its own chi, and the response couples mode l only with the data
+coefficients k = +-l (mod Y).  So every matrix of a run is block diagonal
+over Fourier classes, and :func:`fourier_classes` reads that partition off
+the packing in closed form, once per model, instead of searching a matrix's
+nonzero pattern for it.
 """
 
 from dataclasses import dataclass
@@ -185,6 +192,58 @@ def build_response(model):
             rows = (2 * k_mirror - 1, 2 * k_mirror)
             r[np.ix_(rows, cols)] += scale * np.array([[c, s], [s, -c]])
     return r
+
+
+def fourier_classes(model):
+    """Signal and data indices of each Fourier class, grouped by block shape.
+
+    The prior is diagonal, the noise is white, the generator couples phi_l
+    only with chi_l, and :func:`build_response` maps mode l only to the
+    data coefficients k = +-l (mod Y).  So every matrix a run builds from
+    them is block diagonal over these classes, read off the packing:
+
+    * class 0 holds mode 0 and data coefficient 0;
+    * class c = 1..(Y-1)/2 holds each mode l with
+      min(l mod Y, Y - l mod Y) = c and data coefficient c; class (Y-1)/2
+      also holds coefficient (Y+1)/2, the duplicated conjugate of (Y-1)/2;
+    * a mode l = Y, 2Y, ... touches no data, so its real component and its
+      imaginary one, each with its chi partner, form two blocks of two
+      signal indices and no data index.
+
+    These blocks are the connected components of the joint nonzero pattern
+    of the response, the generator and the prior.  Each block lists its
+    signal indices, then its data indices, in ascending order.
+
+    Returns
+    -------
+    list of (signal, data) pairs of integer arrays
+        One pair per block shape (a, b), in ascending order: ``signal`` has
+        shape (k, a) and ``data`` shape (k, b), one row per block.
+    """
+    n, y = model.n_modes, model.pixels
+    half = (y - 1) // 2
+    # Packed components of one field part (phi or chi), per class.
+    signal = [[0]] + [[] for _ in range(half)]
+    uncoupled = []
+    for l in range(1, n):
+        r = l % y
+        if r:
+            signal[min(r, y - r)] += [2 * l - 1, 2 * l]
+        else:
+            uncoupled += [[2 * l - 1], [2 * l]]
+    data = [[0]] + [[2 * c - 1, 2 * c] for c in range(1, half + 1)]
+    data[half] += [y, y + 1]
+    groups = {}
+    for sig, dat in [*zip(signal, data), *((s, []) for s in uncoupled)]:
+        sig = sig + [i + model.part_dim for i in sig]
+        dat = dat + [i + model.data_part_dim for i in dat]
+        rows = groups.setdefault((len(sig), len(dat)), ([], []))
+        rows[0].append(sig)
+        rows[1].append(dat)
+    return [
+        (np.array(sig, dtype=int), np.array(dat, dtype=int).reshape(len(sig), b))
+        for (_, b), (sig, dat) in sorted(groups.items())
+    ]
 
 
 def lift_response(response):

@@ -24,10 +24,11 @@ Three branches cover the geometry of H:
     obtained by restricting the normal equations to the span of the
     nonvanishing eigenvalue directions.
 
-:func:`match` and :func:`branches` share the branch decision; the latter
-decides it for many evolved means against one covariance and setup, as a
-simulation run needs once per step, and takes the setup's W' and D' from
-its caller, which has computed them already.
+:func:`is_regular` and :func:`linear_term_vanishes` are the two tests that
+decide the branch, on the extreme Hessian eigenvalues and on the norm of
+the linear term.  :func:`match` applies them to one dense problem; a
+simulation run applies them to the reductions over its Fourier-class
+blocks.
 """
 
 from dataclasses import dataclass, field
@@ -54,9 +55,8 @@ class MatchProblem:
     Construction checks that D*^-1 is positive definite and derives, once,
     the new setup's posterior covariance D' (:func:`gaussian.posterior`),
     its Wiener filter W' read off D' (:func:`gaussian.posterior_filter`) and
-    the prior pull D' Phi'^-1 psi'.  A simulation run, which already holds
-    W' and D', asks :func:`branches` directly instead of building a
-    problem.
+    the prior pull D' Phi'^-1 psi'.  A simulation run builds no problem: it
+    decides the branches from its class blocks.
     """
 
     evolved_mean: np.ndarray
@@ -121,7 +121,7 @@ class MatchProblem:
 
     def hessian(self):
         """H = W'^T D*^-1 W', the quadratic form of the objective."""
-        return _hessian(self._w, self.evolved_inv_cov)
+        return matfun.symmetrize(self._w.T @ self.evolved_inv_cov @ self._w)
 
     def linear_term(self):
         """g = W'^T D*^-1 (D' Phi'^-1 psi' - m*), so grad = H u + g."""
@@ -134,10 +134,6 @@ def _prior_pull(post_cov, prior):
     """D' Phi'^-1 psi', the part of the new posterior mean that no data vector moves."""
     w, q = prior._spectrum
     return post_cov @ (q @ ((prior.mean @ q) / w))
-
-
-def _hessian(new_filter, evolved_inv_cov):
-    return matfun.symmetrize(new_filter.T @ evolved_inv_cov @ new_filter)
 
 
 @dataclass(frozen=True)
@@ -188,58 +184,18 @@ def nullspace_projector(matrix, rel_tol=SINGULAR_RTOL):
     return p, int(np.count_nonzero(keep))
 
 
-def _hessian_is_regular(h, rel_tol):
-    w_eval, _ = matfun.spectral_decompose(h)
-    return bool(w_eval[0] > rel_tol * max(w_eval[-1], 0.0))
+def is_regular(smallest, largest, rel_tol=SINGULAR_RTOL):
+    """Whether a match Hessian with these extreme eigenvalues counts as positive definite."""
+    return bool(smallest > rel_tol * max(largest, 0.0))
 
 
-def _linear_term_vanishes(
-    new_filter, evolved_inv_cov, inv_cov_norm, prior_pull, evolved_means, rel_tol
-):
-    """Zero-branch test with each row of ``evolved_means`` as m*.
+def linear_term_vanishes(norms, scales, rel_tol=SINGULAR_RTOL):
+    """Whether linear terms of these norms count as zero (the ``zero`` branch).
 
-    Row i of ``g`` is the linear term W'^T D*^-1 (D' Phi'^-1 psi' - m*_i);
-    it counts as vanishing relative to the scale of its factors, with
-    ``inv_cov_norm`` = ||D*^-1||_2.
+    Each norm is compared with its scale
+    ||W'||_2 ||D*^-1||_2 (||D' Phi'^-1 psi'|| + ||m*||), which bounds it.
     """
-    g = (prior_pull - evolved_means) @ (evolved_inv_cov @ new_filter)
-    scale = (
-        matfun.norm2(new_filter)
-        * inv_cov_norm
-        * (np.linalg.norm(prior_pull) + np.linalg.norm(evolved_means, axis=1))
-    )
-    return np.linalg.norm(g, axis=1) <= rel_tol * np.maximum(scale, 1.0)
-
-
-def branches(
-    new_filter, new_post_cov, new_prior, evolved, evolved_means, rel_tol=SINGULAR_RTOL
-):
-    """Branch :func:`match` takes with each row of ``evolved_means`` as m*.
-
-    ``new_filter`` and ``new_post_cov`` are the Wiener filter W' and the
-    posterior covariance D' of the new setup, as
-    :func:`gaussian.posterior_filter` and :func:`gaussian.posterior` give
-    them for ``new_prior`` and the new measurement.  ``evolved`` is the
-    evolved density; only its covariance D* enters, through its cached
-    spectrum, so neither D*^-1 nor its norm takes a factorization here.
-    The Hessian does not depend on m*, so whether the problem is regular is
-    decided once; only the zero-versus-projected test runs per row, as one
-    batched product.
-    Returns one branch label per row.
-    """
-    means = np.asarray(evolved_means, dtype=float)
-    inv_cov = matfun.symmetrize(evolved.inv_cov())
-    if _hessian_is_regular(_hessian(new_filter, inv_cov), rel_tol):
-        return [BRANCH_REGULAR] * len(means)
-    flat = _linear_term_vanishes(
-        new_filter,
-        inv_cov,
-        1.0 / float(evolved._spectrum[0][0]),
-        _prior_pull(new_post_cov, new_prior),
-        means,
-        rel_tol,
-    )
-    return [BRANCH_ZERO if f else BRANCH_PROJECTED for f in flat]
+    return np.asarray(norms) <= rel_tol * np.maximum(scales, 1.0)
 
 
 def match(problem, rel_tol=SINGULAR_RTOL):
@@ -255,7 +211,8 @@ def match(problem, rel_tol=SINGULAR_RTOL):
     h = problem.hessian()
     d_star_inv = problem.evolved_inv_cov
     w_t = problem._w.T
-    if _hessian_is_regular(h, rel_tol):
+    h_eval, _ = matfun.spectral_decompose(h)
+    if is_regular(h_eval[0], h_eval[-1], rel_tol):
         # Unique minimizer.  Writing the solution against (m* - psi') and
         # adding R' psi' keeps the round trip u' = R' psi' exact when the
         # evolved density equals the fresh prior posterior.
@@ -263,15 +220,12 @@ def match(problem, rel_tol=SINGULAR_RTOL):
         rhs = w_t @ (d_star_inv @ (problem.evolved_mean - psi))
         u = np.linalg.solve(h, rhs) + problem.new_meas.response @ psi
         return MatchResult(data=u, branch=BRANCH_REGULAR)
-    flat = _linear_term_vanishes(
-        problem._w,
-        d_star_inv,
-        problem._inv_cov_norm,
-        problem._prior_pull,
-        problem.evolved_mean[None, :],
-        rel_tol,
+    scale = (
+        matfun.norm2(problem._w)
+        * problem._inv_cov_norm
+        * (np.linalg.norm(problem._prior_pull) + np.linalg.norm(problem.evolved_mean))
     )
-    if flat[0]:
+    if linear_term_vanishes(np.linalg.norm(problem.linear_term()), scale, rel_tol):
         # Objective is constant in the flat directions and the linear term
         # vanishes: the norm-minimal minimizer is the origin.
         return MatchResult(data=np.zeros(problem.data_dim), branch=BRANCH_ZERO)

@@ -10,13 +10,17 @@ scaling-and-squaring exponential of Higham (2005), written with numpy alone.
 
 A matrix that is block diagonal up to a permutation is factored block by
 block.  The blocks are the connected components of its exact nonzero
-pattern (no tolerance), and all blocks of one size go to one stacked call,
-so a Klein-Gordon run, whose matrices couple only the modes of one Fourier
-class, does no dense O(n^3) work.  A 1x1 block is not factored: its
-eigenvalue is its entry, so a diagonal matrix such as a thermal prior or
-white noise has its spectrum read off, exactly as LAPACK would return it.
-A matrix that is one block is decomposed whole, by one unstacked eigh
-call on the matrix itself.
+pattern (no tolerance), and all blocks of one size go to one stacked call.
+A 1x1 block is not factored: its eigenvalue is its entry, so a diagonal
+matrix such as a thermal prior or white noise has its spectrum read off,
+exactly as LAPACK would return it.  A matrix that is one block is
+decomposed whole, by one unstacked eigh call on the matrix itself.
+
+A Klein-Gordon run does not need the pattern search for its Bayesian
+layer: it takes the Fourier-class partition in closed form from
+:mod:`infodyn.kleingordon` and works on stacks of class blocks directly.
+What it still passes through here is dense by design: the diagonal prior
+and noise, the initial-data draw and the exponential of the generator M'.
 
 Floating-point input is re-symmetrized as (M + M^T)/2 before decomposition,
 so mild asymmetry from accumulated round-off is tolerated rather than
@@ -155,10 +159,12 @@ def _require_pd(eigenvalues, op_name):
 
 
 def norm2(matrix):
-    """Spectral norm ||A||_2 = sqrt(lambda_max(A^T A)), by :func:`spectral_decompose`.
+    """Spectral norm ||A||_2 = sqrt(lambda_max(A^T A)).
 
-    A is first scaled by a power of two, which is exact, so that A^T A
-    cannot overflow while ||A||_2 is finite.
+    A stack (k, m, n) of blocks gives the largest norm among them, the norm
+    of the block-diagonal matrix they make up.  A is first scaled by a power
+    of two, which is exact, so that A^T A cannot overflow while ||A||_2 is
+    finite.
     """
     a = np.asarray(matrix, dtype=float)
     peak = np.max(np.abs(a), initial=0.0)
@@ -166,8 +172,8 @@ def norm2(matrix):
         return 0.0
     exponent = int(np.frexp(peak)[1])
     scaled = np.ldexp(a, -exponent)
-    w, _ = spectral_decompose(scaled.T @ scaled)
-    return float(np.ldexp(np.sqrt(w[-1]), exponent))
+    top = np.max(np.linalg.eigvalsh(np.swapaxes(scaled, -1, -2) @ scaled))
+    return float(np.ldexp(np.sqrt(top), exponent))
 
 
 def expm_general(matrix):

@@ -19,6 +19,18 @@ and A the exact one-step evolution:
     and covariances to O(dt^2), so this entropy falls off like dt^4; it is
     reported for diagnosis and kept out of the convergence criteria.
 
+The step-invariant algebra runs one Fourier class at a time
+(:func:`kleingordon.fourier_classes`), with one stacked numpy call per block
+shape: the posterior covariance D, the Wiener filter W = D R^T N^-1 and the
+posterior mean, A(dt) and 1 + dt L, the two evolved covariances and their
+KL covariance terms, the per-step quadratic forms, D*^-1 and the match
+Hessian.  Sums over the classes give the KL parts and quadratic forms, root
+sums of squares give vector norms, maxima give 2-norms, and the positive
+definiteness and Hessian regularity tests compare the smallest eigenvalue
+over all classes with the largest, as for the whole matrix.  M', the update
+loop, the initial-data draw, the direct endpoint and the exact reference
+stay dense, so the ``data`` trajectory is bit-identical to a dense run.
+
 ``exact_deviation`` compares u against the noise-free image R2 A(t) m_0 of
 the exactly evolved initial posterior mean.  It does not vanish with dt; it
 saturates at a config-dependent floor with two causes.  Where distinct field
@@ -38,6 +50,8 @@ bit-identical across repeats.
 import dataclasses
 import json
 import logging
+import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -92,10 +106,16 @@ MAX_TRAJECTORY_BYTES = 1 << 30
 class RunConfig:
     """Validated run parameters: model, horizon T, resolution N, seed, scheme.
 
-    The step count is 2^N.  Construction checks that the (2^N + 1) x data_dim
-    trajectory fits in ``MAX_TRAJECTORY_BYTES`` and that the step dt = T/2^N
-    lies inside the validity region dt < 1/w_{n-1} of the update matrix,
-    so any loaded config is runnable.
+    The step count is 2^N.  Construction checks that 2^N and the step
+    dt = T/2^N are finite, normal floats, as the report prints both.  Under
+    schemes 'iterated' and 'both', which hold a trajectory and step with
+    the update matrix, it also checks that the (2^N + 1) x data_dim
+    trajectory fits in ``MAX_TRAJECTORY_BYTES`` and that dt lies inside the
+    validity region dt < 1/w_{n-1} of the update matrix.  Scheme 'direct'
+    needs neither.  A loaded config can still be refused when it runs: the
+    diagnostics of 'iterated' and 'both' need dt ||L|| < 1
+    (:class:`StepTooLarge`), and every scheme needs positive definite
+    covariances (:class:`NotPositiveDefinite`).
     """
 
     model: KGModel
@@ -129,8 +149,18 @@ class RunConfig:
         object.__setattr__(self, "total_time", t)
         object.__setattr__(self, "resolution", int(self.resolution))
         object.__setattr__(self, "seed", int(self.seed))
-        # 2^N + 1 <= max_rows, i.e. 2^N <= max_rows - 1, tested on the bit
-        # length so that no 2^N is formed for an absurd N.
+        # Tested on the exponent, so that no 2^N is formed for an absurd N.
+        if (
+            self.resolution >= sys.float_info.max_exp
+            or math.ldexp(t, -self.resolution) < sys.float_info.min
+        ):
+            raise ConfigError(
+                "config fields 'T' and 'N' must keep 2^N and dt = T/2^N finite, "
+                f"normal floats, got T = {t!r} and N = {self.resolution!r}"
+            )
+        if self.scheme == SCHEME_DIRECT:
+            return
+        # 2^N + 1 <= max_rows, i.e. 2^N <= max_rows - 1.
         max_rows = MAX_TRAJECTORY_BYTES // (8 * self.model.data_dim)
         max_resolution = (max_rows - 1).bit_length() - 1
         if self.resolution > max_resolution:
@@ -200,11 +230,13 @@ class RunResult:
     direct_gap: float = None
 
 
-def parse_config(mapping):
+def parse_config(mapping, scheme=None):
     """Build a :class:`RunConfig` from a flat dict of exactly the documented keys.
 
     Unknown or missing keys raise :class:`ConfigError` naming them, as do
-    invalid values (delegated to the model and config validators).
+    invalid values (delegated to the model and config validators).  A
+    ``scheme`` argument replaces the mapping's scheme, whose value is then
+    not used.
     """
     if not isinstance(mapping, dict):
         raise ConfigError(f"config must be a JSON object, got {type(mapping).__name__}")
@@ -240,7 +272,7 @@ def parse_config(mapping):
         resolution=mapping["N"],
         seed=mapping["seed"],
         initial_data=mapping["initial_data"],
-        scheme=mapping["scheme"],
+        scheme=mapping["scheme"] if scheme is None else scheme,
     )
 
 
@@ -261,14 +293,14 @@ def config_dict(config):
     }
 
 
-def load_config(path):
-    """Read and validate a JSON config file."""
+def load_config(path, scheme=None):
+    """Read and validate a JSON config file (``scheme`` as in :func:`parse_config`)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
-    return parse_config(raw)
+    return parse_config(raw, scheme)
 
 
 def resolve_initial_data(config, prior=None, meas=None):
@@ -343,7 +375,8 @@ def run_exact_reference(config, initial_data=None):
     meas = kleingordon.measurement(model)
     if initial_data is None:
         initial_data = resolve_initial_data(config, prior, meas)
-    mean = gaussian.posterior(prior, meas, initial_data).mean
+    classes = kleingordon.fourier_classes(model)
+    mean = _posterior_by_class(classes, prior, meas, initial_data).mean
     times = config.dt * np.arange(config.steps + 1)
     return _exact_reference(model, mean, meas.response, times)
 
@@ -369,8 +402,133 @@ def _refuse_nonfinite(steps, columns, values):
             raise NonFiniteOutput(f"{name} is not finite; the run has overflowed")
 
 
-def _iterate(config, prior, meas, post, m_prime, d0, reference):
-    """Per-step columns of :class:`RunResult`, means and branch labels, unchecked."""
+def _by_class(matrix, rows, cols):
+    """Stack of the blocks matrix[rows[i]][:, cols[i]], one per class i of a group."""
+    return matrix[rows[:, :, None], cols[:, None, :]]
+
+
+def _t(stack):
+    """Transpose of each block of a stack."""
+    return np.swapaxes(stack, -1, -2)
+
+
+def _sym(stack):
+    return 0.5 * (stack + _t(stack))
+
+
+def _require_pd(eigenvalues, context):
+    """Positive definiteness test of a block-diagonal matrix from its blocks' eigenvalues.
+
+    Like the test of the whole matrix, it compares the smallest eigenvalue
+    over all blocks with the largest.
+    """
+    w = np.concatenate([x.ravel() for x in eigenvalues])
+    matfun._require_pd(np.array([w.min(), w.max()]), context)
+
+
+@dataclass(frozen=True)
+class _ClassPosterior:
+    """The run's posterior, by Fourier class.
+
+    ``cov``, ``spectrum`` and ``filter`` hold, for each class group of
+    :func:`kleingordon.fourier_classes`, the stacked blocks of the posterior
+    covariance D, its (eigenvalues, eigenvectors) and the Wiener filter
+    W = D R^T N^-1.  ``mean`` is the posterior mean, a dense vector.
+    """
+
+    cov: list
+    spectrum: list
+    filter: list
+    mean: np.ndarray
+
+
+def _posterior_by_class(classes, prior, meas, d0):
+    """:func:`gaussian.posterior` and its Wiener filter, computed class by class.
+
+    D = (Phi^-1 + R^T N^-1 R)^-1 and W = D R^T N^-1 per block, with the
+    diagonal prior and noise read off their diagonals.  The thermal prior
+    has zero mean, so the posterior mean is W d0.
+    """
+    phi_inv = 1.0 / np.diagonal(prior.cov)
+    n_inv = 1.0 / np.diagonal(meas.noise_cov)
+    rt_n_inv, info = [], []
+    for sig, dat in classes:
+        r = _by_class(meas.response, dat, sig)
+        rt_n_inv.append(_t(r) * n_inv[dat][:, None, :])
+        block = rt_n_inv[-1] @ r
+        diag = np.arange(sig.shape[1])
+        block[:, diag, diag] += phi_inv[sig]
+        info.append(_sym(block))
+    spectra = [np.linalg.eigh(block) for block in info]
+    _require_pd([w for w, _ in spectra], "posterior information matrix")
+    # D has the eigenvectors of its inverse and the reciprocal eigenvalues,
+    # so it passes the same test and needs no factorization of its own.
+    cov = [(q / w[:, None, :]) @ _t(q) for w, q in spectra]
+    filters = [d @ f for d, f in zip(cov, rt_n_inv)]
+    mean = np.zeros(prior.dim)
+    for (sig, dat), f in zip(classes, filters):
+        mean[sig] = (f @ d0[dat][:, :, None])[:, :, 0]
+    return _ClassPosterior(
+        cov=cov,
+        spectrum=[(1.0 / w, q) for w, q in spectra],
+        filter=filters,
+        mean=mean,
+    )
+
+
+def _quadratic_form(spectra, deltas):
+    """delta^T Sigma^-1 delta of each column of the class blocks ``deltas``, summed over blocks."""
+    return sum(
+        np.sum((_t(v) @ d) ** 2 / w[:, :, None], axis=(0, 1))
+        for (w, v), d in zip(spectra, deltas)
+    )
+
+
+def _kl_covariance_term(p_cov, q_cov, q_spectra):
+    """:func:`gaussian.kl_covariance_term` of block-diagonal covariances, summed over blocks."""
+    return sum(
+        gaussian._kl_covariance(p, q, spectrum)
+        for p, q, spectrum in zip(p_cov, q_cov, q_spectra)
+    )
+
+
+def _branches(filters, evolved_spectra, evolved_means):
+    """The branch :func:`matching.match` takes at each step, from the class blocks.
+
+    The match Hessian H = W^T D*^-1 W is block diagonal over the classes, so
+    its extreme eigenvalues are those over the blocks.  The linear term of
+    step i is -W^T D*^-1 m*_i (the thermal prior has zero mean, so the prior
+    pull vanishes); its norm, like that of m*_i, is the root sum of squares
+    over the blocks, and ||W||_2 and ||D*^-1||_2 are the largest over them.
+    """
+    pulled = [(v / w[:, None, :]) @ _t(v) @ f for (w, v), f in zip(evolved_spectra, filters)]
+    hessian = [np.linalg.eigvalsh(_sym(_t(f) @ p)) for f, p in zip(filters, pulled)]
+    h = np.concatenate([x.ravel() for x in hessian])
+    steps = evolved_means[0].shape[-1]
+    if matching.is_regular(h.min(), h.max()):
+        return (matching.BRANCH_REGULAR,) * steps
+    term = sum(np.sum((_t(p) @ m) ** 2, axis=(0, 1)) for p, m in zip(pulled, evolved_means))
+    mean = sum(np.sum(m**2, axis=(0, 1)) for m in evolved_means)
+    scale = (
+        max(matfun.norm2(f) for f in filters)
+        / min(w.min() for w, _ in evolved_spectra)
+        * np.sqrt(mean)
+    )
+    flat = matching.linear_term_vanishes(np.sqrt(term), scale)
+    return tuple(matching.BRANCH_ZERO if f else matching.BRANCH_PROJECTED for f in flat)
+
+
+def _columns(blocks):
+    """(steps, dim) array of per-step vectors held as (k, a, steps) class blocks."""
+    return np.concatenate([b.reshape(-1, b.shape[-1]) for b in blocks]).T
+
+
+def _iterate(config, classes, post, m_prime, d0, reference):
+    """Per-step columns of :class:`RunResult`, means and branch labels, unchecked.
+
+    The step-invariant algebra runs class by class; only the loop and the
+    deviation from the reference are dense.
+    """
     model = config.model
     dt = config.dt
     if logger.isEnabledFor(logging.INFO):
@@ -380,20 +538,24 @@ def _iterate(config, prior, meas, post, m_prime, d0, reference):
                 part,
                 kleingordon.data_gram_condition(model, part),
             )
-    w = gaussian.posterior_filter(post.cov, meas)
-    g_step = dynamics.AffineDynamics(
-        generator=kleingordon.build_generator(model), dt=dt
+    # L couples each packed phi component only with its chi partner, so its
+    # 2x2 blocks carry the check ||dt L|| < 1 and give 1 + dt L.
+    pairs = np.arange(model.signal_dim).reshape(2, -1).T
+    generator = kleingordon.build_generator(model)
+    g_full = np.zeros_like(generator)
+    g_full[pairs[:, :, None], pairs[:, None, :]] = dynamics.AffineDynamics(
+        generator=_by_class(generator, pairs, pairs), dt=dt
     ).step_matrix()
-    a_step = kleingordon.exact_step(model, dt)
+    exact_step = kleingordon.exact_step(model, dt)
+    a_step = [_by_class(exact_step, sig, sig) for sig, _ in classes]
+    g_step = [_by_class(g_full, sig, sig) for sig, _ in classes]
     # The evolved covariances are the same at every step: check and factor
     # them once.  Only the means below depend on the step.
-    zero = np.zeros(model.signal_dim)
-    exact = gaussian.GaussianDensity(
-        zero, matfun.symmetrize(a_step @ post.cov @ a_step.T)
-    )
-    linear = gaussian.GaussianDensity(
-        zero, matfun.symmetrize(g_step @ post.cov @ g_step.T)
-    )
+    exact = [_sym(a @ d @ _t(a)) for a, d in zip(a_step, post.cov)]
+    linear = [_sym(g @ d @ _t(g)) for g, d in zip(g_step, post.cov)]
+    _require_pd([np.linalg.eigvalsh(c) for c in exact], "exactly evolved covariance")
+    linear_spectra = [np.linalg.eigh(c) for c in linear]
+    _require_pd([w for w, _ in linear_spectra], "linearly evolved covariance")
     m_update = np.eye(model.data_dim) + dt * m_prime
 
     data = np.empty((config.steps + 1, model.data_dim))
@@ -402,16 +564,18 @@ def _iterate(config, prior, meas, post, m_prime, d0, reference):
         u = m_update @ u
         data[i] = u
 
-    means = data @ w.T
-    prev, new = means[:-1], means[1:]
-    exact_means = prev @ a_step.T
-    linear_means = prev @ g_step.T
-    kl_step = gaussian.kl_covariance_term(exact, post) + 0.5 * post.quadratic_form(
-        exact_means - new
+    # Per class, the posterior means W u of every stored u, as columns.
+    means = [f @ data.T[dat] for f, (_, dat) in zip(post.filter, classes)]
+    prev = [m[..., :-1] for m in means]
+    new = [m[..., 1:] for m in means]
+    exact_means = [a @ m for a, m in zip(a_step, prev)]
+    linear_means = [g @ m for g, m in zip(g_step, prev)]
+    kl_step = _kl_covariance_term(exact, post.cov, post.spectrum) + 0.5 * _quadratic_form(
+        post.spectrum, [e - n for e, n in zip(exact_means, new)]
     )
-    kl_evolution = gaussian.kl_covariance_term(
-        exact, linear
-    ) + 0.5 * linear.quadratic_form(prev @ (a_step - g_step).T)
+    kl_evolution = _kl_covariance_term(exact, linear, linear_spectra) + 0.5 * _quadratic_form(
+        linear_spectra, [(a - g) @ m for a, g, m in zip(a_step, g_step, prev)]
+    )
     columns = {
         "data": data[1:],
         "kl_step": kl_step,
@@ -421,18 +585,17 @@ def _iterate(config, prior, meas, post, m_prime, d0, reference):
     }
 
     step_means = {
-        "posterior mean": new,
-        "exact mean": exact_means,
-        "linear mean": linear_means,
+        "posterior mean": _columns(new),
+        "exact mean": _columns(exact_means),
+        "linear mean": _columns(linear_means),
     }
     # The matcher's evolved density is the linearly pushed-forward posterior
     # factored above, not its first-order truncation
     # D^-1 - dt (D^-1 L + L^T D^-1), which can lose positive definiteness at
     # steps the update matrix still accepts.  The branch taken is the same
     # for any positive definite choice (it is decided by the response rank).
-    # The new setup is the run's own, so its W and D are passed in.
-    branch = matching.branches(w, post.cov, prior, linear, linear_means)
-    return columns, step_means, tuple(branch)
+    branch = _branches(post.filter, linear_spectra, linear_means)
+    return columns, step_means, branch
 
 
 def run_ifd(config):
@@ -465,9 +628,10 @@ def run_ifd(config):
     prior = kleingordon.prior_density(model)
     meas = kleingordon.measurement(model)
     d0 = resolve_initial_data(config, prior, meas)
-    # Its mean starts the exact reference; its covariance D does not depend
-    # on the data and is the fixed posterior covariance of every step.
-    post = gaussian.posterior(prior, meas, d0)
+    # D and W do not depend on the data and serve every step; the mean
+    # starts the exact reference.
+    classes = kleingordon.fourier_classes(model)
+    post = _posterior_by_class(classes, prior, meas, d0)
     direct = config.scheme == SCHEME_DIRECT
     # Overflow is refused by the one check below, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -493,7 +657,7 @@ def run_ifd(config):
             final_deviation = float(np.linalg.norm(direct_data - reference.data[-1]))
         else:
             columns, step_means, branch = _iterate(
-                config, prior, meas, post, m_prime, d0, reference
+                config, classes, post, m_prime, d0, reference
             )
             final_data = columns["data"][-1]
             final_deviation = float(columns["exact_deviation"][-1])

@@ -185,6 +185,35 @@ def test_numeric_refusal_exits_2(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_direct_runs_configs_only_the_iterated_schemes_refuse(tmp_path, capsys):
+    # The direct-long config at N 21 exceeds the trajectory cap, and
+    # (16, 31, T 1, N 1) has dt = 0.5 outside dt < 1/w_{n-1}; 'direct' needs
+    # neither bound, whatever scheme the file names.  'simulate' with scheme
+    # 'both' still refuses both, with exit 1 and the same messages.
+    path = tmp_path / "wide.json"
+    base = {
+        "n_modes": 16, "Y": 31, "mu": 1.0, "beta": 1.0, "sigma_n2": 0.01,
+        "seed": 0, "initial_data": "generate", "scheme": "both",
+    }
+    out = tmp_path / "x.csv"
+    for mapping, message in (
+        ({**base, "T": 0.05, "N": 21},
+         "config field 'N' must be at most 20, so that the (2^N + 1) x 66 "
+         "trajectory fits in 1073741824 bytes, got 21"),
+        ({**base, "T": 1.0, "N": 1},
+         "config fields 'T' and 'N' give step dt = 0.5, outside the validity "
+         "region dt < 0.06651901052377393 set by 'n_modes'"),
+    ):
+        path.write_text(json.dumps(mapping))
+        assert cli.main(["direct", "--config", str(path)]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.startswith("final data:")
+        assert len(stdout.splitlines()[0].split()) == 2 + 66
+        assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 def _simulate_quietly(tmp_path, config_path, mapping):
     """Exit code of simulate --report on ``mapping``; any numpy warning fails."""
     config_path.write_text(json.dumps(mapping))

@@ -385,3 +385,34 @@ def test_data_gram_condition_sees_alias_redundancy():
     loose = kg.data_gram_condition(_model(), kg.PART_PHI)
     tight = kg.data_gram_condition(_model(sigma_n2=1e-6), kg.PART_PHI)
     assert tight > loose > 1.0
+
+
+@pytest.mark.parametrize(
+    "n, y", [(4, 5), (16, 31), (64, 127), (40, 31), (200, 127)]
+)
+def test_fourier_classes_are_the_coupling_components(n, y):
+    # The closed-form partition equals the connected components of the joint
+    # (signal + data) nonzero pattern of the lifted response, the generator
+    # and the prior.  (40, 31) aliases and has the data-free mode l = 31;
+    # (200, 127) has classes of 24 dimensions.
+    model = _model(n_modes=n, pixels=y)
+    s, d = model.signal_dim, model.data_dim
+    r2 = kg.lift_response(kg.build_response(model))
+    l_mat = kg.build_generator(model)
+    pattern = np.eye(s + d, dtype=bool)
+    pattern[:s, :s] |= (l_mat != 0) | (l_mat.T != 0) | (kg.build_prior_cov(model) != 0)
+    pattern[s:, :s] = r2 != 0
+    pattern[:s, s:] = r2.T != 0
+    components = {frozenset(row.tolist()) for g in matfun._blocks(pattern) for row in g}
+    classes = kg.fourier_classes(model)
+    blocks = [
+        np.concatenate([sig_row, s + dat_row])
+        for sig, dat in classes
+        for sig_row, dat_row in zip(sig, dat)
+    ]
+    assert {frozenset(b.tolist()) for b in blocks} == components
+    assert sum(len(b) for b in blocks) == s + d
+    shapes = [(sig.shape[1], dat.shape[1]) for sig, dat in classes]
+    assert shapes == sorted(set(shapes))
+    for sig, dat in classes:
+        assert np.all(np.diff(sig, axis=1) > 0) and np.all(np.diff(dat, axis=1) > 0)
