@@ -80,6 +80,13 @@ def test_jacobian_det_first_order():
 def test_step_too_large_at_construction():
     with pytest.raises(StepTooLarge):
         AffineDynamics(generator=[[10.0]], dt=0.2)
+    # A stack of diagonal blocks is refused when its largest block is, and
+    # otherwise steps block by block.
+    blocks = np.array([[[0.0, 1.0], [-4.0, 0.0]], [[0.0, 1.0], [-10.0, 0.0]]])
+    with pytest.raises(StepTooLarge, match=r"\|\|dt L\|\| = 1\.0 "):
+        AffineDynamics(generator=blocks, dt=0.1)
+    step = AffineDynamics(generator=blocks, dt=0.05).step_matrix()
+    assert_allclose(step, np.eye(2) + 0.05 * blocks, rtol=0.0, atol=0.0)
 
 
 def test_dimension_mismatch():
@@ -87,3 +94,5 @@ def test_dimension_mismatch():
         AffineDynamics(generator=np.zeros((2, 3)), dt=0.1)
     with pytest.raises(InvalidInput):
         AffineDynamics(generator=np.zeros(2), dt=0.1)
+    with pytest.raises(InvalidInput):
+        AffineDynamics(generator=np.zeros((2, 2, 3)), dt=0.1)

@@ -315,6 +315,11 @@ def test_norm2_matches_svd_norm():
     for a in (rng.standard_normal((5, 3)), rng.standard_normal((3, 5)), block):
         assert_allclose(matfun.norm2(a), np.linalg.norm(a, 2), rtol=1e-14)
     assert matfun.norm2(np.zeros((3, 2))) == 0.0
+    # A stack of blocks has the norm of the block-diagonal matrix they form.
+    stack = rng.standard_normal((3, 4, 2)) * np.array([1.0, 3.0, 0.5])[:, None, None]
+    assert_allclose(
+        matfun.norm2(stack), max(np.linalg.norm(b, 2) for b in stack), rtol=1e-14
+    )
     # A^T A of this matrix overflows; its norm does not.
     huge = 1e300 * np.array([[3.0, 0.0], [4.0, 0.0]])
     assert_allclose(matfun.norm2(huge), 5e300, rtol=1e-15)
