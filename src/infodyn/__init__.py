@@ -42,7 +42,6 @@ from .simulator import (
     convergence_sweep,
     load_config,
     parse_config,
-    run_exact_reference,
     run_ifd,
     write_csv,
     write_report,
@@ -83,7 +82,6 @@ __all__ = [
     "matfun",
     "parse_config",
     "posterior",
-    "run_exact_reference",
     "run_ifd",
     "sample",
     "simulator",

@@ -26,8 +26,11 @@ The prior is diagonal, the noise white, the generator couples each mode's
 phi with its own chi, and the response couples mode l only with the data
 coefficients k = +-l (mod Y).  So every matrix of a run is block diagonal
 over Fourier classes, and :func:`fourier_classes` reads that partition off
-the packing in closed form, once per model, instead of searching a matrix's
-nonzero pattern for it.
+the packing in closed form, once per model.  It is the one place in the
+package that decides the blocks.  A run reads the diagonal prior as its
+variances (:func:`prior_variances`) and the white noise as sigma_n2, and
+builds neither as a dense matrix; :func:`prior_density` and
+:func:`measurement` give the dense objects for library use and tests.
 """
 
 from dataclasses import dataclass
@@ -151,18 +154,29 @@ def _part_prior_diag(model, part):
     return diag
 
 
-def build_prior_cov(model):
-    """Thermal prior covariance, diagonal in the real packing.
+def prior_variances(model):
+    """Variances of the thermal prior, the diagonal of :func:`build_prior_cov`.
 
     Zero mode variances are 2 pi/(beta mu^2) for phi and 2 pi/beta for chi;
     every k > 0 real component has variance (pi/beta)/w_k^2 respectively
-    pi/beta.  The phi and chi blocks are uncorrelated.
+    pi/beta.  They are the prior's eigenvalues, so the positive definiteness
+    test of :mod:`infodyn.matfun` runs on their extremes and refuses, with
+    :class:`NotPositiveDefinite`, a mass so small against the temperature
+    that the covariance is numerically singular.
     """
-    return np.diag(
-        np.concatenate(
-            [_part_prior_diag(model, PART_PHI), _part_prior_diag(model, PART_CHI)]
-        )
+    var = np.concatenate(
+        [_part_prior_diag(model, PART_PHI), _part_prior_diag(model, PART_CHI)]
     )
+    matfun._require_pd(np.array([var.min(), var.max()]), "thermal prior covariance")
+    return var
+
+
+def build_prior_cov(model):
+    """Thermal prior covariance, diagonal in the real packing (:func:`prior_variances`).
+
+    The phi and chi blocks are uncorrelated.
+    """
+    return np.diag(prior_variances(model))
 
 
 def build_response(model):

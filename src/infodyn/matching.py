@@ -52,11 +52,13 @@ BRANCH_PROJECTED = "projected"
 class MatchProblem:
     """Evolved density (m*, D*^-1) and the measurement setup to match it with.
 
-    Construction checks that D*^-1 is positive definite and derives, once,
-    the new setup's posterior covariance D' (:func:`gaussian.posterior`),
-    its Wiener filter W' read off D' (:func:`gaussian.posterior_filter`) and
-    the prior pull D' Phi'^-1 psi'.  A simulation run builds no problem: it
-    decides the branches from its class blocks.
+    Construction factors D*^-1 once, checks that it is positive definite
+    and derives, once, the new setup's posterior covariance D'
+    (:func:`gaussian.posterior`), its Wiener filter W' read off D'
+    (:func:`gaussian.posterior_filter`) and the prior pull D' Phi'^-1 psi'.
+    The factors of D*^-1 give ||D*^-1||_2 and :meth:`evolved_density`.  A
+    simulation run builds no problem: it decides the branches from its
+    class blocks.
     """
 
     evolved_mean: np.ndarray
@@ -67,8 +69,8 @@ class MatchProblem:
     _w: np.ndarray = field(init=False, repr=False, compare=False)
     _post_cov: np.ndarray = field(init=False, repr=False, compare=False)
     _prior_pull: np.ndarray = field(init=False, repr=False, compare=False)
-    # ||D*^-1||_2, the largest eigenvalue of the positive definite D*^-1.
-    _inv_cov_norm: float = field(init=False, repr=False, compare=False)
+    # (eigenvalues, eigenvectors) of D*^-1, checked positive definite.
+    _inv_cov_spectrum: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m_star = np.asarray(self.evolved_mean, dtype=float)
@@ -77,8 +79,8 @@ class MatchProblem:
                 f"evolved mean must be a vector, got shape {m_star.shape}"
             )
         inv_cov = matfun.symmetrize(self.evolved_inv_cov)
-        w_eval, _ = matfun.spectral_decompose(inv_cov)
-        matfun._require_pd(w_eval, "MatchProblem evolved inverse covariance")
+        spectrum = matfun.spectral_decompose(inv_cov)
+        matfun._require_pd(spectrum[0], "MatchProblem evolved inverse covariance")
         if inv_cov.shape[0] != m_star.shape[0]:
             raise InvalidInput(
                 f"evolved mean dimension {m_star.shape[0]} does not match "
@@ -103,7 +105,7 @@ class MatchProblem:
         object.__setattr__(self, "_w", w)
         object.__setattr__(self, "_post_cov", post.cov)
         object.__setattr__(self, "_prior_pull", _prior_pull(post.cov, self.new_prior))
-        object.__setattr__(self, "_inv_cov_norm", float(w_eval[-1]))
+        object.__setattr__(self, "_inv_cov_spectrum", spectrum)
 
     @property
     def data_dim(self):
@@ -115,8 +117,8 @@ class MatchProblem:
         return self._w @ u + self._prior_pull
 
     def evolved_density(self):
-        w_eval, q = matfun.spectral_decompose(self.evolved_inv_cov)
-        matfun._require_pd(w_eval, "MatchProblem evolved inverse covariance")
+        """N(m*, D*), with D* the inverse of D*^-1 through its spectrum."""
+        w_eval, q = self._inv_cov_spectrum
         return GaussianDensity(mean=self.evolved_mean, cov=(q / w_eval) @ q.T)
 
     def hessian(self):
@@ -222,7 +224,7 @@ def match(problem, rel_tol=SINGULAR_RTOL):
         return MatchResult(data=u, branch=BRANCH_REGULAR)
     scale = (
         matfun.norm2(problem._w)
-        * problem._inv_cov_norm
+        * problem._inv_cov_spectrum[0][-1]
         * (np.linalg.norm(problem._prior_pull) + np.linalg.norm(problem.evolved_mean))
     )
     if linear_term_vanishes(np.linalg.norm(problem.linear_term()), scale, rel_tol):

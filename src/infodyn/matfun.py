@@ -8,19 +8,11 @@ positive-definiteness test share the same numerical behaviour.  The one
 non-symmetric function, :func:`expm_general`, is the Pade [13/13]
 scaling-and-squaring exponential of Higham (2005), written with numpy alone.
 
-A matrix that is block diagonal up to a permutation is factored block by
-block.  The blocks are the connected components of its exact nonzero
-pattern (no tolerance), and all blocks of one size go to one stacked call.
-A 1x1 block is not factored: its eigenvalue is its entry, so a diagonal
-matrix such as a thermal prior or white noise has its spectrum read off,
-exactly as LAPACK would return it.  A matrix that is one block is
-decomposed whole, by one unstacked eigh call on the matrix itself.
-
-A Klein-Gordon run does not need the pattern search for its Bayesian
-layer: it takes the Fourier-class partition in closed form from
-:mod:`infodyn.kleingordon` and works on stacks of class blocks directly.
-What it still passes through here is dense by design: the diagonal prior
-and noise, the initial-data draw and the exponential of the generator M'.
+No function here searches a matrix for block structure.  A caller that
+knows its blocks passes them as a stack: :func:`norm2` and
+:func:`expm_general` take a (k, s, s) stack of blocks as well as one
+matrix.  A Klein-Gordon run takes its blocks, the Fourier classes, in
+closed form from :func:`infodyn.kleingordon.fourier_classes`.
 
 Floating-point input is re-symmetrized as (M + M^T)/2 before decomposition,
 so mild asymmetry from accumulated round-off is tolerated rather than
@@ -81,58 +73,9 @@ def spectral_decompose(matrix):
     eigenvalues : (n,) ndarray
         Ascending.
     eigenvectors : (n, n) ndarray
-        Orthonormal columns, ``matrix ~ Q @ diag(w) @ Q.T``.  Each column is
-        supported on one block of the input (see the module docstring); for
-        a diagonal input they are unit vectors and no eigensolver runs.
+        Orthonormal columns, ``matrix ~ Q @ diag(w) @ Q.T``.
     """
-    a = symmetrize(matrix)
-    groups = _blocks(a != 0)
-    if len(a) > 1 and groups[-1].shape[1] == len(a):
-        return np.linalg.eigh(a)
-    # Eigenpair j of the block on indices m goes to slot m[j], so the
-    # eigenvectors keep the block pattern of the input.
-    w = np.empty(len(a))
-    q = np.zeros_like(a)
-    for members in groups:
-        rows, cols = members[:, :, None], members[:, None, :]
-        block = a[rows, cols]
-        if members.shape[1] == 1:
-            w[members], q[rows, cols] = block[:, 0], 1.0
-        else:
-            w[members], q[rows, cols] = np.linalg.eigh(block)
-    order = np.argsort(w, kind="stable")
-    return w[order], q[:, order]
-
-
-def _blocks(pattern):
-    """Connected components of a symmetric boolean pattern, grouped by size.
-
-    Returns one (k, s) integer array per component size s, ascending in s,
-    so a pattern that is one component gives [arange(n)[None]].  Each row
-    lists the indices of one component in ascending order, and the rows are
-    ordered by their smallest index.
-    """
-    n = len(pattern)
-    labels = np.arange(n)
-    while True:
-        # Take the smallest label among the neighbours, then that label's
-        # own label.  Labels only fall and stay inside their component, and
-        # they stop changing once each component carries its smallest index.
-        nearest = np.min(np.where(pattern, labels, n), axis=1, initial=n)
-        new = np.minimum(labels, nearest)
-        new = new[new]
-        if np.array_equal(new, labels):
-            break
-        labels = new
-    sizes = np.bincount(labels, minlength=n)[labels]
-    # Stable, so each component's indices stay ascending.
-    order = np.argsort(labels, kind="stable")
-    first = np.flatnonzero(labels == np.arange(n))
-    starts = np.searchsorted(labels[order], first)
-    return [
-        order[starts[sizes[first] == s][:, None] + np.arange(s)]
-        for s in np.flatnonzero(np.bincount(sizes))
-    ]
+    return np.linalg.eigh(symmetrize(matrix))
 
 
 def sqrtm_spd(matrix):
@@ -185,27 +128,21 @@ def expm_general(matrix):
     exponential revisited", SIAM J. Matrix Anal. Appl. 26 (2005) 1179-1193:
     scale A by 2^-s until its 1-norm is at most theta_13, evaluate the
     [13/13] Pade approximant r(A) = (V - U)^{-1} (V + U) from A^2, A^4 and
-    A^6, then square the result s times.  The blocks are those of the
-    pattern of |A| + |A^T| (see the module docstring), each with its own
-    scaling; a 1x1 block is exponentiated directly, so a diagonal matrix is
-    exponentiated entrywise and the zero matrix gives the identity exactly.
+    A^6, then square the result s times.  A (k, s, s) stack gives the
+    exponential of each matrix in it, each with its own scaling.
     """
     m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidInput(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise InvalidInput(
+            f"expected a square matrix or a stack of them, got shape {m.shape}"
+        )
     if not np.all(np.isfinite(m)):
         raise InvalidInput("matrix entries must be finite")
-    r = np.zeros_like(m)
-    for members in _blocks((m != 0) | (m.T != 0)):
-        rows, cols = members[:, :, None], members[:, None, :]
-        block = m[rows, cols]
-        # The rational approximant would round even exp(0) = 1 on a 1x1 block.
-        r[rows, cols] = np.exp(block) if members.shape[1] == 1 else _pade_expm(block)
-    return r
-
-
-def _pade_expm(stack):
-    """exp of each matrix of a (k, s, s) stack, each scaled by its own 1-norm."""
+    if m.shape[-1] == 1:
+        # exp of a scalar is correctly rounded; the rational approximant
+        # is off by 2e-15 relative at -3 and 3e-15 at 7.
+        return np.exp(m)
+    stack = m[None] if m.ndim == 2 else m
     norm = np.max(np.sum(np.abs(stack), axis=-2), axis=-1)
     squarings = np.zeros(len(stack), dtype=int)
     large = norm > _THETA_13
@@ -228,4 +165,4 @@ def _pade_expm(stack):
     for step in range(squarings.max(initial=0)):
         more = squarings > step
         r[more] = r[more] @ r[more]
-    return r
+    return r[0] if m.ndim == 2 else r

@@ -23,13 +23,16 @@ The step-invariant algebra runs one Fourier class at a time
 (:func:`kleingordon.fourier_classes`), with one stacked numpy call per block
 shape: the posterior covariance D, the Wiener filter W = D R^T N^-1 and the
 posterior mean, A(dt) and 1 + dt L, the two evolved covariances and their
-KL covariance terms, the per-step quadratic forms, D*^-1 and the match
-Hessian.  Sums over the classes give the KL parts and quadratic forms, root
-sums of squares give vector norms, maxima give 2-norms, and the positive
-definiteness and Hessian regularity tests compare the smallest eigenvalue
-over all classes with the largest, as for the whole matrix.  M', the update
-loop, the initial-data draw, the direct endpoint and the exact reference
-stay dense, so the ``data`` trajectory is bit-identical to a dense run.
+KL covariance terms, the per-step quadratic forms, D*^-1, the match
+Hessian and the direct endpoint exp(T M') d(0).  Sums over the classes give
+the KL parts and quadratic forms, root sums of squares give vector norms,
+maxima give 2-norms, and the positive definiteness and Hessian regularity
+tests compare the smallest eigenvalue over all classes with the largest, as
+for the whole matrix.  The diagonal prior enters as its variances
+(:func:`kleingordon.prior_variances`) and the white noise as sigma_n2; no
+dense density or measurement is built.  M', the update loop and the exact
+reference stay dense, so the ``data`` trajectory is bit-identical to a
+dense run.
 
 ``exact_deviation`` compares u against the noise-free image R2 A(t) m_0 of
 the exactly evolved initial posterior mean.  It does not vanish with dt; it
@@ -303,26 +306,30 @@ def load_config(path, scheme=None):
     return parse_config(raw, scheme)
 
 
-def resolve_initial_data(config, prior=None, meas=None):
+def resolve_initial_data(config, response=None):
     """Initial packed data vector of a run.
 
     For ``initial_data = 'generate'`` a field state is drawn from the thermal
     prior with the config seed, pushed through the response, and white noise
-    of variance sigma_n2 from the stream seeded with seed + 1 is added.  Any
+    of variance sigma_n2 from the stream seeded with seed + 1 is added.  The
+    prior is diagonal, so the draw scales standard normals by the square
+    roots of :func:`kleingordon.prior_variances`, which is bit for bit the
+    draw :func:`gaussian.sample` makes from the dense prior density.  Any
     other value is read as a JSON file holding a flat list of 2(Y + 2)
-    numbers.  ``prior`` and ``meas`` are the model's prior density and
-    measurement; they are built here when the caller has not built them.
+    numbers.  ``response`` is the model's lifted response; it is built here
+    when the caller has not built it.
     """
     model = config.model
     if config.initial_data == GENERATE:
-        if prior is None:
-            prior = kleingordon.prior_density(model)
-        if meas is None:
-            meas = kleingordon.measurement(model)
-        s0 = gaussian.sample(prior, 1, config.seed)[0]
+        if response is None:
+            response = kleingordon.lift_response(kleingordon.build_response(model))
+        rng = np.random.Generator(np.random.PCG64(config.seed))
+        s0 = rng.standard_normal(model.signal_dim) * np.sqrt(
+            kleingordon.prior_variances(model)
+        )
         noise_rng = np.random.Generator(np.random.PCG64(config.seed + 1))
         noise = np.sqrt(model.sigma_n2) * noise_rng.standard_normal(model.data_dim)
-        return meas.response @ s0 + noise
+        return response @ s0 + noise
     try:
         with open(config.initial_data, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -360,25 +367,6 @@ def _exact_reference(model, mean, response, times):
         drift = np.maximum(drift, np.max(np.abs(energies - energy_0)))
         data[start : start + len(states)] = states @ response.T
     return ExactReference(times=times, data=data, energy_drift=float(drift))
-
-
-def run_exact_reference(config, initial_data=None):
-    """Evolve the initial posterior mean with the exact evolution and project to data.
-
-    The reference below is what a perfect scheme would report: the posterior
-    mean of the initial data, evolved by A(t) = A(dt)^i, seen through the
-    noise-free response, at every step time.  Energy along it is conserved
-    to roundoff, which :attr:`ExactReference.energy_drift` makes checkable.
-    """
-    model = config.model
-    prior = kleingordon.prior_density(model)
-    meas = kleingordon.measurement(model)
-    if initial_data is None:
-        initial_data = resolve_initial_data(config, prior, meas)
-    classes = kleingordon.fourier_classes(model)
-    mean = _posterior_by_class(classes, prior, meas, initial_data).mean
-    times = config.dt * np.arange(config.steps + 1)
-    return _exact_reference(model, mean, meas.response, times)
 
 
 def _refuse_nonfinite(steps, columns, values):
@@ -442,19 +430,20 @@ class _ClassPosterior:
     mean: np.ndarray
 
 
-def _posterior_by_class(classes, prior, meas, d0):
+def _posterior_by_class(model, classes, response, d0):
     """:func:`gaussian.posterior` and its Wiener filter, computed class by class.
 
     D = (Phi^-1 + R^T N^-1 R)^-1 and W = D R^T N^-1 per block, with the
-    diagonal prior and noise read off their diagonals.  The thermal prior
-    has zero mean, so the posterior mean is W d0.
+    diagonal prior taken as :func:`kleingordon.prior_variances` and the
+    white noise as sigma_n2.  The thermal prior has zero mean, so the
+    posterior mean is W d0.
     """
-    phi_inv = 1.0 / np.diagonal(prior.cov)
-    n_inv = 1.0 / np.diagonal(meas.noise_cov)
+    phi_inv = 1.0 / kleingordon.prior_variances(model)
+    n_inv = 1.0 / model.sigma_n2
     rt_n_inv, info = [], []
     for sig, dat in classes:
-        r = _by_class(meas.response, dat, sig)
-        rt_n_inv.append(_t(r) * n_inv[dat][:, None, :])
+        r = _by_class(response, dat, sig)
+        rt_n_inv.append(_t(r) * n_inv)
         block = rt_n_inv[-1] @ r
         diag = np.arange(sig.shape[1])
         block[:, diag, diag] += phi_inv[sig]
@@ -465,7 +454,7 @@ def _posterior_by_class(classes, prior, meas, d0):
     # so it passes the same test and needs no factorization of its own.
     cov = [(q / w[:, None, :]) @ _t(q) for w, q in spectra]
     filters = [d @ f for d, f in zip(cov, rt_n_inv)]
-    mean = np.zeros(prior.dim)
+    mean = np.zeros(model.signal_dim)
     for (sig, dat), f in zip(classes, filters):
         mean[sig] = (f @ d0[dat][:, :, None])[:, :, 0]
     return _ClassPosterior(
@@ -521,6 +510,21 @@ def _branches(filters, evolved_spectra, evolved_means):
 def _columns(blocks):
     """(steps, dim) array of per-step vectors held as (k, a, steps) class blocks."""
     return np.concatenate([b.reshape(-1, b.shape[-1]) for b in blocks]).T
+
+
+def _direct_endpoint(t_m_prime, classes, d0):
+    """The continuous-limit endpoint exp(T M') d(0), one Fourier class at a time.
+
+    M' couples only the data coefficients of one class, so exp(T M') is
+    block diagonal over the classes' data indices.  Classes without data
+    indices have no block.
+    """
+    out = np.zeros(len(d0))
+    for _, dat in classes:
+        if dat.shape[1]:
+            block = matfun.expm_general(_by_class(t_m_prime, dat, dat))
+            out[dat] = (block @ d0[dat][:, :, None])[:, :, 0]
+    return out
 
 
 def _iterate(config, classes, post, m_prime, d0, reference):
@@ -625,13 +629,12 @@ def run_ifd(config):
     cover every step time, or only t = 0 and T under scheme 'direct'.
     """
     model = config.model
-    prior = kleingordon.prior_density(model)
-    meas = kleingordon.measurement(model)
-    d0 = resolve_initial_data(config, prior, meas)
+    response = kleingordon.lift_response(kleingordon.build_response(model))
+    d0 = resolve_initial_data(config, response)
     # D and W do not depend on the data and serve every step; the mean
     # starts the exact reference.
     classes = kleingordon.fourier_classes(model)
-    post = _posterior_by_class(classes, prior, meas, d0)
+    post = _posterior_by_class(model, classes, response, d0)
     direct = config.scheme == SCHEME_DIRECT
     # Overflow is refused by the one check below, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -639,12 +642,11 @@ def run_ifd(config):
             times = np.array([0.0, config.total_time])
         else:
             times = config.dt * np.arange(config.steps + 1)
-        reference = _exact_reference(model, post.mean, meas.response, times)
+        reference = _exact_reference(model, post.mean, response, times)
         m_prime = kleingordon.update_generator(model)
         direct_data = direct_gap = None
         if config.scheme != SCHEME_ITERATED:
-            # The continuous-limit endpoint exp(T M') d(0).
-            direct_data = matfun.expm_general(config.total_time * m_prime) @ d0
+            direct_data = _direct_endpoint(config.total_time * m_prime, classes, d0)
         if direct:
             # No steps: every per-step column is empty.
             columns = dict.fromkeys(

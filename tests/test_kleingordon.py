@@ -10,6 +10,7 @@ are dhat_k = Delta sum_j exp(i k j Delta) d_j of the pixel averages d_j.
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.sparse.csgraph
 from numpy.testing import assert_allclose
 
 from infodyn import gaussian
@@ -18,6 +19,7 @@ from infodyn import matfun, matching
 from infodyn.errors import (
     DegenerateMassError,
     InvalidInput,
+    NotPositiveDefinite,
     UnsupportedPixelCount,
 )
 from infodyn.kleingordon import KGModel
@@ -125,6 +127,30 @@ def test_prior_covariance_entries():
     omegas2[1::2] = w2
     omegas2[2::2] = w2
     assert_allclose(np.diag(phi)[p:], omegas2 * np.diag(phi)[:p], rtol=1e-13)
+
+
+@pytest.mark.parametrize("mu", [1e-8, 4e-6, 4.5e-6, 1.0, 3.0])
+def test_prior_variances_are_the_prior_diagonal_and_pass_its_pd_test(mu):
+    # The variances are the diagonal of the dense prior bit for bit, and
+    # they are refused exactly where the dense prior density is: at n 4 the
+    # test's floor lies near mu = sqrt(18e-12) = 4.24e-6.
+    model = _model(mu=mu)
+    dense = np.diag(
+        np.concatenate(
+            [kg._part_prior_diag(model, kg.PART_PHI), kg._part_prior_diag(model, kg.PART_CHI)]
+        )
+    )
+    try:
+        gaussian.GaussianDensity(np.zeros(model.signal_dim), dense)
+    except NotPositiveDefinite:
+        with pytest.raises(NotPositiveDefinite, match="thermal prior covariance"):
+            kg.prior_variances(model)
+        assert mu < 4.24e-6
+    else:
+        var = kg.prior_variances(model)
+        assert var.tobytes() == np.diagonal(dense).tobytes()
+        assert var.tobytes() == np.diagonal(kg.build_prior_cov(model)).tobytes()
+        assert mu > 4.24e-6
 
 
 def test_generator_action():
@@ -393,17 +419,18 @@ def test_data_gram_condition_sees_alias_redundancy():
 def test_fourier_classes_are_the_coupling_components(n, y):
     # The closed-form partition equals the connected components of the joint
     # (signal + data) nonzero pattern of the lifted response, the generator
-    # and the prior.  (40, 31) aliases and has the data-free mode l = 31;
+    # and the prior, and the generator M' of the data update couples no two
+    # classes.  (40, 31) aliases and has the data-free mode l = 31;
     # (200, 127) has classes of 24 dimensions.
     model = _model(n_modes=n, pixels=y)
     s, d = model.signal_dim, model.data_dim
     r2 = kg.lift_response(kg.build_response(model))
     l_mat = kg.build_generator(model)
     pattern = np.eye(s + d, dtype=bool)
-    pattern[:s, :s] |= (l_mat != 0) | (l_mat.T != 0) | (kg.build_prior_cov(model) != 0)
+    pattern[:s, :s] |= (l_mat != 0) | (kg.build_prior_cov(model) != 0)
     pattern[s:, :s] = r2 != 0
-    pattern[:s, s:] = r2.T != 0
-    components = {frozenset(row.tolist()) for g in matfun._blocks(pattern) for row in g}
+    count, labels = scipy.sparse.csgraph.connected_components(pattern, directed=False)
+    components = {frozenset(np.flatnonzero(labels == c).tolist()) for c in range(count)}
     classes = kg.fourier_classes(model)
     blocks = [
         np.concatenate([sig_row, s + dat_row])
@@ -416,3 +443,8 @@ def test_fourier_classes_are_the_coupling_components(n, y):
     assert shapes == sorted(set(shapes))
     for sig, dat in classes:
         assert np.all(np.diff(sig, axis=1) > 0) and np.all(np.diff(dat, axis=1) > 0)
+    label = np.empty(d, dtype=int)
+    for i, row in enumerate(dat_row for _, dat in classes for dat_row in dat):
+        label[row] = i
+    m_prime = kg.update_generator(model)
+    assert np.all(m_prime[label[:, None] != label[None, :]] == 0.0)

@@ -103,16 +103,12 @@ _PRIOR_16_31 = np.diag(
     ],
     ids=["tied", "kg-prior", "1x1", "zero", "negative", "below-floor"],
 )
-def test_diagonal_spectrum_is_read_off_like_eigh(diagonal, refused, monkeypatch):
-    # A diagonal input skips the eigensolver.  Its spectrum, and every
-    # inverse and square root built from it, must be what LAPACK gives.
+def test_diagonal_spectrum_is_read_off_like_eigh(diagonal, refused):
+    # The spectrum of a diagonal input, and every inverse and square root
+    # built from it, must be what LAPACK gives, and the positive
+    # definiteness test must refuse exactly the singular ones.
     a = np.diag(np.asarray(diagonal, dtype=float))
     w_lapack, q_lapack = np.linalg.eigh(a)
-
-    def no_eigensolver(matrix):
-        raise AssertionError("a diagonal input reached np.linalg.eigh")
-
-    monkeypatch.setattr(np.linalg, "eigh", no_eigensolver)
     w, q = matfun.spectral_decompose(a)
     assert w.tobytes() == w_lapack.tobytes()
     assert np.array_equal(q.T @ q, np.eye(len(w)))
@@ -224,7 +220,7 @@ def test_expm_general_matches_scipy_on_update_generators(n_modes, pixels, total_
 
 
 def test_expm_general_zero_and_scalar():
-    assert np.array_equal(matfun.expm_general(np.zeros((5, 5))), np.eye(5))
+    assert_allclose(matfun.expm_general(np.zeros((5, 5))), np.eye(5), rtol=0.0, atol=1e-15)
     for x in (-3.0, 0.5, 7.0):
         assert_allclose(matfun.expm_general([[x]]), [[np.exp(x)]], rtol=1e-15)
 
@@ -246,56 +242,11 @@ def _permuted_blocks(rng, sizes, make_block):
     return a[np.ix_(perm, perm)], mask[np.ix_(perm, perm)]
 
 
-def _tied_symmetric_block(rng, s):
-    # Eigenvalues from a small set, so blocks share them; 1x1 blocks may be 0.
-    values = rng.choice([0.0, 1.0, 2.5, -3.0], size=s)
-    q, _ = np.linalg.qr(rng.standard_normal((s, s)))
-    return (q * values) @ q.T
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_block_diagonal_decomposes_block_by_block(seed, monkeypatch):
-    rng = np.random.default_rng(seed)
-    sizes = list(rng.choice([1, 1, 2, 3, 4, 8], size=12))
-    a, mask = _permuted_blocks(rng, sizes, lambda s: _tied_symmetric_block(rng, s))
-    a[3, :] = a[:, 3] = 0.0  # a zero row splits its block
-    w_ref = np.linalg.eigvalsh(a)
-    seen = []
-    eigh = np.linalg.eigh
-
-    def recording_eigh(matrix):
-        seen.append(np.shape(matrix)[-1])
-        return eigh(matrix)
-
-    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    w, q = matfun.spectral_decompose(a)
-    assert max(seen, default=1) <= max(sizes) < len(a)
-    scale = np.max(np.abs(w_ref))
-    assert np.all(np.diff(w) >= 0.0)
-    assert_allclose(w, w_ref, rtol=1e-13, atol=1e-13 * scale)
-    assert_allclose(q.T @ q, np.eye(len(a)), atol=1e-13)
-    assert_allclose((q * w) @ q.T, a, atol=1e-13 * scale)
-    # Each eigenvector stays inside one block.
-    assert np.all(mask[(np.abs(q) @ np.abs(q).T) != 0])
-
-
-def test_one_block_input_goes_to_eigh_whole():
-    # A dense matrix, and a tridiagonal one that is one block despite its
-    # zeros, are factored by one eigh call on the symmetrized input, exactly.
-    rng = np.random.default_rng(37)
-    dense = rng.standard_normal((7, 7))
-    tridiagonal = np.diag(rng.standard_normal(9)) + np.diag(np.ones(8), 1)
-    for a in (dense, tridiagonal):
-        w, q = matfun.spectral_decompose(a)
-        w_ref, q_ref = np.linalg.eigh(matfun.symmetrize(a))
-        assert w.tobytes() == w_ref.tobytes()
-        assert q.tobytes() == q_ref.tobytes()
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_expm_general_matches_scipy_on_permuted_blocks(seed):
-    # Non-normal blocks of 1-norms from 1e-3 to 200, so each block takes
-    # its own number of squarings.
+    # Non-normal blocks of 1-norms from 1e-3 to 200 in one dense matrix:
+    # scaled by the largest, the small blocks still meet the norm-relative
+    # bound, and the exponential keeps the zeros between the blocks.
     rng = np.random.default_rng(41 + seed)
     sizes = [1, 2, 2, 3, 5, 1, 4]
 
@@ -307,6 +258,28 @@ def test_expm_general_matches_scipy_on_permuted_blocks(seed):
     result = matfun.expm_general(a)
     _assert_matches_scipy_expm(a)
     assert np.all(result[~mask] == 0.0)
+
+
+@pytest.mark.parametrize("size", [1, 2, 5])
+def test_expm_general_exponentiates_each_matrix_of_a_stack(size):
+    # A stack of non-normal matrices of 1-norms from 1e-3 to 200: each takes
+    # its own number of squarings, so each matches scipy on its own scale,
+    # and equals the exponential of the same matrix passed alone.
+    rng = np.random.default_rng(47 + size)
+    norms = np.geomspace(1e-3, 200.0, 9)
+    stack = rng.standard_normal((len(norms), size, size))
+    stack += np.triu(3.0 * rng.standard_normal(stack.shape), 1)
+    stack *= (norms / np.max(np.sum(np.abs(stack), axis=-2), axis=-1))[:, None, None]
+    result = matfun.expm_general(stack)
+    assert result.shape == stack.shape
+    for a, r in zip(stack, result):
+        expected = scipy.linalg.expm(a)
+        assert np.linalg.norm(r - expected, 1) <= 1e-12 * np.linalg.norm(expected, 1)
+        assert np.array_equal(r, matfun.expm_general(a))
+    assert matfun.expm_general(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+    for bad in (np.ones((2, 2, 3)), np.ones((2, 2, 2, 2)), np.ones(3)):
+        with pytest.raises(InvalidInput):
+            matfun.expm_general(bad)
 
 
 def test_norm2_matches_svd_norm():

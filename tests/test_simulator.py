@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from infodyn import dynamics, gaussian, kleingordon, matching, simulator
+from infodyn import dynamics, gaussian, kleingordon, matching, matfun, simulator
 from infodyn.errors import (
     ConfigError,
     InsufficientSweep,
@@ -126,17 +126,23 @@ def test_parse_config_wraps_model_errors():
 
 
 def test_generated_initial_data_is_seed_deterministic():
-    d_a = simulator.resolve_initial_data(_config())
-    d_b = simulator.resolve_initial_data(_config())
-    d_c = simulator.resolve_initial_data(_config(seed=124))
-    assert_allclose(d_a, d_b, rtol=0.0, atol=0.0)
-    assert np.max(np.abs(d_a - d_c)) > 1e-3
-    # Signal draw and noise draw come from separate streams: the noise-free
-    # part is the response image of a prior sample under the config seed.
-    model = _config().model
-    s0 = gaussian.sample(kleingordon.prior_density(model), 1, 123)[0]
-    residual = d_a - kleingordon.measurement(model).response @ s0
-    assert np.max(np.abs(residual)) < 1.0  # noise scale sqrt(0.01)
+    for n_modes, pixels in ((4, 5), (64, 127)):
+
+        def draw(seed):
+            config = _config(n_modes=n_modes, Y=pixels, T=0.005, seed=seed)
+            return simulator.resolve_initial_data(config)
+
+        d_a = draw(123)
+        assert np.array_equal(d_a, draw(123))
+        assert np.max(np.abs(d_a - draw(124))) > 1e-3
+        # Signal draw and noise draw come from separate streams: the data
+        # are the response image of a sample of the dense prior density
+        # under the config seed plus white noise from seed + 1, bit for bit.
+        model = kleingordon.KGModel(n_modes, pixels, 1.0, 1.0, 0.01)
+        s0 = gaussian.sample(kleingordon.prior_density(model), 1, 123)[0]
+        noise_rng = np.random.Generator(np.random.PCG64(124))
+        noise = np.sqrt(model.sigma_n2) * noise_rng.standard_normal(model.data_dim)
+        assert np.array_equal(d_a, kleingordon.measurement(model).response @ s0 + noise)
 
 
 def test_initial_data_file_loading(tmp_path):
@@ -163,9 +169,20 @@ def test_initial_data_file_loading(tmp_path):
         simulator.resolve_initial_data(_config(initial_data=str(nonfinite)))
 
 
+def _dense_exact_reference(config, d0=None):
+    """The exact reference of a run, from the dense posterior mean of its initial data."""
+    model = config.model
+    if d0 is None:
+        d0 = simulator.resolve_initial_data(config)
+    meas = kleingordon.measurement(model)
+    mean = gaussian.posterior(kleingordon.prior_density(model), meas, d0).mean
+    times = config.dt * np.arange(config.steps + 1)
+    return simulator._exact_reference(model, mean, meas.response, times)
+
+
 def test_exact_reference_conserves_energy():
     config = _config(N=5)
-    reference = simulator.run_exact_reference(config)
+    reference = _dense_exact_reference(config)
     assert reference.data.shape == (config.steps + 1, config.model.data_dim)
     assert reference.times[0] == 0.0
     assert_allclose(reference.times[-1], config.total_time, rtol=1e-12)
@@ -178,7 +195,7 @@ def test_energy_drift_keeps_overflow_nan():
     config = _config(N=4)
     d0 = 1e200 * simulator.resolve_initial_data(config)
     with np.errstate(over="ignore", invalid="ignore"):
-        reference = simulator.run_exact_reference(config, d0)
+        reference = _dense_exact_reference(config, d0)
     assert np.isnan(reference.energy_drift)
 
 
@@ -186,7 +203,7 @@ def test_closed_form_reference_matches_repeated_exact_steps():
     config = _config(N=6)
     model = config.model
     d0 = simulator.resolve_initial_data(config)
-    reference = simulator.run_exact_reference(config, d0)
+    reference = _dense_exact_reference(config, d0)
     prior = kleingordon.prior_density(model)
     meas = kleingordon.measurement(model)
     mean = gaussian.posterior(prior, meas, d0).mean
@@ -199,7 +216,7 @@ def test_closed_form_reference_matches_repeated_exact_steps():
 def test_direct_deviation_uses_last_reference_row():
     both = _run_at(4)
     direct = _run_at(4, scheme=simulator.SCHEME_DIRECT)
-    last = simulator.run_exact_reference(both.config).data[-1]
+    last = _dense_exact_reference(both.config).data[-1]
     assert_allclose(
         direct.final_deviation, np.linalg.norm(direct.final_data - last), rtol=1e-12
     )
@@ -416,11 +433,13 @@ def test_every_step_takes_projected_branch_and_warns_once(caplog):
 
 def test_run_factors_each_matrix_once(monkeypatch, caplog):
     # One run computes M' once and all its step-invariant algebra Fourier
-    # class by Fourier class, so it makes no dense posterior call.  A class
+    # class by Fourier class, so it makes no dense posterior call, builds no
+    # dense density or measurement and decomposes no dense matrix.  A class
     # holds at most 12 signal and data dimensions here; the largest matrix a
-    # factorization sees is the data part of the class of the duplicated
-    # conjugate pair: coefficients (Y-1)/2 and (Y+1)/2, real and imaginary,
-    # phi and chi, 8 in all.  No 2-norm may take an SVD.
+    # factorization or the direct endpoint's Pade solve sees is the data
+    # part of the class of the duplicated conjugate pair: coefficients
+    # (Y-1)/2 and (Y+1)/2, real and imaginary, phi and chi, 8 in all.  No
+    # 2-norm may take an SVD.
     counts = Counter()
     sizes = []
     # np.linalg.norm(x, 2) calls svd by name in the module that defines it.
@@ -444,6 +463,10 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
         count(np.linalg, name)
     count(gaussian, "posterior")
     count(kleingordon, "update_generator")
+    count(matfun, "spectral_decompose")
+    # Counted under one key, "__post_init__".
+    count(gaussian.GaussianDensity, "__post_init__")
+    count(gaussian.LinearMeasurement, "__post_init__")
     # The Gram condition numbers are factored only when INFO is logged.
     caplog.set_level(logging.WARNING, logger="infodyn")
     for n_modes, pixels, total_time in ((16, 31, 0.05), (64, 127, 0.005)):
@@ -460,6 +483,8 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
         assert counts["svd"] == 0
         assert counts["posterior"] == 0
         assert counts["update_generator"] == 1
+        assert counts["spectral_decompose"] == 0
+        assert counts["__post_init__"] == 0
 
 
 def _mean_error_at_end(resolution, data_map):
