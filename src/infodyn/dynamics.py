@@ -9,16 +9,14 @@ raises :class:`infodyn.errors.StepTooLarge` at construction instead of being
 clamped.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import matfun
+from ._frozen import Frozen
 from .errors import InvalidInput, StepTooLarge
 
 
-@dataclass(frozen=True)
-class AffineDynamics:
+class AffineDynamics(Frozen):
     """Generator L and step size dt of one linearized evolution step.
 
     L may also be a stack (k, n, n) of the diagonal blocks of a
@@ -26,18 +24,17 @@ class AffineDynamics:
     :meth:`step_matrix` returns the blocks of 1 + dt L.
     """
 
-    generator: np.ndarray
-    dt: float
+    __slots__ = _fields = ("generator", "dt")
 
-    def __post_init__(self):
-        l = np.asarray(self.generator, dtype=float)
+    def __init__(self, generator, dt):
+        l = np.asarray(generator, dtype=float)
         if l.ndim not in (2, 3) or l.shape[-1] != l.shape[-2]:
             raise InvalidInput(
                 f"generator must be square or a stack of square blocks, got shape {l.shape}"
             )
         if not np.all(np.isfinite(l)):
             raise InvalidInput("generator entries must be finite")
-        dt = float(self.dt)
+        dt = float(dt)
         if not np.isfinite(dt) or dt < 0.0:
             raise InvalidInput(f"dt must be finite and nonnegative, got {dt!r}")
         norm = matfun.norm2(dt * l)
@@ -47,8 +44,7 @@ class AffineDynamics:
                 "its validity region"
             )
         l.setflags(write=False)
-        object.__setattr__(self, "generator", l)
-        object.__setattr__(self, "dt", dt)
+        self._set(generator=l, dt=dt)
 
     @property
     def dim(self):

@@ -17,11 +17,10 @@ All covariance manipulation goes through the spectral helpers in
 :class:`infodyn.errors.NotPositiveDefinite` with the offending eigenvalue.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import matfun
+from ._frozen import Frozen
 from .errors import InvalidInput
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -41,19 +40,17 @@ def _vector(x, name):
     return v
 
 
-@dataclass(frozen=True)
-class GaussianDensity:
+class GaussianDensity(Frozen):
     """Multivariate normal with validated symmetric positive definite covariance."""
 
-    mean: np.ndarray
-    cov: np.ndarray
-    # Cached spectral data (eigenvalues, eigenvectors) shared by every
-    # density evaluation; filled in __post_init__.
-    _spectrum: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("mean", "cov")
+    # ``_spectrum`` caches the (eigenvalues, eigenvectors) of the covariance
+    # that every density evaluation shares.
+    __slots__ = _fields + ("_spectrum",)
 
-    def __post_init__(self):
-        mean = _vector(self.mean, "mean")
-        cov = matfun.symmetrize(self.cov)
+    def __init__(self, mean, cov):
+        mean = _vector(mean, "mean")
+        cov = matfun.symmetrize(cov)
         if cov.shape[0] != mean.shape[0]:
             raise InvalidInput(
                 f"mean has dimension {mean.shape[0]} but covariance is {cov.shape}"
@@ -62,9 +59,7 @@ class GaussianDensity:
         matfun._require_pd(w, "GaussianDensity")
         mean.setflags(write=False)
         cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "_spectrum", (w, q))
+        self._set(mean=mean, cov=cov, _spectrum=(w, q))
 
     @property
     def dim(self):
@@ -92,20 +87,18 @@ class GaussianDensity:
         return -0.5 * (quad + self.dim * LOG_2PI + self.log_det_cov())
 
 
-@dataclass(frozen=True)
-class LinearMeasurement:
+class LinearMeasurement(Frozen):
     """Linear response R with additive Gaussian noise of covariance N."""
 
-    response: np.ndarray
-    noise_cov: np.ndarray
+    __slots__ = _fields = ("response", "noise_cov")
 
-    def __post_init__(self):
-        r = np.asarray(self.response, dtype=float)
+    def __init__(self, response, noise_cov):
+        r = np.asarray(response, dtype=float)
         if r.ndim != 2:
             raise InvalidInput(f"response must be a matrix, got shape {r.shape}")
         if not np.all(np.isfinite(r)):
             raise InvalidInput("response entries must be finite")
-        n = matfun.symmetrize(self.noise_cov)
+        n = matfun.symmetrize(noise_cov)
         w, _ = matfun.spectral_decompose(n)
         matfun._require_pd(w, "LinearMeasurement noise covariance")
         if n.shape[0] != r.shape[0]:
@@ -114,8 +107,7 @@ class LinearMeasurement:
             )
         r.setflags(write=False)
         n.setflags(write=False)
-        object.__setattr__(self, "response", r)
-        object.__setattr__(self, "noise_cov", n)
+        self._set(response=r, noise_cov=n)
 
     @property
     def data_dim(self):

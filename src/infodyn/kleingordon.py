@@ -33,11 +33,12 @@ builds neither as a dense matrix; :func:`prior_density` and
 :func:`measurement` give the dense objects for library use and tests.
 """
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from . import matfun
+from ._frozen import Frozen
 from .errors import (
     DegenerateMassError,
     InvalidInput,
@@ -54,8 +55,7 @@ def _sinc(x):
     return np.sinc(np.asarray(x) / np.pi)
 
 
-@dataclass(frozen=True)
-class KGModel:
+class KGModel(Frozen):
     """Model parameters: mode cutoff, pixel count, mass, inverse temperature, noise.
 
     ``n_modes`` counts the nonnegative field modes (so |k| < n_modes),
@@ -63,40 +63,54 @@ class KGModel:
     mass, ``beta`` the inverse temperature of the thermal prior and
     ``sigma_n2`` the white noise variance on the packed data coefficients.
     Every data coefficient must be reached by some field mode, which needs
-    ``n_modes - 1 >= (pixels - 1)/2``.
+    ``n_modes - 1 >= (pixels - 1)/2``.  The prior and the noise divide by
+    mu^2, beta mu^2 and sigma_n2, so each of mu^2, beta mu^2 and
+    1/sigma_n2 must be a finite positive float: a mass whose square
+    underflows to 0 or overflows, or a noise variance whose reciprocal
+    overflows, is refused here with :class:`InvalidInput`.
     """
 
-    n_modes: int
-    pixels: int
-    mu: float
-    beta: float
-    sigma_n2: float
+    __slots__ = _fields = ("n_modes", "pixels", "mu", "beta", "sigma_n2")
 
-    def __post_init__(self):
-        if not isinstance(self.n_modes, (int, np.integer)) or self.n_modes < 2:
-            raise InvalidInput(f"n_modes must be an integer >= 2, got {self.n_modes!r}")
-        if not isinstance(self.pixels, (int, np.integer)):
-            raise InvalidInput(f"pixels must be an integer, got {self.pixels!r}")
-        if self.pixels <= 1 or self.pixels % 2 == 0:
+    def __init__(self, n_modes, pixels, mu, beta, sigma_n2):
+        if not isinstance(n_modes, (int, np.integer)) or n_modes < 2:
+            raise InvalidInput(f"n_modes must be an integer >= 2, got {n_modes!r}")
+        if not isinstance(pixels, (int, np.integer)):
+            raise InvalidInput(f"pixels must be an integer, got {pixels!r}")
+        if pixels <= 1 or pixels % 2 == 0:
             raise UnsupportedPixelCount(
-                f"pixel count must be odd and greater than one, got {self.pixels}"
+                f"pixel count must be odd and greater than one, got {pixels}"
             )
-        if 2 * (self.n_modes - 1) < self.pixels - 1:
+        if 2 * (n_modes - 1) < pixels - 1:
             raise InvalidInput(
                 "every data coefficient must be reached by a field mode, so "
-                f"n_modes - 1 >= (pixels - 1)/2; got n_modes={self.n_modes}, "
-                f"pixels={self.pixels}"
+                f"n_modes - 1 >= (pixels - 1)/2; got n_modes={n_modes}, "
+                f"pixels={pixels}"
             )
-        if not np.isfinite(self.mu):
-            raise InvalidInput(f"mu must be finite, got {self.mu!r}")
-        if self.mu == 0.0:
+        if not np.isfinite(mu):
+            raise InvalidInput(f"mu must be finite, got {mu!r}")
+        if mu == 0.0:
             raise DegenerateMassError(
                 "mu = 0 makes the zero-mode prior variance infinite"
             )
-        if not (np.isfinite(self.beta) and self.beta > 0.0):
-            raise InvalidInput(f"beta must be positive, got {self.beta!r}")
-        if not (np.isfinite(self.sigma_n2) and self.sigma_n2 > 0.0):
-            raise InvalidInput(f"sigma_n2 must be positive, got {self.sigma_n2!r}")
+        if not (np.isfinite(beta) and beta > 0.0):
+            raise InvalidInput(f"beta must be positive, got {beta!r}")
+        if not (np.isfinite(sigma_n2) and sigma_n2 > 0.0):
+            raise InvalidInput(f"sigma_n2 must be positive, got {sigma_n2!r}")
+        # Python float products and quotients give 0 or inf, not errors or
+        # warnings, on underflow and overflow.
+        mu2 = float(mu) * float(mu)
+        for name, value in (
+            ("mu^2", mu2),
+            ("beta mu^2", float(beta) * mu2),
+            ("1/sigma_n2", 1.0 / float(sigma_n2)),
+        ):
+            if not 0.0 < value < math.inf:
+                raise InvalidInput(
+                    f"{name} must be a finite positive float, got {value!r} "
+                    f"from mu={mu!r}, beta={beta!r}, sigma_n2={sigma_n2!r}"
+                )
+        self._set(n_modes=n_modes, pixels=pixels, mu=mu, beta=beta, sigma_n2=sigma_n2)
 
     @property
     def signal_dim(self):

@@ -31,11 +31,12 @@ simulation run applies them to the reductions over its Fourier-class
 blocks.
 """
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import matfun
+from ._frozen import Frozen
 from .errors import InvalidInput
 from .gaussian import GaussianDensity, kl_divergence, posterior, posterior_filter
 
@@ -48,8 +49,7 @@ BRANCH_ZERO = "zero"
 BRANCH_PROJECTED = "projected"
 
 
-@dataclass(frozen=True)
-class MatchProblem:
+class MatchProblem(Frozen):
     """Evolved density (m*, D*^-1) and the measurement setup to match it with.
 
     Construction factors D*^-1 once, checks that it is positive definite
@@ -61,24 +61,18 @@ class MatchProblem:
     class blocks.
     """
 
-    evolved_mean: np.ndarray
-    evolved_inv_cov: np.ndarray
-    new_prior: GaussianDensity
-    new_meas: "LinearMeasurement"
-    # Derived quantities cached at construction.
-    _w: np.ndarray = field(init=False, repr=False, compare=False)
-    _post_cov: np.ndarray = field(init=False, repr=False, compare=False)
-    _prior_pull: np.ndarray = field(init=False, repr=False, compare=False)
-    # (eigenvalues, eigenvectors) of D*^-1, checked positive definite.
-    _inv_cov_spectrum: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("evolved_mean", "evolved_inv_cov", "new_prior", "new_meas")
+    # Derived quantities cached at construction; ``_inv_cov_spectrum`` is
+    # the (eigenvalues, eigenvectors) of D*^-1, checked positive definite.
+    __slots__ = _fields + ("_w", "_post_cov", "_prior_pull", "_inv_cov_spectrum")
 
-    def __post_init__(self):
-        m_star = np.asarray(self.evolved_mean, dtype=float)
+    def __init__(self, evolved_mean, evolved_inv_cov, new_prior, new_meas):
+        m_star = np.asarray(evolved_mean, dtype=float)
         if m_star.ndim != 1:
             raise InvalidInput(
                 f"evolved mean must be a vector, got shape {m_star.shape}"
             )
-        inv_cov = matfun.symmetrize(self.evolved_inv_cov)
+        inv_cov = matfun.symmetrize(evolved_inv_cov)
         spectrum = matfun.spectral_decompose(inv_cov)
         matfun._require_pd(spectrum[0], "MatchProblem evolved inverse covariance")
         if inv_cov.shape[0] != m_star.shape[0]:
@@ -86,26 +80,30 @@ class MatchProblem:
                 f"evolved mean dimension {m_star.shape[0]} does not match "
                 f"inverse covariance {inv_cov.shape}"
             )
-        if self.new_prior.dim != m_star.shape[0]:
+        if new_prior.dim != m_star.shape[0]:
             raise InvalidInput(
-                f"new prior dimension {self.new_prior.dim} does not match "
+                f"new prior dimension {new_prior.dim} does not match "
                 f"evolved mean dimension {m_star.shape[0]}"
             )
-        if self.new_meas.signal_dim != self.new_prior.dim:
+        if new_meas.signal_dim != new_prior.dim:
             raise InvalidInput(
-                f"new measurement signal dimension {self.new_meas.signal_dim} "
-                f"does not match prior dimension {self.new_prior.dim}"
+                f"new measurement signal dimension {new_meas.signal_dim} "
+                f"does not match prior dimension {new_prior.dim}"
             )
         # D' does not depend on the data, so any data vector gives it.
-        post = posterior(self.new_prior, self.new_meas, np.zeros(self.data_dim))
-        w = posterior_filter(post.cov, self.new_meas)
+        post = posterior(new_prior, new_meas, np.zeros(new_meas.data_dim))
+        w = posterior_filter(post.cov, new_meas)
         m_star.setflags(write=False)
-        object.__setattr__(self, "evolved_mean", m_star)
-        object.__setattr__(self, "evolved_inv_cov", inv_cov)
-        object.__setattr__(self, "_w", w)
-        object.__setattr__(self, "_post_cov", post.cov)
-        object.__setattr__(self, "_prior_pull", _prior_pull(post.cov, self.new_prior))
-        object.__setattr__(self, "_inv_cov_spectrum", spectrum)
+        self._set(
+            evolved_mean=m_star,
+            evolved_inv_cov=inv_cov,
+            new_prior=new_prior,
+            new_meas=new_meas,
+            _w=w,
+            _post_cov=post.cov,
+            _prior_pull=_prior_pull(post.cov, new_prior),
+            _inv_cov_spectrum=spectrum,
+        )
 
     @property
     def data_dim(self):
@@ -138,8 +136,7 @@ def _prior_pull(post_cov, prior):
     return post_cov @ (q @ ((prior.mean @ q) / w))
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     data: np.ndarray
     branch: str
 

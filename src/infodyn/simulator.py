@@ -50,17 +50,17 @@ Runs are deterministic given the config, and :func:`write_csv` output is
 bit-identical across repeats.
 """
 
-import dataclasses
 import json
 import logging
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import dynamics, gaussian, kleingordon, matching, matfun
+from ._frozen import Frozen
 from .errors import (
     ConfigError,
     InfodynError,
@@ -104,9 +104,15 @@ REFERENCE_BLOCK_ENTRIES = 1 << 18
 # whose N exceeds it are refused at load time instead of failing in numpy.
 MAX_TRAJECTORY_BYTES = 1 << 30
 
+# Largest dense float64 matrix a model may need, in bytes.  Its largest are
+# square in max(4n - 2, 2(Y + 2)): the generator L and the exact step A(dt)
+# in the signal space, M' and the update matrix in the data space.  A run
+# holds a few of them, under every scheme, so configs whose model exceeds
+# this are refused at load time instead of failing in numpy.
+MAX_MATRIX_BYTES = 1 << 27
 
-@dataclass(frozen=True)
-class RunConfig:
+
+class RunConfig(Frozen):
     """Validated run parameters: model, horizon T, resolution N, seed, scheme.
 
     The step count is 2^N.  Construction checks that 2^N and the step
@@ -115,43 +121,62 @@ class RunConfig:
     the update matrix, it also checks that the (2^N + 1) x data_dim
     trajectory fits in ``MAX_TRAJECTORY_BYTES`` and that dt lies inside the
     validity region dt < 1/w_{n-1} of the update matrix.  Scheme 'direct'
-    needs neither.  A loaded config can still be refused when it runs: the
-    diagnostics of 'iterated' and 'both' need dt ||L|| < 1
+    needs neither.  Under every scheme the model's largest dense matrix
+    must fit in ``MAX_MATRIX_BYTES``.  :meth:`replace` gives a changed copy
+    through the same checks.  A loaded config can still be refused when it
+    runs: the diagnostics of 'iterated' and 'both' need dt ||L|| < 1
     (:class:`StepTooLarge`), and every scheme needs positive definite
     covariances (:class:`NotPositiveDefinite`).
     """
 
-    model: KGModel
-    total_time: float
-    resolution: int
-    seed: int
-    initial_data: str = GENERATE
-    scheme: str = SCHEME_ITERATED
+    _fields = ("model", "total_time", "resolution", "seed", "initial_data", "scheme")
+    __slots__ = _fields
 
-    def __post_init__(self):
-        t = float(self.total_time)
+    def __init__(
+        self,
+        model,
+        total_time,
+        resolution,
+        seed,
+        initial_data=GENERATE,
+        scheme=SCHEME_ITERATED,
+    ):
+        t = float(total_time)
         if not (np.isfinite(t) and t > 0.0):
-            raise ConfigError(f"config field 'T' must be positive, got {self.total_time!r}")
-        if not isinstance(self.resolution, (int, np.integer)) or self.resolution < 1:
+            raise ConfigError(f"config field 'T' must be positive, got {total_time!r}")
+        if not isinstance(resolution, (int, np.integer)) or resolution < 1:
             raise ConfigError(
-                f"config field 'N' must be an integer >= 1, got {self.resolution!r}"
+                f"config field 'N' must be an integer >= 1, got {resolution!r}"
             )
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ConfigError(
-                f"config field 'seed' must be a nonnegative integer, got {self.seed!r}"
+                f"config field 'seed' must be a nonnegative integer, got {seed!r}"
             )
-        if not isinstance(self.initial_data, str) or not self.initial_data:
+        if not isinstance(initial_data, str) or not initial_data:
             raise ConfigError(
                 "config field 'initial_data' must be 'generate' or a file path, "
-                f"got {self.initial_data!r}"
+                f"got {initial_data!r}"
             )
-        if self.scheme not in SCHEMES:
+        if scheme not in SCHEMES:
             raise ConfigError(
-                f"config field 'scheme' must be one of {SCHEMES}, got {self.scheme!r}"
+                f"config field 'scheme' must be one of {SCHEMES}, got {scheme!r}"
             )
-        object.__setattr__(self, "total_time", t)
-        object.__setattr__(self, "resolution", int(self.resolution))
-        object.__setattr__(self, "seed", int(self.seed))
+        self._set(
+            model=model,
+            total_time=t,
+            resolution=int(resolution),
+            seed=int(seed),
+            initial_data=initial_data,
+            scheme=scheme,
+        )
+        matrix_dim = max(model.signal_dim, model.data_dim)
+        if 8 * matrix_dim**2 > MAX_MATRIX_BYTES:
+            raise ConfigError(
+                "config fields 'n_modes' and 'Y' must keep the model's largest "
+                f"dense matrix, {matrix_dim} x {matrix_dim} float64, within "
+                f"{MAX_MATRIX_BYTES} bytes, got n_modes = {model.n_modes!r} "
+                f"and Y = {model.pixels!r}"
+            )
         # Tested on the exponent, so that no 2^N is formed for an absurd N.
         if (
             self.resolution >= sys.float_info.max_exp
@@ -161,10 +186,10 @@ class RunConfig:
                 "config fields 'T' and 'N' must keep 2^N and dt = T/2^N finite, "
                 f"normal floats, got T = {t!r} and N = {self.resolution!r}"
             )
-        if self.scheme == SCHEME_DIRECT:
+        if scheme == SCHEME_DIRECT:
             return
         # 2^N + 1 <= max_rows, i.e. 2^N <= max_rows - 1.
-        max_rows = MAX_TRAJECTORY_BYTES // (8 * self.model.data_dim)
+        max_rows = MAX_TRAJECTORY_BYTES // (8 * model.data_dim)
         max_resolution = (max_rows - 1).bit_length() - 1
         if self.resolution > max_resolution:
             raise ConfigError(
@@ -188,8 +213,7 @@ class RunConfig:
         return self.total_time / self.steps
 
 
-@dataclass(frozen=True)
-class ExactReference:
+class ExactReference(NamedTuple):
     """Exact trajectory R2 A(t) m_0 of the initial posterior mean.
 
     ``data`` has one row per entry of ``times``, the times a run compares
@@ -203,8 +227,7 @@ class ExactReference:
     energy_drift: float
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     """Outcome of :func:`run_ifd`: per-step columns and end-of-run values.
 
     Entry i - 1 of each column belongs to step i, at time t = i dt.
@@ -233,6 +256,11 @@ class RunResult:
     direct_gap: float = None
 
 
+def _is_number(value):
+    """Whether a JSON value is a number; booleans, which Python counts as ints, are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def parse_config(mapping, scheme=None):
     """Build a :class:`RunConfig` from a flat dict of exactly the documented keys.
 
@@ -254,24 +282,31 @@ def parse_config(mapping, scheme=None):
             raise ConfigError(
                 f"config field {key!r} must be an integer, got {mapping[key]!r}"
             )
+    numbers = {}
     for key in ("mu", "beta", "sigma_n2", "T"):
-        if isinstance(mapping[key], bool) or not isinstance(mapping[key], (int, float)):
+        if not _is_number(mapping[key]):
             raise ConfigError(
                 f"config field {key!r} must be a number, got {mapping[key]!r}"
             )
+        try:
+            numbers[key] = float(mapping[key])
+        except OverflowError:
+            raise ConfigError(
+                f"config field {key!r} is an integer too large for a float"
+            ) from None
     try:
         model = KGModel(
             n_modes=mapping["n_modes"],
             pixels=mapping["Y"],
-            mu=float(mapping["mu"]),
-            beta=float(mapping["beta"]),
-            sigma_n2=float(mapping["sigma_n2"]),
+            mu=numbers["mu"],
+            beta=numbers["beta"],
+            sigma_n2=numbers["sigma_n2"],
         )
     except InfodynError as exc:
         raise ConfigError(str(exc)) from exc
     return RunConfig(
         model=model,
-        total_time=float(mapping["T"]),
+        total_time=numbers["T"],
         resolution=mapping["N"],
         seed=mapping["seed"],
         initial_data=mapping["initial_data"],
@@ -297,12 +332,18 @@ def config_dict(config):
 
 
 def load_config(path, scheme=None):
-    """Read and validate a JSON config file (``scheme`` as in :func:`parse_config`)."""
+    """Read and validate a JSON config file (``scheme`` as in :func:`parse_config`).
+
+    A file that is not UTF-8 JSON raises :class:`ConfigError`; one that
+    cannot be opened raises :class:`OSError`.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        # JSONDecodeError, UnicodeDecodeError, or an integer literal past
+        # Python's digit limit.
+        raise ConfigError(f"config file {path!r} is not valid UTF-8 JSON: {exc}") from exc
     return parse_config(raw, scheme)
 
 
@@ -315,9 +356,10 @@ def resolve_initial_data(config, response=None):
     prior is diagonal, so the draw scales standard normals by the square
     roots of :func:`kleingordon.prior_variances`, which is bit for bit the
     draw :func:`gaussian.sample` makes from the dense prior density.  Any
-    other value is read as a JSON file holding a flat list of 2(Y + 2)
-    numbers.  ``response`` is the model's lifted response; it is built here
-    when the caller has not built it.
+    other value is read as a UTF-8 JSON file holding a flat list of
+    2(Y + 2) finite numbers (not booleans); anything else raises
+    :class:`ConfigError`.  ``response`` is the model's lifted response; it
+    is built here when the caller has not built it.
     """
     model = config.model
     if config.initial_data == GENERATE:
@@ -333,16 +375,27 @@ def resolve_initial_data(config, response=None):
     try:
         with open(config.initial_data, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(
             f"could not read initial data file {config.initial_data!r}: {exc}"
         ) from exc
-    d0 = np.asarray(raw, dtype=float)
-    if d0.shape != (model.data_dim,):
+    if not (isinstance(raw, list) and all(_is_number(x) for x in raw)):
         raise ConfigError(
-            f"initial data file {config.initial_data!r} holds shape {d0.shape}, "
+            f"initial data file {config.initial_data!r} must hold a flat list "
+            f"of length {model.data_dim} of numbers"
+        )
+    if len(raw) != model.data_dim:
+        raise ConfigError(
+            f"initial data file {config.initial_data!r} holds {len(raw)} numbers, "
             f"expected a flat list of length {model.data_dim}"
         )
+    try:
+        d0 = np.array(raw, dtype=float)
+    except OverflowError:
+        raise ConfigError(
+            f"initial data file {config.initial_data!r} holds an integer too "
+            "large for a float"
+        ) from None
     if not np.all(np.isfinite(d0)):
         raise ConfigError(
             f"initial data file {config.initial_data!r} holds non-finite entries"
@@ -414,8 +467,7 @@ def _require_pd(eigenvalues, context):
     matfun._require_pd(np.array([w.min(), w.max()]), context)
 
 
-@dataclass(frozen=True)
-class _ClassPosterior:
+class _ClassPosterior(NamedTuple):
     """The run's posterior, by Fourier class.
 
     ``cov``, ``spectrum`` and ``filter`` hold, for each class group of
@@ -436,7 +488,9 @@ def _posterior_by_class(model, classes, response, d0):
     D = (Phi^-1 + R^T N^-1 R)^-1 and W = D R^T N^-1 per block, with the
     diagonal prior taken as :func:`kleingordon.prior_variances` and the
     white noise as sigma_n2.  The thermal prior has zero mean, so the
-    posterior mean is W d0.
+    posterior mean is W d0.  An information matrix that overflows (a prior
+    variance near the bottom of the float range) raises
+    :class:`NonFiniteOutput`.
     """
     phi_inv = 1.0 / kleingordon.prior_variances(model)
     n_inv = 1.0 / model.sigma_n2
@@ -448,6 +502,11 @@ def _posterior_by_class(model, classes, response, d0):
         diag = np.arange(sig.shape[1])
         block[:, diag, diag] += phi_inv[sig]
         info.append(_sym(block))
+    if not all(np.isfinite(block).all() for block in info):
+        raise NonFiniteOutput(
+            "the posterior information matrix is not finite; the prior "
+            "precision has overflowed"
+        )
     spectra = [np.linalg.eigh(block) for block in info]
     _require_pd([w for w, _ in spectra], "posterior information matrix")
     # D has the eigenvectors of its inverse and the reciprocal eigenvalues,
@@ -517,8 +576,11 @@ def _direct_endpoint(t_m_prime, classes, d0):
 
     M' couples only the data coefficients of one class, so exp(T M') is
     block diagonal over the classes' data indices.  Classes without data
-    indices have no block.
+    indices have no block.  A T M' that has overflowed raises
+    :class:`NonFiniteOutput`.
     """
+    if not np.all(np.isfinite(t_m_prime)):
+        raise NonFiniteOutput("T M' is not finite; the run has overflowed")
     out = np.zeros(len(d0))
     for _, dat in classes:
         if dat.shape[1]:
@@ -634,10 +696,11 @@ def run_ifd(config):
     # D and W do not depend on the data and serve every step; the mean
     # starts the exact reference.
     classes = kleingordon.fourier_classes(model)
-    post = _posterior_by_class(model, classes, response, d0)
     direct = config.scheme == SCHEME_DIRECT
-    # Overflow is refused by the one check below, not as numpy warnings.
+    # Overflow is refused by the checks of the posterior and the one check
+    # below, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
+        post = _posterior_by_class(model, classes, response, d0)
         if direct:
             times = np.array([0.0, config.total_time])
         else:
@@ -705,8 +768,7 @@ def run_ifd(config):
     )
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Log-log convergence data over a family of resolutions N.
 
     ``per_step_kl`` holds the first-step entropies, ``cumulative_kl`` the
@@ -767,9 +829,7 @@ def convergence_sweep(config, resolutions):
     deviations = []
     gaps = []
     for n in res_list:
-        run = run_ifd(
-            dataclasses.replace(config, resolution=n, scheme=SCHEME_BOTH)
-        )
+        run = run_ifd(config.replace(resolution=n, scheme=SCHEME_BOTH))
         dts.append(run.config.dt)
         per_step.append(run.kl_step[0])
         cumulative.append(run.kl_cumulative[-1])

@@ -140,6 +140,49 @@ def test_config_errors_exit_1(tmp_path, config_path, capsys):
     assert "config field 'N' must be at most 23" in err
 
 
+_NUMBERS = ", ".join(["0.5"] * 13)
+
+
+@pytest.mark.parametrize(
+    "field, raw",
+    [
+        # The raw JSON text of 'mu': not UTF-8, no float holds it, and past
+        # Python's integer digit limit.
+        ("mu", b'"\xff"'),
+        ("mu", b"1" + b"0" * 400),
+        ("mu", b"1" + b"0" * 5000),
+        # The raw text of the initial data file, one number short of the 14
+        # the model needs, then one bad entry.
+        ("initial_data", b"[" + _NUMBERS.encode() + b", 1\xe9]"),
+        ("initial_data", b"[" + _NUMBERS.encode() + b", 1" + b"0" * 400 + b"]"),
+        ("initial_data", b"[" + _NUMBERS.encode() + b', "abc"]'),
+        ("initial_data", b"[" + _NUMBERS.encode() + b', "1.5"]'),
+        ("initial_data", b"[" + _NUMBERS.encode() + b", {}]"),
+        ("initial_data", b"[" + _NUMBERS.encode() + b", [1, 2]]"),
+        ("initial_data", b"[" + _NUMBERS.encode() + b", true]"),
+        ("initial_data", b"[[1, 2], [3]]"),
+        ("initial_data", b'{"data": [1, 2]}'),
+    ],
+)
+def test_unreadable_config_and_initial_data_exit_1(tmp_path, config_path, capsys, field, raw):
+    # Each case used to escape as a raw UnicodeDecodeError, OverflowError,
+    # ValueError or TypeError traceback.
+    mapping = json.loads(config_path.read_text())
+    if field == "initial_data":
+        d0 = tmp_path / "d0.json"
+        d0.write_bytes(raw)
+        config_path.write_text(json.dumps({**mapping, "initial_data": str(d0)}))
+    else:
+        text = json.dumps({**mapping, field: "RAW"}).encode()
+        config_path.write_bytes(text.replace(b'"RAW"', raw))
+    out = tmp_path / "x.csv"
+    for argv in (["simulate", "--out", str(out)], ["direct"]):
+        assert cli.main([*argv, "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_bad_n_list_exits_1(config_path, capsys):
     assert cli.main(["sweep", "--config", str(config_path), "--n-list", "4,x"]) == 1
     assert cli.main(["sweep", "--config", str(config_path), "--n-list", "4,5"]) == 1
@@ -272,10 +315,32 @@ def test_direct_overflow_exits_2_before_writing(tmp_path, config_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        # Prior variances near 5e-309, whose reciprocals overflow; this used
+        # to warn and then refuse on NaN eigenvalues.
+        ({"n_modes": 4, "Y": 3, "beta": 5.6e307, "sigma_n2": 1.0, "T": 0.5, "N": 1},
+         "the posterior information matrix is not finite"),
+        # sigma_n2 / (R Phi R^T) overflows in M'; this used to exit 1 with
+        # "matrix entries must be finite" from the matrix exponential.
+        ({"n_modes": 2, "Y": 3, "beta": 2.4e16, "sigma_n2": 8.25e306, "T": 1.0, "N": 2,
+          "scheme": "direct"},
+         "T M' is not finite"),
+    ],
+)
+def test_overflowing_precisions_exit_2(tmp_path, config_path, capsys, overrides, message):
+    mapping = {**json.loads(config_path.read_text()), "scheme": "iterated", **overrides}
+    assert _simulate_quietly(tmp_path, config_path, mapping) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
+
+
 def test_runs_do_not_import_scipy(tmp_path, config_path):
     # A fresh interpreter, because this test process has scipy loaded.  Nor
     # may a run import numpy.ma, which np.unique pulls in lazily at a cost
-    # in start-up time and memory.
+    # in start-up time and memory, or dataclasses, whose classes generate
+    # and compile code when the package is imported.
     script = textwrap.dedent(
         f"""
         import sys
@@ -286,7 +351,8 @@ def test_runs_do_not_import_scipy(tmp_path, config_path):
         assert cli.main(["direct", "--config", config]) == 0
         print(sorted(
             m for m in sys.modules
-            if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"]
+            if m.split(".")[0] in ("scipy", "dataclasses")
+            or m.split(".")[:2] == ["numpy", "ma"]
         ))
         """
     )

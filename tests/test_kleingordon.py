@@ -237,6 +237,43 @@ def test_model_validation():
         _model(sigma_n2=-1.0)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"mu": 1e-320},  # mu^2 underflows to 0
+        {"mu": -1e-170},
+        {"mu": 1e200},  # mu^2 overflows
+        {"beta": 1e-300, "mu": 1e-20},  # beta mu^2 underflows to 0
+        {"beta": 1e300, "mu": 1e10},  # beta mu^2 overflows
+        {"sigma_n2": 1e-320},  # 1/sigma_n2 overflows
+    ],
+)
+def test_model_refuses_scales_that_underflow_or_overflow(overrides):
+    with pytest.raises(InvalidInput, match="must be a finite positive float"):
+        _model(**overrides)
+
+
+def test_model_accepts_scales_just_inside_the_float_range():
+    # mu^2 and beta mu^2 may be subnormal, 1/sigma_n2 too: all positive and finite.
+    for overrides in ({"mu": 1e-160}, {"mu": 1e154}, {"beta": 1e-10, "mu": 1e-154},
+                      {"sigma_n2": 1e-308}, {"sigma_n2": 1e308}):
+        _model(**overrides)
+
+
+def test_model_and_density_refuse_assignment():
+    model = _model()
+    with pytest.raises(AttributeError):
+        model.mu = 2.0
+    with pytest.raises(AttributeError):
+        del model.beta
+    density = gaussian.GaussianDensity(mean=np.zeros(2), cov=np.eye(2))
+    with pytest.raises(AttributeError):
+        density.cov = 2.0 * np.eye(2)
+    with pytest.raises(AttributeError):
+        density.extra = 1
+    assert model.mu == 1.0 and np.array_equal(density.cov, np.eye(2))
+
+
 def test_dt_limit_frozen():
     assert_allclose(_model().dt_limit, 1.0 / np.sqrt(10.0), rtol=1e-15)
 

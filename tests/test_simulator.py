@@ -1,6 +1,5 @@
 """Run loop, config handling, CSV determinism and convergence slopes."""
 
-import dataclasses
 import json
 import logging
 import sys
@@ -143,6 +142,19 @@ def test_generated_initial_data_is_seed_deterministic():
         noise_rng = np.random.Generator(np.random.PCG64(124))
         noise = np.sqrt(model.sigma_n2) * noise_rng.standard_normal(model.data_dim)
         assert np.array_equal(d_a, kleingordon.measurement(model).response @ s0 + noise)
+
+
+def test_model_size_is_capped_at_load_time_under_every_scheme():
+    # The largest dense matrix is square in max(4n - 2, 2(Y + 2)); at the
+    # cap of 2^27 bytes that is 4096.  Only the config is built here, no
+    # matrix.
+    assert simulator.MAX_MATRIX_BYTES == 1 << 27
+    for scheme in simulator.SCHEMES:
+        config = _config(n_modes=1024, Y=2045, T=1e-4, N=1, scheme=scheme)
+        assert max(config.model.signal_dim, config.model.data_dim) == 4094
+        for n_modes, pixels in ((1025, 5), (100_000_000, 5), (500_001, 1_000_001)):
+            with pytest.raises(ConfigError, match="largest dense matrix"):
+                _config(n_modes=n_modes, Y=pixels, T=1e-4, N=1, scheme=scheme)
 
 
 def test_initial_data_file_loading(tmp_path):
@@ -464,9 +476,9 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
     count(gaussian, "posterior")
     count(kleingordon, "update_generator")
     count(matfun, "spectral_decompose")
-    # Counted under one key, "__post_init__".
-    count(gaussian.GaussianDensity, "__post_init__")
-    count(gaussian.LinearMeasurement, "__post_init__")
+    # Counted under one key, "__init__".
+    count(gaussian.GaussianDensity, "__init__")
+    count(gaussian.LinearMeasurement, "__init__")
     # The Gram condition numbers are factored only when INFO is logged.
     caplog.set_level(logging.WARNING, logger="infodyn")
     for n_modes, pixels, total_time in ((16, 31, 0.05), (64, 127, 0.005)):
@@ -484,7 +496,7 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
         assert counts["posterior"] == 0
         assert counts["update_generator"] == 1
         assert counts["spectral_decompose"] == 0
-        assert counts["__post_init__"] == 0
+        assert counts["__init__"] == 0
 
 
 def _mean_error_at_end(resolution, data_map):
@@ -507,7 +519,7 @@ def _mean_error_at_end(resolution, data_map):
 def test_closed_form_posterior_mean_converges_at_first_order():
     # Today the error levels off at 1.521, 1.506 and 1.503 (|A(T) m_0| = 9.51).
     def closed_form(config, prior, meas, w, d0):
-        return simulator.run_ifd(dataclasses.replace(config, scheme="iterated")).final_data
+        return simulator.run_ifd(config.replace(scheme="iterated")).final_data
 
     dts = 0.05 / 2.0 ** np.array([6, 8, 10])
     errors = [_mean_error_at_end(n, closed_form) for n in (6, 8, 10)]
@@ -563,7 +575,7 @@ def test_diagnostics_refuse_steps_beyond_linearized_region():
     with pytest.raises(StepTooLarge):
         simulator.run_ifd(config)
     # The direct endpoint has no step restriction at all.
-    direct = simulator.run_ifd(dataclasses.replace(config, scheme="direct"))
+    direct = simulator.run_ifd(config.replace(scheme="direct"))
     _assert_no_steps(direct)
 
 
@@ -675,7 +687,21 @@ def test_sweep_rerun_matches_single_runs():
 
 def test_replace_keeps_config_frozen():
     config = _config()
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         config.resolution = 5
-    finer = dataclasses.replace(config, resolution=6)
+    finer = config.replace(resolution=6)
     assert finer.steps == 64 and config.steps == 16
+    assert finer == _config(N=6) and finer != config
+
+
+def test_replace_validates_like_a_new_config():
+    config = _config()
+    # At (4, 5), N = 23 is the largest whose trajectory fits in
+    # MAX_TRAJECTORY_BYTES; past it a replaced config is refused as a new
+    # one is.
+    assert config.replace(resolution=23).resolution == 23
+    with pytest.raises(ConfigError, match="config field 'N' must be at most 23"):
+        config.replace(resolution=24)
+    with pytest.raises(ConfigError, match="scheme"):
+        config.replace(scheme="nope")
+    assert config.resolution == 4
