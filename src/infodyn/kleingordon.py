@@ -19,8 +19,8 @@ coefficients (Y-1)/2 and (Y+1)/2 are complex conjugates of each other, so
 this packing carries each part twice in those four slots.  The pixel-average
 response, the thermal prior, the evolution generator and the per-mode data
 Gram diagonal all have closed forms implemented below; the generator M' of
-the data update is assembled from those closed forms without inverting any
-dense matrix.
+the data update is assembled from those closed forms, one Fourier class at
+a time (:func:`update_generator_blocks`), without inverting any matrix.
 
 The prior is diagonal, the noise white, the generator couples each mode's
 phi with its own chi, and the response couples mode l only with the data
@@ -30,7 +30,12 @@ the packing in closed form, once per model.  It is the one place in the
 package that decides the blocks.  A run reads the diagonal prior as its
 variances (:func:`prior_variances`) and the white noise as sigma_n2, and
 builds neither as a dense matrix; :func:`prior_density` and
-:func:`measurement` give the dense objects for library use and tests.
+:func:`measurement` give the dense objects for library use and tests.  The
+generator L and the exact step A(dt) couple each phi component only with
+its chi partner: a run takes their class blocks (:func:`class_blocks`) from
+their 2x2 blocks on those pairs (:func:`generator_pairs`,
+:func:`exact_step_pairs`), and :func:`build_generator` and
+:func:`exact_step` assemble the dense matrices from the same pairs.
 """
 
 import math
@@ -202,23 +207,21 @@ def build_response(model):
     row and column vanish (modes l = Y, 2Y, ... would land in row 0, but
     there sinc(l Delta / 2) = sinc(pi l / Y) = 0).
     """
-    n, y = model.n_modes, model.pixels
-    half = 0.5 * model.delta
+    y = model.pixels
+    l = np.arange(1, model.n_modes)
+    angle = l * (0.5 * model.delta)
+    scale, c, s = _sinc(angle), np.cos(angle), np.sin(angle)
+    cols = np.stack([2 * l - 1, 2 * l], axis=1)
     r = np.zeros((model.data_part_dim, model.part_dim))
     r[0, 0] = 1.0
-    for l in range(1, n):
-        scale = float(_sinc(l * half))
-        c = np.cos(l * half)
-        s = np.sin(l * half)
-        cols = (2 * l - 1, 2 * l)
-        k_direct = l % y
-        if 1 <= k_direct <= model.k_max:
-            rows = (2 * k_direct - 1, 2 * k_direct)
-            r[np.ix_(rows, cols)] += scale * np.array([[c, s], [-s, c]])
-        k_mirror = (-l) % y
-        if 1 <= k_mirror <= model.k_max:
-            rows = (2 * k_mirror - 1, 2 * k_mirror)
-            r[np.ix_(rows, cols)] += scale * np.array([[c, s], [s, -c]])
+    # Mode l lands on coefficient l mod Y, and its conjugate on -l mod Y.
+    # Each entry is written once: mode l owns columns 2l - 1 and 2l, and for
+    # odd Y its two coefficients differ.
+    for k, rotation in ((l % y, [[c, s], [-s, c]]), ((-l) % y, [[c, s], [s, -c]])):
+        hit = (k >= 1) & (k <= model.k_max)
+        rows = np.stack([2 * k - 1, 2 * k], axis=1)[hit]
+        block = scale[:, None, None] * np.moveaxis(np.array(rotation), -1, 0)
+        r[rows[:, :, None], cols[hit][:, None, :]] = block[hit]
     return r
 
 
@@ -284,23 +287,70 @@ def lift_response(response):
     return out
 
 
-def build_generator(model):
-    """Evolution generator L in the packed basis: d_t phi = chi, d_t chi = -w^2 phi."""
+def class_blocks(pairs, signal):
+    """Blocks, one per class, of a matrix that couples each phi component only with its chi partner.
+
+    ``pairs`` is the (2n - 1, 2, 2) stack of the matrix on each packed pair
+    (phi_i, chi_i), as :func:`generator_pairs` and :func:`exact_step_pairs`
+    give it.  ``signal`` is a (k, a) stack of signal indices, each row a
+    class's phi components followed by their chi partners, as
+    :func:`fourier_classes` lists them.  Returns the (k, a, a) stack of the
+    matrix's blocks on those rows; the one row ``arange(4n - 2)`` gives the
+    dense matrix.
+    """
+    k, a = signal.shape
+    half = a // 2
+    i = np.arange(half)
+    on_pairs = pairs[signal[:, :half]]
+    blocks = np.zeros((k, a, a))
+    for row in (0, 1):
+        for col in (0, 1):
+            blocks[:, i + row * half, i + col * half] = on_pairs[..., row, col]
+    return blocks
+
+
+def _dense(pairs):
+    """The dense matrix whose pair blocks are ``pairs``."""
+    return class_blocks(pairs, np.arange(2 * len(pairs))[None])[0]
+
+
+def generator_pairs(model):
+    """Evolution generator L on each packed pair (phi_i, chi_i): [[0, 1], [-w_i^2, 0]]."""
     p = model.part_dim
-    l_mat = np.zeros((model.signal_dim, model.signal_dim))
-    l_mat[:p, p:] = np.eye(p)
     lower = np.empty(p)
     lower[0] = -model.mu**2
     w2 = model.omega(np.arange(1, model.n_modes)) ** 2
     lower[1::2] = -w2
     lower[2::2] = -w2
-    l_mat[p:, :p] = np.diag(lower)
-    return l_mat
+    pairs = np.zeros((p, 2, 2))
+    pairs[:, 0, 1] = 1.0
+    pairs[:, 1, 0] = lower
+    return pairs
+
+
+def build_generator(model):
+    """Evolution generator L in the packed basis: d_t phi = chi, d_t chi = -w^2 phi."""
+    return _dense(generator_pairs(model))
 
 
 def _component_omegas(model):
     """w_k for each packed component of one field part: w_0, w_1, w_1, w_2, w_2, ..."""
     return model.omega(np.repeat(np.arange(model.n_modes), 2)[1:])
+
+
+def exact_step_pairs(model, dt):
+    """Exact evolution A(dt) on each packed pair (phi_i, chi_i), as in :func:`exact_step`."""
+    dt = float(dt)
+    if not np.isfinite(dt):
+        raise InvalidInput(f"dt must be finite, got {dt!r}")
+    w = _component_omegas(model)
+    cos, sin = np.cos(w * dt), np.sin(w * dt)
+    pairs = np.empty((model.part_dim, 2, 2))
+    pairs[:, 0, 0] = cos
+    pairs[:, 0, 1] = sin / w
+    pairs[:, 1, 0] = -w * sin
+    pairs[:, 1, 1] = cos
+    return pairs
 
 
 def exact_step(model, dt):
@@ -311,18 +361,7 @@ def exact_step(model, dt):
     determinant, satisfies the group law A(s) A(t) = A(s + t) and conserves
     :func:`field_energy`.
     """
-    dt = float(dt)
-    if not np.isfinite(dt):
-        raise InvalidInput(f"dt must be finite, got {dt!r}")
-    p = model.part_dim
-    w = _component_omegas(model)
-    cos, sin = np.cos(w * dt), np.sin(w * dt)
-    a = np.zeros((model.signal_dim, model.signal_dim))
-    a[:p, :p] = np.diag(cos)
-    a[:p, p:] = np.diag(sin / w)
-    a[p:, :p] = np.diag(-w * sin)
-    a[p:, p:] = np.diag(cos)
-    return a
+    return _dense(exact_step_pairs(model, dt))
 
 
 def exact_evolve(model, packed, times):
@@ -393,32 +432,76 @@ def rphi_rt_diag(model, part):
     else:
         raise InvalidInput(f"unknown part {part!r}")
     sinc2 = _sinc(m * 0.5 * model.delta) ** 2
+    # Mode m reaches the coefficients of class min(m mod Y, Y - m mod Y);
+    # bin 0 collects the modes m = Y, 2Y, ..., which reach none.
+    residues = m % y
+    b = (np.pi / beta) * np.bincount(
+        np.minimum(residues, y - residues), weights=weight * sinc2, minlength=y // 2 + 1
+    )[1:]
     diag = np.empty(model.data_part_dim)
     diag[0] = zero_entry
-    residues = m % y
-    for k in range(1, model.k_max + 1):
-        hits = (residues == k) | (residues == (y - k) % y)
-        b_k = (np.pi / beta) * np.sum(weight[hits] * sinc2[hits])
-        diag[2 * k - 1] = b_k
-        diag[2 * k] = b_k
+    diag[1:y] = np.repeat(b, 2)
+    # Coefficient (Y+1)/2 is the duplicated conjugate of (Y-1)/2.
+    diag[y:] = b[-1]
     return diag
 
 
 def data_gram_condition(model, part):
-    """Spectral condition number of the dense noisy Gram R Phi_part R^T + sigma^2.
+    """Spectral condition number of the noisy Gram R Phi_part R^T + sigma^2.
 
     The packed data layout stores the conjugate pair ((Y-1)/2, (Y+1)/2)
-    twice, which couples those rows in the dense Gram and leaves the noise
-    floor as the smallest eigenvalue; this number makes that conditioning
-    visible.
+    twice, which couples those rows in the Gram and leaves the noise floor
+    as the smallest eigenvalue; this number makes that conditioning
+    visible.  The Gram is block diagonal over the data indices of the
+    Fourier classes, so its extreme eigenvalues are taken over the blocks.
     """
     r = build_response(model)
-    phi = np.diag(_part_prior_diag(model, part))
-    gram = matfun.symmetrize(r @ phi @ r.T) + model.sigma_n2 * np.eye(
-        model.data_part_dim
+    var = _part_prior_diag(model, part)
+    spectra = []
+    for sig, dat in fourier_classes(model):
+        # A class's first half of indices is its part of the phi field; the
+        # chi part repeats them, shifted.
+        sig, dat = sig[:, : sig.shape[1] // 2], dat[:, : dat.shape[1] // 2]
+        if dat.shape[1]:
+            r_c = r[dat[:, :, None], sig[:, None, :]]
+            gram = (r_c * var[sig][:, None, :]) @ np.swapaxes(r_c, -1, -2)
+            diag = np.arange(dat.shape[1])
+            gram[:, diag, diag] += model.sigma_n2
+            spectra.append(np.linalg.eigvalsh(gram).ravel())
+    w = np.concatenate(spectra)
+    return float(w.max() / w.min())
+
+
+def update_generator_blocks(model, classes, response, variances):
+    """Blocks of the generator M' of the data update, one stack per class group.
+
+    ``classes`` are the model's :func:`fourier_classes`, ``response`` its
+    lifted response and ``variances`` its :func:`prior_variances`.  Per
+    class c, with R_c, L_c and Phi_c the class blocks of the lifted
+    response, the generator and the prior,
+
+        M'_c = (1 + sigma^2 G_c) ((R_c L_c) Phi_c) R_c^T H_c,
+
+    with G and H as in :func:`update_generator`.  The chain keeps the dense
+    matrix's association, so the blocks are those of the dense chain to
+    round-off in the order of summation.  Returns a (k, b, b) stack for
+    each group of k classes with b data indices each.
+    """
+    s2 = model.sigma_n2
+    diag = np.concatenate(
+        [rphi_rt_diag(model, PART_PHI), rphi_rt_diag(model, PART_CHI)]
     )
-    w, _ = matfun.spectral_decompose(gram)
-    return float(w[-1] / w[0])
+    l_pairs = generator_pairs(model)
+    blocks = []
+    for sig, dat in classes:
+        r = response[dat[:, :, None], sig[:, None, :]]
+        sandwich = ((r @ class_blocks(l_pairs, sig)) * variances[sig][:, None, :]) @ (
+            np.swapaxes(r, -1, -2)
+        )
+        gram = diag[dat]
+        scaled = sandwich / (gram + s2)[:, None, :]  # right-multiply by H
+        blocks.append(scaled + (s2 / gram)[:, :, None] * scaled)  # left (1 + s^2 G)
+    return blocks
 
 
 def update_generator(model):
@@ -430,15 +513,21 @@ def update_generator(model):
     the dense factors enter through matrix products.  One step of length dt
     updates the data by M = 1 + dt M', valid for dt < 1/w_{n-1}
     (:attr:`KGModel.dt_limit`, the Neumann expansion behind the closed
-    form), and the continuous-limit endpoint is exp(T M') d(0).
+    form), and the continuous-limit endpoint is exp(T M') d(0).  M' couples
+    only the data indices of one Fourier class, so the dense matrix is
+    assembled from :func:`update_generator_blocks`.
     """
-    r2 = lift_response(build_response(model))
-    sandwich = r2 @ build_generator(model) @ build_prior_cov(model) @ r2.T
-    diag = np.concatenate(
-        [rphi_rt_diag(model, PART_PHI), rphi_rt_diag(model, PART_CHI)]
+    classes = fourier_classes(model)
+    blocks = update_generator_blocks(
+        model,
+        classes,
+        lift_response(build_response(model)),
+        prior_variances(model),
     )
-    scaled = sandwich / (diag + model.sigma_n2)  # right-multiply by H
-    return scaled + (model.sigma_n2 / diag)[:, None] * scaled  # left (1 + s^2 G)
+    m_prime = np.zeros((model.data_dim, model.data_dim))
+    for (_, dat), block in zip(classes, blocks):
+        m_prime[dat[:, :, None], dat[:, None, :]] = block
+    return m_prime
 
 
 def prior_density(model):

@@ -22,17 +22,24 @@ and A the exact one-step evolution:
 The step-invariant algebra runs one Fourier class at a time
 (:func:`kleingordon.fourier_classes`), with one stacked numpy call per block
 shape: the posterior covariance D, the Wiener filter W = D R^T N^-1 and the
-posterior mean, A(dt) and 1 + dt L, the two evolved covariances and their
-KL covariance terms, the per-step quadratic forms, D*^-1, the match
-Hessian and the direct endpoint exp(T M') d(0).  Sums over the classes give
-the KL parts and quadratic forms, root sums of squares give vector norms,
-maxima give 2-norms, and the positive definiteness and Hessian regularity
-tests compare the smallest eigenvalue over all classes with the largest, as
-for the whole matrix.  The diagonal prior enters as its variances
-(:func:`kleingordon.prior_variances`) and the white noise as sigma_n2; no
-dense density or measurement is built.  M', the update loop and the exact
-reference stay dense, so the ``data`` trajectory is bit-identical to a
-dense run.
+posterior mean, the generator M' of the data update
+(:func:`kleingordon.update_generator_blocks`), A(dt) and 1 + dt L, taken in
+closed form from their 2x2 blocks on each (phi, chi) pair, the two evolved
+covariances and their KL covariance terms, the per-step quadratic forms,
+D*^-1, the match Hessian and the direct endpoint exp(T M') d(0).  Sums over
+the classes give the KL parts and quadratic forms, root sums of squares
+give vector norms, maxima give 2-norms, and the positive definiteness and
+Hessian regularity tests compare the smallest eigenvalue over all classes
+with the largest, as for the whole matrix.  The diagonal prior enters as its
+variances (:func:`kleingordon.prior_variances`) and the white noise as
+sigma_n2; no dense density, measurement, generator, exact step or M' is
+built.  The part that does not depend on dt (the classes, the response, the
+posterior, M' and exp(T M') d(0)) is built once per run, and once per
+:func:`convergence_sweep`.  The update matrix M = 1 + dt M', assembled from
+the blocks of M', the update loop, the initial draw and the exact reference
+stay dense.  The blocks of M' keep the summation order of the dense chain
+R2 L Phi R2^T, so the ``data`` trajectory is that of a dense run, bit for
+bit at the sizes the tests pin.
 
 ``exact_deviation`` compares u against the noise-free image R2 A(t) m_0 of
 the exactly evolved initial posterior mean.  It does not vanish with dt; it
@@ -104,11 +111,12 @@ REFERENCE_BLOCK_ENTRIES = 1 << 18
 # whose N exceeds it are refused at load time instead of failing in numpy.
 MAX_TRAJECTORY_BYTES = 1 << 30
 
-# Largest dense float64 matrix a model may need, in bytes.  Its largest are
-# square in max(4n - 2, 2(Y + 2)): the generator L and the exact step A(dt)
-# in the signal space, M' and the update matrix in the data space.  A run
-# holds a few of them, under every scheme, so configs whose model exceeds
-# this are refused at load time instead of failing in numpy.
+# Largest dense float64 matrix a model may need, in bytes.  Its largest fit
+# in a square of max(4n - 2, 2(Y + 2)): a run holds the lifted response R2
+# under every scheme and the update matrix M when it steps, and the dense
+# generator L, exact step A(dt) and M' of the library are that size too.
+# Configs whose model exceeds this are refused at load time instead of
+# failing in numpy.
 MAX_MATRIX_BYTES = 1 << 27
 
 
@@ -482,17 +490,16 @@ class _ClassPosterior(NamedTuple):
     mean: np.ndarray
 
 
-def _posterior_by_class(model, classes, response, d0):
+def _posterior_by_class(model, classes, response, variances, d0):
     """:func:`gaussian.posterior` and its Wiener filter, computed class by class.
 
     D = (Phi^-1 + R^T N^-1 R)^-1 and W = D R^T N^-1 per block, with the
-    diagonal prior taken as :func:`kleingordon.prior_variances` and the
-    white noise as sigma_n2.  The thermal prior has zero mean, so the
-    posterior mean is W d0.  An information matrix that overflows (a prior
-    variance near the bottom of the float range) raises
-    :class:`NonFiniteOutput`.
+    diagonal prior taken as its ``variances`` and the white noise as
+    sigma_n2.  The thermal prior has zero mean, so the posterior mean is
+    W d0.  An information matrix that overflows (a prior variance near the
+    bottom of the float range) raises :class:`NonFiniteOutput`.
     """
-    phi_inv = 1.0 / kleingordon.prior_variances(model)
+    phi_inv = 1.0 / variances
     n_inv = 1.0 / model.sigma_n2
     rt_n_inv, info = [], []
     for sig, dat in classes:
@@ -571,25 +578,81 @@ def _columns(blocks):
     return np.concatenate([b.reshape(-1, b.shape[-1]) for b in blocks]).T
 
 
-def _direct_endpoint(t_m_prime, classes, d0):
+def _direct_endpoint(total_time, m_prime, classes, d0):
     """The continuous-limit endpoint exp(T M') d(0), one Fourier class at a time.
 
     M' couples only the data coefficients of one class, so exp(T M') is
-    block diagonal over the classes' data indices.  Classes without data
-    indices have no block.  A T M' that has overflowed raises
-    :class:`NonFiniteOutput`.
+    block diagonal over the classes' data indices; ``m_prime`` holds those
+    blocks.  Classes without data indices have no block.  A T M' that has
+    overflowed raises :class:`NonFiniteOutput`.
     """
-    if not np.all(np.isfinite(t_m_prime)):
+    t_m_prime = [total_time * block for block in m_prime]
+    if not all(np.all(np.isfinite(block)) for block in t_m_prime):
         raise NonFiniteOutput("T M' is not finite; the run has overflowed")
     out = np.zeros(len(d0))
-    for _, dat in classes:
+    for (_, dat), block in zip(classes, t_m_prime):
         if dat.shape[1]:
-            block = matfun.expm_general(_by_class(t_m_prime, dat, dat))
-            out[dat] = (block @ d0[dat][:, :, None])[:, :, 0]
+            out[dat] = (matfun.expm_general(block) @ d0[dat][:, :, None])[:, :, 0]
     return out
 
 
-def _iterate(config, classes, post, m_prime, d0, reference):
+class _Setup(NamedTuple):
+    """The part of a run that does not depend on dt, built once per model and initial data.
+
+    ``classes`` are the model's Fourier classes, ``response`` its lifted
+    response R2, ``initial_data`` the data vector d(0) and ``posterior`` its
+    :class:`_ClassPosterior`.  ``m_prime`` holds the class blocks of M'
+    (:func:`kleingordon.update_generator_blocks`) and ``direct_data`` the
+    direct endpoint exp(T M') d(0), or None when it was not asked for.
+    """
+
+    classes: list
+    response: np.ndarray
+    initial_data: np.ndarray
+    posterior: _ClassPosterior
+    m_prime: list
+    direct_data: np.ndarray
+
+
+def _setup(config, direct):
+    """Build the :class:`_Setup` of ``config``, with the direct endpoint if ``direct``.
+
+    It depends on the model, the seed, the initial data and T, not on N or
+    the scheme.
+    """
+    model = config.model
+    response = kleingordon.lift_response(kleingordon.build_response(model))
+    d0 = resolve_initial_data(config, response)
+    classes = kleingordon.fourier_classes(model)
+    # Overflow is refused by the checks of the posterior and of the direct
+    # endpoint, not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if logger.isEnabledFor(logging.INFO):
+            for part in (kleingordon.PART_PHI, kleingordon.PART_CHI):
+                logger.info(
+                    "data-space Gram condition number (%s part): %.6g",
+                    part,
+                    kleingordon.data_gram_condition(model, part),
+                )
+        variances = kleingordon.prior_variances(model)
+        # D and W do not depend on the data and serve every step; the mean
+        # starts the exact reference.
+        post = _posterior_by_class(model, classes, response, variances, d0)
+        m_prime = kleingordon.update_generator_blocks(model, classes, response, variances)
+        direct_data = (
+            _direct_endpoint(config.total_time, m_prime, classes, d0) if direct else None
+        )
+    return _Setup(
+        classes=classes,
+        response=response,
+        initial_data=d0,
+        posterior=post,
+        m_prime=m_prime,
+        direct_data=direct_data,
+    )
+
+
+def _iterate(config, setup, reference):
     """Per-step columns of :class:`RunResult`, means and branch labels, unchecked.
 
     The step-invariant algebra runs class by class; only the loop and the
@@ -597,24 +660,16 @@ def _iterate(config, classes, post, m_prime, d0, reference):
     """
     model = config.model
     dt = config.dt
-    if logger.isEnabledFor(logging.INFO):
-        for part in (kleingordon.PART_PHI, kleingordon.PART_CHI):
-            logger.info(
-                "data-space Gram condition number (%s part): %.6g",
-                part,
-                kleingordon.data_gram_condition(model, part),
-            )
-    # L couples each packed phi component only with its chi partner, so its
-    # 2x2 blocks carry the check ||dt L|| < 1 and give 1 + dt L.
-    pairs = np.arange(model.signal_dim).reshape(2, -1).T
-    generator = kleingordon.build_generator(model)
-    g_full = np.zeros_like(generator)
-    g_full[pairs[:, :, None], pairs[:, None, :]] = dynamics.AffineDynamics(
-        generator=_by_class(generator, pairs, pairs), dt=dt
+    classes, post = setup.classes, setup.posterior
+    # L and A(dt) couple each packed phi component only with its chi
+    # partner, so their 2x2 pair blocks give their class blocks; those of L
+    # carry the check ||dt L|| < 1 and give 1 + dt L.
+    g_pairs = dynamics.AffineDynamics(
+        generator=kleingordon.generator_pairs(model), dt=dt
     ).step_matrix()
-    exact_step = kleingordon.exact_step(model, dt)
-    a_step = [_by_class(exact_step, sig, sig) for sig, _ in classes]
-    g_step = [_by_class(g_full, sig, sig) for sig, _ in classes]
+    a_pairs = kleingordon.exact_step_pairs(model, dt)
+    a_step = [kleingordon.class_blocks(a_pairs, sig) for sig, _ in classes]
+    g_step = [kleingordon.class_blocks(g_pairs, sig) for sig, _ in classes]
     # The evolved covariances are the same at every step: check and factor
     # them once.  Only the means below depend on the step.
     exact = [_sym(a @ d @ _t(a)) for a, d in zip(a_step, post.cov)]
@@ -622,10 +677,12 @@ def _iterate(config, classes, post, m_prime, d0, reference):
     _require_pd([np.linalg.eigvalsh(c) for c in exact], "exactly evolved covariance")
     linear_spectra = [np.linalg.eigh(c) for c in linear]
     _require_pd([w for w, _ in linear_spectra], "linearly evolved covariance")
-    m_update = np.eye(model.data_dim) + dt * m_prime
+    m_update = np.eye(model.data_dim)
+    for (_, dat), block in zip(classes, setup.m_prime):
+        m_update[dat[:, :, None], dat[:, None, :]] += dt * block
 
     data = np.empty((config.steps + 1, model.data_dim))
-    data[0] = u = d0
+    data[0] = u = setup.initial_data
     for i in range(1, config.steps + 1):
         u = m_update @ u
         data[i] = u
@@ -667,8 +724,9 @@ def _iterate(config, classes, post, m_prime, d0, reference):
 def run_ifd(config):
     """Run the iterated data update, then compute per-step diagnostics batched.
 
-    The generator M' is built once; the update M = 1 + dt M' and the direct
-    endpoint exp(T M') d(0) both come from it.  The loop multiplies the data
+    The class blocks of the generator M' are built once; the update
+    M = 1 + dt M' and the direct endpoint exp(T M') d(0) both come from
+    them.  The loop multiplies the data
     vector by M and stores it, nothing else.  Afterwards, over all steps at
     once, the run computes the two relative entropies described in the
     module docstring (a constant covariance term, factored once, plus a
@@ -690,26 +748,23 @@ def run_ifd(config):
     naming the first such step.  The exact reference and its energy drift
     cover every step time, or only t = 0 and T under scheme 'direct'.
     """
+    return _run(config, _setup(config, direct=config.scheme != SCHEME_ITERATED))
+
+
+def _run(config, setup):
+    """:func:`run_ifd` of ``config`` from its :class:`_Setup`."""
     model = config.model
-    response = kleingordon.lift_response(kleingordon.build_response(model))
-    d0 = resolve_initial_data(config, response)
-    # D and W do not depend on the data and serve every step; the mean
-    # starts the exact reference.
-    classes = kleingordon.fourier_classes(model)
     direct = config.scheme == SCHEME_DIRECT
-    # Overflow is refused by the checks of the posterior and the one check
-    # below, not as numpy warnings.
+    # Overflow is refused by the checks below, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        post = _posterior_by_class(model, classes, response, d0)
         if direct:
             times = np.array([0.0, config.total_time])
         else:
             times = config.dt * np.arange(config.steps + 1)
-        reference = _exact_reference(model, post.mean, response, times)
-        m_prime = kleingordon.update_generator(model)
-        direct_data = direct_gap = None
-        if config.scheme != SCHEME_ITERATED:
-            direct_data = _direct_endpoint(config.total_time * m_prime, classes, d0)
+        reference = _exact_reference(
+            model, setup.posterior.mean, setup.response, times
+        )
+        direct_data, direct_gap = setup.direct_data, None
         if direct:
             # No steps: every per-step column is empty.
             columns = dict.fromkeys(
@@ -721,9 +776,7 @@ def run_ifd(config):
             final_data = direct_data
             final_deviation = float(np.linalg.norm(direct_data - reference.data[-1]))
         else:
-            columns, step_means, branch = _iterate(
-                config, classes, post, m_prime, d0, reference
-            )
+            columns, step_means, branch = _iterate(config, setup, reference)
             final_data = columns["data"][-1]
             final_deviation = float(columns["exact_deviation"][-1])
         if config.scheme == SCHEME_BOTH:
@@ -756,7 +809,7 @@ def run_ifd(config):
         logger.info("branch counts over %d steps: %s", config.steps, branch_counts)
     return RunResult(
         config=config,
-        initial_data=d0,
+        initial_data=setup.initial_data,
         **columns,
         branch=branch,
         branch_counts=branch_counts,
@@ -816,20 +869,24 @@ def convergence_sweep(config, resolutions):
     falls off like dt, as does the gap between the iterated endpoint and the
     continuous-limit endpoint exp(T M').  Fewer than three distinct
     resolutions cannot support a slope estimate and raise
-    :class:`InsufficientSweep`.
+    :class:`InsufficientSweep`.  Every resolution's config is validated
+    before the first run.  The part of a run that does not depend on dt,
+    including M' and exp(T M') d(0), is built once and serves every run.
     """
     res_list = sorted({int(n) for n in resolutions})
     if len(res_list) < 3:
         raise InsufficientSweep(
             f"need at least 3 distinct resolutions for a sweep, got {res_list}"
         )
+    configs = [config.replace(resolution=n, scheme=SCHEME_BOTH) for n in res_list]
+    setup = _setup(config, direct=True)
     dts = []
     per_step = []
     cumulative = []
     deviations = []
     gaps = []
-    for n in res_list:
-        run = run_ifd(config.replace(resolution=n, scheme=SCHEME_BOTH))
+    for run_config in configs:
+        run = _run(run_config, setup)
         dts.append(run.config.dt)
         per_step.append(run.kl_step[0])
         cumulative.append(run.kl_cumulative[-1])

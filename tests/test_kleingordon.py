@@ -441,6 +441,107 @@ def test_data_norm_stays_below_exponential_envelope():
         assert np.linalg.norm(u) <= envelope
 
 
+def _loop_response(model):
+    """The response built mode by mode, with a scalar sinc and rotation per mode."""
+    n, y = model.n_modes, model.pixels
+    half = 0.5 * model.delta
+    r = np.zeros((model.data_part_dim, model.part_dim))
+    r[0, 0] = 1.0
+    for l in range(1, n):
+        scale = float(np.sinc(l * half / np.pi))
+        c = np.cos(l * half)
+        s = np.sin(l * half)
+        cols = (2 * l - 1, 2 * l)
+        k_direct = l % y
+        if 1 <= k_direct <= model.k_max:
+            rows = (2 * k_direct - 1, 2 * k_direct)
+            r[np.ix_(rows, cols)] += scale * np.array([[c, s], [-s, c]])
+        k_mirror = (-l) % y
+        if 1 <= k_mirror <= model.k_max:
+            rows = (2 * k_mirror - 1, 2 * k_mirror)
+            r[np.ix_(rows, cols)] += scale * np.array([[c, s], [s, -c]])
+    return r
+
+
+def _loop_gram_diag(model, part):
+    """The closed-form Gram diagonal summed coefficient by coefficient."""
+    n, y, beta = model.n_modes, model.pixels, model.beta
+    m = np.arange(1, n)
+    if part == kg.PART_PHI:
+        weight = 1.0 / model.omega(m) ** 2
+        zero_entry = 2.0 * np.pi / (beta * model.mu**2)
+    else:
+        weight = np.ones(n - 1)
+        zero_entry = 2.0 * np.pi / beta
+    sinc2 = np.sinc(m * 0.5 * model.delta / np.pi) ** 2
+    diag = np.empty(model.data_part_dim)
+    diag[0] = zero_entry
+    residues = m % y
+    for k in range(1, model.k_max + 1):
+        hits = (residues == k) | (residues == (y - k) % y)
+        diag[2 * k - 1] = diag[2 * k] = (np.pi / beta) * np.sum(weight[hits] * sinc2[hits])
+    return diag
+
+
+def _dense_chain_update_generator(model):
+    """M' as the dense chain (1 + sigma^2 G) R2 L Phi R2^T H, from the loop oracles."""
+    r2 = kg.lift_response(_loop_response(model))
+    sandwich = r2 @ kg.build_generator(model) @ kg.build_prior_cov(model) @ r2.T
+    diag = np.concatenate(
+        [_loop_gram_diag(model, kg.PART_PHI), _loop_gram_diag(model, kg.PART_CHI)]
+    )
+    scaled = sandwich / (diag + model.sigma_n2)
+    return scaled + (model.sigma_n2 / diag)[:, None] * scaled
+
+
+@pytest.mark.parametrize("n, y", [(4, 5), (16, 31), (64, 127)])
+def test_builders_equal_the_loop_and_dense_chain_bitwise(n, y):
+    model = _model(n_modes=n, pixels=y)
+    assert np.array_equal(kg.build_response(model), _loop_response(model))
+    for part in (kg.PART_PHI, kg.PART_CHI):
+        assert np.array_equal(kg.rphi_rt_diag(model, part), _loop_gram_diag(model, part))
+    assert np.array_equal(kg.update_generator(model), _dense_chain_update_generator(model))
+
+
+@pytest.mark.parametrize("n, y", [(256, 511), (8, 5)])
+def test_builders_match_the_loop_and_dense_chain_when_sums_reorder(n, y):
+    # (8, 5) folds three modes onto each nonzero class; at (256, 511) the
+    # dense products may sum a class's terms in another order.
+    model = _model(n_modes=n, pixels=y)
+    pairs = [(kg.build_response(model), _loop_response(model))]
+    pairs += [
+        (kg.rphi_rt_diag(model, part), _loop_gram_diag(model, part))
+        for part in (kg.PART_PHI, kg.PART_CHI)
+    ]
+    pairs.append((kg.update_generator(model), _dense_chain_update_generator(model)))
+    for new, oracle in pairs:
+        assert np.max(np.abs(new - oracle)) <= 1e-15 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("n, y", [(4, 5), (16, 31), (40, 31), (64, 127)])
+def test_class_blocks_are_the_dense_matrices_blocks(n, y):
+    # A class lists its phi components, then their chi partners, so the
+    # pair blocks of L and A(dt) give exactly their class blocks.
+    model = _model(n_modes=n, pixels=y)
+    for dense, pairs in (
+        (kg.build_generator(model), kg.generator_pairs(model)),
+        (kg.exact_step(model, 0.3), kg.exact_step_pairs(model, 0.3)),
+    ):
+        for sig, _ in kg.fourier_classes(model):
+            gathered = dense[sig[:, :, None], sig[:, None, :]]
+            assert np.array_equal(kg.class_blocks(pairs, sig), gathered)
+
+
+@pytest.mark.parametrize("n, y", [(4, 5), (8, 5), (16, 31), (40, 31), (64, 127)])
+def test_data_gram_condition_matches_the_dense_gram(n, y):
+    model = _model(n_modes=n, pixels=y)
+    for part in (kg.PART_PHI, kg.PART_CHI):
+        w = np.linalg.eigvalsh(
+            _dense_gram(model, part) + model.sigma_n2 * np.eye(model.data_part_dim)
+        )
+        assert_allclose(kg.data_gram_condition(model, part), w[-1] / w[0], rtol=1e-12)
+
+
 def test_data_gram_condition_sees_alias_redundancy():
     # Noise-free Gram is singular on the duplicated pair; with noise the
     # condition number is the ratio of the largest entry-pair sum to the

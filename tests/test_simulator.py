@@ -444,14 +444,15 @@ def test_every_step_takes_projected_branch_and_warns_once(caplog):
 
 
 def test_run_factors_each_matrix_once(monkeypatch, caplog):
-    # One run computes M' once and all its step-invariant algebra Fourier
-    # class by Fourier class, so it makes no dense posterior call, builds no
-    # dense density or measurement and decomposes no dense matrix.  A class
-    # holds at most 12 signal and data dimensions here; the largest matrix a
-    # factorization or the direct endpoint's Pade solve sees is the data
-    # part of the class of the duplicated conjugate pair: coefficients
-    # (Y-1)/2 and (Y+1)/2, real and imaginary, phi and chi, 8 in all.  No
-    # 2-norm may take an SVD.
+    # One run builds the class blocks of M' once and computes all its
+    # step-invariant algebra Fourier class by Fourier class, so it builds no
+    # dense M', generator or exact step, makes no dense posterior call,
+    # builds no dense density or measurement and decomposes no dense
+    # matrix.  A class holds at most 12 signal and data dimensions here;
+    # the largest matrix a factorization or the direct endpoint's Pade
+    # solve sees is the data part of the class of the duplicated conjugate
+    # pair: coefficients (Y-1)/2 and (Y+1)/2, real and imaginary, phi and
+    # chi, 8 in all.  No 2-norm may take an SVD.
     counts = Counter()
     sizes = []
     # np.linalg.norm(x, 2) calls svd by name in the module that defines it.
@@ -474,7 +475,8 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
     for name in ("eigh", "eigvalsh", "solve", "svd"):
         count(np.linalg, name)
     count(gaussian, "posterior")
-    count(kleingordon, "update_generator")
+    for name in ("update_generator", "update_generator_blocks", "build_generator", "exact_step"):
+        count(kleingordon, name)
     count(matfun, "spectral_decompose")
     # Counted under one key, "__init__".
     count(gaussian.GaussianDensity, "__init__")
@@ -494,7 +496,10 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
         assert sizes and max(sizes) <= 8
         assert counts["svd"] == 0
         assert counts["posterior"] == 0
-        assert counts["update_generator"] == 1
+        assert counts["update_generator_blocks"] == 1
+        assert counts["update_generator"] == 0
+        assert counts["build_generator"] == 0
+        assert counts["exact_step"] == 0
         assert counts["spectral_decompose"] == 0
         assert counts["__init__"] == 0
 
@@ -678,11 +683,43 @@ def test_sweep_slopes_and_monotonicity():
 
 
 def test_sweep_rerun_matches_single_runs():
+    # The sweep shares one dt-independent setup between its runs; each run
+    # is still the single run at its resolution, bit for bit.
     sweep = simulator.convergence_sweep(_config(), (4, 5, 6))
     run = _run_at(5)
-    assert_allclose(sweep.per_step_kl[1], run.kl_step[0], rtol=1e-15)
-    assert_allclose(sweep.cumulative_kl[1], run.kl_cumulative[-1], rtol=1e-15)
-    assert_allclose(sweep.final_deviations[1], run.final_deviation, rtol=1e-15)
+    assert sweep.per_step_kl[1] == run.kl_step[0]
+    assert sweep.cumulative_kl[1] == run.kl_cumulative[-1]
+    assert sweep.final_deviations[1] == run.final_deviation
+    assert sweep.direct_gaps[1] == run.direct_gap
+
+
+def test_sweep_builds_the_dt_independent_setup_once(monkeypatch, caplog):
+    # M', exp(T M') d(0), the posterior and the Gram condition numbers do not
+    # depend on dt: a sweep builds them once.
+    calls = Counter()
+    original = kleingordon.update_generator_blocks
+
+    def counted(*args, **kwargs):
+        calls["update_generator_blocks"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kleingordon, "update_generator_blocks", counted)
+    caplog.set_level(logging.INFO, logger="infodyn")
+    simulator.convergence_sweep(_config(n_modes=16, Y=31, T=0.05), (4, 5, 6))
+    assert calls["update_generator_blocks"] == 1
+    assert len([r for r in caplog.records if "Gram condition" in r.message]) == 2
+
+
+def test_mass_enters_only_squared():
+    # mu and -mu give the same run, every field after the config bit for
+    # bit: only mu^2 enters the dispersion, the prior and the generator.
+    runs = [simulator.run_ifd(_config(mu=mu, N=5, scheme="both")) for mu in (1.3, -1.3)]
+    for name in simulator.RunResult._fields[1:]:
+        left, right = (getattr(run, name) for run in runs)
+        if isinstance(left, np.ndarray):
+            assert np.array_equal(left, right), name
+        else:
+            assert left == right, name
 
 
 def test_replace_keeps_config_frozen():
