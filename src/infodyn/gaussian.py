@@ -9,8 +9,11 @@ with covariance D = (Phi^-1 + R^T N^-1 R)^-1 and mean psi + W (d - R psi),
 where W is the generalized Wiener filter.  The filter has two algebraically
 equal representations, one inverting in signal space and one in data space;
 both are kept because their conditioning differs and their agreement is a
-useful internal consistency check.  A caller that holds the posterior
-covariance D already reads W = D R^T N^-1 off it (:func:`posterior_filter`).
+useful internal consistency check.  D, its spectrum and W = D R^T N^-1
+are derived in one place, :func:`posterior_blocks`, for one matrix or for
+stacks of blocks (a run's Fourier classes); :func:`posterior`,
+:class:`infodyn.matching.MatchProblem` and :mod:`infodyn.simulator` call
+it.  :func:`kl_covariance_blocks` is likewise the one KL covariance term.
 
 All covariance manipulation goes through the spectral helpers in
 :mod:`infodyn.matfun`, so positive definiteness failures surface as
@@ -21,7 +24,7 @@ import numpy as np
 
 from . import matfun
 from ._frozen import Frozen
-from .errors import InvalidInput
+from .errors import InvalidInput, NonFiniteOutput
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -56,7 +59,7 @@ class GaussianDensity(Frozen):
                 f"mean has dimension {mean.shape[0]} but covariance is {cov.shape}"
             )
         w, q = matfun.spectral_decompose(cov)
-        matfun._require_pd(w, "GaussianDensity")
+        matfun.require_pd(w, "GaussianDensity")
         mean.setflags(write=False)
         cov.setflags(write=False)
         self._set(mean=mean, cov=cov, _spectrum=(w, q))
@@ -67,8 +70,7 @@ class GaussianDensity(Frozen):
 
     def inv_cov(self):
         """Covariance inverse through the spectral decomposition."""
-        w, q = self._spectrum
-        return (q / w) @ q.T
+        return matfun.spectral_inverse(*self._spectrum)
 
     def log_det_cov(self):
         w, _ = self._spectrum
@@ -90,7 +92,9 @@ class GaussianDensity(Frozen):
 class LinearMeasurement(Frozen):
     """Linear response R with additive Gaussian noise of covariance N."""
 
-    __slots__ = _fields = ("response", "noise_cov")
+    _fields = ("response", "noise_cov")
+    # ``_noise_spectrum`` caches the (eigenvalues, eigenvectors) of N.
+    __slots__ = _fields + ("_noise_spectrum",)
 
     def __init__(self, response, noise_cov):
         r = np.asarray(response, dtype=float)
@@ -99,15 +103,15 @@ class LinearMeasurement(Frozen):
         if not np.all(np.isfinite(r)):
             raise InvalidInput("response entries must be finite")
         n = matfun.symmetrize(noise_cov)
-        w, _ = matfun.spectral_decompose(n)
-        matfun._require_pd(w, "LinearMeasurement noise covariance")
+        w, q = matfun.spectral_decompose(n)
+        matfun.require_pd(w, "LinearMeasurement noise covariance")
         if n.shape[0] != r.shape[0]:
             raise InvalidInput(
                 f"noise covariance {n.shape} does not match response rows {r.shape[0]}"
             )
         r.setflags(write=False)
         n.setflags(write=False)
-        self._set(response=r, noise_cov=n)
+        self._set(response=r, noise_cov=n, _noise_spectrum=(w, q))
 
     @property
     def data_dim(self):
@@ -117,11 +121,9 @@ class LinearMeasurement(Frozen):
     def signal_dim(self):
         return self.response.shape[1]
 
-
-def _spd_inv(matrix, context):
-    w, q = matfun.spectral_decompose(matrix)
-    matfun._require_pd(w, context)
-    return (q / w) @ q.T
+    def inv_noise_cov(self):
+        """Noise covariance inverse through the spectral decomposition."""
+        return matfun.spectral_inverse(*self._noise_spectrum)
 
 
 def _check_compatible(prior, measurement):
@@ -153,34 +155,45 @@ def wiener_filter(prior, measurement, representation="signal_space"):
     r = measurement.response
     phi = prior.cov
     if representation == "signal_space":
-        n_inv = _spd_inv(measurement.noise_cov, "wiener_filter noise covariance")
-        d_inv = _spd_inv(phi, "wiener_filter prior covariance") + r.T @ n_inv @ r
+        n_inv = measurement.inv_noise_cov()
+        d_inv = prior.inv_cov() + r.T @ n_inv @ r
         return np.linalg.solve(matfun.symmetrize(d_inv), r.T @ n_inv)
     if representation == "data_space":
         gram = matfun.symmetrize(r @ phi @ r.T + measurement.noise_cov)
         w, q = matfun.spectral_decompose(gram)
-        matfun._require_pd(w, "wiener_filter data-space gram")
-        return phi @ r.T @ ((q / w) @ q.T)
+        matfun.require_pd(w, "wiener_filter data-space gram")
+        return phi @ r.T @ matfun.spectral_inverse(w, q)
     raise InvalidInput(f"unknown representation {representation!r}")
 
 
-def posterior_filter(post_cov, measurement):
-    """Wiener filter W = D R^T N^-1, read off the posterior covariance D.
+def posterior_blocks(info, rt_n_inv):
+    """D = (Phi^-1 + R^T N^-1 R)^-1, its spectrum and W = D R^T N^-1, from D^-1 and R^T N^-1.
 
-    D must be the posterior covariance of ``measurement`` (as
-    :func:`posterior` returns it); W then equals :func:`wiener_filter` for
-    the prior D came from, whose signal-space form solves for the same
-    matrix, at the cost of products and the inverse of N alone.
+    ``info`` lists the symmetric information matrix D^-1, as one (n, n)
+    matrix or as (k, n, n) stacks of the blocks of a block-diagonal one, and
+    ``rt_n_inv`` lists R^T N^-1 in the same blocks.  Returns three lists in
+    those blocks: D, its (eigenvalues, eigenvectors) and W.  One positive
+    definiteness test covers all blocks; D has the reciprocal eigenvalues,
+    so it passes too.  A non-finite block, from an overflowed prior
+    precision, raises :class:`NonFiniteOutput`.
     """
-    n_inv = _spd_inv(measurement.noise_cov, "posterior_filter noise covariance")
-    return post_cov @ (measurement.response.T @ n_inv)
+    if not all(np.isfinite(block).all() for block in info):
+        raise NonFiniteOutput(
+            "the posterior information matrix is not finite; the prior "
+            "precision has overflowed"
+        )
+    spectra = [np.linalg.eigh(block) for block in info]
+    matfun.require_pd([w for w, _ in spectra], "posterior information matrix")
+    cov = [matfun.spectral_inverse(w, q) for w, q in spectra]
+    spectrum = [(1.0 / w, q) for w, q in spectra]
+    return cov, spectrum, [d @ f for d, f in zip(cov, rt_n_inv)]
 
 
 def posterior(prior, measurement, data):
-    """Gaussian posterior N(m, D) for observed data.
+    """Gaussian posterior N(m, D) for observed data, through :func:`posterior_blocks`.
 
-    D = (Phi^-1 + R^T N^-1 R)^-1 and m = psi + W (d - R psi); the covariance
-    does not depend on the data.
+    D = (Phi^-1 + R^T N^-1 R)^-1 and m = psi + W (d - R psi)
+    = W d + D Phi^-1 psi; the covariance does not depend on the data.
     """
     _check_compatible(prior, measurement)
     d_vec = _vector(data, "data")
@@ -189,12 +202,11 @@ def posterior(prior, measurement, data):
             f"data has dimension {d_vec.shape[0]}, expected {measurement.data_dim}"
         )
     r = measurement.response
-    n_inv = _spd_inv(measurement.noise_cov, "posterior noise covariance")
-    phi_inv = _spd_inv(prior.cov, "posterior prior covariance")
-    d_inv = matfun.symmetrize(phi_inv + r.T @ n_inv @ r)
-    cov = _spd_inv(d_inv, "posterior information matrix")
-    mean = cov @ (r.T @ (n_inv @ d_vec) + phi_inv @ prior.mean)
-    return GaussianDensity(mean=mean, cov=cov)
+    rt_n_inv = r.T @ measurement.inv_noise_cov()
+    phi_inv = prior.inv_cov()
+    info = matfun.symmetrize(phi_inv + rt_n_inv @ r)
+    (cov,), _, (w,) = posterior_blocks([info], [rt_n_inv])
+    return GaussianDensity(mean=w @ d_vec + cov @ (phi_inv @ prior.mean), cov=cov)
 
 
 def evidence(prior, measurement):
@@ -219,22 +231,24 @@ def kl_covariance_term(p, q):
     """
     if p.dim != q.dim:
         raise InvalidInput(f"dimension mismatch: {p.dim} vs {q.dim}")
-    return _kl_covariance(p.cov, q.cov, q._spectrum)
+    return kl_covariance_blocks([p.cov], [q.cov], [q._spectrum])
 
 
-def _kl_covariance(p_cov, q_cov, q_spectrum):
-    """:func:`kl_covariance_term` from covariance matrices, summed over a stack of blocks.
+def kl_covariance_blocks(p_cov, q_cov, q_spectra):
+    """:func:`kl_covariance_term` from covariance matrices, summed over blocks.
 
-    ``p_cov`` and ``q_cov`` are (n, n) or stacks (k, n, n), and
-    ``q_spectrum`` holds the eigenvalues and eigenvectors of ``q_cov``
-    (one stack each).  For the diagonal blocks of two block-diagonal
+    ``p_cov`` and ``q_cov`` are lists of (n, n) matrices or (k, n, n)
+    stacks, and ``q_spectra`` holds the (eigenvalues, eigenvectors) of each
+    entry of ``q_cov``.  For the diagonal blocks of two block-diagonal
     covariances the sum over the blocks is the term of the whole matrices.
     """
-    w, v = q_spectrum
-    whiten = v / np.sqrt(w)[..., None, :]
-    diff = np.swapaxes(whiten, -1, -2) @ (p_cov - q_cov) @ whiten
-    x = np.linalg.eigvalsh(0.5 * (diff + np.swapaxes(diff, -1, -2)))
-    return 0.5 * float(np.sum(x - np.log1p(x)))
+    total = 0.0
+    for p, q, (w, v) in zip(p_cov, q_cov, q_spectra):
+        whiten = v / np.sqrt(w)[..., None, :]
+        diff = np.swapaxes(whiten, -1, -2) @ (p - q) @ whiten
+        x = np.linalg.eigvalsh(matfun.symmetric_part(diff))
+        total += 0.5 * float(np.sum(x - np.log1p(x)))
+    return total
 
 
 def kl_divergence(p, q):
@@ -266,10 +280,10 @@ def info_hamiltonian(prior, measurement, data, signal):
             f"data has dimension {d_vec.shape[0]}, expected {measurement.data_dim}"
         )
     resid = d_vec - measurement.response @ s_vec
-    n_inv = _spd_inv(measurement.noise_cov, "info_hamiltonian noise covariance")
-    phi_inv = _spd_inv(prior.cov, "info_hamiltonian prior covariance")
     ds = s_vec - prior.mean
-    quad = float(resid @ n_inv @ resid) + float(ds @ phi_inv @ ds)
+    quad = float(resid @ measurement.inv_noise_cov() @ resid) + float(
+        ds @ prior.inv_cov() @ ds
+    )
     norm = (
         measurement.data_dim * LOG_2PI
         + matfun.log_det_spd(measurement.noise_cov)

@@ -27,15 +27,17 @@ phi with its own chi, and the response couples mode l only with the data
 coefficients k = +-l (mod Y).  So every matrix of a run is block diagonal
 over Fourier classes, and :func:`fourier_classes` reads that partition off
 the packing in closed form, once per model.  It is the one place in the
-package that decides the blocks.  A run reads the diagonal prior as its
-variances (:func:`prior_variances`) and the white noise as sigma_n2, and
-builds neither as a dense matrix; :func:`prior_density` and
-:func:`measurement` give the dense objects for library use and tests.  The
-generator L and the exact step A(dt) couple each phi component only with
-its chi partner: a run takes their class blocks (:func:`class_blocks`) from
-their 2x2 blocks on those pairs (:func:`generator_pairs`,
-:func:`exact_step_pairs`), and :func:`build_generator` and
-:func:`exact_step` assemble the dense matrices from the same pairs.
+package that decides the blocks, and :func:`class_index` the one place that
+gathers a matrix's class blocks or scatters them back.  A run reads the
+diagonal prior as its variances (:func:`prior_variances`) and the white
+noise as sigma_n2, and builds neither as a dense matrix;
+:func:`prior_density` and :func:`measurement` give the dense objects for
+library use and tests.  The generator L and the exact step A(dt) couple
+each phi component only with its chi partner: a run takes their class
+blocks (:func:`class_blocks`) from their 2x2 blocks on those pairs
+(:func:`generator_pairs`, :func:`exact_step_pairs`), and
+:func:`build_generator` and :func:`exact_step` assemble the dense matrices
+from the same pairs.
 """
 
 import math
@@ -179,14 +181,14 @@ def prior_variances(model):
     Zero mode variances are 2 pi/(beta mu^2) for phi and 2 pi/beta for chi;
     every k > 0 real component has variance (pi/beta)/w_k^2 respectively
     pi/beta.  They are the prior's eigenvalues, so the positive definiteness
-    test of :mod:`infodyn.matfun` runs on their extremes and refuses, with
+    test :func:`infodyn.matfun.require_pd` runs on them and refuses, with
     :class:`NotPositiveDefinite`, a mass so small against the temperature
     that the covariance is numerically singular.
     """
     var = np.concatenate(
         [_part_prior_diag(model, PART_PHI), _part_prior_diag(model, PART_CHI)]
     )
-    matfun._require_pd(np.array([var.min(), var.max()]), "thermal prior covariance")
+    matfun.require_pd(var, "thermal prior covariance")
     return var
 
 
@@ -275,6 +277,16 @@ def fourier_classes(model):
         (np.array(sig, dtype=int), np.array(dat, dtype=int).reshape(len(sig), b))
         for (_, b), (sig, dat) in sorted(groups.items())
     ]
+
+
+def class_index(rows, cols):
+    """Index of the blocks matrix[rows[i]][:, cols[i]], one per class i of a group.
+
+    ``rows`` and ``cols`` are (k, a) and (k, b) index stacks, as
+    :func:`fourier_classes` gives them.  ``matrix[class_index(rows, cols)]``
+    gathers the (k, a, b) stack of blocks, and assigning to it scatters one.
+    """
+    return rows[:, :, None], cols[:, None, :]
 
 
 def lift_response(response):
@@ -463,7 +475,7 @@ def data_gram_condition(model, part):
         # chi part repeats them, shifted.
         sig, dat = sig[:, : sig.shape[1] // 2], dat[:, : dat.shape[1] // 2]
         if dat.shape[1]:
-            r_c = r[dat[:, :, None], sig[:, None, :]]
+            r_c = r[class_index(dat, sig)]
             gram = (r_c * var[sig][:, None, :]) @ np.swapaxes(r_c, -1, -2)
             diag = np.arange(dat.shape[1])
             gram[:, diag, diag] += model.sigma_n2
@@ -494,7 +506,7 @@ def update_generator_blocks(model, classes, response, variances):
     l_pairs = generator_pairs(model)
     blocks = []
     for sig, dat in classes:
-        r = response[dat[:, :, None], sig[:, None, :]]
+        r = response[class_index(dat, sig)]
         sandwich = ((r @ class_blocks(l_pairs, sig)) * variances[sig][:, None, :]) @ (
             np.swapaxes(r, -1, -2)
         )
@@ -526,7 +538,7 @@ def update_generator(model):
     )
     m_prime = np.zeros((model.data_dim, model.data_dim))
     for (_, dat), block in zip(classes, blocks):
-        m_prime[dat[:, :, None], dat[:, None, :]] = block
+        m_prime[class_index(dat, dat)] = block
     return m_prime
 
 

@@ -38,10 +38,11 @@ import numpy as np
 from . import matfun
 from ._frozen import Frozen
 from .errors import InvalidInput
-from .gaussian import GaussianDensity, kl_divergence, posterior, posterior_filter
+from .gaussian import GaussianDensity, kl_divergence, posterior_blocks
 
 # Relative eigenvalue threshold deciding which Hessian directions count as
-# zero.  Shared by match() and nullspace_projector().
+# zero.  Shared by match(), is_regular(), linear_term_vanishes() and
+# nullspace_projector().
 SINGULAR_RTOL = 1e-10
 
 BRANCH_REGULAR = "regular"
@@ -53,9 +54,9 @@ class MatchProblem(Frozen):
     """Evolved density (m*, D*^-1) and the measurement setup to match it with.
 
     Construction factors D*^-1 once, checks that it is positive definite
-    and derives, once, the new setup's posterior covariance D'
-    (:func:`gaussian.posterior`), its Wiener filter W' read off D'
-    (:func:`gaussian.posterior_filter`) and the prior pull D' Phi'^-1 psi'.
+    and derives, once, the new setup's posterior covariance D' and its
+    Wiener filter W' (:func:`gaussian.posterior_blocks`) and the prior pull
+    D' Phi'^-1 psi'.
     The factors of D*^-1 give ||D*^-1||_2 and :meth:`evolved_density`.  A
     simulation run builds no problem: it decides the branches from its
     class blocks.
@@ -74,7 +75,7 @@ class MatchProblem(Frozen):
             )
         inv_cov = matfun.symmetrize(evolved_inv_cov)
         spectrum = matfun.spectral_decompose(inv_cov)
-        matfun._require_pd(spectrum[0], "MatchProblem evolved inverse covariance")
+        matfun.require_pd(spectrum[0], "MatchProblem evolved inverse covariance")
         if inv_cov.shape[0] != m_star.shape[0]:
             raise InvalidInput(
                 f"evolved mean dimension {m_star.shape[0]} does not match "
@@ -90,9 +91,12 @@ class MatchProblem(Frozen):
                 f"new measurement signal dimension {new_meas.signal_dim} "
                 f"does not match prior dimension {new_prior.dim}"
             )
-        # D' does not depend on the data, so any data vector gives it.
-        post = posterior(new_prior, new_meas, np.zeros(new_meas.data_dim))
-        w = posterior_filter(post.cov, new_meas)
+        r = new_meas.response
+        rt_n_inv = r.T @ new_meas.inv_noise_cov()
+        phi_inv = new_prior.inv_cov()
+        (post_cov,), _, (w,) = posterior_blocks(
+            [matfun.symmetrize(phi_inv + rt_n_inv @ r)], [rt_n_inv]
+        )
         m_star.setflags(write=False)
         self._set(
             evolved_mean=m_star,
@@ -100,8 +104,8 @@ class MatchProblem(Frozen):
             new_prior=new_prior,
             new_meas=new_meas,
             _w=w,
-            _post_cov=post.cov,
-            _prior_pull=_prior_pull(post.cov, new_prior),
+            _post_cov=post_cov,
+            _prior_pull=post_cov @ (phi_inv @ new_prior.mean),
             _inv_cov_spectrum=spectrum,
         )
 
@@ -116,8 +120,9 @@ class MatchProblem(Frozen):
 
     def evolved_density(self):
         """N(m*, D*), with D* the inverse of D*^-1 through its spectrum."""
-        w_eval, q = self._inv_cov_spectrum
-        return GaussianDensity(mean=self.evolved_mean, cov=(q / w_eval) @ q.T)
+        return GaussianDensity(
+            mean=self.evolved_mean, cov=matfun.spectral_inverse(*self._inv_cov_spectrum)
+        )
 
     def hessian(self):
         """H = W'^T D*^-1 W', the quadratic form of the objective."""
@@ -128,12 +133,6 @@ class MatchProblem(Frozen):
         return self._w.T @ (
             self.evolved_inv_cov @ (self._prior_pull - self.evolved_mean)
         )
-
-
-def _prior_pull(post_cov, prior):
-    """D' Phi'^-1 psi', the part of the new posterior mean that no data vector moves."""
-    w, q = prior._spectrum
-    return post_cov @ (q @ ((prior.mean @ q) / w))
 
 
 class MatchResult(NamedTuple):
@@ -183,21 +182,21 @@ def nullspace_projector(matrix, rel_tol=SINGULAR_RTOL):
     return p, int(np.count_nonzero(keep))
 
 
-def is_regular(smallest, largest, rel_tol=SINGULAR_RTOL):
+def is_regular(smallest, largest):
     """Whether a match Hessian with these extreme eigenvalues counts as positive definite."""
-    return bool(smallest > rel_tol * max(largest, 0.0))
+    return bool(smallest > SINGULAR_RTOL * max(largest, 0.0))
 
 
-def linear_term_vanishes(norms, scales, rel_tol=SINGULAR_RTOL):
+def linear_term_vanishes(norms, scales):
     """Whether linear terms of these norms count as zero (the ``zero`` branch).
 
     Each norm is compared with its scale
     ||W'||_2 ||D*^-1||_2 (||D' Phi'^-1 psi'|| + ||m*||), which bounds it.
     """
-    return np.asarray(norms) <= rel_tol * np.maximum(scales, 1.0)
+    return np.asarray(norms) <= SINGULAR_RTOL * np.maximum(scales, 1.0)
 
 
-def match(problem, rel_tol=SINGULAR_RTOL):
+def match(problem):
     """Minimize the matching objective in closed form.
 
     Returns
@@ -211,7 +210,7 @@ def match(problem, rel_tol=SINGULAR_RTOL):
     d_star_inv = problem.evolved_inv_cov
     w_t = problem._w.T
     h_eval, _ = matfun.spectral_decompose(h)
-    if is_regular(h_eval[0], h_eval[-1], rel_tol):
+    if is_regular(h_eval[0], h_eval[-1]):
         # Unique minimizer.  Writing the solution against (m* - psi') and
         # adding R' psi' keeps the round trip u' = R' psi' exact when the
         # evolved density equals the fresh prior posterior.
@@ -224,11 +223,11 @@ def match(problem, rel_tol=SINGULAR_RTOL):
         * problem._inv_cov_spectrum[0][-1]
         * (np.linalg.norm(problem._prior_pull) + np.linalg.norm(problem.evolved_mean))
     )
-    if linear_term_vanishes(np.linalg.norm(problem.linear_term()), scale, rel_tol):
+    if linear_term_vanishes(np.linalg.norm(problem.linear_term()), scale):
         # Objective is constant in the flat directions and the linear term
         # vanishes: the norm-minimal minimizer is the origin.
         return MatchResult(data=np.zeros(problem.data_dim), branch=BRANCH_ZERO)
-    p, _rank = nullspace_projector(h, rel_tol)
+    p, _rank = nullspace_projector(h)
     rhs = p @ (w_t @ (d_star_inv @ (problem.evolved_mean - problem._prior_pull)))
     reduced = matfun.symmetrize(p @ h @ p.T)
     u = p.T @ np.linalg.solve(reduced, rhs)

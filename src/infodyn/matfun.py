@@ -9,10 +9,12 @@ non-symmetric function, :func:`expm_general`, is the Pade [13/13]
 scaling-and-squaring exponential of Higham (2005), written with numpy alone.
 
 No function here searches a matrix for block structure.  A caller that
-knows its blocks passes them as a stack: :func:`norm2` and
-:func:`expm_general` take a (k, s, s) stack of blocks as well as one
-matrix.  A Klein-Gordon run takes its blocks, the Fourier classes, in
-closed form from :func:`infodyn.kleingordon.fourier_classes`.
+knows its blocks passes them as a stack: :func:`symmetric_part`,
+:func:`spectral_inverse`, :func:`norm2` and :func:`expm_general` take a
+(k, s, s) stack of blocks as well as one matrix, and :func:`require_pd`
+tests a list of such stacks as one block-diagonal matrix.  A Klein-Gordon
+run takes its blocks, the Fourier classes, in closed form from
+:func:`infodyn.kleingordon.fourier_classes`.
 
 Floating-point input is re-symmetrized as (M + M^T)/2 before decomposition,
 so mild asymmetry from accumulated round-off is tolerated rather than
@@ -57,7 +59,12 @@ def symmetrize(matrix):
         raise InvalidInput("matrix entries must be finite")
     if a.shape[0] == 0:
         raise InvalidInput("matrix must be at least 1x1")
-    return 0.5 * (a + a.T)
+    return symmetric_part(a)
+
+
+def symmetric_part(matrix):
+    """(M + M^T)/2 of a matrix or of each block of a stack, unvalidated."""
+    return 0.5 * (matrix + np.swapaxes(matrix, -1, -2))
 
 
 def spectral_decompose(matrix):
@@ -81,24 +88,37 @@ def spectral_decompose(matrix):
 def sqrtm_spd(matrix):
     """A^{1/2} for symmetric positive definite A."""
     w, q = spectral_decompose(matrix)
-    _require_pd(w, "sqrtm_spd")
+    require_pd(w, "sqrtm_spd")
     return (q * np.sqrt(w)) @ q.T
 
 
 def log_det_spd(matrix):
     """log det(A) as the sum of eigenvalue logs; raises :class:`NotPositiveDefinite`."""
     w, _ = spectral_decompose(matrix)
-    _require_pd(w, "log_det_spd")
+    require_pd(w, "log_det_spd")
     return float(np.sum(np.log(w)))
 
 
-def _require_pd(eigenvalues, op_name):
-    w = eigenvalues
-    if not w[0] > PD_RTOL * max(w[-1], 0.0):
+def require_pd(eigenvalues, op_name):
+    """Positive definiteness test: the smallest eigenvalue must exceed PD_RTOL times the largest.
+
+    ``eigenvalues`` is one spectrum, or a list of the spectra (any shapes)
+    of the blocks of a block-diagonal matrix, tested as the whole matrix.
+    Raises :class:`NotPositiveDefinite`.
+    """
+    if isinstance(eigenvalues, list):
+        eigenvalues = np.concatenate([np.ravel(w) for w in eigenvalues])
+    smallest, largest = np.min(eigenvalues), np.max(eigenvalues)
+    if not smallest > PD_RTOL * max(largest, 0.0):
         raise NotPositiveDefinite(
-            f"{op_name}: smallest eigenvalue {w[0]!r} fails the positive "
-            f"definiteness test against largest {w[-1]!r}"
+            f"{op_name}: smallest eigenvalue {smallest!r} fails the positive "
+            f"definiteness test against largest {largest!r}"
         )
+
+
+def spectral_inverse(w, q):
+    """Q diag(1/w) Q^T from the spectrum (w, Q) of a matrix, or of each block of a stack."""
+    return (q / w[..., None, :]) @ np.swapaxes(q, -1, -2)
 
 
 def norm2(matrix):

@@ -20,26 +20,22 @@ and A the exact one-step evolution:
     reported for diagnosis and kept out of the convergence criteria.
 
 The step-invariant algebra runs one Fourier class at a time
-(:func:`kleingordon.fourier_classes`), with one stacked numpy call per block
-shape: the posterior covariance D, the Wiener filter W = D R^T N^-1 and the
-posterior mean, the generator M' of the data update
-(:func:`kleingordon.update_generator_blocks`), A(dt) and 1 + dt L, taken in
-closed form from their 2x2 blocks on each (phi, chi) pair, the two evolved
-covariances and their KL covariance terms, the per-step quadratic forms,
-D*^-1, the match Hessian and the direct endpoint exp(T M') d(0).  Sums over
-the classes give the KL parts and quadratic forms, root sums of squares
-give vector norms, maxima give 2-norms, and the positive definiteness and
-Hessian regularity tests compare the smallest eigenvalue over all classes
-with the largest, as for the whole matrix.  The diagonal prior enters as its
-variances (:func:`kleingordon.prior_variances`) and the white noise as
-sigma_n2; no dense density, measurement, generator, exact step or M' is
-built.  The part that does not depend on dt (the classes, the response, the
-posterior, M' and exp(T M') d(0)) is built once per run, and once per
-:func:`convergence_sweep`.  The update matrix M = 1 + dt M', assembled from
-the blocks of M', the update loop, the initial draw and the exact reference
-stay dense.  The blocks of M' keep the summation order of the dense chain
-R2 L Phi R2^T, so the ``data`` trajectory is that of a dense run, bit for
-bit at the sizes the tests pin.
+(:func:`kleingordon.fourier_classes`, gathered by
+:func:`kleingordon.class_index`), one stacked numpy call per block shape,
+through the library's functions of class stacks: D, its spectrum and
+W = D R^T N^-1 from :func:`gaussian.posterior_blocks`, the KL covariance
+terms from :func:`gaussian.kl_covariance_blocks`, the positive
+definiteness tests, which compare the smallest eigenvalue over all classes
+with the largest, from :func:`matfun.require_pd`, and M' from
+:func:`kleingordon.update_generator_blocks`.  A(dt) and 1 + dt L come in
+closed form from their 2x2 blocks on each (phi, chi) pair.  The prior
+enters as its variances and the noise as sigma_n2; no dense density,
+measurement, generator, exact step or M' is built.  What does not depend
+on dt (the posterior, M' and exp(T M') d(0)) is built once per run and
+once per :func:`convergence_sweep`.  The update matrix M = 1 + dt M', the
+loop, the initial draw and the exact reference stay dense; M' keeps the
+summation order of the dense chain R2 L Phi R2^T, so the ``data``
+trajectory is bit for bit that of a dense run at the sizes the tests pin.
 
 ``exact_deviation`` compares u against the noise-free image R2 A(t) m_0 of
 the exactly evolved initial posterior mean.  It does not vanish with dt; it
@@ -451,99 +447,11 @@ def _refuse_nonfinite(steps, columns, values):
             raise NonFiniteOutput(f"{name} is not finite; the run has overflowed")
 
 
-def _by_class(matrix, rows, cols):
-    """Stack of the blocks matrix[rows[i]][:, cols[i]], one per class i of a group."""
-    return matrix[rows[:, :, None], cols[:, None, :]]
-
-
-def _t(stack):
-    """Transpose of each block of a stack."""
-    return np.swapaxes(stack, -1, -2)
-
-
-def _sym(stack):
-    return 0.5 * (stack + _t(stack))
-
-
-def _require_pd(eigenvalues, context):
-    """Positive definiteness test of a block-diagonal matrix from its blocks' eigenvalues.
-
-    Like the test of the whole matrix, it compares the smallest eigenvalue
-    over all blocks with the largest.
-    """
-    w = np.concatenate([x.ravel() for x in eigenvalues])
-    matfun._require_pd(np.array([w.min(), w.max()]), context)
-
-
-class _ClassPosterior(NamedTuple):
-    """The run's posterior, by Fourier class.
-
-    ``cov``, ``spectrum`` and ``filter`` hold, for each class group of
-    :func:`kleingordon.fourier_classes`, the stacked blocks of the posterior
-    covariance D, its (eigenvalues, eigenvectors) and the Wiener filter
-    W = D R^T N^-1.  ``mean`` is the posterior mean, a dense vector.
-    """
-
-    cov: list
-    spectrum: list
-    filter: list
-    mean: np.ndarray
-
-
-def _posterior_by_class(model, classes, response, variances, d0):
-    """:func:`gaussian.posterior` and its Wiener filter, computed class by class.
-
-    D = (Phi^-1 + R^T N^-1 R)^-1 and W = D R^T N^-1 per block, with the
-    diagonal prior taken as its ``variances`` and the white noise as
-    sigma_n2.  The thermal prior has zero mean, so the posterior mean is
-    W d0.  An information matrix that overflows (a prior variance near the
-    bottom of the float range) raises :class:`NonFiniteOutput`.
-    """
-    phi_inv = 1.0 / variances
-    n_inv = 1.0 / model.sigma_n2
-    rt_n_inv, info = [], []
-    for sig, dat in classes:
-        r = _by_class(response, dat, sig)
-        rt_n_inv.append(_t(r) * n_inv)
-        block = rt_n_inv[-1] @ r
-        diag = np.arange(sig.shape[1])
-        block[:, diag, diag] += phi_inv[sig]
-        info.append(_sym(block))
-    if not all(np.isfinite(block).all() for block in info):
-        raise NonFiniteOutput(
-            "the posterior information matrix is not finite; the prior "
-            "precision has overflowed"
-        )
-    spectra = [np.linalg.eigh(block) for block in info]
-    _require_pd([w for w, _ in spectra], "posterior information matrix")
-    # D has the eigenvectors of its inverse and the reciprocal eigenvalues,
-    # so it passes the same test and needs no factorization of its own.
-    cov = [(q / w[:, None, :]) @ _t(q) for w, q in spectra]
-    filters = [d @ f for d, f in zip(cov, rt_n_inv)]
-    mean = np.zeros(model.signal_dim)
-    for (sig, dat), f in zip(classes, filters):
-        mean[sig] = (f @ d0[dat][:, :, None])[:, :, 0]
-    return _ClassPosterior(
-        cov=cov,
-        spectrum=[(1.0 / w, q) for w, q in spectra],
-        filter=filters,
-        mean=mean,
-    )
-
-
 def _quadratic_form(spectra, deltas):
     """delta^T Sigma^-1 delta of each column of the class blocks ``deltas``, summed over blocks."""
     return sum(
-        np.sum((_t(v) @ d) ** 2 / w[:, :, None], axis=(0, 1))
+        np.sum((np.swapaxes(v, -1, -2) @ d) ** 2 / w[:, :, None], axis=(0, 1))
         for (w, v), d in zip(spectra, deltas)
-    )
-
-
-def _kl_covariance_term(p_cov, q_cov, q_spectra):
-    """:func:`gaussian.kl_covariance_term` of block-diagonal covariances, summed over blocks."""
-    return sum(
-        gaussian._kl_covariance(p, q, spectrum)
-        for p, q, spectrum in zip(p_cov, q_cov, q_spectra)
     )
 
 
@@ -556,13 +464,19 @@ def _branches(filters, evolved_spectra, evolved_means):
     pull vanishes); its norm, like that of m*_i, is the root sum of squares
     over the blocks, and ||W||_2 and ||D*^-1||_2 are the largest over them.
     """
-    pulled = [(v / w[:, None, :]) @ _t(v) @ f for (w, v), f in zip(evolved_spectra, filters)]
-    hessian = [np.linalg.eigvalsh(_sym(_t(f) @ p)) for f, p in zip(filters, pulled)]
+    pulled = [matfun.spectral_inverse(w, v) @ f for (w, v), f in zip(evolved_spectra, filters)]
+    hessian = [
+        np.linalg.eigvalsh(matfun.symmetric_part(np.swapaxes(f, -1, -2) @ p))
+        for f, p in zip(filters, pulled)
+    ]
     h = np.concatenate([x.ravel() for x in hessian])
     steps = evolved_means[0].shape[-1]
     if matching.is_regular(h.min(), h.max()):
         return (matching.BRANCH_REGULAR,) * steps
-    term = sum(np.sum((_t(p) @ m) ** 2, axis=(0, 1)) for p, m in zip(pulled, evolved_means))
+    term = sum(
+        np.sum((np.swapaxes(p, -1, -2) @ m) ** 2, axis=(0, 1))
+        for p, m in zip(pulled, evolved_means)
+    )
     mean = sum(np.sum(m**2, axis=(0, 1)) for m in evolved_means)
     scale = (
         max(matfun.norm2(f) for f in filters)
@@ -600,8 +514,11 @@ class _Setup(NamedTuple):
     """The part of a run that does not depend on dt, built once per model and initial data.
 
     ``classes`` are the model's Fourier classes, ``response`` its lifted
-    response R2, ``initial_data`` the data vector d(0) and ``posterior`` its
-    :class:`_ClassPosterior`.  ``m_prime`` holds the class blocks of M'
+    response R2 and ``initial_data`` the data vector d(0).  ``cov``,
+    ``spectrum`` and ``filter`` hold the class blocks of the posterior
+    covariance D, its spectrum and the Wiener filter W
+    (:func:`gaussian.posterior_blocks`), and ``mean`` the posterior mean.
+    ``m_prime`` holds the class blocks of M'
     (:func:`kleingordon.update_generator_blocks`) and ``direct_data`` the
     direct endpoint exp(T M') d(0), or None when it was not asked for.
     """
@@ -609,7 +526,10 @@ class _Setup(NamedTuple):
     classes: list
     response: np.ndarray
     initial_data: np.ndarray
-    posterior: _ClassPosterior
+    cov: list
+    spectrum: list
+    filter: list
+    mean: np.ndarray
     m_prime: list
     direct_data: np.ndarray
 
@@ -635,9 +555,23 @@ def _setup(config, direct):
                     kleingordon.data_gram_condition(model, part),
                 )
         variances = kleingordon.prior_variances(model)
-        # D and W do not depend on the data and serve every step; the mean
-        # starts the exact reference.
-        post = _posterior_by_class(model, classes, response, variances, d0)
+        # The posterior, with the diagonal prior as its variances and the
+        # white noise as sigma_n2.  D and W do not depend on the data and
+        # serve every step; the mean W d0 (the prior mean is zero) starts
+        # the exact reference.
+        n_inv = 1.0 / model.sigma_n2
+        rt_n_inv, info = [], []
+        for sig, dat in classes:
+            r = response[kleingordon.class_index(dat, sig)]
+            rt_n_inv.append(np.swapaxes(r, -1, -2) * n_inv)
+            block = rt_n_inv[-1] @ r
+            diag = np.arange(sig.shape[1])
+            block[:, diag, diag] += 1.0 / variances[sig]
+            info.append(matfun.symmetric_part(block))
+        cov, spectrum, filters = gaussian.posterior_blocks(info, rt_n_inv)
+        mean = np.zeros(model.signal_dim)
+        for (sig, dat), f in zip(classes, filters):
+            mean[sig] = (f @ d0[dat][:, :, None])[:, :, 0]
         m_prime = kleingordon.update_generator_blocks(model, classes, response, variances)
         direct_data = (
             _direct_endpoint(config.total_time, m_prime, classes, d0) if direct else None
@@ -646,7 +580,10 @@ def _setup(config, direct):
         classes=classes,
         response=response,
         initial_data=d0,
-        posterior=post,
+        cov=cov,
+        spectrum=spectrum,
+        filter=filters,
+        mean=mean,
         m_prime=m_prime,
         direct_data=direct_data,
     )
@@ -660,7 +597,7 @@ def _iterate(config, setup, reference):
     """
     model = config.model
     dt = config.dt
-    classes, post = setup.classes, setup.posterior
+    classes, cov = setup.classes, setup.cov
     # L and A(dt) couple each packed phi component only with its chi
     # partner, so their 2x2 pair blocks give their class blocks; those of L
     # carry the check ||dt L|| < 1 and give 1 + dt L.
@@ -672,14 +609,14 @@ def _iterate(config, setup, reference):
     g_step = [kleingordon.class_blocks(g_pairs, sig) for sig, _ in classes]
     # The evolved covariances are the same at every step: check and factor
     # them once.  Only the means below depend on the step.
-    exact = [_sym(a @ d @ _t(a)) for a, d in zip(a_step, post.cov)]
-    linear = [_sym(g @ d @ _t(g)) for g, d in zip(g_step, post.cov)]
-    _require_pd([np.linalg.eigvalsh(c) for c in exact], "exactly evolved covariance")
+    exact = [matfun.symmetric_part(a @ d @ np.swapaxes(a, -1, -2)) for a, d in zip(a_step, cov)]
+    linear = [matfun.symmetric_part(g @ d @ np.swapaxes(g, -1, -2)) for g, d in zip(g_step, cov)]
+    matfun.require_pd([np.linalg.eigvalsh(c) for c in exact], "exactly evolved covariance")
     linear_spectra = [np.linalg.eigh(c) for c in linear]
-    _require_pd([w for w, _ in linear_spectra], "linearly evolved covariance")
+    matfun.require_pd([w for w, _ in linear_spectra], "linearly evolved covariance")
     m_update = np.eye(model.data_dim)
     for (_, dat), block in zip(classes, setup.m_prime):
-        m_update[dat[:, :, None], dat[:, None, :]] += dt * block
+        m_update[kleingordon.class_index(dat, dat)] += dt * block
 
     data = np.empty((config.steps + 1, model.data_dim))
     data[0] = u = setup.initial_data
@@ -688,15 +625,16 @@ def _iterate(config, setup, reference):
         data[i] = u
 
     # Per class, the posterior means W u of every stored u, as columns.
-    means = [f @ data.T[dat] for f, (_, dat) in zip(post.filter, classes)]
+    means = [f @ data.T[dat] for f, (_, dat) in zip(setup.filter, classes)]
     prev = [m[..., :-1] for m in means]
     new = [m[..., 1:] for m in means]
     exact_means = [a @ m for a, m in zip(a_step, prev)]
     linear_means = [g @ m for g, m in zip(g_step, prev)]
-    kl_step = _kl_covariance_term(exact, post.cov, post.spectrum) + 0.5 * _quadratic_form(
-        post.spectrum, [e - n for e, n in zip(exact_means, new)]
+    kl_step = gaussian.kl_covariance_blocks(exact, cov, setup.spectrum) + 0.5 * _quadratic_form(
+        setup.spectrum, [e - n for e, n in zip(exact_means, new)]
     )
-    kl_evolution = _kl_covariance_term(exact, linear, linear_spectra) + 0.5 * _quadratic_form(
+    kl_evolution = gaussian.kl_covariance_blocks(exact, linear, linear_spectra)
+    kl_evolution += 0.5 * _quadratic_form(
         linear_spectra, [(a - g) @ m for a, g, m in zip(a_step, g_step, prev)]
     )
     columns = {
@@ -717,7 +655,7 @@ def _iterate(config, setup, reference):
     # D^-1 - dt (D^-1 L + L^T D^-1), which can lose positive definiteness at
     # steps the update matrix still accepts.  The branch taken is the same
     # for any positive definite choice (it is decided by the response rank).
-    branch = _branches(post.filter, linear_spectra, linear_means)
+    branch = _branches(setup.filter, linear_spectra, linear_means)
     return columns, step_means, branch
 
 
@@ -748,7 +686,9 @@ def run_ifd(config):
     naming the first such step.  The exact reference and its energy drift
     cover every step time, or only t = 0 and T under scheme 'direct'.
     """
-    return _run(config, _setup(config, direct=config.scheme != SCHEME_ITERATED))
+    result = _run(config, _setup(config, direct=config.scheme != SCHEME_ITERATED))
+    _warn_not_regular(result)
+    return result
 
 
 def _run(config, setup):
@@ -762,7 +702,7 @@ def _run(config, setup):
         else:
             times = config.dt * np.arange(config.steps + 1)
         reference = _exact_reference(
-            model, setup.posterior.mean, setup.response, times
+            model, setup.mean, setup.response, times
         )
         direct_data, direct_gap = setup.direct_data, None
         if direct:
@@ -792,18 +732,6 @@ def _run(config, setup):
         },
     )
 
-    first = next(
-        (i for i, b in enumerate(branch, 1) if b != matching.BRANCH_REGULAR), None
-    )
-    if first is not None:
-        logger.warning(
-            "step %d: entropic matching took the %r branch; the match "
-            "Hessian is singular and the minimum-norm data vector is "
-            "used. Expected here: the packed coefficients (Y-1)/2 and "
-            "(Y+1)/2 duplicate one conjugate pair.",
-            first,
-            branch[first - 1],
-        )
     branch_counts = dict(Counter(branch))
     if not direct:
         logger.info("branch counts over %d steps: %s", config.steps, branch_counts)
@@ -819,6 +747,24 @@ def _run(config, setup):
         direct_data=direct_data,
         direct_gap=direct_gap,
     )
+
+
+def _warn_not_regular(result):
+    """Warn at the first step of ``result`` off the regular matcher branch; return whether it has one."""
+    first = next(
+        (i for i, b in enumerate(result.branch, 1) if b != matching.BRANCH_REGULAR), None
+    )
+    if first is not None:
+        logger.warning(
+            "N = %d, step %d: entropic matching took the %r branch; the match "
+            "Hessian is singular and the minimum-norm data vector is used. "
+            "Expected here: the packed coefficients (Y-1)/2 and (Y+1)/2 "
+            "duplicate one conjugate pair.",
+            result.config.resolution,
+            first,
+            result.branch[first - 1],
+        )
+    return first is not None
 
 
 class SweepResult(NamedTuple):
@@ -872,6 +818,8 @@ def convergence_sweep(config, resolutions):
     :class:`InsufficientSweep`.  Every resolution's config is validated
     before the first run.  The part of a run that does not depend on dt,
     including M' and exp(T M') d(0), is built once and serves every run.
+    A non-regular matcher branch is announced once per sweep, at the first
+    resolution that takes one, as :func:`run_ifd` announces it once per run.
     """
     res_list = sorted({int(n) for n in resolutions})
     if len(res_list) < 3:
@@ -885,8 +833,10 @@ def convergence_sweep(config, resolutions):
     cumulative = []
     deviations = []
     gaps = []
+    warned = False
     for run_config in configs:
         run = _run(run_config, setup)
+        warned = warned or _warn_not_regular(run)
         dts.append(run.config.dt)
         per_step.append(run.kl_step[0])
         cumulative.append(run.kl_cumulative[-1])

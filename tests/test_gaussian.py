@@ -21,6 +21,14 @@ def _random_setup(rng, n, y):
     return prior, meas
 
 
+def _posterior_filter(prior, meas):
+    """W = D R^T N^-1 from :func:`gaussian.posterior_blocks` on the dense information matrix."""
+    rt_n_inv = meas.response.T @ meas.inv_noise_cov()
+    info = prior.inv_cov() + rt_n_inv @ meas.response
+    _, _, (w,) = gaussian.posterior_blocks([0.5 * (info + info.T)], [rt_n_inv])
+    return w
+
+
 def test_wiener_representations_agree():
     rng = np.random.default_rng(101)
     for _ in range(100):
@@ -29,8 +37,7 @@ def test_wiener_representations_agree():
         prior, meas = _random_setup(rng, n, y)
         w_signal = gaussian.wiener_filter(prior, meas, "signal_space")
         w_data = gaussian.wiener_filter(prior, meas, "data_space")
-        post_cov = gaussian.posterior(prior, meas, np.zeros(y)).cov
-        w_post = gaussian.posterior_filter(post_cov, meas)
+        w_post = _posterior_filter(prior, meas)
         scale = max(1.0, np.max(np.abs(w_signal)))
         assert np.max(np.abs(w_signal - w_data)) < 1e-10 * scale
         assert np.max(np.abs(w_signal - w_post)) < 1e-10 * scale
@@ -41,6 +48,47 @@ def test_wiener_unknown_representation():
     prior, meas = _random_setup(rng, 2, 2)
     with pytest.raises(InvalidInput):
         gaussian.wiener_filter(prior, meas, "spectral")
+
+
+def _information_stack(rng, k, n, y):
+    """k random information blocks R^T N^-1 R + Phi^-1 and their R^T N^-1, as stacks."""
+    r = rng.standard_normal((k, y, n))
+    rt_n_inv = np.swapaxes(r, -1, -2) / rng.uniform(0.1, 1.0, (k, 1, y))
+    info = rt_n_inv @ r + np.eye(n) * rng.uniform(0.5, 2.0, (k, 1, n))
+    return 0.5 * (info + np.swapaxes(info, -1, -2)), rt_n_inv
+
+
+def test_posterior_blocks_of_a_stack_equal_single_calls():
+    # A stack of k blocks gives, bit for bit, what k calls on one block
+    # each give.  It rests on numpy's stacked eigh factoring each matrix of
+    # the stack as it factors that matrix alone.
+    rng = np.random.default_rng(37)
+    k = 5
+    info, rt_n_inv = _information_stack(rng, k, 4, 3)
+    stacked = np.linalg.eigh(info)
+    for i in range(k):
+        single = np.linalg.eigh(info[i])
+        assert np.array_equal(stacked[0][i], single[0])
+        assert np.array_equal(stacked[1][i], single[1])
+    (cov,), ((w, q),), (filt,) = gaussian.posterior_blocks([info], [rt_n_inv])
+    for i in range(k):
+        (cov_i,), ((w_i, q_i),), (filt_i,) = gaussian.posterior_blocks(
+            [info[i]], [rt_n_inv[i]]
+        )
+        for block, single in ((cov, cov_i), (w, w_i), (q, q_i), (filt, filt_i)):
+            assert np.array_equal(block[i], single)
+
+
+def test_posterior_blocks_test_positive_definiteness_over_all_blocks():
+    # Each stack passes on its own; together the smallest eigenvalue is
+    # below PD_RTOL times the largest, as for the block-diagonal matrix.
+    rng = np.random.default_rng(41)
+    info, rt_n_inv = _information_stack(rng, 2, 3, 2)
+    tiny = 1e-14 * np.eye(3)[None]
+    for blocks in ([info], [tiny]):
+        gaussian.posterior_blocks(blocks, [rt_n_inv[:1]] * len(blocks))
+    with pytest.raises(NotPositiveDefinite, match="posterior information matrix"):
+        gaussian.posterior_blocks([info, tiny], [rt_n_inv, rt_n_inv[:1]])
 
 
 def _quadrature_posterior_moments(prior, meas, data, points=400):

@@ -347,8 +347,9 @@ def _two_class_setup(rng, scales, deficient):
         scipy.linalg.block_diag(*response), np.diag(rng.uniform(0.45, 0.55, 2 * y))
     )
     inv_cov = scipy.linalg.block_diag(*[(v / w) @ v.T for w, v in zip(evolved_w, evolved_v)])
-    post_cov = gaussian.posterior(prior, meas, np.zeros(2 * y)).cov
-    w = gaussian.posterior_filter(post_cov, meas)
+    rt_n_inv = meas.response.T @ meas.inv_noise_cov()
+    info = prior.inv_cov() + rt_n_inv @ meas.response
+    _, _, (w,) = gaussian.posterior_blocks([0.5 * (info + info.T)], [rt_n_inv])
     assert np.all(w[:n, y:] == 0.0) and np.all(w[n:, :y] == 0.0)
     filters = np.array([w[:n, :y], w[n:, y:]])
 
@@ -398,8 +399,8 @@ def test_positive_definiteness_test_spans_all_classes():
     # largest, as a dense test would, not block by block.
     blocks = [np.array([[1.0, 2.0]]), np.array([[1e-13, 2e-13]])]
     with pytest.raises(NotPositiveDefinite, match=r"smallest eigenvalue .*1e-13.* against largest .*2\.0"):
-        simulator._require_pd(blocks, "test matrix")
-    simulator._require_pd([np.array([[1.0, 2.0]]), np.array([[1e-11]])], "test matrix")
+        matfun.require_pd(blocks, "test matrix")
+    matfun.require_pd([np.array([[1.0, 2.0]]), np.array([[1e-11]])], "test matrix")
 
 
 def test_relative_entropies_never_negative_at_vanishing_step():
@@ -441,6 +442,16 @@ def test_every_step_takes_projected_branch_and_warns_once(caplog):
     assert run.branch == (matching.BRANCH_PROJECTED,) * config.steps
     warnings = [r for r in caplog.records if "minimum-norm" in r.message]
     assert len(warnings) == 1
+
+
+def test_sweep_warns_once(caplog):
+    # Every run of this sweep takes the projected branch; the sweep
+    # announces it once, at its first resolution.
+    with caplog.at_level(logging.WARNING, logger="infodyn.simulator"):
+        simulator.convergence_sweep(_config(seed=9), (4, 5, 6))
+    warnings = [r.getMessage() for r in caplog.records if "minimum-norm" in r.message]
+    assert len(warnings) == 1
+    assert warnings[0].startswith("N = 4, step 1:")
 
 
 def test_run_factors_each_matrix_once(monkeypatch, caplog):
