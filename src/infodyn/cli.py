@@ -8,7 +8,6 @@ output).
 """
 
 import argparse
-import json
 import logging
 import sys
 
@@ -108,9 +107,7 @@ def _cmd_sweep(args):
     sweep = simulator.convergence_sweep(config, _parse_n_list(args.n_list))
     payload = simulator.sweep_dict(sweep)
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        simulator.write_json(payload, args.out)
         print(f"wrote sweep report to {args.out}")
     for name, slope in payload["slopes"].items():
         print(f"slope {name:18s}: {slope:+.4f}")

@@ -11,9 +11,10 @@ equal representations, one inverting in signal space and one in data space;
 both are kept because their conditioning differs and their agreement is a
 useful internal consistency check.  D, its spectrum and W = D R^T N^-1
 are derived in one place, :func:`posterior_blocks`, for one matrix or for
-stacks of blocks (a run's Fourier classes); :func:`posterior`,
-:class:`infodyn.matching.MatchProblem` and :mod:`infodyn.simulator` call
-it.  :func:`kl_covariance_blocks` is likewise the one KL covariance term.
+stacks of blocks (a run's Fourier classes); a dense setup reaches it
+through :func:`posterior_operators`.  :func:`kl_covariance_blocks` and
+:func:`quadratic_form_blocks` are likewise the one KL covariance term and
+the one quadratic form delta^T Sigma^-1 delta.
 
 All covariance manipulation goes through the spectral helpers in
 :mod:`infodyn.matfun`, so positive definiteness failures surface as
@@ -78,10 +79,9 @@ class GaussianDensity(Frozen):
 
     def quadratic_form(self, delta):
         """delta^T Sigma^-1 delta for one vector (n,) or each row of a batch (..., n)."""
-        w, q = self._spectrum
-        # Via the spectral basis: ||diag(w^-1/2) Q^T delta||^2.
-        proj = np.asarray(delta, dtype=float) @ q
-        return np.sum(proj * proj / w, axis=-1)
+        delta = np.asarray(delta, dtype=float)
+        columns = delta.reshape(-1, self.dim).T
+        return quadratic_form_blocks([self._spectrum], [columns]).reshape(delta.shape[:-1])[()]
 
     def log_density(self, x):
         """Log density at ``x``; accepts a single point (n,) or a batch (..., n)."""
@@ -143,9 +143,9 @@ def wiener_filter(prior, measurement, representation="signal_space"):
         Prior N(psi, Phi); only Phi enters.
     measurement : LinearMeasurement
     representation : {"signal_space", "data_space"}
-        ``signal_space`` computes (Phi^-1 + R^T N^-1 R)^-1 R^T N^-1,
-        ``data_space`` computes Phi R^T (R Phi R^T + N)^-1.  The two agree
-        up to round-off.
+        ``signal_space`` computes (Phi^-1 + R^T N^-1 R)^-1 R^T N^-1
+        (:func:`posterior_operators`), ``data_space`` computes
+        Phi R^T (R Phi R^T + N)^-1.  The two agree up to round-off.
 
     Returns
     -------
@@ -155,9 +155,7 @@ def wiener_filter(prior, measurement, representation="signal_space"):
     r = measurement.response
     phi = prior.cov
     if representation == "signal_space":
-        n_inv = measurement.inv_noise_cov()
-        d_inv = prior.inv_cov() + r.T @ n_inv @ r
-        return np.linalg.solve(matfun.symmetrize(d_inv), r.T @ n_inv)
+        return posterior_operators(prior, measurement)[1]
     if representation == "data_space":
         gram = matfun.symmetrize(r @ phi @ r.T + measurement.noise_cov)
         w, q = matfun.spectral_decompose(gram)
@@ -190,23 +188,29 @@ def posterior_blocks(info, rt_n_inv):
 
 
 def posterior(prior, measurement, data):
-    """Gaussian posterior N(m, D) for observed data, through :func:`posterior_blocks`.
+    """Gaussian posterior N(m, D) for observed data, through :func:`posterior_operators`.
 
     D = (Phi^-1 + R^T N^-1 R)^-1 and m = psi + W (d - R psi)
     = W d + D Phi^-1 psi; the covariance does not depend on the data.
     """
-    _check_compatible(prior, measurement)
+    cov, w, pull = posterior_operators(prior, measurement)
     d_vec = _vector(data, "data")
     if d_vec.shape[0] != measurement.data_dim:
         raise InvalidInput(
             f"data has dimension {d_vec.shape[0]}, expected {measurement.data_dim}"
         )
+    return GaussianDensity(mean=w @ d_vec + pull, cov=cov)
+
+
+def posterior_operators(prior, measurement):
+    """D, W and the prior pull D Phi^-1 psi of a dense setup, through :func:`posterior_blocks`."""
+    _check_compatible(prior, measurement)
     r = measurement.response
     rt_n_inv = r.T @ measurement.inv_noise_cov()
     phi_inv = prior.inv_cov()
     info = matfun.symmetrize(phi_inv + rt_n_inv @ r)
     (cov,), _, (w,) = posterior_blocks([info], [rt_n_inv])
-    return GaussianDensity(mean=w @ d_vec + cov @ (phi_inv @ prior.mean), cov=cov)
+    return cov, w, cov @ (phi_inv @ prior.mean)
 
 
 def evidence(prior, measurement):
@@ -249,6 +253,19 @@ def kl_covariance_blocks(p_cov, q_cov, q_spectra):
         x = np.linalg.eigvalsh(matfun.symmetric_part(diff))
         total += 0.5 * float(np.sum(x - np.log1p(x)))
     return total
+
+
+def quadratic_form_blocks(spectra, deltas):
+    """delta^T Sigma^-1 delta = ||diag(w^-1/2) Q^T delta||^2 of each column, summed over blocks.
+
+    ``spectra`` holds the (w, Q) of the diagonal blocks of Sigma, (n,) and
+    (n, n) or (k, n) and (k, n, n), and ``deltas`` the same blocks of the
+    columns, (n, m) or (k, n, m).
+    """
+    return sum(
+        np.sum((np.swapaxes(v, -1, -2) @ d) ** 2 / w[..., None], axis=tuple(range(d.ndim - 1)))
+        for (w, v), d in zip(spectra, deltas)
+    )
 
 
 def kl_divergence(p, q):

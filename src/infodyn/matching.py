@@ -24,11 +24,11 @@ Three branches cover the geometry of H:
     obtained by restricting the normal equations to the span of the
     nonvanishing eigenvalue directions.
 
-:func:`is_regular` and :func:`linear_term_vanishes` are the two tests that
-decide the branch, on the extreme Hessian eigenvalues and on the norm of
-the linear term.  :func:`match` applies them to one dense problem; a
-simulation run applies them to the reductions over its Fourier-class
-blocks.
+:func:`branches` is the one place that decides the branch, from the
+extreme eigenvalues of H and the norm of the linear term, on lists of
+block stacks with one label per column of evolved means.  :func:`match`
+calls it on its one dense block, and a simulation run on its
+Fourier-class blocks, one column per step.
 """
 
 from typing import NamedTuple
@@ -38,11 +38,10 @@ import numpy as np
 from . import matfun
 from ._frozen import Frozen
 from .errors import InvalidInput
-from .gaussian import GaussianDensity, kl_divergence, posterior_blocks
+from .gaussian import GaussianDensity, kl_divergence, posterior_operators
 
-# Relative eigenvalue threshold deciding which Hessian directions count as
-# zero.  Shared by match(), is_regular(), linear_term_vanishes() and
-# nullspace_projector().
+# Relative threshold below which a Hessian eigenvalue or a linear term
+# counts as zero.  Shared by branches() and nullspace_projector().
 SINGULAR_RTOL = 1e-10
 
 BRANCH_REGULAR = "regular"
@@ -54,11 +53,11 @@ class MatchProblem(Frozen):
     """Evolved density (m*, D*^-1) and the measurement setup to match it with.
 
     Construction factors D*^-1 once, checks that it is positive definite
-    and derives, once, the new setup's posterior covariance D' and its
-    Wiener filter W' (:func:`gaussian.posterior_blocks`) and the prior pull
-    D' Phi'^-1 psi'.
+    and derives, once, the new setup's posterior covariance D', its Wiener
+    filter W' and the prior pull D' Phi'^-1 psi'
+    (:func:`gaussian.posterior_operators`).
     The factors of D*^-1 give ||D*^-1||_2 and :meth:`evolved_density`.  A
-    simulation run builds no problem: it decides the branches from its
+    simulation run builds no problem: it calls :func:`branches` on its
     class blocks.
     """
 
@@ -91,12 +90,7 @@ class MatchProblem(Frozen):
                 f"new measurement signal dimension {new_meas.signal_dim} "
                 f"does not match prior dimension {new_prior.dim}"
             )
-        r = new_meas.response
-        rt_n_inv = r.T @ new_meas.inv_noise_cov()
-        phi_inv = new_prior.inv_cov()
-        (post_cov,), _, (w,) = posterior_blocks(
-            [matfun.symmetrize(phi_inv + rt_n_inv @ r)], [rt_n_inv]
-        )
+        post_cov, w, prior_pull = posterior_operators(new_prior, new_meas)
         m_star.setflags(write=False)
         self._set(
             evolved_mean=m_star,
@@ -105,7 +99,7 @@ class MatchProblem(Frozen):
             new_meas=new_meas,
             _w=w,
             _post_cov=post_cov,
-            _prior_pull=post_cov @ (phi_inv @ new_prior.mean),
+            _prior_pull=prior_pull,
             _inv_cov_spectrum=spectrum,
         )
 
@@ -128,12 +122,6 @@ class MatchProblem(Frozen):
         """H = W'^T D*^-1 W', the quadratic form of the objective."""
         return matfun.symmetrize(self._w.T @ self.evolved_inv_cov @ self._w)
 
-    def linear_term(self):
-        """g = W'^T D*^-1 (D' Phi'^-1 psi' - m*), so grad = H u + g."""
-        return self._w.T @ (
-            self.evolved_inv_cov @ (self._prior_pull - self.evolved_mean)
-        )
-
 
 class MatchResult(NamedTuple):
     data: np.ndarray
@@ -154,13 +142,14 @@ def objective(problem, u):
 
 
 def objective_gradient(problem, u):
-    """Analytic gradient of :func:`objective` with respect to u."""
+    """Analytic gradient H u + W'^T D*^-1 (D' Phi'^-1 psi' - m*) of :func:`objective` in u."""
     u = np.asarray(u, dtype=float)
     if u.shape != (problem.data_dim,):
         raise InvalidInput(
             f"data vector has shape {u.shape}, expected ({problem.data_dim},)"
         )
-    return problem.hessian() @ u + problem.linear_term()
+    offset = problem.evolved_inv_cov @ (problem._prior_pull - problem.evolved_mean)
+    return problem.hessian() @ u + problem._w.T @ offset
 
 
 def nullspace_projector(matrix, rel_tol=SINGULAR_RTOL):
@@ -182,18 +171,40 @@ def nullspace_projector(matrix, rel_tol=SINGULAR_RTOL):
     return p, int(np.count_nonzero(keep))
 
 
-def is_regular(smallest, largest):
-    """Whether a match Hessian with these extreme eigenvalues counts as positive definite."""
-    return bool(smallest > SINGULAR_RTOL * max(largest, 0.0))
+def branches(filters, pulled, inv_cov_norm, means, pulls):
+    """The branch :func:`match` takes for each column of evolved means m*.
 
-
-def linear_term_vanishes(norms, scales):
-    """Whether linear terms of these norms count as zero (the ``zero`` branch).
-
-    Each norm is compared with its scale
-    ||W'||_2 ||D*^-1||_2 (||D' Phi'^-1 psi'|| + ||m*||), which bounds it.
+    The lists hold (k, n, y) stacks of diagonal blocks: ``filters`` of W',
+    ``pulled`` of D*^-1 W', ``means`` of m* (columns) and ``pulls`` of the
+    prior pull D' Phi'^-1 psi' (one column); ``inv_cov_norm`` is
+    ||D*^-1||_2.  H = W'^T D*^-1 W' is regular when its smallest eigenvalue
+    over the blocks exceeds ``SINGULAR_RTOL`` times the largest.  If not, a
+    column is ``zero`` when its linear term W'^T D*^-1 (D' Phi'^-1 psi' - m*)
+    is at most ``SINGULAR_RTOL`` times its bound, or 1 if larger, the bound
+    ||W'||_2 ||D*^-1||_2 (||D' Phi'^-1 psi'|| + ||m*||), and ``projected``
+    otherwise.
     """
-    return np.asarray(norms) <= SINGULAR_RTOL * np.maximum(scales, 1.0)
+    hessian = [
+        np.linalg.eigvalsh(matfun.symmetric_part(np.swapaxes(f, -1, -2) @ p))
+        for f, p in zip(filters, pulled)
+    ]
+    h = np.concatenate([x.ravel() for x in hessian])
+    if h.min() > SINGULAR_RTOL * max(h.max(), 0.0):
+        return (BRANCH_REGULAR,) * means[0].shape[-1]
+    # Squared norms of each column, summed over the blocks.
+    term = sum(
+        np.sum((np.swapaxes(p, -1, -2) @ (m - c)) ** 2, axis=(0, 1))
+        for p, m, c in zip(pulled, means, pulls)
+    )
+    mean = sum(np.sum(m**2, axis=(0, 1)) for m in means)
+    pull = sum(np.sum(c**2) for c in pulls)
+    scale = (
+        max(matfun.norm2(f) for f in filters)
+        * inv_cov_norm
+        * (np.sqrt(pull) + np.sqrt(mean))
+    )
+    flat = np.sqrt(term) <= SINGULAR_RTOL * np.maximum(scale, 1.0)
+    return tuple(BRANCH_ZERO if f else BRANCH_PROJECTED for f in flat)
 
 
 def match(problem):
@@ -207,28 +218,27 @@ def match(problem):
         applied: ``regular``, ``zero`` or ``projected``.
     """
     h = problem.hessian()
-    d_star_inv = problem.evolved_inv_cov
-    w_t = problem._w.T
-    h_eval, _ = matfun.spectral_decompose(h)
-    if is_regular(h_eval[0], h_eval[-1]):
+    pulled = problem.evolved_inv_cov @ problem._w
+    (branch,) = branches(
+        [problem._w[None]],
+        [pulled[None]],
+        problem._inv_cov_spectrum[0][-1],
+        [problem.evolved_mean[None, :, None]],
+        [problem._prior_pull[None, :, None]],
+    )
+    if branch == BRANCH_REGULAR:
         # Unique minimizer.  Writing the solution against (m* - psi') and
         # adding R' psi' keeps the round trip u' = R' psi' exact when the
         # evolved density equals the fresh prior posterior.
         psi = problem.new_prior.mean
-        rhs = w_t @ (d_star_inv @ (problem.evolved_mean - psi))
-        u = np.linalg.solve(h, rhs) + problem.new_meas.response @ psi
-        return MatchResult(data=u, branch=BRANCH_REGULAR)
-    scale = (
-        matfun.norm2(problem._w)
-        * problem._inv_cov_spectrum[0][-1]
-        * (np.linalg.norm(problem._prior_pull) + np.linalg.norm(problem.evolved_mean))
-    )
-    if linear_term_vanishes(np.linalg.norm(problem.linear_term()), scale):
+        u = np.linalg.solve(h, pulled.T @ (problem.evolved_mean - psi))
+        return MatchResult(data=u + problem.new_meas.response @ psi, branch=BRANCH_REGULAR)
+    if branch == BRANCH_ZERO:
         # Objective is constant in the flat directions and the linear term
         # vanishes: the norm-minimal minimizer is the origin.
         return MatchResult(data=np.zeros(problem.data_dim), branch=BRANCH_ZERO)
     p, _rank = nullspace_projector(h)
-    rhs = p @ (w_t @ (d_star_inv @ (problem.evolved_mean - problem._prior_pull)))
+    rhs = p @ (pulled.T @ (problem.evolved_mean - problem._prior_pull))
     reduced = matfun.symmetrize(p @ h @ p.T)
     u = p.T @ np.linalg.solve(reduced, rhs)
     return MatchResult(data=u, branch=BRANCH_PROJECTED)

@@ -24,7 +24,9 @@ The step-invariant algebra runs one Fourier class at a time
 :func:`kleingordon.class_index`), one stacked numpy call per block shape,
 through the library's functions of class stacks: D, its spectrum and
 W = D R^T N^-1 from :func:`gaussian.posterior_blocks`, the KL covariance
-terms from :func:`gaussian.kl_covariance_blocks`, the positive
+terms from :func:`gaussian.kl_covariance_blocks`, the quadratic forms of
+the mean offsets from :func:`gaussian.quadratic_form_blocks`, the matcher
+branch of every step from :func:`matching.branches`, the positive
 definiteness tests, which compare the smallest eigenvalue over all classes
 with the largest, from :func:`matfun.require_pd`, and M' from
 :func:`kleingordon.update_generator_blocks`.  A(dt) and 1 + dt L come in
@@ -447,46 +449,6 @@ def _refuse_nonfinite(steps, columns, values):
             raise NonFiniteOutput(f"{name} is not finite; the run has overflowed")
 
 
-def _quadratic_form(spectra, deltas):
-    """delta^T Sigma^-1 delta of each column of the class blocks ``deltas``, summed over blocks."""
-    return sum(
-        np.sum((np.swapaxes(v, -1, -2) @ d) ** 2 / w[:, :, None], axis=(0, 1))
-        for (w, v), d in zip(spectra, deltas)
-    )
-
-
-def _branches(filters, evolved_spectra, evolved_means):
-    """The branch :func:`matching.match` takes at each step, from the class blocks.
-
-    The match Hessian H = W^T D*^-1 W is block diagonal over the classes, so
-    its extreme eigenvalues are those over the blocks.  The linear term of
-    step i is -W^T D*^-1 m*_i (the thermal prior has zero mean, so the prior
-    pull vanishes); its norm, like that of m*_i, is the root sum of squares
-    over the blocks, and ||W||_2 and ||D*^-1||_2 are the largest over them.
-    """
-    pulled = [matfun.spectral_inverse(w, v) @ f for (w, v), f in zip(evolved_spectra, filters)]
-    hessian = [
-        np.linalg.eigvalsh(matfun.symmetric_part(np.swapaxes(f, -1, -2) @ p))
-        for f, p in zip(filters, pulled)
-    ]
-    h = np.concatenate([x.ravel() for x in hessian])
-    steps = evolved_means[0].shape[-1]
-    if matching.is_regular(h.min(), h.max()):
-        return (matching.BRANCH_REGULAR,) * steps
-    term = sum(
-        np.sum((np.swapaxes(p, -1, -2) @ m) ** 2, axis=(0, 1))
-        for p, m in zip(pulled, evolved_means)
-    )
-    mean = sum(np.sum(m**2, axis=(0, 1)) for m in evolved_means)
-    scale = (
-        max(matfun.norm2(f) for f in filters)
-        / min(w.min() for w, _ in evolved_spectra)
-        * np.sqrt(mean)
-    )
-    flat = matching.linear_term_vanishes(np.sqrt(term), scale)
-    return tuple(matching.BRANCH_ZERO if f else matching.BRANCH_PROJECTED for f in flat)
-
-
 def _columns(blocks):
     """(steps, dim) array of per-step vectors held as (k, a, steps) class blocks."""
     return np.concatenate([b.reshape(-1, b.shape[-1]) for b in blocks]).T
@@ -630,11 +592,12 @@ def _iterate(config, setup, reference):
     new = [m[..., 1:] for m in means]
     exact_means = [a @ m for a, m in zip(a_step, prev)]
     linear_means = [g @ m for g, m in zip(g_step, prev)]
-    kl_step = gaussian.kl_covariance_blocks(exact, cov, setup.spectrum) + 0.5 * _quadratic_form(
+    kl_step = gaussian.kl_covariance_blocks(exact, cov, setup.spectrum)
+    kl_step += 0.5 * gaussian.quadratic_form_blocks(
         setup.spectrum, [e - n for e, n in zip(exact_means, new)]
     )
     kl_evolution = gaussian.kl_covariance_blocks(exact, linear, linear_spectra)
-    kl_evolution += 0.5 * _quadratic_form(
+    kl_evolution += 0.5 * gaussian.quadratic_form_blocks(
         linear_spectra, [(a - g) @ m for a, g, m in zip(a_step, g_step, prev)]
     )
     columns = {
@@ -655,7 +618,14 @@ def _iterate(config, setup, reference):
     # D^-1 - dt (D^-1 L + L^T D^-1), which can lose positive definiteness at
     # steps the update matrix still accepts.  The branch taken is the same
     # for any positive definite choice (it is decided by the response rank).
-    branch = _branches(setup.filter, linear_spectra, linear_means)
+    # The thermal prior has zero mean, so the prior pull vanishes.
+    branch = matching.branches(
+        setup.filter,
+        [matfun.spectral_inverse(w, v) @ f for (w, v), f in zip(linear_spectra, setup.filter)],
+        1.0 / min(w.min() for w, _ in linear_spectra),
+        linear_means,
+        [np.zeros(m.shape[:-1] + (1,)) for m in linear_means],
+    )
     return columns, step_means, branch
 
 
@@ -953,8 +923,13 @@ def sweep_dict(sweep):
     }
 
 
-def write_report(result, path):
-    """Write :func:`report_dict` as JSON."""
+def write_json(payload, path):
+    """Write ``payload`` as UTF-8 JSON, indented by 2, with a trailing newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_dict(result), fh, indent=2)
+        json.dump(payload, fh, indent=2)
         fh.write("\n")
+
+
+def write_report(result, path):
+    """Write :func:`report_dict` as JSON (:func:`write_json`)."""
+    write_json(report_dict(result), path)

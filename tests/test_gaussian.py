@@ -21,14 +21,6 @@ def _random_setup(rng, n, y):
     return prior, meas
 
 
-def _posterior_filter(prior, meas):
-    """W = D R^T N^-1 from :func:`gaussian.posterior_blocks` on the dense information matrix."""
-    rt_n_inv = meas.response.T @ meas.inv_noise_cov()
-    info = prior.inv_cov() + rt_n_inv @ meas.response
-    _, _, (w,) = gaussian.posterior_blocks([0.5 * (info + info.T)], [rt_n_inv])
-    return w
-
-
 def test_wiener_representations_agree():
     rng = np.random.default_rng(101)
     for _ in range(100):
@@ -37,7 +29,7 @@ def test_wiener_representations_agree():
         prior, meas = _random_setup(rng, n, y)
         w_signal = gaussian.wiener_filter(prior, meas, "signal_space")
         w_data = gaussian.wiener_filter(prior, meas, "data_space")
-        w_post = _posterior_filter(prior, meas)
+        _, w_post, _ = gaussian.posterior_operators(prior, meas)
         scale = max(1.0, np.max(np.abs(w_signal)))
         assert np.max(np.abs(w_signal - w_data)) < 1e-10 * scale
         assert np.max(np.abs(w_signal - w_post)) < 1e-10 * scale
@@ -167,6 +159,22 @@ def test_log_density_matches_scipy():
         assert_allclose(density.log_density(xs), expected, rtol=1e-10)
         # Single-point call agrees with the batch call.
         assert_allclose(density.log_density(xs[0]), expected[0], rtol=1e-10)
+
+
+def test_quadratic_form_of_a_batch():
+    # A (2, 3, n) batch gives the (2, 3) forms delta^T Sigma^-1 delta, and
+    # one vector gives a scalar.
+    rng = np.random.default_rng(127)
+    n = 4
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    cov = (q * rng.uniform(0.2, 2.0, n)) @ q.T
+    density = GaussianDensity(mean=np.zeros(n), cov=cov)
+    deltas = rng.standard_normal((2, 3, n))
+    expected = np.einsum("abi,ij,abj->ab", deltas, np.linalg.inv(cov), deltas)
+    assert_allclose(density.quadratic_form(deltas), expected, rtol=1e-12)
+    single = density.quadratic_form(deltas[1, 2])
+    assert np.ndim(single) == 0
+    assert_allclose(single, expected[1, 2], rtol=1e-12)
 
 
 def test_kl_scalar_frozen():

@@ -165,6 +165,40 @@ def test_match_zero_branch():
     assert_allclose(result.data, np.zeros(3), atol=1e-15)
 
 
+def test_zero_branch_threshold_counts_the_prior_pull():
+    # A rank-deficient setup with a nonzero prior mean.  The linear term
+    # W'^T D*^-1 (pull - m*) vanishes at m* = pull, and an offset c along
+    # the non-null Hessian direction W' h / lambda gives it norm c.  The
+    # threshold is SINGULAR_RTOL ||W'||_2 ||D*^-1||_2 (||pull|| + ||m*||);
+    # at m* close to the pull, leaving ||pull|| out would halve it, so 0.7
+    # of it takes the zero branch only because the pull is counted.
+    rng = np.random.default_rng(359)
+    n, y = 4, 3
+    prior = GaussianDensity(mean=100.0 * rng.standard_normal(n), cov=_spd(rng, n))
+    resp = _well_conditioned_response(rng, y, n)
+    resp[-1] = resp[-2]
+    meas = LinearMeasurement(response=resp, noise_cov=np.diag(rng.uniform(0.45, 0.55, y)))
+    inv_cov = _spd(rng, n)
+    _, w, pull = gaussian.posterior_operators(prior, meas)
+    assert np.linalg.norm(pull) > 10.0
+    h_eval, h_vec = np.linalg.eigh(w.T @ inv_cov @ w)
+    assert h_eval[0] < 1e-12 * h_eval[-1]
+    direction = w @ h_vec[:, -1] / h_eval[-1]
+    threshold = matching.SINGULAR_RTOL * (
+        np.linalg.norm(w, 2) * np.linalg.norm(inv_cov, 2) * 2.0 * np.linalg.norm(pull)
+    )
+    for c, branch in (
+        (0.0, matching.BRANCH_ZERO),
+        (0.7 * threshold, matching.BRANCH_ZERO),
+        (1.5 * threshold, matching.BRANCH_PROJECTED),
+    ):
+        problem = MatchProblem(pull + c * direction, inv_cov, prior, meas)
+        result = matching.match(problem)
+        assert result.branch == branch
+        if branch == matching.BRANCH_ZERO:
+            assert_allclose(result.data, np.zeros(y), atol=1e-15)
+
+
 def test_match_round_trip_at_fresh_posterior():
     # If the evolved density IS the posterior of data u under the new setup,
     # the regular branch must return exactly that u.

@@ -321,11 +321,12 @@ def _check_against_per_step_oracle(run):
 
 
 def _two_class_setup(rng, scales, deficient):
-    """A two-class setup, to compare the run's branch labels with match()'s.
+    """A two-class setup, to compare :func:`matching.branches` on class blocks with match().
 
     Each class has 4 signal and 3 data dimensions; ``scales`` scales the
     response of each, and ``deficient`` measures one data channel twice.
-    The run's prior has zero mean, so this one has too.  Returns a function
+    The run's prior has zero mean, so this one has too, and the prior pull
+    vanishes.  Returns a function
     that maps rows of evolved means to (run labels, match() labels), and W
     and D*^-1 as dense matrices.
     """
@@ -347,17 +348,18 @@ def _two_class_setup(rng, scales, deficient):
         scipy.linalg.block_diag(*response), np.diag(rng.uniform(0.45, 0.55, 2 * y))
     )
     inv_cov = scipy.linalg.block_diag(*[(v / w) @ v.T for w, v in zip(evolved_w, evolved_v)])
-    rt_n_inv = meas.response.T @ meas.inv_noise_cov()
-    info = prior.inv_cov() + rt_n_inv @ meas.response
-    _, _, (w,) = gaussian.posterior_blocks([0.5 * (info + info.T)], [rt_n_inv])
+    _, w, _ = gaussian.posterior_operators(prior, meas)
     assert np.all(w[:n, y:] == 0.0) and np.all(w[n:, :y] == 0.0)
     filters = np.array([w[:n, :y], w[n:, y:]])
 
     def labels(means):
-        batched = simulator._branches(
+        columns = means.reshape(-1, 2, n).transpose(1, 2, 0)
+        batched = matching.branches(
             [filters],
-            [(evolved_w, evolved_v)],
-            [means.reshape(-1, 2, n).transpose(1, 2, 0)],
+            [matfun.spectral_inverse(evolved_w, evolved_v) @ filters],
+            1.0 / evolved_w.min(),
+            [columns],
+            [np.zeros((2, n, 1))],
         )
         expected = [
             matching.match(matching.MatchProblem(m, inv_cov, prior, meas)).branch
@@ -463,7 +465,8 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
     # the largest matrix a factorization or the direct endpoint's Pade
     # solve sees is the data part of the class of the duplicated conjugate
     # pair: coefficients (Y-1)/2 and (Y+1)/2, real and imaginary, phi and
-    # chi, 8 in all.  No 2-norm may take an SVD.
+    # chi, 8 in all.  No 2-norm may take an SVD.  The matcher branches of
+    # all steps come from one matching.branches call, with no match().
     counts = Counter()
     sizes = []
     # np.linalg.norm(x, 2) calls svd by name in the module that defines it.
@@ -489,6 +492,8 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
     for name in ("update_generator", "update_generator_blocks", "build_generator", "exact_step"):
         count(kleingordon, name)
     count(matfun, "spectral_decompose")
+    count(matching, "branches")
+    count(matching, "match")
     # Counted under one key, "__init__".
     count(gaussian.GaussianDensity, "__init__")
     count(gaussian.LinearMeasurement, "__init__")
@@ -513,6 +518,8 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
         assert counts["exact_step"] == 0
         assert counts["spectral_decompose"] == 0
         assert counts["__init__"] == 0
+        assert counts["branches"] == 1
+        assert counts["match"] == 0
 
 
 def _mean_error_at_end(resolution, data_map):
