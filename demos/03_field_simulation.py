@@ -31,7 +31,7 @@ config = simulator.parse_config(
 )
 model = config.model
 print(f"signal dim {model.signal_dim}, data dim {model.data_dim}, "
-      f"steps {config.steps}, dt {config.dt:.4f} (limit {model.dt_limit:.4f})")
+      f"steps {config.steps}, dt {config.dt:.4f} (limit 1/w_max^2 = {model.dt_limit:.4f})")
 
 # The stored data coefficients (Y-1)/2 and (Y+1)/2 are complex conjugates of
 # each other: the measurement is redundant there, which conditions the data

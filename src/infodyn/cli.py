@@ -2,9 +2,9 @@
 
 All subcommands read the same flat JSON config (see
 :func:`infodyn.simulator.parse_config`).  Exit status is 0 on success, 1 for
-configuration and I/O problems, and 2 when the numerics refuse the request
-(step outside its validity region, loss of positive definiteness, non-finite
-output).
+configuration and I/O problems (a step outside its validity region among
+them, refused at load time), and 2 when the numerics refuse the request
+(loss of positive definiteness, non-finite output).
 """
 
 import argparse
@@ -12,16 +12,9 @@ import logging
 import sys
 
 from . import simulator
-from .errors import (
-    ConfigError,
-    InfodynError,
-    InsufficientSweep,
-    NonFiniteOutput,
-    NotPositiveDefinite,
-    StepTooLarge,
-)
+from .errors import ConfigError, InfodynError, NonFiniteOutput, NotPositiveDefinite
 
-NUMERIC_ERRORS = (StepTooLarge, NotPositiveDefinite, NonFiniteOutput)
+NUMERIC_ERRORS = (NotPositiveDefinite, NonFiniteOutput)
 
 
 def _add_config_arg(parser):
@@ -154,7 +147,7 @@ def main(argv=None):
     except NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, InsufficientSweep, InfodynError, OSError) as exc:
+    except (InfodynError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -154,8 +154,14 @@ class KGModel(Frozen):
 
     @property
     def dt_limit(self):
-        """Validity threshold: the update matrix needs dt < 1/w_{n-1}."""
-        return 1.0 / float(self.omega(self.n_modes - 1))
+        """Largest step a run may take, exclusive: dt < 1/w_{n-1}^2, i.e. dt ||L|| < 1.
+
+        Each (phi, chi) pair block [[0, 1], [-w^2, 0]] of the generator L
+        has singular values w^2 and 1, and w_{n-1}^2 >= 1 + mu^2 is the
+        largest w^2, so 1/w_{n-1}^2 is 1/||L|| (spectral norm), with w^2
+        taken as :func:`generator_pairs` takes it.
+        """
+        return 1.0 / float(self.omega(self.n_modes - 1) ** 2)
 
 
 def _part_prior_diag(model, part):
@@ -523,11 +529,9 @@ def update_generator(model):
     closed-form Gram diagonal, H the reciprocal of (Gram diagonal + sigma^2)
     and R2 the two-part response lift.  Only diagonal reciprocals appear;
     the dense factors enter through matrix products.  One step of length dt
-    updates the data by M = 1 + dt M', valid for dt < 1/w_{n-1}
-    (:attr:`KGModel.dt_limit`, the Neumann expansion behind the closed
-    form), and the continuous-limit endpoint is exp(T M') d(0).  M' couples
-    only the data indices of one Fourier class, so the dense matrix is
-    assembled from :func:`update_generator_blocks`.
+    updates the data by M = 1 + dt M', and the continuous-limit endpoint is
+    exp(T M') d(0).  M' couples only the data indices of one Fourier class,
+    so the dense matrix is assembled from :func:`update_generator_blocks`.
     """
     classes = fourier_classes(model)
     blocks = update_generator_blocks(

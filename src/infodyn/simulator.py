@@ -64,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import dynamics, gaussian, kleingordon, matching, matfun
+from . import gaussian, kleingordon, matching, matfun
 from ._frozen import Frozen
 from .errors import (
     ConfigError,
@@ -126,13 +126,11 @@ class RunConfig(Frozen):
     schemes 'iterated' and 'both', which hold a trajectory and step with
     the update matrix, it also checks that the (2^N + 1) x data_dim
     trajectory fits in ``MAX_TRAJECTORY_BYTES`` and that dt lies inside the
-    validity region dt < 1/w_{n-1} of the update matrix.  Scheme 'direct'
-    needs neither.  Under every scheme the model's largest dense matrix
-    must fit in ``MAX_MATRIX_BYTES``.  :meth:`replace` gives a changed copy
-    through the same checks.  A loaded config can still be refused when it
-    runs: the diagnostics of 'iterated' and 'both' need dt ||L|| < 1
-    (:class:`StepTooLarge`), and every scheme needs positive definite
-    covariances (:class:`NotPositiveDefinite`).
+    validity region dt ||L|| < 1 of the linearized step 1 + dt L that the
+    per-step diagnostics take, dt < :attr:`KGModel.dt_limit`
+    = 1/w_{n-1}^2.  Scheme 'direct' needs neither.  Under every scheme the
+    model's largest dense matrix must fit in ``MAX_MATRIX_BYTES``.
+    :meth:`replace` gives a changed copy through the same checks.
     """
 
     _fields = ("model", "total_time", "resolution", "seed", "initial_data", "scheme")
@@ -561,11 +559,9 @@ def _iterate(config, setup, reference):
     dt = config.dt
     classes, cov = setup.classes, setup.cov
     # L and A(dt) couple each packed phi component only with its chi
-    # partner, so their 2x2 pair blocks give their class blocks; those of L
-    # carry the check ||dt L|| < 1 and give 1 + dt L.
-    g_pairs = dynamics.AffineDynamics(
-        generator=kleingordon.generator_pairs(model), dt=dt
-    ).step_matrix()
+    # partner, so their 2x2 pair blocks give their class blocks.  The
+    # config's dt < dt_limit keeps dt ||L|| < 1.
+    g_pairs = np.eye(2) + dt * kleingordon.generator_pairs(model)
     a_pairs = kleingordon.exact_step_pairs(model, dt)
     a_step = [kleingordon.class_blocks(a_pairs, sig) for sig, _ in classes]
     g_step = [kleingordon.class_blocks(g_pairs, sig) for sig, _ in classes]
@@ -634,19 +630,15 @@ def run_ifd(config):
 
     The class blocks of the generator M' are built once; the update
     M = 1 + dt M' and the direct endpoint exp(T M') d(0) both come from
-    them.  The loop multiplies the data
-    vector by M and stores it, nothing else.  Afterwards, over all steps at
-    once, the run computes the two relative entropies described in the
-    module docstring (a constant covariance term, factored once, plus a
-    quadratic form of the mean offset per step), the deviation from the
-    exact reference, and the branch the entropic matcher would take on each
-    step (the closed form is used for the update either way), each held as
-    a column of the result.
-    The diagnostics push the posterior through the linearized step
-    1 + dt L, which needs the stricter bound dt ||L|| < 1; a config can
-    therefore pass validation (which checks the update matrix region
-    dt < 1/w_{n-1}) and still be refused here with :class:`StepTooLarge`.
-    Scheme 'direct' has no such constraint.  A non-regular branch is
+    them.  The loop multiplies the data vector by M and stores it, nothing
+    else.  Afterwards, over all steps at once, the run computes the two
+    relative entropies described in the module docstring (a constant
+    covariance term, factored once, plus a quadratic form of the mean
+    offset per step), the deviation from the exact reference, and the
+    branch the entropic matcher would take on each step (the closed form is
+    used for the update either way), each held as a column of the result.
+    A covariance that fails the positive definiteness test is refused with
+    :class:`NotPositiveDefinite`.  A non-regular branch is
     announced once per run at warning level, naming its first step: it
     means the match Hessian is singular and the matched vector is the
     minimum-norm one, which for this data packing is the generic situation

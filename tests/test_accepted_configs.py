@@ -4,9 +4,10 @@ Small models and resolutions, with every float field drawn across the whole
 double range, subnormals included.  A run must either finish with finite
 output and nonnegative relative entropies, or raise an
 :class:`InfodynError`, which ``infodyn.cli.main`` turns into exit status 1
-or 2.  A numpy warning fails the run as well (see ``filterwarnings`` in
-``pyproject.toml``).  The settings are fixed, so the examples are the same
-on every run of the suite.
+or 2.  That error is never :class:`StepTooLarge`: the step bound is the
+loader's to check.  A numpy warning fails the run as well (see
+``filterwarnings`` in ``pyproject.toml``).  The settings are fixed, so the
+examples are the same on every run of the suite.
 """
 
 import math
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infodyn import simulator
-from infodyn.errors import ConfigError, InfodynError
+from infodyn.errors import ConfigError, InfodynError, StepTooLarge
 
 # The whole positive double range, subnormals included, and as often values
 # between 2^-21 and 2^20, log-uniform, so that a good share of the configs
@@ -59,7 +60,8 @@ def test_accepted_config_runs_finite_or_is_refused(mapping):
         return
     try:
         result = simulator.run_ifd(config)
-    except InfodynError:
+    except InfodynError as exc:
+        assert not isinstance(exc, StepTooLarge), exc
         return
     for name, value in result._asdict().items():
         if isinstance(value, (np.ndarray, float)):

@@ -8,6 +8,7 @@ import sys
 import textwrap
 import warnings
 
+import numpy as np
 import pytest
 
 import infodyn
@@ -190,8 +191,8 @@ def test_bad_n_list_exits_1(config_path, capsys):
 
 
 def test_numeric_refusal_exits_2(tmp_path, capsys):
-    # N = 3 gives dt = 1/8: valid for the update matrix, too large for the
-    # linearized diagnostics; the run refuses with a numeric error.
+    # N = 3 gives dt = 1/8, too large for the linearized diagnostics, which
+    # need dt < 1/w_max^2 = 1/10; the loader refuses it as a config error.
     path = tmp_path / "coarse.json"
     path.write_text(
         json.dumps(
@@ -210,7 +211,7 @@ def test_numeric_refusal_exits_2(tmp_path, capsys):
         )
     )
     out = tmp_path / "x.csv"
-    assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 1
     assert "validity region" in capsys.readouterr().err
     # The same config runs under the direct scheme.
     direct = json.loads(path.read_text())
@@ -230,7 +231,7 @@ def test_numeric_refusal_exits_2(tmp_path, capsys):
 
 def test_direct_runs_configs_only_the_iterated_schemes_refuse(tmp_path, capsys):
     # The direct-long config at N 21 exceeds the trajectory cap, and
-    # (16, 31, T 1, N 1) has dt = 0.5 outside dt < 1/w_{n-1}; 'direct' needs
+    # (16, 31, T 1, N 1) has dt = 0.5 outside dt < 1/w_{n-1}^2; 'direct' needs
     # neither bound, whatever scheme the file names.  'simulate' with scheme
     # 'both' still refuses both, with exit 1 and the same messages.
     path = tmp_path / "wide.json"
@@ -245,7 +246,7 @@ def test_direct_runs_configs_only_the_iterated_schemes_refuse(tmp_path, capsys):
          "trajectory fits in 1073741824 bytes, got 21"),
         ({**base, "T": 1.0, "N": 1},
          "config fields 'T' and 'N' give step dt = 0.5, outside the validity "
-         "region dt < 0.06651901052377393 set by 'n_modes'"),
+         "region dt < 0.004424778761061947 set by 'n_modes'"),
     ):
         path.write_text(json.dumps(mapping))
         assert cli.main(["direct", "--config", str(path)]) == 0
@@ -255,6 +256,44 @@ def test_direct_runs_configs_only_the_iterated_schemes_refuse(tmp_path, capsys):
         assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+
+def test_step_bound_is_checked_at_load_time_only(tmp_path, config_path, capsys):
+    # At N 1, T = 2 dt_limit gives dt = dt_limit exactly: refused at load
+    # under the iterated schemes.  One ulp below, the run finishes with
+    # finite output.  'direct' accepts both.
+    mapping = {**json.loads(config_path.read_text()), "N": 1}
+    limit = simulator.parse_config({**mapping, "scheme": "direct"}).model.dt_limit
+    out = tmp_path / "x.csv"
+    for scheme in ("iterated", "both"):
+        for dt, code in ((limit, 1), (np.nextafter(limit, 0.0), 0)):
+            config_path.write_text(json.dumps({**mapping, "T": 2 * dt, "scheme": scheme}))
+            assert cli.main(["simulate", "--config", str(config_path), "--out", str(out)]) == code
+            assert cli.main(["direct", "--config", str(config_path)]) == 0
+            captured = capsys.readouterr()
+            if code:
+                assert captured.err == (
+                    f"error: config fields 'T' and 'N' give step dt = {limit!r}, outside "
+                    f"the validity region dt < {limit!r} set by 'n_modes'\n"
+                )
+                assert not out.exists()
+            else:
+                assert captured.err == ""
+                rows = np.loadtxt(out, delimiter=",", skiprows=1, usecols=range(5))
+                assert rows.shape == (2, 5) and np.all(np.isfinite(rows))
+                out.unlink()
+
+
+def test_sweep_refuses_a_coarse_resolution_before_any_run(config_path, capsys, monkeypatch):
+    # At (4, 5, T 1), N 3 gives dt = 1/8 >= dt_limit = 1/10.
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(simulator, "_setup", no_run)
+    assert cli.main(["sweep", "--config", str(config_path), "--n-list", "3,4,5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "give step dt = 0.125, outside the validity region" in captured.err
 
 
 def _simulate_quietly(tmp_path, config_path, mapping):
@@ -320,7 +359,7 @@ def test_direct_overflow_exits_2_before_writing(tmp_path, config_path, capsys):
     [
         # Prior variances near 5e-309, whose reciprocals overflow; this used
         # to warn and then refuse on NaN eigenvalues.
-        ({"n_modes": 4, "Y": 3, "beta": 5.6e307, "sigma_n2": 1.0, "T": 0.5, "N": 1},
+        ({"n_modes": 4, "Y": 3, "beta": 5.6e307, "sigma_n2": 1.0, "T": 0.5, "N": 3},
          "the posterior information matrix is not finite"),
         # sigma_n2 / (R Phi R^T) overflows in M'; this used to exit 1 with
         # "matrix entries must be finite" from the matrix exponential.

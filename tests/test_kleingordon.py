@@ -275,7 +275,16 @@ def test_model_and_density_refuse_assignment():
 
 
 def test_dt_limit_frozen():
-    assert_allclose(_model().dt_limit, 1.0 / np.sqrt(10.0), rtol=1e-15)
+    assert_allclose(_model().dt_limit, 0.1, rtol=1e-15)
+
+
+def test_dt_limit_is_the_reciprocal_generator_norm():
+    # dt < dt_limit is dt ||L|| < 1: the spectral norm, with SVD as oracle.
+    for n_modes in (2, 3, 5, 16, 64):
+        for mu in (1e-3, 0.5, 1.0, 30.0, 1e5):
+            model = _model(n_modes=n_modes, pixels=3, mu=mu)
+            norm = np.linalg.norm(kg.build_generator(model), 2)
+            assert_allclose(1.0 / model.dt_limit, norm, rtol=1e-15)
 
 
 def _dense_gram(model, part):

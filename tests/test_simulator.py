@@ -15,7 +15,6 @@ from infodyn.errors import (
     ConfigError,
     InsufficientSweep,
     NotPositiveDefinite,
-    StepTooLarge,
 )
 
 
@@ -128,7 +127,7 @@ def test_generated_initial_data_is_seed_deterministic():
     for n_modes, pixels in ((4, 5), (64, 127)):
 
         def draw(seed):
-            config = _config(n_modes=n_modes, Y=pixels, T=0.005, seed=seed)
+            config = _config(n_modes=n_modes, Y=pixels, T=0.005, N=5, seed=seed)
             return simulator.resolve_initial_data(config)
 
         d_a = draw(123)
@@ -150,11 +149,11 @@ def test_model_size_is_capped_at_load_time_under_every_scheme():
     # matrix.
     assert simulator.MAX_MATRIX_BYTES == 1 << 27
     for scheme in simulator.SCHEMES:
-        config = _config(n_modes=1024, Y=2045, T=1e-4, N=1, scheme=scheme)
+        config = _config(n_modes=1024, Y=2045, T=1e-6, N=1, scheme=scheme)
         assert max(config.model.signal_dim, config.model.data_dim) == 4094
         for n_modes, pixels in ((1025, 5), (100_000_000, 5), (500_001, 1_000_001)):
             with pytest.raises(ConfigError, match="largest dense matrix"):
-                _config(n_modes=n_modes, Y=pixels, T=1e-4, N=1, scheme=scheme)
+                _config(n_modes=n_modes, Y=pixels, T=1e-6, N=1, scheme=scheme)
 
 
 def test_initial_data_file_loading(tmp_path):
@@ -590,16 +589,18 @@ def _assert_no_steps(run):
     assert run.branch == () and run.branch_counts == {}
 
 
-def test_diagnostics_refuse_steps_beyond_linearized_region():
-    # dt = 1/8 passes config validation (update matrix needs dt < 1/w_max)
-    # but the per-step diagnostics linearize the evolution and need
-    # dt ||L|| < 1; the run refuses rather than reporting garbage.
-    config = _config(N=3)
-    with pytest.raises(StepTooLarge):
-        simulator.run_ifd(config)
+def test_loader_refuses_steps_beyond_linearized_region():
+    # dt = 1/8 is below 1/w_max but not below 1/w_max^2 = 1/10: the per-step
+    # diagnostics linearize the evolution and need dt ||L|| < 1, so the
+    # config is refused at load time rather than when it runs.
+    for scheme in ("iterated", "both"):
+        with pytest.raises(ConfigError, match="validity region dt < "):
+            _config(N=3, scheme=scheme)
     # The direct endpoint has no step restriction at all.
-    direct = simulator.run_ifd(config.replace(scheme="direct"))
-    _assert_no_steps(direct)
+    direct = _config(N=3, scheme="direct")
+    _assert_no_steps(simulator.run_ifd(direct))
+    with pytest.raises(ConfigError, match="validity region dt < "):
+        direct.replace(scheme="iterated")
 
 
 def test_direct_scheme_skips_records():
