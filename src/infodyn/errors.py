@@ -2,10 +2,11 @@
 
 Every error raised on a contract violation derives from :class:`InfodynError`
 so callers can catch the package's failures with one handler.  Numerical
-failures (a step size outside the validity region, a matrix that is not
-positive definite, non-finite output) are kept distinct from input and
-configuration mistakes because the command line maps them to different exit
-codes.
+failures (a matrix that is not positive definite, non-finite output) are
+kept distinct from input and configuration mistakes because the command
+line maps them to different exit codes.  A run's step outside the validity
+region is a load-time :class:`ConfigError`; only the library's
+:class:`infodyn.dynamics.AffineDynamics` raises :class:`StepTooLarge`.
 """
 
 

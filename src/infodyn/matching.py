@@ -20,15 +20,13 @@ Three branches cover the geometry of H:
     vector and u' = 0 is the norm-minimal one.
 ``projected``
     H singular with nonvanishing linear term; the minimizer set is an affine
-    subspace and the returned u' is its unique norm-minimal element,
-    obtained by restricting the normal equations to the span of the
-    nonvanishing eigenvalue directions.
+    subspace and the returned u' is its unique norm-minimal element.
 
-:func:`branches` is the one place that decides the branch, from the
-extreme eigenvalues of H and the norm of the linear term, on lists of
-block stacks with one label per column of evolved means.  :func:`match`
-calls it on its one dense block, and a simulation run on its
-Fourier-class blocks, one column per step.
+:func:`branches` is the one place that decides the branch, from one ``eigh``
+of H and the norm of the linear term, on lists of block stacks with one label
+per column of evolved means.  :func:`match` calls it on its one dense block
+and applies the pseudo-inverse of H from that one factorization; a simulation
+run calls it on its Fourier-class blocks, one column per step.
 """
 
 from typing import NamedTuple
@@ -41,7 +39,8 @@ from .errors import InvalidInput
 from .gaussian import GaussianDensity, kl_divergence, posterior_operators
 
 # Relative threshold below which a Hessian eigenvalue or a linear term
-# counts as zero.  Shared by branches() and nullspace_projector().
+# counts as zero.  Shared by _nonzero() and branches(), and by
+# nullspace_projector(), an independent check the package never calls.
 SINGULAR_RTOL = 1e-10
 
 BRANCH_REGULAR = "regular"
@@ -171,26 +170,30 @@ def nullspace_projector(matrix, rel_tol=SINGULAR_RTOL):
     return p, int(np.count_nonzero(keep))
 
 
+def _nonzero(eigenvalues):
+    """Mask of the eigenvalues above ``SINGULAR_RTOL`` times the largest, floored at 0."""
+    return eigenvalues > SINGULAR_RTOL * max(eigenvalues.max(), 0.0)
+
+
 def branches(filters, pulled, inv_cov_norm, means, pulls):
-    """The branch :func:`match` takes for each column of evolved means m*.
+    """The branch :func:`match` takes for each column of evolved means m*, and H's spectra.
 
     The lists hold (k, n, y) stacks of diagonal blocks: ``filters`` of W',
     ``pulled`` of D*^-1 W', ``means`` of m* (columns) and ``pulls`` of the
     prior pull D' Phi'^-1 psi' (one column); ``inv_cov_norm`` is
-    ||D*^-1||_2.  H = W'^T D*^-1 W' is regular when its smallest eigenvalue
-    over the blocks exceeds ``SINGULAR_RTOL`` times the largest.  If not, a
+    ||D*^-1||_2.  H = W'^T D*^-1 W' is regular when every eigenvalue over
+    the blocks exceeds ``SINGULAR_RTOL`` times the largest.  If not, a
     column is ``zero`` when its linear term W'^T D*^-1 (D' Phi'^-1 psi' - m*)
     is at most ``SINGULAR_RTOL`` times its bound, or 1 if larger, the bound
     ||W'||_2 ||D*^-1||_2 (||D' Phi'^-1 psi'|| + ||m*||), and ``projected``
-    otherwise.
+    otherwise.  The spectra are the (w, q) of ``eigh`` on each stack of H.
     """
-    hessian = [
-        np.linalg.eigvalsh(matfun.symmetric_part(np.swapaxes(f, -1, -2) @ p))
+    spectra = [
+        np.linalg.eigh(matfun.symmetric_part(np.swapaxes(f, -1, -2) @ p))
         for f, p in zip(filters, pulled)
     ]
-    h = np.concatenate([x.ravel() for x in hessian])
-    if h.min() > SINGULAR_RTOL * max(h.max(), 0.0):
-        return (BRANCH_REGULAR,) * means[0].shape[-1]
+    if _nonzero(np.concatenate([w.ravel() for w, _ in spectra])).all():
+        return (BRANCH_REGULAR,) * means[0].shape[-1], spectra
     # Squared norms of each column, summed over the blocks.
     term = sum(
         np.sum((np.swapaxes(p, -1, -2) @ (m - c)) ** 2, axis=(0, 1))
@@ -204,11 +207,14 @@ def branches(filters, pulled, inv_cov_norm, means, pulls):
         * (np.sqrt(pull) + np.sqrt(mean))
     )
     flat = np.sqrt(term) <= SINGULAR_RTOL * np.maximum(scale, 1.0)
-    return tuple(BRANCH_ZERO if f else BRANCH_PROJECTED for f in flat)
+    return tuple(BRANCH_ZERO if f else BRANCH_PROJECTED for f in flat), spectra
 
 
 def match(problem):
     """Minimize the matching objective in closed form.
+
+    u' = H^+ W'^T D*^-1 (m* - D' Phi'^-1 psi'), with H^+ over the eigenpairs
+    of :func:`branches` that pass the zero cut: on the regular branch, all.
 
     Returns
     -------
@@ -217,28 +223,19 @@ def match(problem):
         minimizer is not unique) and ``branch`` records which geometry case
         applied: ``regular``, ``zero`` or ``projected``.
     """
-    h = problem.hessian()
     pulled = problem.evolved_inv_cov @ problem._w
-    (branch,) = branches(
+    (branch,), ((w, q),) = branches(
         [problem._w[None]],
         [pulled[None]],
         problem._inv_cov_spectrum[0][-1],
         [problem.evolved_mean[None, :, None]],
         [problem._prior_pull[None, :, None]],
     )
-    if branch == BRANCH_REGULAR:
-        # Unique minimizer.  Writing the solution against (m* - psi') and
-        # adding R' psi' keeps the round trip u' = R' psi' exact when the
-        # evolved density equals the fresh prior posterior.
-        psi = problem.new_prior.mean
-        u = np.linalg.solve(h, pulled.T @ (problem.evolved_mean - psi))
-        return MatchResult(data=u + problem.new_meas.response @ psi, branch=BRANCH_REGULAR)
     if branch == BRANCH_ZERO:
         # Objective is constant in the flat directions and the linear term
         # vanishes: the norm-minimal minimizer is the origin.
         return MatchResult(data=np.zeros(problem.data_dim), branch=BRANCH_ZERO)
-    p, _rank = nullspace_projector(h)
-    rhs = p @ (pulled.T @ (problem.evolved_mean - problem._prior_pull))
-    reduced = matfun.symmetrize(p @ h @ p.T)
-    u = p.T @ np.linalg.solve(reduced, rhs)
-    return MatchResult(data=u, branch=BRANCH_PROJECTED)
+    keep = _nonzero(w[0])
+    basis = q[0][:, keep]
+    rhs = basis.T @ (pulled.T @ (problem.evolved_mean - problem._prior_pull))
+    return MatchResult(data=basis @ (rhs / w[0, keep]), branch=branch)

@@ -204,7 +204,7 @@ class RunConfig(Frozen):
         if self.dt >= self.model.dt_limit:
             raise ConfigError(
                 f"config fields 'T' and 'N' give step dt = {self.dt!r}, outside "
-                f"the validity region dt < {self.model.dt_limit!r} set by 'n_modes'"
+                f"the validity region dt < {self.model.dt_limit!r} set by 'n_modes' and 'mu'"
             )
 
     @property
@@ -615,7 +615,7 @@ def _iterate(config, setup, reference):
     # steps the update matrix still accepts.  The branch taken is the same
     # for any positive definite choice (it is decided by the response rank).
     # The thermal prior has zero mean, so the prior pull vanishes.
-    branch = matching.branches(
+    branch, _ = matching.branches(
         setup.filter,
         [matfun.spectral_inverse(w, v) @ f for (w, v), f in zip(linear_spectra, setup.filter)],
         1.0 / min(w.min() for w, _ in linear_spectra),
@@ -640,7 +640,7 @@ def run_ifd(config):
     A covariance that fails the positive definiteness test is refused with
     :class:`NotPositiveDefinite`.  A non-regular branch is
     announced once per run at warning level, naming its first step: it
-    means the match Hessian is singular and the matched vector is the
+    means the match Hessian is singular and the matched vector would be the
     minimum-norm one, which for this data packing is the generic situation
     since the conjugate-alias pair makes the lifted response rank
     deficient.  If anything the result holds, or a per-step mean,
@@ -719,7 +719,8 @@ def _warn_not_regular(result):
     if first is not None:
         logger.warning(
             "N = %d, step %d: entropic matching took the %r branch; the match "
-            "Hessian is singular and the minimum-norm data vector is used. "
+            "Hessian is singular, so the matcher would pick the minimum-norm data "
+            "vector.  The run keeps the closed-form update M = 1 + dt M'.  "
             "Expected here: the packed coefficients (Y-1)/2 and (Y+1)/2 "
             "duplicate one conjugate pair.",
             result.config.resolution,

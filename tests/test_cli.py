@@ -246,7 +246,7 @@ def test_direct_runs_configs_only_the_iterated_schemes_refuse(tmp_path, capsys):
          "trajectory fits in 1073741824 bytes, got 21"),
         ({**base, "T": 1.0, "N": 1},
          "config fields 'T' and 'N' give step dt = 0.5, outside the validity "
-         "region dt < 0.004424778761061947 set by 'n_modes'"),
+         "region dt < 0.004424778761061947 set by 'n_modes' and 'mu'"),
     ):
         path.write_text(json.dumps(mapping))
         assert cli.main(["direct", "--config", str(path)]) == 0
@@ -274,7 +274,7 @@ def test_step_bound_is_checked_at_load_time_only(tmp_path, config_path, capsys):
             if code:
                 assert captured.err == (
                     f"error: config fields 'T' and 'N' give step dt = {limit!r}, outside "
-                    f"the validity region dt < {limit!r} set by 'n_modes'\n"
+                    f"the validity region dt < {limit!r} set by 'n_modes' and 'mu'\n"
                 )
                 assert not out.exists()
             else:

@@ -29,3 +29,12 @@ def test_demo_runs(demo, tmp_path):
     # a traceback or a warning (e.g. numpy's RuntimeWarning) is not.
     assert "Traceback" not in result.stderr
     assert "Warning:" not in result.stderr
+    if demo.name == "02_entropic_matching.py":
+        # The matcher's branch labels and the rank of the deficient Hessian.
+        lines = result.stdout.splitlines()
+        for line in (
+            "branch            : regular",
+            "duplicated channel -> branch: projected",
+            "hessian rank      : 3 of 4",
+        ):
+            assert line in lines

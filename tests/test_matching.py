@@ -1,5 +1,7 @@
 """Entropic matching: closed form against a descent oracle, all three branches."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -163,6 +165,33 @@ def test_match_zero_branch():
     result = matching.match(problem)
     assert result.branch == matching.BRANCH_ZERO
     assert_allclose(result.data, np.zeros(3), atol=1e-15)
+
+
+def test_match_factors_the_hessian_once(monkeypatch):
+    # match() takes one eigh of H, which decides the branch and gives the
+    # pseudo-inverse; off the regular branch one eigvalsh more is ||W'||_2.
+    # Only calls inside match() count, not the problem's construction.
+    rng = np.random.default_rng(361)
+    cases = (
+        (_random_problem(rng, 4, 3), matching.BRANCH_REGULAR, {"eigh": 1}),
+        (_random_problem(rng, 5, 4, deficient=True), matching.BRANCH_PROJECTED,
+         {"eigh": 1, "eigvalsh": 1}),
+        (_random_problem(rng, 4, 3, deficient=True, zero_means=True), matching.BRANCH_ZERO,
+         {"eigh": 1, "eigvalsh": 1}),
+    )
+    counts = Counter()
+    for name in ("eigh", "eigvalsh", "solve", "inv", "svd", "lstsq", "pinv"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for problem, branch, expected in cases:
+        counts.clear()
+        assert matching.match(problem).branch == branch
+        assert counts == Counter(expected)
 
 
 def test_zero_branch_threshold_counts_the_prior_pull():

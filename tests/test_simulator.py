@@ -353,7 +353,7 @@ def _two_class_setup(rng, scales, deficient):
 
     def labels(means):
         columns = means.reshape(-1, 2, n).transpose(1, 2, 0)
-        batched = matching.branches(
+        batched, _ = matching.branches(
             [filters],
             [matfun.spectral_inverse(evolved_w, evolved_v) @ filters],
             1.0 / evolved_w.min(),
