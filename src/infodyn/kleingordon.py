@@ -26,18 +26,16 @@ The prior is diagonal, the noise white, the generator couples each mode's
 phi with its own chi, and the response couples mode l only with the data
 coefficients k = +-l (mod Y).  So every matrix of a run is block diagonal
 over Fourier classes, and :func:`fourier_classes` reads that partition off
-the packing in closed form, once per model.  It is the one place in the
-package that decides the blocks, and :func:`class_index` the one place that
-gathers a matrix's class blocks or scatters them back.  A run reads the
-diagonal prior as its variances (:func:`prior_variances`) and the white
-noise as sigma_n2, and builds neither as a dense matrix;
-:func:`prior_density` and :func:`measurement` give the dense objects for
-library use and tests.  The generator L and the exact step A(dt) couple
-each phi component only with its chi partner: a run takes their class
-blocks (:func:`class_blocks`) from their 2x2 blocks on those pairs
-(:func:`generator_pairs`, :func:`exact_step_pairs`), and
-:func:`build_generator` and :func:`exact_step` assemble the dense matrices
-from the same pairs.
+the packing in closed form, once per model: the one place in the package
+that decides the blocks.  A run takes the prior as its variances
+(:func:`prior_variances`), the noise as sigma_n2, the response as its
+class blocks (:func:`response_blocks`, from the closed form that
+:func:`build_response` evaluates densely), and L and A(dt), which couple
+each phi component only with its chi partner, as the class blocks
+(:func:`class_blocks`) of their 2x2 pair blocks (:func:`generator_pairs`,
+:func:`exact_step_pairs`).  The dense :func:`build_response`,
+:func:`lift_response`, :func:`build_generator`, :func:`exact_step`,
+:func:`prior_density` and :func:`measurement` serve library use and tests.
 """
 
 import math
@@ -206,31 +204,61 @@ def build_prior_cov(model):
     return np.diag(prior_variances(model))
 
 
-def build_response(model):
-    """Pixel-average response of one field part in the packed Fourier bases.
+def _response_entries(model, data, signal):
+    """Entries of :func:`build_response` at broadcastable arrays of packed indices.
 
-    Shape (Y + 2, 2n - 1).  Row block k receives mode l when l is congruent
-    to +-k modulo Y; the 2x2 blocks are the half-pixel phase rotation scaled
-    by sinc(l Delta / 2).  Entry (0, 0) is exactly 1; the rest of the first
-    row and column vanish (modes l = Y, 2Y, ... would land in row 0, but
-    there sinc(l Delta / 2) = sinc(pi l / Y) = 0).
+    Index 0 is coefficient or mode 0, and 2k - 1 and 2k the real and
+    imaginary parts of coefficient or mode k.  Each entry is computed alone,
+    so it is the same bits whichever indices are asked for.
     """
     y = model.pixels
     l = np.arange(1, model.n_modes)
     angle = l * (0.5 * model.delta)
-    scale, c, s = _sinc(angle), np.cos(angle), np.sin(angle)
-    cols = np.stack([2 * l - 1, 2 * l], axis=1)
-    r = np.zeros((model.data_part_dim, model.part_dim))
-    r[0, 0] = 1.0
-    # Mode l lands on coefficient l mod Y, and its conjugate on -l mod Y.
-    # Each entry is written once: mode l owns columns 2l - 1 and 2l, and for
-    # odd Y its two coefficients differ.
-    for k, rotation in ((l % y, [[c, s], [-s, c]]), ((-l) % y, [[c, s], [s, -c]])):
-        hit = (k >= 1) & (k <= model.k_max)
-        rows = np.stack([2 * k - 1, 2 * k], axis=1)[hit]
-        block = scale[:, None, None] * np.moveaxis(np.array(rotation), -1, 0)
-        r[rows[:, :, None], cols[hit][:, None, :]] = block[hit]
-    return r
+    scale, cos, sin = _sinc(angle), np.cos(angle), np.sin(angle)
+    coefficient, mode = (data + 1) // 2, (signal + 1) // 2
+    imag_row, imag_col = (data + 1) % 2, (signal + 1) % 2
+    direct = (coefficient >= 1) & (coefficient == mode % y)
+    mirror = (coefficient >= 1) & (coefficient == (-mode) % y)
+    # Mode 0 is neither direct nor mirrored, so what it reads is masked.
+    at = np.maximum(mode - 1, 0)
+    trig = np.where(imag_row == imag_col, cos[at], sin[at])
+    # The direct rotation negates its imaginary-row real-column entry, the
+    # mirrored one its imaginary-row imaginary-column entry.
+    trig = np.where((imag_row == 1) & (imag_col == mirror), -trig, trig)
+    entries = np.where(direct | mirror, scale[at] * trig, 0.0)
+    return np.where((coefficient == 0) & (mode == 0), 1.0, entries)
+
+
+def build_response(model):
+    """Pixel-average response of one field part in the packed Fourier bases.
+
+    Shape (Y + 2, 2n - 1).  Row block k receives mode l when l is congruent
+    to +-k modulo Y; the 2x2 blocks are the half-pixel phase rotation
+    [[c, s], [-s, c]] (k = l mod Y) or [[c, s], [s, -c]] (k = -l mod Y),
+    with c, s = cos, sin(l Delta / 2), scaled by sinc(l Delta / 2).  Entry
+    (0, 0) is exactly 1; the rest of the first row and column vanish (modes
+    l = Y, 2Y, ... would land in row 0, but there
+    sinc(l Delta / 2) = sinc(pi l / Y) = 0).
+    """
+    return _response_entries(
+        model, np.arange(model.data_part_dim)[:, None], np.arange(model.part_dim)[None, :]
+    )
+
+
+def response_blocks(model, classes):
+    """Class blocks of the two-part response, a (k, b, a) stack per group of :func:`fourier_classes`.
+
+    Bit for bit the gathers from :func:`lift_response` of
+    :func:`build_response`, with no dense matrix built.
+    """
+    blocks = []
+    for sig, dat in classes:
+        a, b = sig.shape[1] // 2, dat.shape[1] // 2
+        part = _response_entries(model, dat[:, :b, None], sig[:, None, :a])
+        block = np.zeros((len(sig), 2 * b, 2 * a))
+        block[:, :b, :a] = block[:, b:, a:] = part
+        blocks.append(block)
+    return blocks
 
 
 def fourier_classes(model):
@@ -285,14 +313,26 @@ def fourier_classes(model):
     ]
 
 
-def class_index(rows, cols):
-    """Index of the blocks matrix[rows[i]][:, cols[i]], one per class i of a group.
+def class_block_entries(model):
+    """Sum of max(a, b)^2 over the classes of :func:`fourier_classes`, a signal and b data indices each.
 
-    ``rows`` and ``cols`` are (k, a) and (k, b) index stacks, as
-    :func:`fourier_classes` gives them.  ``matrix[class_index(rows, cols)]``
-    gathers the (k, a, b) stack of blocks, and assigning to it scatters one.
+    In closed form, so that a model of any size is sized before anything is
+    built.  With n - 1 = qY + s, class c = 1..(Y-1)/2 holds the
+    m_c = 2q + [c <= s] + [Y - c <= s] modes of residues c and Y - c, 4
+    signal indices each, and 4 data indices, 8 for c = (Y-1)/2; class 0 is
+    2 x 2, and each mode l = Y, 2Y, ... gives two blocks of 2 signal indices.
     """
-    return rows[:, :, None], cols[:, None, :]
+    y = model.pixels
+    half = (y - 1) // 2
+    q, s = divmod(model.n_modes - 1, y)
+    # Of the classes 1..half-1, `low` have c <= s, `high` have Y - c <= s
+    # and `both` have both; sum (4 m_c)^2 from these counts.
+    low = min(s, half - 1)
+    high = max(0, half - max(1, y - s))
+    both = max(0, low - max(1, y - s) + 1)
+    middle = 16 * ((half - 1) * 4 * q * q + (1 + 4 * q) * (low + high) + 2 * both)
+    last = max(4 * (2 * q + (half <= s) + (y - half <= s)), 8) ** 2
+    return 4 + 8 * q + middle + last
 
 
 def lift_response(response):
@@ -471,9 +511,9 @@ def data_gram_condition(model, part):
     twice, which couples those rows in the Gram and leaves the noise floor
     as the smallest eigenvalue; this number makes that conditioning
     visible.  The Gram is block diagonal over the data indices of the
-    Fourier classes, so its extreme eigenvalues are taken over the blocks.
+    Fourier classes, so its extreme eigenvalues are taken over the blocks,
+    with no dense response built.
     """
-    r = build_response(model)
     var = _part_prior_diag(model, part)
     spectra = []
     for sig, dat in fourier_classes(model):
@@ -481,7 +521,7 @@ def data_gram_condition(model, part):
         # chi part repeats them, shifted.
         sig, dat = sig[:, : sig.shape[1] // 2], dat[:, : dat.shape[1] // 2]
         if dat.shape[1]:
-            r_c = r[class_index(dat, sig)]
+            r_c = _response_entries(model, dat[:, :, None], sig[:, None, :])
             gram = (r_c * var[sig][:, None, :]) @ np.swapaxes(r_c, -1, -2)
             diag = np.arange(dat.shape[1])
             gram[:, diag, diag] += model.sigma_n2
@@ -494,8 +534,8 @@ def update_generator_blocks(model, classes, response, variances):
     """Blocks of the generator M' of the data update, one stack per class group.
 
     ``classes`` are the model's :func:`fourier_classes`, ``response`` its
-    lifted response and ``variances`` its :func:`prior_variances`.  Per
-    class c, with R_c, L_c and Phi_c the class blocks of the lifted
+    :func:`response_blocks` and ``variances`` its :func:`prior_variances`.
+    Per class c, with R_c, L_c and Phi_c the class blocks of the lifted
     response, the generator and the prior,
 
         M'_c = (1 + sigma^2 G_c) ((R_c L_c) Phi_c) R_c^T H_c,
@@ -511,8 +551,7 @@ def update_generator_blocks(model, classes, response, variances):
     )
     l_pairs = generator_pairs(model)
     blocks = []
-    for sig, dat in classes:
-        r = response[class_index(dat, sig)]
+    for (sig, dat), r in zip(classes, response):
         sandwich = ((r @ class_blocks(l_pairs, sig)) * variances[sig][:, None, :]) @ (
             np.swapaxes(r, -1, -2)
         )
@@ -535,14 +574,11 @@ def update_generator(model):
     """
     classes = fourier_classes(model)
     blocks = update_generator_blocks(
-        model,
-        classes,
-        lift_response(build_response(model)),
-        prior_variances(model),
+        model, classes, response_blocks(model, classes), prior_variances(model)
     )
     m_prime = np.zeros((model.data_dim, model.data_dim))
     for (_, dat), block in zip(classes, blocks):
-        m_prime[class_index(dat, dat)] = block
+        m_prime[dat[:, :, None], dat[:, None, :]] = block
     return m_prime
 
 

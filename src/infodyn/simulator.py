@@ -1,13 +1,13 @@
-"""Data-space simulation loop, exact-reference comparison and convergence sweep.
+"""Data-space simulation, exact-reference comparison and convergence sweep.
 
 A run evolves the packed data vector u by the closed-form update matrix
-M = 1 + dt M' over 2^N equal steps of total time T.  The update loop does
-nothing but u <- M u.  The per-step diagnostics are computed after it,
-batched over the stacked trajectory, from matrices factored once per run:
-only the means change from step to step.  Each step gets two relative
-entropies measured against the exactly evolved posterior
-N(A m, A D A^T), where m is the posterior mean of the previous data vector
-and A the exact one-step evolution:
+M = 1 + dt M' over 2^N equal steps of total time T.  The trajectory is the
+powers of M applied to d(0), and nothing else.  The per-step diagnostics
+are computed after it, batched over the stacked trajectory, from matrices
+factored once per run: only the means change from step to step.  Each
+step gets two relative entropies measured against the exactly evolved
+posterior N(A m, A D A^T), where m is the posterior mean of the previous
+data vector and A the exact one-step evolution:
 
 ``kl_step``
     against the posterior N(W u'', D) at the updated data vector, i.e. the
@@ -19,25 +19,27 @@ and A the exact one-step evolution:
     and covariances to O(dt^2), so this entropy falls off like dt^4; it is
     reported for diagnosis and kept out of the convergence criteria.
 
-The step-invariant algebra runs one Fourier class at a time
-(:func:`kleingordon.fourier_classes`, gathered by
-:func:`kleingordon.class_index`), one stacked numpy call per block shape,
-through the library's functions of class stacks: D, its spectrum and
-W = D R^T N^-1 from :func:`gaussian.posterior_blocks`, the KL covariance
-terms from :func:`gaussian.kl_covariance_blocks`, the quadratic forms of
-the mean offsets from :func:`gaussian.quadratic_form_blocks`, the matcher
-branch of every step from :func:`matching.branches`, the positive
-definiteness tests, which compare the smallest eigenvalue over all classes
-with the largest, from :func:`matfun.require_pd`, and M' from
-:func:`kleingordon.update_generator_blocks`.  A(dt) and 1 + dt L come in
-closed form from their 2x2 blocks on each (phi, chi) pair.  The prior
-enters as its variances and the noise as sigma_n2; no dense density,
-measurement, generator, exact step or M' is built.  What does not depend
-on dt (the posterior, M' and exp(T M') d(0)) is built once per run and
-once per :func:`convergence_sweep`.  The update matrix M = 1 + dt M', the
-loop, the initial draw and the exact reference stay dense; M' keeps the
-summation order of the dense chain R2 L Phi R2^T, so the ``data``
-trajectory is bit for bit that of a dense run at the sizes the tests pin.
+A run works one Fourier class at a time
+(:func:`kleingordon.fourier_classes`), one stacked numpy call per block
+shape: the response's class blocks R_c (:func:`kleingordon.response_blocks`)
+give the initial draw R_c s_c + noise and the exact reference
+R_c A(t) m_0; D, its spectrum and W = D R^T N^-1 come from
+:func:`gaussian.posterior_blocks`, the KL terms from
+:func:`gaussian.kl_covariance_blocks` and
+:func:`gaussian.quadratic_form_blocks`, the matcher branch of every step
+from :func:`matching.branches`, the positive definiteness tests (smallest
+eigenvalue over all classes against the largest) from
+:func:`matfun.require_pd`, and M' from
+:func:`kleingordon.update_generator_blocks`, bit for bit the dense chain
+R2 L Phi R2^T.  A(dt) and 1 + dt L come from their 2x2 blocks on each
+(phi, chi) pair, the prior as its variances and the noise as sigma_n2.
+No dense response, density, measurement, generator, exact step, M' or M
+is built.  What does not depend on dt (the posterior, M' and
+exp(T M') d(0)) is built once per run and once per
+:func:`convergence_sweep`.  The trajectory is built by doubling,
+u(2^j + i) = (1 + dt M'_c)^(2^j) u(i); it agrees with stepping u <- M u
+to round-off that grows with N: at most 1.7e-11 row-relative at
+n_modes 16, Y 31, N 20.
 
 ``exact_deviation`` compares u against the noise-free image R2 A(t) m_0 of
 the exactly evolved initial posterior mean.  It does not vanish with dt; it
@@ -103,34 +105,31 @@ CSV_FLOAT_FORMAT = "%.17g"
 # entries, so its transient arrays stay a few MB whatever 2^N is.
 REFERENCE_BLOCK_ENTRIES = 1 << 18
 
-# Largest (2^N + 1) x data_dim float64 trajectory a run may hold, in bytes.
-# A run stores the iterated and the exact-reference trajectory plus a few
-# per-step columns, so its memory is a small multiple of this.  Configs
-# whose N exceeds it are refused at load time instead of failing in numpy.
+# Bounds, in bytes, on what a run allocates, checked by RunConfig so that a
+# config past them is refused at load time instead of failing in numpy.
+# A run holds several arrays of each size: at n_modes 1024, Y 5, N 12 its
+# peak RSS is 963 MB, against 134 MB per per-step array and 43 MB of class
+# blocks.  Per-step arrays have 2^N + 1 rows of data_dim (trajectories) or
+# signal_dim (posterior and evolved means) columns.  A class-blocked
+# matrix (posterior covariance, filter, M', evolved covariances) holds one
+# max(a, b)^2 block per class of a signal and b data indices.
 MAX_TRAJECTORY_BYTES = 1 << 30
-
-# Largest dense float64 matrix a model may need, in bytes.  Its largest fit
-# in a square of max(4n - 2, 2(Y + 2)): a run holds the lifted response R2
-# under every scheme and the update matrix M when it steps, and the dense
-# generator L, exact step A(dt) and M' of the library are that size too.
-# Configs whose model exceeds this are refused at load time instead of
-# failing in numpy.
-MAX_MATRIX_BYTES = 1 << 27
+MAX_CLASS_BLOCKS_BYTES = 1 << 27
 
 
 class RunConfig(Frozen):
     """Validated run parameters: model, horizon T, resolution N, seed, scheme.
 
     The step count is 2^N.  Construction checks that 2^N and the step
-    dt = T/2^N are finite, normal floats, as the report prints both.  Under
-    schemes 'iterated' and 'both', which hold a trajectory and step with
-    the update matrix, it also checks that the (2^N + 1) x data_dim
-    trajectory fits in ``MAX_TRAJECTORY_BYTES`` and that dt lies inside the
-    validity region dt ||L|| < 1 of the linearized step 1 + dt L that the
-    per-step diagnostics take, dt < :attr:`KGModel.dt_limit`
-    = 1/w_{n-1}^2.  Scheme 'direct' needs neither.  Under every scheme the
-    model's largest dense matrix must fit in ``MAX_MATRIX_BYTES``.
-    :meth:`replace` gives a changed copy through the same checks.
+    dt = T/2^N are finite, normal floats, as the report prints both, and
+    that a class-blocked matrix fits in ``MAX_CLASS_BLOCKS_BYTES``.  Under
+    schemes 'iterated' and 'both', which step, it also checks that a
+    per-step array, (2^N + 1) x max(data_dim, signal_dim), fits in
+    ``MAX_TRAJECTORY_BYTES`` and that dt lies inside the validity region
+    dt ||L|| < 1 of the linearized step 1 + dt L that the per-step
+    diagnostics take, dt < :attr:`KGModel.dt_limit` = 1/w_{n-1}^2.  Scheme
+    'direct' needs neither.  :meth:`replace` gives a changed copy through
+    the same checks.
     """
 
     _fields = ("model", "total_time", "resolution", "seed", "initial_data", "scheme")
@@ -173,12 +172,12 @@ class RunConfig(Frozen):
             initial_data=initial_data,
             scheme=scheme,
         )
-        matrix_dim = max(model.signal_dim, model.data_dim)
-        if 8 * matrix_dim**2 > MAX_MATRIX_BYTES:
+        block_entries = kleingordon.class_block_entries(model)
+        if 8 * block_entries > MAX_CLASS_BLOCKS_BYTES:
             raise ConfigError(
-                "config fields 'n_modes' and 'Y' must keep the model's largest "
-                f"dense matrix, {matrix_dim} x {matrix_dim} float64, within "
-                f"{MAX_MATRIX_BYTES} bytes, got n_modes = {model.n_modes!r} "
+                "config fields 'n_modes' and 'Y' must keep the run's class-blocked "
+                f"matrices, {block_entries} float64 entries, within "
+                f"{MAX_CLASS_BLOCKS_BYTES} bytes, got n_modes = {model.n_modes!r} "
                 f"and Y = {model.pixels!r}"
             )
         # Tested on the exponent, so that no 2^N is formed for an absurd N.
@@ -193,12 +192,13 @@ class RunConfig(Frozen):
         if scheme == SCHEME_DIRECT:
             return
         # 2^N + 1 <= max_rows, i.e. 2^N <= max_rows - 1.
-        max_rows = MAX_TRAJECTORY_BYTES // (8 * model.data_dim)
+        columns = max(model.data_dim, model.signal_dim)
+        max_rows = MAX_TRAJECTORY_BYTES // (8 * columns)
         max_resolution = (max_rows - 1).bit_length() - 1
         if self.resolution > max_resolution:
             raise ConfigError(
-                f"config field 'N' must be at most {max_resolution}, so that the "
-                f"(2^N + 1) x {self.model.data_dim} trajectory fits in "
+                f"config field 'N' must be at most {max_resolution}, so that each "
+                f"(2^N + 1) x {columns} per-step array fits in "
                 f"{MAX_TRAJECTORY_BYTES} bytes, got {self.resolution!r}"
             )
         if self.dt >= self.model.dt_limit:
@@ -351,31 +351,35 @@ def load_config(path, scheme=None):
     return parse_config(raw, scheme)
 
 
-def resolve_initial_data(config, response=None):
+def resolve_initial_data(config, classes=None, response=None):
     """Initial packed data vector of a run.
 
-    For ``initial_data = 'generate'`` a field state is drawn from the thermal
-    prior with the config seed, pushed through the response, and white noise
-    of variance sigma_n2 from the stream seeded with seed + 1 is added.  The
-    prior is diagonal, so the draw scales standard normals by the square
-    roots of :func:`kleingordon.prior_variances`, which is bit for bit the
-    draw :func:`gaussian.sample` makes from the dense prior density.  Any
-    other value is read as a UTF-8 JSON file holding a flat list of
+    For ``initial_data = 'generate'`` a field state s is drawn from the
+    thermal prior with the config seed, scaling standard normals by the
+    square roots of :func:`kleingordon.prior_variances` (bit for bit the
+    state :func:`gaussian.sample` draws from the dense prior density), and
+    the data are R_c s_c per Fourier class plus white noise of variance
+    sigma_n2 from the stream seeded with seed + 1: the dense R2 s + noise
+    up to the round-off of the shorter sums.  ``classes`` and ``response``
+    (:func:`kleingordon.response_blocks`) are built here when not given.
+    Any other value is read as a UTF-8 JSON file holding a flat list of
     2(Y + 2) finite numbers (not booleans); anything else raises
-    :class:`ConfigError`.  ``response`` is the model's lifted response; it
-    is built here when the caller has not built it.
+    :class:`ConfigError`.
     """
     model = config.model
     if config.initial_data == GENERATE:
-        if response is None:
-            response = kleingordon.lift_response(kleingordon.build_response(model))
+        if classes is None:
+            classes = kleingordon.fourier_classes(model)
+            response = kleingordon.response_blocks(model, classes)
         rng = np.random.Generator(np.random.PCG64(config.seed))
         s0 = rng.standard_normal(model.signal_dim) * np.sqrt(
             kleingordon.prior_variances(model)
         )
         noise_rng = np.random.Generator(np.random.PCG64(config.seed + 1))
-        noise = np.sqrt(model.sigma_n2) * noise_rng.standard_normal(model.data_dim)
-        return response @ s0 + noise
+        d0 = np.sqrt(model.sigma_n2) * noise_rng.standard_normal(model.data_dim)
+        for (sig, dat), r in zip(classes, response):
+            d0[dat] += (r @ s0[sig][:, :, None])[:, :, 0]
+        return d0
     try:
         with open(config.initial_data, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -407,13 +411,14 @@ def resolve_initial_data(config, response=None):
     return d0
 
 
-def _exact_reference(model, mean, response, times):
+def _exact_reference(model, mean, classes, response, times):
     """R2 A(t) m_0 and its energy drift at exactly ``times``, by closed-form rotation.
 
-    Works through the times in row blocks, so no (len(times), 4n - 2)
-    state array exists.
+    R2 acts through the class blocks ``response`` of ``classes``.  Works
+    through the times in row blocks, so no (len(times), 4n - 2) state array
+    exists.  ``data`` is filled by data index, so it is held transposed.
     """
-    data = np.empty((len(times), model.data_dim))
+    data = np.empty((model.data_dim, len(times)))
     energy_0 = kleingordon.field_energy(model, mean)
     drift = 0.0
     block = max(1, REFERENCE_BLOCK_ENTRIES // model.signal_dim)
@@ -422,19 +427,25 @@ def _exact_reference(model, mean, response, times):
         energies = kleingordon.field_energy(model, states)
         # np.maximum, unlike max(), keeps a NaN from an overflowed energy.
         drift = np.maximum(drift, np.max(np.abs(energies - energy_0)))
-        data[start : start + len(states)] = states @ response.T
-    return ExactReference(times=times, data=data, energy_drift=float(drift))
+        for (sig, dat), r in zip(classes, response):
+            data[dat, start : start + len(states)] = r @ np.moveaxis(states[:, sig], 0, -1)
+    return ExactReference(times=times, data=data.T, energy_drift=float(drift))
 
 
 def _refuse_nonfinite(steps, columns, values):
     """Raise :class:`NonFiniteOutput` naming the first step or value that is not finite.
 
-    ``columns`` hold one row per step; None entries of ``values`` are skipped.
+    ``columns`` hold one row per step, or are lists of (k, a, steps) class
+    blocks with one column per step; None entries of ``values`` are skipped.
     """
     first = None
     for name, column in columns.items():
-        finite = np.isfinite(column)
-        bad = np.flatnonzero(~(finite.all(axis=1) if finite.ndim == 2 else finite))
+        if isinstance(column, list):
+            finite = np.logical_and.reduce([np.isfinite(b).all(axis=(0, 1)) for b in column])
+        else:
+            finite = np.isfinite(column)
+            finite = finite.all(axis=1) if finite.ndim == 2 else finite
+        bad = np.flatnonzero(~finite)
         if bad.size and (first is None or bad[0] < first[0]):
             first = (int(bad[0]), name)
     if first is not None:
@@ -445,11 +456,6 @@ def _refuse_nonfinite(steps, columns, values):
     for name, value in values.items():
         if value is not None and not np.all(np.isfinite(value)):
             raise NonFiniteOutput(f"{name} is not finite; the run has overflowed")
-
-
-def _columns(blocks):
-    """(steps, dim) array of per-step vectors held as (k, a, steps) class blocks."""
-    return np.concatenate([b.reshape(-1, b.shape[-1]) for b in blocks]).T
 
 
 def _direct_endpoint(total_time, m_prime, classes, d0):
@@ -473,8 +479,8 @@ def _direct_endpoint(total_time, m_prime, classes, d0):
 class _Setup(NamedTuple):
     """The part of a run that does not depend on dt, built once per model and initial data.
 
-    ``classes`` are the model's Fourier classes, ``response`` its lifted
-    response R2 and ``initial_data`` the data vector d(0).  ``cov``,
+    ``classes`` are the model's Fourier classes, ``response`` the class
+    blocks of R2 and ``initial_data`` the data vector d(0).  ``cov``,
     ``spectrum`` and ``filter`` hold the class blocks of the posterior
     covariance D, its spectrum and the Wiener filter W
     (:func:`gaussian.posterior_blocks`), and ``mean`` the posterior mean.
@@ -501,9 +507,9 @@ def _setup(config, direct):
     the scheme.
     """
     model = config.model
-    response = kleingordon.lift_response(kleingordon.build_response(model))
-    d0 = resolve_initial_data(config, response)
     classes = kleingordon.fourier_classes(model)
+    response = kleingordon.response_blocks(model, classes)
+    d0 = resolve_initial_data(config, classes, response)
     # Overflow is refused by the checks of the posterior and of the direct
     # endpoint, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -521,8 +527,7 @@ def _setup(config, direct):
         # the exact reference.
         n_inv = 1.0 / model.sigma_n2
         rt_n_inv, info = [], []
-        for sig, dat in classes:
-            r = response[kleingordon.class_index(dat, sig)]
+        for (sig, _), r in zip(classes, response):
             rt_n_inv.append(np.swapaxes(r, -1, -2) * n_inv)
             block = rt_n_inv[-1] @ r
             diag = np.arange(sig.shape[1])
@@ -549,11 +554,28 @@ def _setup(config, direct):
     )
 
 
+def _powers_applied(m_update, u0, steps):
+    """The (k, b, steps + 1) stack of M^i u0, i = 0..steps, for a (k, b, b) stack M.
+
+    By doubling: with ``steps`` = 2^N, columns 2^j..2^(j+1) - 1 are M^(2^j)
+    times columns 0..2^j - 1, so N + 1 stacked products and N squarings.
+    """
+    out = np.empty(u0.shape + (steps + 1,))
+    out[..., 0] = u0
+    power, filled = m_update, 1
+    while True:
+        count = min(filled, steps + 1 - filled)
+        out[..., filled : filled + count] = power @ out[..., :count]
+        filled += count
+        if filled > steps:
+            return out
+        power = power @ power
+
+
 def _iterate(config, setup, reference):
     """Per-step columns of :class:`RunResult`, means and branch labels, unchecked.
 
-    The step-invariant algebra runs class by class; only the loop and the
-    deviation from the reference are dense.
+    Everything runs class by class, save the data rows and their deviation.
     """
     model = config.model
     dt = config.dt
@@ -572,18 +594,20 @@ def _iterate(config, setup, reference):
     matfun.require_pd([np.linalg.eigvalsh(c) for c in exact], "exactly evolved covariance")
     linear_spectra = [np.linalg.eigh(c) for c in linear]
     matfun.require_pd([w for w, _ in linear_spectra], "linearly evolved covariance")
-    m_update = np.eye(model.data_dim)
+    # Per class, the data u of every step, as columns; ``data`` is filled by
+    # data index, so it is held transposed.
+    trajectory = []
+    data = np.empty((model.data_dim, config.steps + 1))
     for (_, dat), block in zip(classes, setup.m_prime):
-        m_update[kleingordon.class_index(dat, dat)] += dt * block
-
-    data = np.empty((config.steps + 1, model.data_dim))
-    data[0] = u = setup.initial_data
-    for i in range(1, config.steps + 1):
-        u = m_update @ u
-        data[i] = u
+        m_update = dt * block
+        diag = np.arange(dat.shape[1])
+        m_update[:, diag, diag] += 1.0
+        trajectory.append(_powers_applied(m_update, setup.initial_data[dat], config.steps))
+        data[dat] = trajectory[-1]
+    data = data.T
 
     # Per class, the posterior means W u of every stored u, as columns.
-    means = [f @ data.T[dat] for f, (_, dat) in zip(setup.filter, classes)]
+    means = [f @ u for f, u in zip(setup.filter, trajectory)]
     prev = [m[..., :-1] for m in means]
     new = [m[..., 1:] for m in means]
     exact_means = [a @ m for a, m in zip(a_step, prev)]
@@ -605,9 +629,9 @@ def _iterate(config, setup, reference):
     }
 
     step_means = {
-        "posterior mean": _columns(new),
-        "exact mean": _columns(exact_means),
-        "linear mean": _columns(linear_means),
+        "posterior mean": new,
+        "exact mean": exact_means,
+        "linear mean": linear_means,
     }
     # The matcher's evolved density is the linearly pushed-forward posterior
     # factored above, not its first-order truncation
@@ -630,15 +654,15 @@ def run_ifd(config):
 
     The class blocks of the generator M' are built once; the update
     M = 1 + dt M' and the direct endpoint exp(T M') d(0) both come from
-    them.  The loop multiplies the data vector by M and stores it, nothing
-    else.  Afterwards, over all steps at once, the run computes the two
-    relative entropies described in the module docstring (a constant
-    covariance term, factored once, plus a quadratic form of the mean
-    offset per step), the deviation from the exact reference, and the
-    branch the entropic matcher would take on each step (the closed form is
-    used for the update either way), each held as a column of the result.
-    A covariance that fails the positive definiteness test is refused with
-    :class:`NotPositiveDefinite`.  A non-regular branch is
+    them.  The trajectory is the powers of M's class blocks applied to
+    d(0), by doubling.  Afterwards, over all steps at once, the run
+    computes the two relative entropies described in the module docstring
+    (a constant covariance term, factored once, plus a quadratic form of
+    the mean offset per step), the deviation from the exact reference, and
+    the branch the entropic matcher would take on each step (the closed
+    form is used for the update either way), each held as a column of the
+    result.  A covariance that fails the positive definiteness test is
+    refused with :class:`NotPositiveDefinite`.  A non-regular branch is
     announced once per run at warning level, naming its first step: it
     means the match Hessian is singular and the matched vector would be the
     minimum-norm one, which for this data packing is the generic situation
@@ -664,7 +688,7 @@ def _run(config, setup):
         else:
             times = config.dt * np.arange(config.steps + 1)
         reference = _exact_reference(
-            model, setup.mean, setup.response, times
+            model, setup.mean, setup.classes, setup.response, times
         )
         direct_data, direct_gap = setup.direct_data, None
         if direct:

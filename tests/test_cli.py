@@ -242,8 +242,8 @@ def test_direct_runs_configs_only_the_iterated_schemes_refuse(tmp_path, capsys):
     out = tmp_path / "x.csv"
     for mapping, message in (
         ({**base, "T": 0.05, "N": 21},
-         "config field 'N' must be at most 20, so that the (2^N + 1) x 66 "
-         "trajectory fits in 1073741824 bytes, got 21"),
+         "config field 'N' must be at most 20, so that each (2^N + 1) x 66 "
+         "per-step array fits in 1073741824 bytes, got 21"),
         ({**base, "T": 1.0, "N": 1},
          "config fields 'T' and 'N' give step dt = 0.5, outside the validity "
          "region dt < 0.004424778761061947 set by 'n_modes' and 'mu'"),

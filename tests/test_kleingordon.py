@@ -541,14 +541,48 @@ def test_class_blocks_are_the_dense_matrices_blocks(n, y):
             assert np.array_equal(kg.class_blocks(pairs, sig), gathered)
 
 
+def _refuse_dense_response(monkeypatch):
+    """Make building the dense response, or lifting it, raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense response was built")
+
+    monkeypatch.setattr(kg, "build_response", refuse)
+    monkeypatch.setattr(kg, "lift_response", refuse)
+
+
 @pytest.mark.parametrize("n, y", [(4, 5), (8, 5), (16, 31), (40, 31), (64, 127)])
-def test_data_gram_condition_matches_the_dense_gram(n, y):
+def test_data_gram_condition_matches_the_dense_gram(n, y, monkeypatch):
+    # (8, 5) and (40, 31) alias.  The condition number is taken from the
+    # response's class blocks, with no dense response.
     model = _model(n_modes=n, pixels=y)
+    dense = {}
     for part in (kg.PART_PHI, kg.PART_CHI):
         w = np.linalg.eigvalsh(
             _dense_gram(model, part) + model.sigma_n2 * np.eye(model.data_part_dim)
         )
-        assert_allclose(kg.data_gram_condition(model, part), w[-1] / w[0], rtol=1e-12)
+        dense[part] = w[-1] / w[0]
+    _refuse_dense_response(monkeypatch)
+    for part in (kg.PART_PHI, kg.PART_CHI):
+        assert_allclose(kg.data_gram_condition(model, part), dense[part], rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n, y", [(2, 3), (4, 5), (8, 5), (16, 31), (40, 31), (64, 127), (200, 127)]
+)
+def test_response_blocks_are_the_lifted_response_gathers_bitwise(n, y, monkeypatch):
+    # A run takes the response's class blocks from the closed form; they
+    # are the gathers from the dense lifted response, entry for entry.
+    model = _model(n_modes=n, pixels=y)
+    r2 = kg.lift_response(kg.build_response(model))
+    classes = kg.fourier_classes(model)
+    gathers = [r2[dat[:, :, None], sig[:, None, :]] for sig, dat in classes]
+    _refuse_dense_response(monkeypatch)
+    blocks = kg.response_blocks(model, classes)
+    assert len(blocks) == len(gathers)
+    for block, gathered in zip(blocks, gathers):
+        assert block.shape == gathered.shape
+        assert np.array_equal(block, gathered)
 
 
 def test_data_gram_condition_sees_alias_redundancy():
@@ -558,6 +592,19 @@ def test_data_gram_condition_sees_alias_redundancy():
     loose = kg.data_gram_condition(_model(), kg.PART_PHI)
     tight = kg.data_gram_condition(_model(sigma_n2=1e-6), kg.PART_PHI)
     assert tight > loose > 1.0
+
+
+def test_class_block_entries_sum_the_fourier_classes():
+    # The closed form that sizes a config at load time sums what
+    # fourier_classes builds, at every residue of n - 1 modulo Y.
+    for pixels in range(3, 40, 2):
+        for n_modes in range((pixels + 1) // 2, 3 * pixels + 3):
+            model = _model(n_modes=n_modes, pixels=pixels)
+            listed = sum(
+                len(sig) * max(sig.shape[1], dat.shape[1]) ** 2
+                for sig, dat in kg.fourier_classes(model)
+            )
+            assert kg.class_block_entries(model) == listed, (n_modes, pixels)
 
 
 @pytest.mark.parametrize(

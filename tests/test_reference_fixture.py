@@ -1,8 +1,10 @@
 """Pinned per-step behaviour of two runs, compared at stated tolerances.
 
 ``data/reference_runs.json`` holds the output of :func:`snapshot` for the
-configs in :data:`CONFIGS`, captured with the per-step implementation of
-``run_ifd`` at commit 90a1033 (regenerate with
+configs in :data:`CONFIGS`.  It was first captured with the per-step
+implementation of ``run_ifd`` at commit 90a1033, and regenerated once when
+the run moved to Fourier classes end to end, which moved ``data`` by at
+most 7e-16 row-relative and no branch label (regenerate with
 ``PYTHONPATH=src python3 tests/test_reference_fixture.py``, only when a
 behaviour change is intended).  The data trajectory and branch labels must
 match exactly; the diagnostics may move in their last digits when the

@@ -135,25 +135,44 @@ def test_generated_initial_data_is_seed_deterministic():
         assert np.max(np.abs(d_a - draw(124))) > 1e-3
         # Signal draw and noise draw come from separate streams: the data
         # are the response image of a sample of the dense prior density
-        # under the config seed plus white noise from seed + 1, bit for bit.
+        # under the config seed plus white noise from seed + 1.  The run
+        # applies the response one Fourier class at a time, so the data
+        # match the dense product to the round-off of the shorter sums:
+        # measured at most 3e-16 relative over 20 seeds at shapes up to
+        # (1024, 2045), and 1.8e-15 at the heavily aliased (1025, 5).
         model = kleingordon.KGModel(n_modes, pixels, 1.0, 1.0, 0.01)
         s0 = gaussian.sample(kleingordon.prior_density(model), 1, 123)[0]
         noise_rng = np.random.Generator(np.random.PCG64(124))
         noise = np.sqrt(model.sigma_n2) * noise_rng.standard_normal(model.data_dim)
-        assert np.array_equal(d_a, kleingordon.measurement(model).response @ s0 + noise)
+        dense = kleingordon.measurement(model).response @ s0 + noise
+        assert np.linalg.norm(d_a - dense) <= 1e-14 * np.linalg.norm(dense)
 
 
 def test_model_size_is_capped_at_load_time_under_every_scheme():
-    # The largest dense matrix is square in max(4n - 2, 2(Y + 2)); at the
-    # cap of 2^27 bytes that is 4096.  Only the config is built here, no
-    # matrix.
-    assert simulator.MAX_MATRIX_BYTES == 1 << 27
+    # A run holds its model as class blocks, so the cap is on the entries of
+    # one class-blocked matrix, sum over classes of max(a, b)^2, not on a
+    # dense matrix.  Only the config is built here, no matrix.
+    assert simulator.MAX_CLASS_BLOCKS_BYTES == 1 << 27
     for scheme in simulator.SCHEMES:
-        config = _config(n_modes=1024, Y=2045, T=1e-6, N=1, scheme=scheme)
-        assert max(config.model.signal_dim, config.model.data_dim) == 4094
-        for n_modes, pixels in ((1025, 5), (100_000_000, 5), (500_001, 1_000_001)):
-            with pytest.raises(ConfigError, match="largest dense matrix"):
-                _config(n_modes=n_modes, Y=pixels, T=1e-6, N=1, scheme=scheme)
+        # (1025, 5) aliases its modes onto two classes of 1640 signal
+        # indices, 43 MB of blocks; (500001, 1000001) has 499999 4 x 4 ones.
+        for n_modes, pixels in ((1024, 2045), (1025, 5), (500_001, 1_000_001)):
+            config = _config(n_modes=n_modes, Y=pixels, T=1e-12, N=1, scheme=scheme)
+            assert config.model.n_modes == n_modes
+        # One class of 1.6e8 signal indices.
+        with pytest.raises(ConfigError, match="class-blocked matrices"):
+            _config(n_modes=100_000_000, Y=5, T=1e-12, N=1, scheme=scheme)
+
+
+def test_per_step_arrays_of_signal_width_are_capped_at_load_time():
+    # At (1024, 5) the per-step posterior means hold signal_dim = 4094
+    # columns, not data_dim = 14; at N 16 one of them would be 2.1 GB, and
+    # such a run ran out of memory in numpy.  Only the config is built.
+    with pytest.raises(ConfigError, match="'N' must be at most 15, so that each "
+                       r"\(2\^N \+ 1\) x 4094 per-step array fits"):
+        _config(n_modes=1024, Y=5, T=0.05, N=16, scheme="iterated")
+    assert _config(n_modes=1024, Y=5, T=0.025, N=15, scheme="iterated").steps == 2**15
+    assert _config(n_modes=1024, Y=5, T=0.05, N=16, scheme="direct").steps == 2**16
 
 
 def test_initial_data_file_loading(tmp_path):
@@ -188,7 +207,9 @@ def _dense_exact_reference(config, d0=None):
     meas = kleingordon.measurement(model)
     mean = gaussian.posterior(kleingordon.prior_density(model), meas, d0).mean
     times = config.dt * np.arange(config.steps + 1)
-    return simulator._exact_reference(model, mean, meas.response, times)
+    classes = kleingordon.fourier_classes(model)
+    response = kleingordon.response_blocks(model, classes)
+    return simulator._exact_reference(model, mean, classes, response, times)
 
 
 def test_exact_reference_conserves_energy():
@@ -519,6 +540,24 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
         assert counts["__init__"] == 0
         assert counts["branches"] == 1
         assert counts["match"] == 0
+
+
+def test_runs_and_sweeps_build_no_dense_response(monkeypatch, caplog):
+    # The run holds the response as class blocks only: the initial draw, the
+    # posterior, M', the exact reference and the Gram condition numbers
+    # logged at INFO all come from kleingordon.response_blocks.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense response was built")
+
+    monkeypatch.setattr(kleingordon, "build_response", refuse)
+    monkeypatch.setattr(kleingordon, "lift_response", refuse)
+    caplog.set_level(logging.INFO, logger="infodyn")
+    for scheme in simulator.SCHEMES:
+        run = simulator.run_ifd(_config(n_modes=16, Y=31, T=0.05, N=4, scheme=scheme))
+        assert np.all(np.isfinite(run.final_data))
+    sweep = simulator.convergence_sweep(_config(), (4, 5, 6))
+    assert np.all(np.isfinite(sweep.final_deviations))
+    assert len([r for r in caplog.records if "Gram condition" in r.message]) == 8
 
 
 def _mean_error_at_end(resolution, data_map):
