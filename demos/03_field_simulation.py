@@ -36,8 +36,9 @@ print(f"signal dim {model.signal_dim}, data dim {model.data_dim}, "
 # The stored data coefficients (Y-1)/2 and (Y+1)/2 are complex conjugates of
 # each other: the measurement is redundant there, which conditions the data
 # Gram and forces the matcher onto its projected branch at every step.
+classes = kleingordon.fourier_classes(model)
 for part in (kleingordon.PART_PHI, kleingordon.PART_CHI):
-    cond = kleingordon.data_gram_condition(model, part)
+    cond = kleingordon.data_gram_condition(model, classes, part)
     print(f"data gram condition ({part} part): {cond:.1f}")
 
 result = simulator.run_ifd(config)

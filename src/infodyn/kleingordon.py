@@ -31,9 +31,9 @@ that decides the blocks.  A run takes the prior as its variances
 (:func:`prior_variances`), the noise as sigma_n2, the response as its
 class blocks (:func:`response_blocks`, from the closed form that
 :func:`build_response` evaluates densely), and L and A(dt), which couple
-each phi component only with its chi partner, as the class blocks
-(:func:`class_blocks`) of their 2x2 pair blocks (:func:`generator_pairs`,
-:func:`exact_step_pairs`).  The dense :func:`build_response`,
+each phi component only with its chi partner, as their 2x2 pair blocks
+(:func:`generator_pairs`, :func:`exact_step_pairs`), which
+:func:`apply_pairs` applies to class stacks.  The dense :func:`build_response`,
 :func:`lift_response`, :func:`build_generator`, :func:`exact_step`,
 :func:`prior_density` and :func:`measurement` serve library use and tests.
 """
@@ -345,31 +345,29 @@ def lift_response(response):
     return out
 
 
-def class_blocks(pairs, signal):
-    """Blocks, one per class, of a matrix that couples each phi component only with its chi partner.
+def apply_pairs(pairs, classes, blocks):
+    """P_c X_c per class group, for a P that couples each phi component only with its chi partner.
 
-    ``pairs`` is the (2n - 1, 2, 2) stack of the matrix on each packed pair
+    ``pairs`` is the (2n - 1, 2, 2) stack of P on each packed pair
     (phi_i, chi_i), as :func:`generator_pairs` and :func:`exact_step_pairs`
-    give it.  ``signal`` is a (k, a) stack of signal indices, each row a
-    class's phi components followed by their chi partners, as
-    :func:`fourier_classes` lists them.  Returns the (k, a, a) stack of the
-    matrix's blocks on those rows; the one row ``arange(4n - 2)`` gives the
-    dense matrix.
+    give it.  ``classes`` are the :func:`fourier_classes`, whose signal rows
+    list a class's phi components, then their chi partners, and ``blocks``
+    a (k, a, m) stack X_c on those rows per group.  P_c has two nonzeros
+    per row, so each entry of P_c X_c is a sum of two products.
     """
-    k, a = signal.shape
-    half = a // 2
-    i = np.arange(half)
-    on_pairs = pairs[signal[:, :half]]
-    blocks = np.zeros((k, a, a))
-    for row in (0, 1):
-        for col in (0, 1):
-            blocks[:, i + row * half, i + col * half] = on_pairs[..., row, col]
-    return blocks
+    out = []
+    for (sig, _), x in zip(classes, blocks):
+        half = sig.shape[1] // 2
+        p = pairs[sig[:, :half], :, :, None]
+        phi, chi = x[:, :half], x[:, half:]
+        rows = [p[:, :, row, 0] * phi + p[:, :, row, 1] * chi for row in (0, 1)]
+        out.append(np.concatenate(rows, axis=1))
+    return out
 
 
 def _dense(pairs):
     """The dense matrix whose pair blocks are ``pairs``."""
-    return class_blocks(pairs, np.arange(2 * len(pairs))[None])[0]
+    return np.block([[np.diag(pairs[:, row, col]) for col in (0, 1)] for row in (0, 1)])
 
 
 def generator_pairs(model):
@@ -504,19 +502,19 @@ def rphi_rt_diag(model, part):
     return diag
 
 
-def data_gram_condition(model, part):
+def data_gram_condition(model, classes, part):
     """Spectral condition number of the noisy Gram R Phi_part R^T + sigma^2.
 
     The packed data layout stores the conjugate pair ((Y-1)/2, (Y+1)/2)
     twice, which couples those rows in the Gram and leaves the noise floor
     as the smallest eigenvalue; this number makes that conditioning
     visible.  The Gram is block diagonal over the data indices of the
-    Fourier classes, so its extreme eigenvalues are taken over the blocks,
-    with no dense response built.
+    model's :func:`fourier_classes` ``classes``, so its extreme eigenvalues
+    are taken over the blocks, with no dense response built.
     """
     var = _part_prior_diag(model, part)
     spectra = []
-    for sig, dat in fourier_classes(model):
+    for sig, dat in classes:
         # A class's first half of indices is its part of the phi field; the
         # chi part repeats them, shifted.
         sig, dat = sig[:, : sig.shape[1] // 2], dat[:, : dat.shape[1] // 2]
@@ -549,12 +547,12 @@ def update_generator_blocks(model, classes, response, variances):
     diag = np.concatenate(
         [rphi_rt_diag(model, PART_PHI), rphi_rt_diag(model, PART_CHI)]
     )
-    l_pairs = generator_pairs(model)
+    # R_c L_c = (L_c^T R_c^T)^T, one product per entry: L has one nonzero per column.
+    r_t = [np.swapaxes(r, -1, -2) for r in response]
+    l_t = np.swapaxes(generator_pairs(model), -1, -2)
     blocks = []
-    for (sig, dat), r in zip(classes, response):
-        sandwich = ((r @ class_blocks(l_pairs, sig)) * variances[sig][:, None, :]) @ (
-            np.swapaxes(r, -1, -2)
-        )
+    for (sig, dat), lt_rt, rt in zip(classes, apply_pairs(l_t, classes, r_t), r_t):
+        sandwich = (np.swapaxes(lt_rt, -1, -2) * variances[sig][:, None, :]) @ rt
         gram = diag[dat]
         scaled = sandwich / (gram + s2)[:, None, :]  # right-multiply by H
         blocks.append(scaled + (s2 / gram)[:, :, None] * scaled)  # left (1 + s^2 G)

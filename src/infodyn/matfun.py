@@ -111,8 +111,8 @@ def require_pd(eigenvalues, op_name):
     smallest, largest = np.min(eigenvalues), np.max(eigenvalues)
     if not smallest > PD_RTOL * max(largest, 0.0):
         raise NotPositiveDefinite(
-            f"{op_name}: smallest eigenvalue {smallest!r} fails the positive "
-            f"definiteness test against largest {largest!r}"
+            f"{op_name}: smallest eigenvalue {float(smallest)!r} fails the positive "
+            f"definiteness test against largest {float(largest)!r}"
         )
 
 

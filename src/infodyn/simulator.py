@@ -21,22 +21,18 @@ data vector and A the exact one-step evolution:
 
 A run works one Fourier class at a time
 (:func:`kleingordon.fourier_classes`), one stacked numpy call per block
-shape: the response's class blocks R_c (:func:`kleingordon.response_blocks`)
-give the initial draw R_c s_c + noise and the exact reference
-R_c A(t) m_0; D, its spectrum and W = D R^T N^-1 come from
-:func:`gaussian.posterior_blocks`, the KL terms from
-:func:`gaussian.kl_covariance_blocks` and
-:func:`gaussian.quadratic_form_blocks`, the matcher branch of every step
-from :func:`matching.branches`, the positive definiteness tests (smallest
-eigenvalue over all classes against the largest) from
-:func:`matfun.require_pd`, and M' from
-:func:`kleingordon.update_generator_blocks`, bit for bit the dense chain
-R2 L Phi R2^T.  A(dt) and 1 + dt L come from their 2x2 blocks on each
-(phi, chi) pair, the prior as its variances and the noise as sigma_n2.
-No dense response, density, measurement, generator, exact step, M' or M
-is built.  What does not depend on dt (the posterior, M' and
-exp(T M') d(0)) is built once per run and once per
-:func:`convergence_sweep`.  The trajectory is built by doubling,
+shape, and builds no dense response, density, measurement, generator,
+exact step, M' or M.  The response enters as its class blocks R_c
+(:func:`kleingordon.response_blocks`), the prior as its variances, the
+noise as sigma_n2, and A(dt) and 1 + dt L as their 2x2 blocks on each
+(phi, chi) pair, applied by :func:`kleingordon.apply_pairs`.  D, its
+spectrum and W = D R^T N^-1 come from :func:`gaussian.posterior_blocks`,
+M' from :func:`kleingordon.update_generator_blocks` (bit for bit the
+dense chain R2 L Phi R2^T) and the matcher branch of every step from
+:func:`matching.branches`.  What does not depend on dt (the posterior, M'
+and exp(T M') d(0)) is built once per :func:`convergence_sweep`; what
+does not depend on the step (also A D A^T, (1 + dt L) D (1 + dt L)^T, A W
+and (1 + dt L) W) once per run.  The trajectory is built by doubling,
 u(2^j + i) = (1 + dt M'_c)^(2^j) u(i); it agrees with stepping u <- M u
 to round-off that grows with N: at most 1.7e-11 row-relative at
 n_modes 16, Y 31, N 20.
@@ -107,12 +103,12 @@ REFERENCE_BLOCK_ENTRIES = 1 << 18
 
 # Bounds, in bytes, on what a run allocates, checked by RunConfig so that a
 # config past them is refused at load time instead of failing in numpy.
-# A run holds several arrays of each size: at n_modes 1024, Y 5, N 12 its
-# peak RSS is 963 MB, against 134 MB per per-step array and 43 MB of class
-# blocks.  Per-step arrays have 2^N + 1 rows of data_dim (trajectories) or
-# signal_dim (posterior and evolved means) columns.  A class-blocked
-# matrix (posterior covariance, filter, M', evolved covariances) holds one
-# max(a, b)^2 block per class of a signal and b data indices.
+# A run holds several arrays of each size: at (n_modes 1024, Y 5, N 12)
+# its peak RSS is 893 MB, against 134 MB per per-step array and 43 MB of
+# class blocks.  Per-step arrays have 2^N or 2^N + 1 rows of data_dim
+# (trajectories) or signal_dim (means) columns.  A class-blocked matrix
+# (posterior covariance, filter, M', evolved covariances, A W) holds at
+# most one max(a, b)^2 block per class of a signal and b data indices.
 MAX_TRAJECTORY_BYTES = 1 << 30
 MAX_CLASS_BLOCKS_BYTES = 1 << 27
 
@@ -518,7 +514,7 @@ def _setup(config, direct):
                 logger.info(
                     "data-space Gram condition number (%s part): %.6g",
                     part,
-                    kleingordon.data_gram_condition(model, part),
+                    kleingordon.data_gram_condition(model, classes, part),
                 )
         variances = kleingordon.prior_variances(model)
         # The posterior, with the diagonal prior as its variances and the
@@ -579,21 +575,28 @@ def _iterate(config, setup, reference):
     """
     model = config.model
     dt = config.dt
-    classes, cov = setup.classes, setup.cov
+    classes, cov, filters = setup.classes, setup.cov, setup.filter
     # L and A(dt) couple each packed phi component only with its chi
-    # partner, so their 2x2 pair blocks give their class blocks.  The
-    # config's dt < dt_limit keeps dt ||L|| < 1.
+    # partner, so they act on class stacks through their 2x2 pair blocks.
+    # The config's dt < dt_limit keeps dt ||L|| < 1.
     g_pairs = np.eye(2) + dt * kleingordon.generator_pairs(model)
     a_pairs = kleingordon.exact_step_pairs(model, dt)
-    a_step = [kleingordon.class_blocks(a_pairs, sig) for sig, _ in classes]
-    g_step = [kleingordon.class_blocks(g_pairs, sig) for sig, _ in classes]
-    # The evolved covariances are the same at every step: check and factor
-    # them once.  Only the means below depend on the step.
-    exact = [matfun.symmetric_part(a @ d @ np.swapaxes(a, -1, -2)) for a, d in zip(a_step, cov)]
-    linear = [matfun.symmetric_part(g @ d @ np.swapaxes(g, -1, -2)) for g, d in zip(g_step, cov)]
+    # The evolved covariances P D P^T, as P (P D)^T, and the maps from data
+    # to evolved means, P W and (A - (1 + dt L)) W, are the same at every
+    # step: form them, and check and factor the covariances, once.
+
+    def evolved(pairs):
+        p_d_t = [np.swapaxes(b, -1, -2) for b in kleingordon.apply_pairs(pairs, classes, cov)]
+        return [matfun.symmetric_part(c) for c in kleingordon.apply_pairs(pairs, classes, p_d_t)]
+
+    exact, linear = evolved(a_pairs), evolved(g_pairs)
     matfun.require_pd([np.linalg.eigvalsh(c) for c in exact], "exactly evolved covariance")
     linear_spectra = [np.linalg.eigh(c) for c in linear]
     matfun.require_pd([w for w, _ in linear_spectra], "linearly evolved covariance")
+    a_w, g_w, offset_w = (
+        kleingordon.apply_pairs(pairs, classes, filters)
+        for pairs in (a_pairs, g_pairs, a_pairs - g_pairs)
+    )
     # Per class, the data u of every step, as columns; ``data`` is filled by
     # data index, so it is held transposed.
     trajectory = []
@@ -606,19 +609,18 @@ def _iterate(config, setup, reference):
         data[dat] = trajectory[-1]
     data = data.T
 
-    # Per class, the posterior means W u of every stored u, as columns.
-    means = [f @ u for f, u in zip(setup.filter, trajectory)]
-    prev = [m[..., :-1] for m in means]
-    new = [m[..., 1:] for m in means]
-    exact_means = [a @ m for a, m in zip(a_step, prev)]
-    linear_means = [g @ m for g, m in zip(g_step, prev)]
+    # Per class and step, as columns: the posterior mean W u of the new
+    # data, and the evolved posterior means of the data before.
+    new = [f @ u[..., 1:] for f, u in zip(filters, trajectory)]
+    exact_means = [p @ u[..., :-1] for p, u in zip(a_w, trajectory)]
+    linear_means = [p @ u[..., :-1] for p, u in zip(g_w, trajectory)]
     kl_step = gaussian.kl_covariance_blocks(exact, cov, setup.spectrum)
     kl_step += 0.5 * gaussian.quadratic_form_blocks(
         setup.spectrum, [e - n for e, n in zip(exact_means, new)]
     )
     kl_evolution = gaussian.kl_covariance_blocks(exact, linear, linear_spectra)
     kl_evolution += 0.5 * gaussian.quadratic_form_blocks(
-        linear_spectra, [(a - g) @ m for a, g, m in zip(a_step, g_step, prev)]
+        linear_spectra, [p @ u[..., :-1] for p, u in zip(offset_w, trajectory)]
     )
     columns = {
         "data": data[1:],
@@ -640,8 +642,8 @@ def _iterate(config, setup, reference):
     # for any positive definite choice (it is decided by the response rank).
     # The thermal prior has zero mean, so the prior pull vanishes.
     branch, _ = matching.branches(
-        setup.filter,
-        [matfun.spectral_inverse(w, v) @ f for (w, v), f in zip(linear_spectra, setup.filter)],
+        filters,
+        [matfun.spectral_inverse(w, v) @ f for (w, v), f in zip(linear_spectra, filters)],
         1.0 / min(w.min() for w, _ in linear_spectra),
         linear_means,
         [np.zeros(m.shape[:-1] + (1,)) for m in linear_means],

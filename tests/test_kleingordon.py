@@ -527,18 +527,26 @@ def test_builders_match_the_loop_and_dense_chain_when_sums_reorder(n, y):
         assert np.max(np.abs(new - oracle)) <= 1e-15 * np.max(np.abs(oracle))
 
 
-@pytest.mark.parametrize("n, y", [(4, 5), (16, 31), (40, 31), (64, 127)])
-def test_class_blocks_are_the_dense_matrices_blocks(n, y):
+@pytest.mark.parametrize("n, y", [(4, 5), (8, 5), (16, 31), (40, 31), (64, 127)])
+def test_apply_pairs_is_the_dense_class_blocks_product(n, y):
     # A class lists its phi components, then their chi partners, so the
-    # pair blocks of L and A(dt) give exactly their class blocks.
+    # pair blocks of L and A(dt) act on a class stack as the class blocks
+    # gathered from the dense matrices.  The oracle sums the products
+    # unfused, as apply_pairs does; BLAS may fuse them.  (40, 31) has the
+    # data-free blocks of mode 31.
     model = _model(n_modes=n, pixels=y)
+    rng = np.random.default_rng(n + y)
+    classes = kg.fourier_classes(model)
     for dense, pairs in (
         (kg.build_generator(model), kg.generator_pairs(model)),
         (kg.exact_step(model, 0.3), kg.exact_step_pairs(model, 0.3)),
     ):
-        for sig, _ in kg.fourier_classes(model):
+        stacks = [rng.standard_normal(sig.shape + (3,)) for sig, _ in classes]
+        applied = kg.apply_pairs(pairs, classes, stacks)
+        assert len(applied) == len(classes)
+        for (sig, _), x, got in zip(classes, stacks, applied):
             gathered = dense[sig[:, :, None], sig[:, None, :]]
-            assert np.array_equal(kg.class_blocks(pairs, sig), gathered)
+            assert np.array_equal(got, np.sum(gathered[..., None] * x[:, None], axis=2))
 
 
 def _refuse_dense_response(monkeypatch):
@@ -564,7 +572,11 @@ def test_data_gram_condition_matches_the_dense_gram(n, y, monkeypatch):
         dense[part] = w[-1] / w[0]
     _refuse_dense_response(monkeypatch)
     for part in (kg.PART_PHI, kg.PART_CHI):
-        assert_allclose(kg.data_gram_condition(model, part), dense[part], rtol=1e-12)
+        assert_allclose(
+            kg.data_gram_condition(model, kg.fourier_classes(model), part),
+            dense[part],
+            rtol=1e-12,
+        )
 
 
 @pytest.mark.parametrize(
@@ -589,8 +601,9 @@ def test_data_gram_condition_sees_alias_redundancy():
     # Noise-free Gram is singular on the duplicated pair; with noise the
     # condition number is the ratio of the largest entry-pair sum to the
     # noise floor, so it grows as sigma^2 shrinks.
-    loose = kg.data_gram_condition(_model(), kg.PART_PHI)
-    tight = kg.data_gram_condition(_model(sigma_n2=1e-6), kg.PART_PHI)
+    classes = kg.fourier_classes(_model())
+    loose = kg.data_gram_condition(_model(), classes, kg.PART_PHI)
+    tight = kg.data_gram_condition(_model(sigma_n2=1e-6), classes, kg.PART_PHI)
     assert tight > loose > 1.0
 
 

@@ -286,15 +286,18 @@ def test_batched_diagnostics_match_per_step_oracle(tmp_path):
     # The per-step construction the batched diagnostics replace: fresh
     # dense densities, two KL evaluations and one match problem per step.
     # Besides the small run: (40, 31), where modes alias and the Fourier
-    # classes reach 16 dimensions, at a step inside dt ||L|| < 1; and a run
-    # from zero data, whose means vanish, so the matcher takes its zero
-    # branch.
+    # classes reach 16 dimensions, at a step inside dt ||L|| < 1; (16, 5),
+    # whose classes hold many more signal than data indices, which is where
+    # the composed maps A W and (1 + dt L) W differ most from applying A
+    # and 1 + dt L to the means W u; and a run from zero data, whose means vanish, so the matcher takes
+    # its zero branch.
     zeros = tmp_path / "zeros.json"
     zeros.write_text(json.dumps([0.0] * 14))
     runs = [
         _run_at(4),
         simulator.run_ifd(_config(n_modes=40, Y=31, T=0.005, N=3, scheme="both")),
         simulator.run_ifd(_config(initial_data=str(zeros), scheme="both")),
+        simulator.run_ifd(_config(n_modes=16, Y=5, T=0.01, N=3, scheme="both")),
     ]
     assert max(
         sig.shape[1] + dat.shape[1]
@@ -558,6 +561,22 @@ def test_runs_and_sweeps_build_no_dense_response(monkeypatch, caplog):
     sweep = simulator.convergence_sweep(_config(), (4, 5, 6))
     assert np.all(np.isfinite(sweep.final_deviations))
     assert len([r for r in caplog.records if "Gram condition" in r.message]) == 8
+
+
+def test_verbose_run_builds_the_fourier_classes_once(monkeypatch, caplog):
+    # The Gram condition numbers logged at INFO take the run's own classes.
+    original = kleingordon.fourier_classes
+    calls = []
+
+    def counted(model):
+        calls.append(model)
+        return original(model)
+
+    monkeypatch.setattr(kleingordon, "fourier_classes", counted)
+    caplog.set_level(logging.INFO, logger="infodyn")
+    simulator.run_ifd(_config(scheme="both"))
+    assert len([r for r in caplog.records if "Gram condition" in r.message]) == 2
+    assert len(calls) == 1
 
 
 def _mean_error_at_end(resolution, data_map):
