@@ -123,7 +123,9 @@ def _cmd_compare_exact(args):
 def _cmd_direct(args):
     config = simulator.load_config(args.config, scheme=simulator.SCHEME_DIRECT)
     result = simulator.run_ifd(config)
-    print("final data:", " ".join(simulator.CSV_FLOAT_FORMAT % x for x in result.final_data))
+    from . import floattext  # here, as in simulator.write_csv
+
+    print("final data:", floattext.join(result.final_data, " "))
     print(f"final deviation      : {result.final_deviation:.6e}")
     return 0
 

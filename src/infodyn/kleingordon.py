@@ -289,27 +289,28 @@ def fourier_classes(model):
     """
     n, y = model.n_modes, model.pixels
     half = (y - 1) // 2
-    # Packed components of one field part (phi or chi), per class.
-    signal = [[0]] + [[] for _ in range(half)]
-    uncoupled = []
-    for l in range(1, n):
-        r = l % y
-        if r:
-            signal[min(r, y - r)] += [2 * l - 1, 2 * l]
-        else:
-            uncoupled += [[2 * l - 1], [2 * l]]
-    data = [[0]] + [[2 * c - 1, 2 * c] for c in range(1, half + 1)]
-    data[half] += [y, y + 1]
-    groups = {}
-    for sig, dat in [*zip(signal, data), *((s, []) for s in uncoupled)]:
-        sig = sig + [i + model.part_dim for i in sig]
-        dat = dat + [i + model.data_part_dim for i in dat]
-        rows = groups.setdefault((len(sig), len(dat)), ([], []))
-        rows[0].append(sig)
-        rows[1].append(dat)
+    modes = np.arange(1, n)
+    residue = modes % y
+    free = modes[residue == 0]
+    cls = np.minimum(residue, y - residue)
+    # The modes of classes 1..(Y-1)/2, class by class, ascending within each.
+    by_class = modes[np.argsort(cls, kind="stable")][free.size :]
+    count = np.bincount(cls, minlength=half + 1)[1:]
+    start = np.cumsum(count) - count
+    c = np.arange(1, half + 1)
+    data = np.stack([2 * c - 1, 2 * c, 0 * c + y, 0 * c + y + 1], axis=1)
+    width = np.where(c == half, 4, 2)
+    blocks = [(np.zeros((1, 1), dtype=int), np.zeros((1, 1), dtype=int))]
+    if free.size:
+        sig = np.stack([2 * free - 1, 2 * free], axis=1).reshape(-1, 1)
+        blocks.insert(0, (sig, np.zeros((len(sig), 0), dtype=int)))
+    for m, w in sorted(set(zip(count.tolist(), width.tolist()))):
+        rows = np.flatnonzero((count == m) & (width == w))
+        l = by_class[start[rows, None] + np.arange(m)]
+        blocks.append((np.stack([2 * l - 1, 2 * l], axis=2).reshape(len(rows), -1), data[rows, :w]))
     return [
-        (np.array(sig, dtype=int), np.array(dat, dtype=int).reshape(len(sig), b))
-        for (_, b), (sig, dat) in sorted(groups.items())
+        (np.hstack([s, s + model.part_dim]), np.hstack([d, d + model.data_part_dim]))
+        for s, d in blocks
     ]
 
 

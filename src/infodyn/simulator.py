@@ -103,13 +103,13 @@ REFERENCE_BLOCK_ENTRIES = 1 << 18
 
 # Bounds, in bytes, on what a run allocates, checked by RunConfig so that a
 # config past them is refused at load time instead of failing in numpy.
-# A run holds several arrays of each size: at (n_modes 1024, Y 5, N 12)
-# its peak RSS is 893 MB, against 134 MB per per-step array and 43 MB of
-# class blocks.  Per-step arrays have 2^N or 2^N + 1 rows of data_dim
-# (trajectories) or signal_dim (means) columns.  A class-blocked matrix
-# (posterior covariance, filter, M', evolved covariances, A W) holds at
-# most one max(a, b)^2 block per class of a signal and b data indices.
-MAX_TRAJECTORY_BYTES = 1 << 30
+# Per-step arrays have up to 2^N + 1 rows of data_dim or signal_dim columns;
+# a stepping run's traced peak, less its class blocks, is 8.5 to 9.4 arrays
+# of (2^N + 1) x max(data_dim, signal_dim) at (4, 5, N 14), (16, 31, N 13),
+# (64, 127, N 11) and (256, 511, N 7).  A class-blocked matrix holds one
+# max(a, b)^2 block per class of a signal and b data indices; a run, several.
+PER_STEP_ARRAYS = 10
+MAX_PER_STEP_BYTES = 1 << 30
 MAX_CLASS_BLOCKS_BYTES = 1 << 27
 
 
@@ -119,9 +119,9 @@ class RunConfig(Frozen):
     The step count is 2^N.  Construction checks that 2^N and the step
     dt = T/2^N are finite, normal floats, as the report prints both, and
     that a class-blocked matrix fits in ``MAX_CLASS_BLOCKS_BYTES``.  Under
-    schemes 'iterated' and 'both', which step, it also checks that a
-    per-step array, (2^N + 1) x max(data_dim, signal_dim), fits in
-    ``MAX_TRAJECTORY_BYTES`` and that dt lies inside the validity region
+    schemes 'iterated' and 'both', which step, it also checks that
+    ``PER_STEP_ARRAYS`` arrays of (2^N + 1) x max(data_dim, signal_dim) fit
+    in ``MAX_PER_STEP_BYTES`` and that dt lies inside the validity region
     dt ||L|| < 1 of the linearized step 1 + dt L that the per-step
     diagnostics take, dt < :attr:`KGModel.dt_limit` = 1/w_{n-1}^2.  Scheme
     'direct' needs neither.  :meth:`replace` gives a changed copy through
@@ -189,13 +189,13 @@ class RunConfig(Frozen):
             return
         # 2^N + 1 <= max_rows, i.e. 2^N <= max_rows - 1.
         columns = max(model.data_dim, model.signal_dim)
-        max_rows = MAX_TRAJECTORY_BYTES // (8 * columns)
+        max_rows = MAX_PER_STEP_BYTES // (8 * columns * PER_STEP_ARRAYS)
         max_resolution = (max_rows - 1).bit_length() - 1
         if self.resolution > max_resolution:
             raise ConfigError(
-                f"config field 'N' must be at most {max_resolution}, so that each "
-                f"(2^N + 1) x {columns} per-step array fits in "
-                f"{MAX_TRAJECTORY_BYTES} bytes, got {self.resolution!r}"
+                f"config field 'N' must be at most {max_resolution}, so that the "
+                f"{PER_STEP_ARRAYS} per-step arrays a run holds at once, (2^N + 1) x "
+                f"{columns} each, fit in {MAX_PER_STEP_BYTES} bytes, got {self.resolution!r}"
             )
         if self.dt >= self.model.dt_limit:
             raise ConfigError(
@@ -854,46 +854,36 @@ def convergence_sweep(config, resolutions):
     )
 
 
-def _write_rows(result, path, header, fmt, columns):
-    """Write ``header``, then ``fmt % (step, t, *cells)`` for each step, as it comes.
+def _write_table(result, path, header, columns, labels=None, at=0):
+    """Write ``header``, then a line step, t, ``columns`` per step (:func:`floattext.lines`)."""
+    # Imported here: importing it from source takes about 4 ms on 2 vCPUs.
+    from . import floattext
 
-    ``columns`` are sequences with one cell per step.
-    """
     steps = np.arange(1, len(result.kl_step) + 1)
-    rows = zip(steps.tolist(), (steps * result.config.dt).tolist(), *columns)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        fh.writelines(fmt % row for row in rows)
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii") + b"\n")
+        fh.writelines(floattext.lines([steps, steps * result.config.dt, *columns], labels, at))
 
 
 def write_csv(result, path):
     """Write one row per step: step, t, kl_step, kl_cumulative, exact_deviation, branch, data_*.
 
-    Floats are printed with %.17g so repeated runs of the same config give
-    bit-identical files.  Scheme 'direct' writes the header only.
+    Floats are printed exactly as %.17g prints them (in one vectorized pass
+    of :mod:`infodyn.floattext`, with a per-cell %.17g fallback), so repeated
+    runs of the same config give bit-identical files.  Scheme 'direct'
+    writes the header only.
     """
     data_dim = result.config.model.data_dim
     header = "step,t,kl_step,kl_cumulative,exact_deviation,branch," + ",".join(
         f"data_{j}" for j in range(data_dim)
     )
-    fmt = ",".join(
-        ["%d", *[CSV_FLOAT_FORMAT] * 4, "%s", *[CSV_FLOAT_FORMAT] * data_dim]
-    )
-    columns = [
-        result.kl_step.tolist(),
-        result.kl_cumulative.tolist(),
-        result.exact_deviation.tolist(),
-        result.branch,
-        *result.data.T.tolist(),
-    ]
-    _write_rows(result, path, header, fmt + "\n", columns)
+    columns = [result.kl_step, result.kl_cumulative, result.exact_deviation, result.data]
+    _write_table(result, path, header, columns, np.array(result.branch, dtype="S"), 5)
 
 
 def write_deviation_csv(result, path):
     """Write one row per step: step, t, deviation (the ``exact_deviation`` column)."""
-    fmt = f"%d,{CSV_FLOAT_FORMAT},{CSV_FLOAT_FORMAT}\n"
-    columns = [result.exact_deviation.tolist()]
-    _write_rows(result, path, "step,t,deviation", fmt, columns)
+    _write_table(result, path, "step,t,deviation", [result.exact_deviation])
 
 
 def report_dict(result):

@@ -138,7 +138,7 @@ def test_config_errors_exit_1(tmp_path, config_path, capsys):
     err = capsys.readouterr().err
     assert err.count("error:") == 5
     assert "n_modes - 1 >= (pixels - 1)/2" in err
-    assert "config field 'N' must be at most 23" in err
+    assert "config field 'N' must be at most 19" in err
 
 
 _NUMBERS = ", ".join(["0.5"] * 13)
@@ -235,7 +235,7 @@ def test_numeric_refusal_exits_2(tmp_path, capsys):
 
 
 def test_direct_runs_configs_only_the_iterated_schemes_refuse(tmp_path, capsys):
-    # The direct-long config at N 21 exceeds the trajectory cap, and
+    # The direct-long config at N 21 exceeds the per-step cap, and
     # (16, 31, T 1, N 1) has dt = 0.5 outside dt < 1/w_{n-1}^2; 'direct' needs
     # neither bound, whatever scheme the file names.  'simulate' with scheme
     # 'both' still refuses both, with exit 1 and the same messages.
@@ -247,8 +247,8 @@ def test_direct_runs_configs_only_the_iterated_schemes_refuse(tmp_path, capsys):
     out = tmp_path / "x.csv"
     for mapping, message in (
         ({**base, "T": 0.05, "N": 21},
-         "config field 'N' must be at most 20, so that each (2^N + 1) x 66 "
-         "per-step array fits in 1073741824 bytes, got 21"),
+         "config field 'N' must be at most 17, so that the 10 per-step arrays a "
+         "run holds at once, (2^N + 1) x 66 each, fit in 1073741824 bytes, got 21"),
         ({**base, "T": 1.0, "N": 1},
          "config fields 'T' and 'N' give step dt = 0.5, outside the validity "
          "region dt < 0.004424778761061947 set by 'n_modes' and 'mu'"),

@@ -620,6 +620,46 @@ def test_class_block_entries_sum_the_fourier_classes():
             assert kg.class_block_entries(model) == listed, (n_modes, pixels)
 
 
+def _fourier_classes_loop(model):
+    """The per-mode loop that fourier_classes vectorizes, kept as its oracle."""
+    n, y = model.n_modes, model.pixels
+    half = (y - 1) // 2
+    signal = [[0]] + [[] for _ in range(half)]
+    uncoupled = []
+    for l in range(1, n):
+        r = l % y
+        if r:
+            signal[min(r, y - r)] += [2 * l - 1, 2 * l]
+        else:
+            uncoupled += [[2 * l - 1], [2 * l]]
+    data = [[0]] + [[2 * c - 1, 2 * c] for c in range(1, half + 1)]
+    data[half] += [y, y + 1]
+    groups = {}
+    for sig, dat in [*zip(signal, data), *((s, []) for s in uncoupled)]:
+        sig = sig + [i + model.part_dim for i in sig]
+        dat = dat + [i + model.data_part_dim for i in dat]
+        rows = groups.setdefault((len(sig), len(dat)), ([], []))
+        rows[0].append(sig)
+        rows[1].append(dat)
+    return [
+        (np.array(sig, dtype=int), np.array(dat, dtype=int).reshape(len(sig), b))
+        for (_, b), (sig, dat) in sorted(groups.items())
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, y", [(4, 5), (8, 5), (16, 31), (40, 31), (64, 127), (1025, 5), (3, 5), (12, 7)]
+)
+def test_fourier_classes_equal_the_per_mode_loop(n, y):
+    model = _model(n_modes=n, pixels=y)
+    classes, oracle = kg.fourier_classes(model), _fourier_classes_loop(model)
+    assert len(classes) == len(oracle)
+    for (sig, dat), (sig_0, dat_0) in zip(classes, oracle):
+        for got, want in ((sig, sig_0), (dat, dat_0)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize(
     "n, y", [(4, 5), (16, 31), (64, 127), (40, 31), (200, 127)]
 )

@@ -3,6 +3,7 @@
 import json
 import logging
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -95,10 +96,10 @@ def test_parse_config_checks_step_against_validity_region():
 
 def test_direct_scheme_skips_trajectory_and_step_checks():
     # Scheme 'direct' holds no trajectory and builds no update matrix, so
-    # neither the trajectory cap (N <= 20 at Y 31) nor dt < 1/w_{n-1} applies.
+    # neither the per-step cap (N <= 17 at Y 31) nor dt < 1/w_{n-1} applies.
     wide = dict(n_modes=16, Y=31)
     for scheme in ("iterated", "both"):
-        with pytest.raises(ConfigError, match="'N' must be at most 20"):
+        with pytest.raises(ConfigError, match="'N' must be at most 17"):
             _config(**wide, T=0.05, N=21, scheme=scheme)
         with pytest.raises(ConfigError, match="'T' and 'N' give step dt = 0.5"):
             _config(**wide, T=1.0, N=1, scheme=scheme)
@@ -167,12 +168,35 @@ def test_model_size_is_capped_at_load_time_under_every_scheme():
 def test_per_step_arrays_of_signal_width_are_capped_at_load_time():
     # At (1024, 5) the per-step posterior means hold signal_dim = 4094
     # columns, not data_dim = 14; at N 16 one of them would be 2.1 GB, and
-    # such a run ran out of memory in numpy.  Only the config is built.
-    with pytest.raises(ConfigError, match="'N' must be at most 15, so that each "
-                       r"\(2\^N \+ 1\) x 4094 per-step array fits"):
-        _config(n_modes=1024, Y=5, T=0.05, N=16, scheme="iterated")
-    assert _config(n_modes=1024, Y=5, T=0.025, N=15, scheme="iterated").steps == 2**15
+    # such a run ran out of memory in numpy.  A run holds PER_STEP_ARRAYS of
+    # them at once, so N 12, 134 MB each, is refused too.  Only the config
+    # is built.
+    for n in (12, 16):
+        with pytest.raises(ConfigError, match="'N' must be at most 11, so that the 10 "
+                           r"per-step arrays a run holds at once, \(2\^N \+ 1\) x 4094 each"):
+            _config(n_modes=1024, Y=5, T=2e-4, N=n, scheme="iterated")
+    assert _config(n_modes=1024, Y=5, T=1.5e-3, N=11, scheme="iterated").steps == 2**11
     assert _config(n_modes=1024, Y=5, T=0.05, N=16, scheme="direct").steps == 2**16
+
+
+@pytest.mark.parametrize(
+    "n_modes, pixels, total_time, resolution", [(16, 31, 0.05, 12), (256, 511, 1e-4, 7)]
+)
+def test_run_holds_at_most_per_step_arrays_at_once(n_modes, pixels, total_time, resolution):
+    # RunConfig bounds PER_STEP_ARRAYS per-step arrays together, so a run
+    # must not hold more: its traced peak stays within them, one copy of its
+    # class blocks and 1 MB.  Both configs have small class blocks.
+    config = _config(n_modes=n_modes, Y=pixels, T=total_time, N=resolution, scheme="both")
+    model = config.model
+    per_step = 8 * (config.steps + 1) * max(model.data_dim, model.signal_dim)
+    blocks = 8 * kleingordon.class_block_entries(model)
+    tracemalloc.start()
+    try:
+        simulator.run_ifd(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= simulator.PER_STEP_ARRAYS * per_step + blocks + (1 << 20)
 
 
 def test_initial_data_file_loading(tmp_path):
@@ -810,12 +834,12 @@ def test_replace_keeps_config_frozen():
 
 def test_replace_validates_like_a_new_config():
     config = _config()
-    # At (4, 5), N = 23 is the largest whose trajectory fits in
-    # MAX_TRAJECTORY_BYTES; past it a replaced config is refused as a new
-    # one is.
-    assert config.replace(resolution=23).resolution == 23
-    with pytest.raises(ConfigError, match="config field 'N' must be at most 23"):
-        config.replace(resolution=24)
+    # At (4, 5), N = 19 is the largest whose per-step arrays fit in
+    # MAX_PER_STEP_BYTES; past it a replaced config is refused as a new one
+    # is.
+    assert config.replace(resolution=19).resolution == 19
+    with pytest.raises(ConfigError, match="config field 'N' must be at most 19"):
+        config.replace(resolution=20)
     with pytest.raises(ConfigError, match="scheme"):
         config.replace(scheme="nope")
     assert config.resolution == 4
