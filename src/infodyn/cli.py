@@ -123,9 +123,8 @@ def _cmd_compare_exact(args):
 def _cmd_direct(args):
     config = simulator.load_config(args.config, scheme=simulator.SCHEME_DIRECT)
     result = simulator.run_ifd(config)
-    from . import floattext  # here, as in simulator.write_csv
-
-    print("final data:", floattext.join(result.final_data, " "))
+    final_data = result.final_data.tolist()
+    print("final data:", " ".join(simulator.CSV_FLOAT_FORMAT % x for x in final_data))
     print(f"final deviation      : {result.final_deviation:.6e}")
     return 0
 

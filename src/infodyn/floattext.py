@@ -116,8 +116,8 @@ def cells(x):
     return text
 
 
-def lines(columns, labels=None, at=0, end="\n"):
-    """The text of one line per row, in uint8 blocks: its cells joined by ',', then ``end``.
+def lines(columns, labels=None, at=0):
+    """The text of one line per row, in uint8 blocks: its cells joined by ',', then a newline.
 
     ``columns`` are (rows,) or (rows, c) arrays of floats, or of integers
     below 2^53 (printed as %d prints them).  ``labels``, a (rows,) bytes
@@ -135,10 +135,5 @@ def lines(columns, labels=None, at=0, end="\n"):
             cell = np.full((len(names), names.itemsize + 1), ord(","), np.uint8)
             cell[:, :-1] = names.view(np.uint8).reshape(len(names), -1)
             text = np.concatenate((text[:, : at * CELL], cell, text[:, at * CELL :]), axis=1)
-        text[:, -1] = ord(end)
+        text[:, -1] = ord("\n")
         yield text[text != FILL]
-
-
-def join(values, sep):
-    """``sep.join(FORMAT % v for v in values)`` for 1-D float ``values`` and a one-byte ``sep``."""
-    return b"".join(lines([values], end=sep))[:-1].decode("ascii")

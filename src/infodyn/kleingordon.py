@@ -72,16 +72,21 @@ class KGModel(Frozen):
     mu^2, beta mu^2 and sigma_n2, so each of mu^2, beta mu^2 and
     1/sigma_n2 must be a finite positive float: a mass whose square
     underflows to 0 or overflows, or a noise variance whose reciprocal
-    overflows, is refused here with :class:`InvalidInput`.
+    overflows, is refused here with :class:`InvalidInput`, as is a boolean
+    in any field.  ``n_modes`` and ``pixels`` are stored as Python ints.
     """
 
     __slots__ = _fields = ("n_modes", "pixels", "mu", "beta", "sigma_n2")
 
     def __init__(self, n_modes, pixels, mu, beta, sigma_n2):
+        for name, value in zip(self._fields, (n_modes, pixels, mu, beta, sigma_n2)):
+            if isinstance(value, (bool, np.bool_)):
+                raise InvalidInput(f"{name} must be a number, not a boolean, got {value!r}")
         if not isinstance(n_modes, (int, np.integer)) or n_modes < 2:
             raise InvalidInput(f"n_modes must be an integer >= 2, got {n_modes!r}")
         if not isinstance(pixels, (int, np.integer)):
             raise InvalidInput(f"pixels must be an integer, got {pixels!r}")
+        n_modes, pixels = int(n_modes), int(pixels)
         if pixels <= 1 or pixels % 2 == 0:
             raise UnsupportedPixelCount(
                 f"pixel count must be odd and greater than one, got {pixels}"

@@ -104,11 +104,11 @@ REFERENCE_BLOCK_ENTRIES = 1 << 18
 # Bounds, in bytes, on what a run allocates, checked by RunConfig so that a
 # config past them is refused at load time instead of failing in numpy.
 # Per-step arrays have up to 2^N + 1 rows of data_dim or signal_dim columns;
-# a stepping run's traced peak, less its class blocks, is 8.5 to 9.4 arrays
+# a stepping run's traced peak, less its class blocks, is 6.6 to 7.4 arrays
 # of (2^N + 1) x max(data_dim, signal_dim) at (4, 5, N 14), (16, 31, N 13),
 # (64, 127, N 11) and (256, 511, N 7).  A class-blocked matrix holds one
 # max(a, b)^2 block per class of a signal and b data indices; a run, several.
-PER_STEP_ARRAYS = 10
+PER_STEP_ARRAYS = 8
 MAX_PER_STEP_BYTES = 1 << 30
 MAX_CLASS_BLOCKS_BYTES = 1 << 27
 
@@ -116,16 +116,16 @@ MAX_CLASS_BLOCKS_BYTES = 1 << 27
 class RunConfig(Frozen):
     """Validated run parameters: model, horizon T, resolution N, seed, scheme.
 
-    The step count is 2^N.  Construction checks that 2^N and the step
-    dt = T/2^N are finite, normal floats, as the report prints both, and
-    that a class-blocked matrix fits in ``MAX_CLASS_BLOCKS_BYTES``.  Under
-    schemes 'iterated' and 'both', which step, it also checks that
-    ``PER_STEP_ARRAYS`` arrays of (2^N + 1) x max(data_dim, signal_dim) fit
-    in ``MAX_PER_STEP_BYTES`` and that dt lies inside the validity region
-    dt ||L|| < 1 of the linearized step 1 + dt L that the per-step
-    diagnostics take, dt < :attr:`KGModel.dt_limit` = 1/w_{n-1}^2.  Scheme
-    'direct' needs neither.  :meth:`replace` gives a changed copy through
-    the same checks.
+    The step count is 2^N.  Construction refuses a boolean T, N or seed, as
+    :func:`parse_config` does, and checks that 2^N and the step dt = T/2^N are
+    finite, normal floats, as the report prints both, and that a class-blocked
+    matrix fits in ``MAX_CLASS_BLOCKS_BYTES``.  Under schemes 'iterated' and
+    'both', which step, it also checks that ``PER_STEP_ARRAYS`` arrays of
+    (2^N + 1) x max(data_dim, signal_dim) fit in ``MAX_PER_STEP_BYTES`` and
+    that dt lies inside the validity region dt ||L|| < 1 of the linearized
+    step 1 + dt L that the per-step diagnostics take,
+    dt < :attr:`KGModel.dt_limit` = 1/w_{n-1}^2.  Scheme 'direct' needs
+    neither.  :meth:`replace` gives a changed copy through the same checks.
     """
 
     _fields = ("model", "total_time", "resolution", "seed", "initial_data", "scheme")
@@ -140,6 +140,11 @@ class RunConfig(Frozen):
         initial_data=GENERATE,
         scheme=SCHEME_ITERATED,
     ):
+        if any(isinstance(v, (bool, np.bool_)) for v in (total_time, resolution, seed)):
+            raise ConfigError(
+                "config fields 'T', 'N' and 'seed' must not be booleans, got "
+                f"T = {total_time!r}, N = {resolution!r} and seed = {seed!r}"
+            )
         t = float(total_time)
         if not (np.isfinite(t) and t > 0.0):
             raise ConfigError(f"config field 'T' must be positive, got {total_time!r}")
@@ -569,7 +574,7 @@ def _powers_applied(m_update, u0, steps):
 
 
 def _iterate(config, setup, reference):
-    """Per-step columns of :class:`RunResult`, means and branch labels, unchecked.
+    """Per-step columns of :class:`RunResult`, linear means and branch labels, unchecked.
 
     Everything runs class by class, save the data rows and their deviation.
     """
@@ -609,15 +614,15 @@ def _iterate(config, setup, reference):
         data[dat] = trajectory[-1]
     data = data.T
 
-    # Per class and step, as columns: the posterior mean W u of the new
-    # data, and the evolved posterior means of the data before.
-    new = [f @ u[..., 1:] for f, u in zip(filters, trajectory)]
-    exact_means = [p @ u[..., :-1] for p, u in zip(a_w, trajectory)]
-    linear_means = [p @ u[..., :-1] for p, u in zip(g_w, trajectory)]
+    # Per class and step, as columns: the offset A W u - W u'' of the
+    # exactly evolved posterior mean from the posterior mean of the new
+    # data, formed and dropped before the linearly evolved means exist.
     kl_step = gaussian.kl_covariance_blocks(exact, cov, setup.spectrum)
     kl_step += 0.5 * gaussian.quadratic_form_blocks(
-        setup.spectrum, [e - n for e, n in zip(exact_means, new)]
+        setup.spectrum,
+        [p @ u[..., :-1] - f @ u[..., 1:] for p, f, u in zip(a_w, filters, trajectory)],
     )
+    linear_means = [p @ u[..., :-1] for p, u in zip(g_w, trajectory)]
     kl_evolution = gaussian.kl_covariance_blocks(exact, linear, linear_spectra)
     kl_evolution += 0.5 * gaussian.quadratic_form_blocks(
         linear_spectra, [p @ u[..., :-1] for p, u in zip(offset_w, trajectory)]
@@ -630,11 +635,6 @@ def _iterate(config, setup, reference):
         "exact_deviation": np.linalg.norm(data[1:] - reference.data[1:], axis=1),
     }
 
-    step_means = {
-        "posterior mean": new,
-        "exact mean": exact_means,
-        "linear mean": linear_means,
-    }
     # The matcher's evolved density is the linearly pushed-forward posterior
     # factored above, not its first-order truncation
     # D^-1 - dt (D^-1 L + L^T D^-1), which can lose positive definiteness at
@@ -648,7 +648,8 @@ def _iterate(config, setup, reference):
         linear_means,
         [np.zeros(m.shape[:-1] + (1,)) for m in linear_means],
     )
-    return columns, step_means, branch
+    # Overflowed offsets show in kl_step; only the linear means need a check.
+    return columns, {"linear mean": linear_means}, branch
 
 
 def run_ifd(config):
@@ -669,7 +670,7 @@ def run_ifd(config):
     means the match Hessian is singular and the matched vector would be the
     minimum-norm one, which for this data packing is the generic situation
     since the conjugate-alias pair makes the lifted response rank
-    deficient.  If anything the result holds, or a per-step mean,
+    deficient.  If anything the result holds, or a linearly evolved mean,
     overflowed to NaN or infinity, the run raises :class:`NonFiniteOutput`
     naming the first such step.  The exact reference and its energy drift
     cover every step time, or only t = 0 and T under scheme 'direct'.

@@ -138,7 +138,7 @@ def test_config_errors_exit_1(tmp_path, config_path, capsys):
     err = capsys.readouterr().err
     assert err.count("error:") == 5
     assert "n_modes - 1 >= (pixels - 1)/2" in err
-    assert "config field 'N' must be at most 19" in err
+    assert "config field 'N' must be at most 20" in err
 
 
 _NUMBERS = ", ".join(["0.5"] * 13)
@@ -247,7 +247,7 @@ def test_direct_runs_configs_only_the_iterated_schemes_refuse(tmp_path, capsys):
     out = tmp_path / "x.csv"
     for mapping, message in (
         ({**base, "T": 0.05, "N": 21},
-         "config field 'N' must be at most 17, so that the 10 per-step arrays a "
+         "config field 'N' must be at most 17, so that the 8 per-step arrays a "
          "run holds at once, (2^N + 1) x 66 each, fit in 1073741824 bytes, got 21"),
         ({**base, "T": 1.0, "N": 1},
          "config fields 'T' and 'N' give step dt = 0.5, outside the validity "
@@ -400,6 +400,25 @@ def test_runs_do_not_import_scipy(tmp_path, config_path):
         ))
         """
     )
+    assert _last_line_in_fresh_interpreter(script) == "[]"
+
+
+def test_direct_does_not_import_the_table_formatter(config_path):
+    # 'direct' prints one line of floats with %; compiling infodyn.floattext
+    # for it cost start-up time and memory.
+    script = textwrap.dedent(
+        f"""
+        import sys
+        from infodyn import cli
+        assert cli.main(["direct", "--config", {str(config_path)!r}]) == 0
+        print("infodyn.floattext" in sys.modules)
+        """
+    )
+    assert _last_line_in_fresh_interpreter(script) == "False"
+
+
+def _last_line_in_fresh_interpreter(script):
+    """The last line ``script`` prints in a new interpreter that imports this infodyn."""
     src = os.path.dirname(os.path.dirname(infodyn.__file__))
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
@@ -407,7 +426,7 @@ def test_runs_do_not_import_scipy(tmp_path, config_path):
         [sys.executable, "-c", script], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "[]"
+    return result.stdout.splitlines()[-1]
 
 
 @pytest.mark.parametrize("name", infodyn.__all__)

@@ -237,6 +237,15 @@ def test_model_validation():
         _model(sigma_n2=-1.0)
 
 
+@pytest.mark.parametrize("field", ["n_modes", "pixels", "mu", "beta", "sigma_n2"])
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_model_refuses_booleans(field, flag):
+    # mu = True was accepted and written back as "mu": true, which
+    # parse_config refuses.
+    with pytest.raises(InvalidInput, match=f"^{field} must be a number, not a boolean"):
+        _model(**{field: flag})
+
+
 @pytest.mark.parametrize(
     "overrides",
     [

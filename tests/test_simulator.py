@@ -15,6 +15,7 @@ from infodyn import dynamics, gaussian, kleingordon, matching, matfun, simulator
 from infodyn.errors import (
     ConfigError,
     InsufficientSweep,
+    NonFiniteOutput,
     NotPositiveDefinite,
 )
 
@@ -87,6 +88,28 @@ def test_parse_config_rejects_bad_types():
         simulator.parse_config(_base_mapping(scheme="exact"))
     with pytest.raises(ConfigError, match="'T' must be positive"):
         simulator.parse_config(_base_mapping(T=-1.0))
+
+
+@pytest.mark.parametrize("field", ["total_time", "resolution", "seed"])
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_run_config_refuses_booleans_as_parse_config_does(field, flag):
+    # RunConfig(model, 1.0, True, 0) ran as N = 1, and config_dict then wrote
+    # a value parse_config refuses on reload.
+    fields = {"total_time": 1.0, "resolution": 4, "seed": 0, field: flag}
+    with pytest.raises(ConfigError, match="'T', 'N' and 'seed' must not be booleans"):
+        simulator.RunConfig(_config().model, **fields)
+
+
+@pytest.mark.parametrize("scheme", simulator.SCHEMES)
+def test_numpy_integer_model_sizes_run_and_report(scheme, tmp_path):
+    # Before the model held Python ints, 'iterated' and 'both' failed on
+    # int64.bit_length and 'direct' wrote no report, as json cannot encode
+    # an int64.
+    model = kleingordon.KGModel(np.int64(4), np.int64(5), 1.0, 1.0, 0.01)
+    assert type(model.n_modes) is int and type(model.pixels) is int
+    config = simulator.RunConfig(model, 1.0, 4, 0, scheme=scheme)
+    simulator.write_report(simulator.run_ifd(config), tmp_path / "report.json")
+    assert simulator.parse_config(simulator.config_dict(config)) == config
 
 
 def test_parse_config_checks_step_against_validity_region():
@@ -166,26 +189,28 @@ def test_model_size_is_capped_at_load_time_under_every_scheme():
 
 
 def test_per_step_arrays_of_signal_width_are_capped_at_load_time():
-    # At (1024, 5) the per-step posterior means hold signal_dim = 4094
-    # columns, not data_dim = 14; at N 16 one of them would be 2.1 GB, and
-    # such a run ran out of memory in numpy.  A run holds PER_STEP_ARRAYS of
-    # them at once, so N 12, 134 MB each, is refused too.  Only the config
-    # is built.
-    for n in (12, 16):
-        with pytest.raises(ConfigError, match="'N' must be at most 11, so that the 10 "
+    # At (1024, 5) the per-step mean offsets and linearly evolved means hold
+    # signal_dim = 4094 columns, not data_dim = 14; at N 16 one of them
+    # would be 2.1 GB, and such a run ran out of memory in numpy.  A run
+    # holds PER_STEP_ARRAYS of them at once, so N 13, 268 MB each, is
+    # refused too.  Only the config is built.
+    for n in (13, 16):
+        with pytest.raises(ConfigError, match="'N' must be at most 12, so that the 8 "
                            r"per-step arrays a run holds at once, \(2\^N \+ 1\) x 4094 each"):
             _config(n_modes=1024, Y=5, T=2e-4, N=n, scheme="iterated")
-    assert _config(n_modes=1024, Y=5, T=1.5e-3, N=11, scheme="iterated").steps == 2**11
+    assert _config(n_modes=1024, Y=5, T=3e-3, N=12, scheme="iterated").steps == 2**12
     assert _config(n_modes=1024, Y=5, T=0.05, N=16, scheme="direct").steps == 2**16
 
 
 @pytest.mark.parametrize(
-    "n_modes, pixels, total_time, resolution", [(16, 31, 0.05, 12), (256, 511, 1e-4, 7)]
+    "n_modes, pixels, total_time, resolution",
+    [(4, 5, 1.0, 14), (16, 31, 0.05, 13), (64, 127, 0.005, 11), (256, 511, 1e-4, 7)],
 )
 def test_run_holds_at_most_per_step_arrays_at_once(n_modes, pixels, total_time, resolution):
     # RunConfig bounds PER_STEP_ARRAYS per-step arrays together, so a run
     # must not hold more: its traced peak stays within them, one copy of its
-    # class blocks and 1 MB.  Both configs have small class blocks.
+    # class blocks and 1 MB.  These are the shapes RunConfig's bound quotes;
+    # all have small class blocks.
     config = _config(n_modes=n_modes, Y=pixels, T=total_time, N=resolution, scheme="both")
     model = config.model
     per_step = 8 * (config.steps + 1) * max(model.data_dim, model.signal_dim)
@@ -243,6 +268,16 @@ def test_exact_reference_conserves_energy():
     assert reference.times[0] == 0.0
     assert_allclose(reference.times[-1], config.total_time, rtol=1e-12)
     assert reference.energy_drift < 1e-10
+
+
+def test_means_overflowing_at_step_1_are_refused_by_kl_step(tmp_path):
+    # The run checks no exactly evolved or new posterior mean: either one
+    # overflowing makes the offset, and so kl_step, non-finite at its step.
+    config = _config(N=6)
+    path = tmp_path / "d0.json"
+    path.write_text(json.dumps((1e307 * simulator.resolve_initial_data(config)).tolist()))
+    with pytest.raises(NonFiniteOutput, match=r"^step 1 of 64: kl_step is not finite"):
+        simulator.run_ifd(config.replace(initial_data=str(path)))
 
 
 def test_energy_drift_keeps_overflow_nan():
@@ -834,12 +869,12 @@ def test_replace_keeps_config_frozen():
 
 def test_replace_validates_like_a_new_config():
     config = _config()
-    # At (4, 5), N = 19 is the largest whose per-step arrays fit in
+    # At (4, 5), N = 20 is the largest whose per-step arrays fit in
     # MAX_PER_STEP_BYTES; past it a replaced config is refused as a new one
     # is.
-    assert config.replace(resolution=19).resolution == 19
-    with pytest.raises(ConfigError, match="config field 'N' must be at most 19"):
-        config.replace(resolution=20)
+    assert config.replace(resolution=20).resolution == 20
+    with pytest.raises(ConfigError, match="config field 'N' must be at most 20"):
+        config.replace(resolution=21)
     with pytest.raises(ConfigError, match="scheme"):
         config.replace(scheme="nope")
     assert config.resolution == 4
