@@ -13,8 +13,8 @@ useful internal consistency check.  D, its spectrum and W = D R^T N^-1
 are derived in one place, :func:`posterior_blocks`, for one matrix or for
 stacks of blocks (a run's Fourier classes); a dense setup reaches it
 through :func:`posterior_operators`.  :func:`kl_covariance_blocks` and
-:func:`quadratic_form_blocks` are likewise the one KL covariance term and
-the one quadratic form delta^T Sigma^-1 delta.
+:func:`quadratic_form_blocks` are likewise the one KL covariance term, from
+whitened covariance excesses, and the one quadratic form delta^T Sigma^-1 delta.
 
 All covariance manipulation goes through the spectral helpers in
 :mod:`infodyn.matfun`, so positive definiteness failures surface as
@@ -235,22 +235,21 @@ def kl_covariance_term(p, q):
     """
     if p.dim != q.dim:
         raise InvalidInput(f"dimension mismatch: {p.dim} vs {q.dim}")
-    return kl_covariance_blocks([p.cov], [q.cov], [q._spectrum])
+    whiten = q._spectrum[1] / np.sqrt(q._spectrum[0])
+    return kl_covariance_blocks([whiten.T @ (p.cov - q.cov) @ whiten])
 
 
-def kl_covariance_blocks(p_cov, q_cov, q_spectra):
-    """:func:`kl_covariance_term` from covariance matrices, summed over blocks.
+def kl_covariance_blocks(excesses):
+    """:func:`kl_covariance_term` from whitened covariance excesses, summed over blocks.
 
-    ``p_cov`` and ``q_cov`` are lists of (n, n) matrices or (k, n, n)
-    stacks, and ``q_spectra`` holds the (eigenvalues, eigenvectors) of each
-    entry of ``q_cov``.  For the diagonal blocks of two block-diagonal
-    covariances the sum over the blocks is the term of the whole matrices.
+    ``excesses`` iterates over (n, n) matrices or (k, n, n) stacks
+    C^-1 (Sigma_p - Sigma_q) C^-T, any C C^T = Sigma_q: for
+    Sigma_p = P Sigma_q P^T, E + E^T + E E^T with E = C^-1 (P - 1) C.  Over
+    the diagonal blocks of block-diagonal covariances it sums to the whole term.
     """
     total = 0.0
-    for p, q, (w, v) in zip(p_cov, q_cov, q_spectra):
-        whiten = v / np.sqrt(w)[..., None, :]
-        diff = np.swapaxes(whiten, -1, -2) @ (p - q) @ whiten
-        x = np.linalg.eigvalsh(matfun.symmetric_part(diff))
+    for excess in excesses:
+        x = np.linalg.eigvalsh(matfun.symmetric_part(excess))
         total += 0.5 * float(np.sum(x - np.log1p(x)))
     return total
 

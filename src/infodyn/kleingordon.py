@@ -39,6 +39,7 @@ each phi component only with its chi partner, as their 2x2 pair blocks
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -73,7 +74,8 @@ class KGModel(Frozen):
     1/sigma_n2 must be a finite positive float: a mass whose square
     underflows to 0 or overflows, or a noise variance whose reciprocal
     overflows, is refused here with :class:`InvalidInput`, as is a boolean
-    in any field.  ``n_modes`` and ``pixels`` are stored as Python ints.
+    in any field or a scale that is not a real number.  ``n_modes`` and
+    ``pixels`` are stored as Python ints, the scales as Python floats.
     """
 
     __slots__ = _fields = ("n_modes", "pixels", "mu", "beta", "sigma_n2")
@@ -97,8 +99,10 @@ class KGModel(Frozen):
                 f"n_modes - 1 >= (pixels - 1)/2; got n_modes={n_modes}, "
                 f"pixels={pixels}"
             )
-        if not np.isfinite(mu):
-            raise InvalidInput(f"mu must be finite, got {mu!r}")
+        if not all(isinstance(v, numbers.Real) for v in (mu, beta, sigma_n2)):
+            raise InvalidInput(f"mu, beta and sigma_n2 must be real numbers, got {mu!r}, "
+                               f"{beta!r} and {sigma_n2!r}")
+        mu, beta, sigma_n2 = float(mu), float(beta), float(sigma_n2)
         if mu == 0.0:
             raise DegenerateMassError(
                 "mu = 0 makes the zero-mode prior variance infinite"
@@ -108,12 +112,12 @@ class KGModel(Frozen):
         if not (np.isfinite(sigma_n2) and sigma_n2 > 0.0):
             raise InvalidInput(f"sigma_n2 must be positive, got {sigma_n2!r}")
         # Python float products and quotients give 0 or inf, not errors or
-        # warnings, on underflow and overflow.
-        mu2 = float(mu) * float(mu)
+        # warnings, on underflow and overflow; a mu that is not finite fails too.
+        mu2 = mu * mu
         for name, value in (
             ("mu^2", mu2),
-            ("beta mu^2", float(beta) * mu2),
-            ("1/sigma_n2", 1.0 / float(sigma_n2)),
+            ("beta mu^2", beta * mu2),
+            ("1/sigma_n2", 1.0 / sigma_n2),
         ):
             if not 0.0 < value < math.inf:
                 raise InvalidInput(
@@ -407,11 +411,13 @@ def exact_step_pairs(model, dt):
         raise InvalidInput(f"dt must be finite, got {dt!r}")
     w = _component_omegas(model)
     cos, sin = np.cos(w * dt), np.sin(w * dt)
-    pairs = np.empty((model.part_dim, 2, 2))
-    pairs[:, 0, 0] = cos
-    pairs[:, 0, 1] = sin / w
-    pairs[:, 1, 0] = -w * sin
-    pairs[:, 1, 1] = cos
+    return np.stack([cos, sin / w, -w * sin, cos], axis=-1).reshape(-1, 2, 2)
+
+
+def exact_step_offset_pairs(model, dt):
+    """A(dt) - 1 on each packed pair, its diagonal cos(w dt) - 1 as -2 sin^2(w dt/2), uncancelled."""
+    pairs = exact_step_pairs(model, dt)
+    pairs[:, 0, 0] = pairs[:, 1, 1] = -2.0 * np.sin(0.5 * (_component_omegas(model) * dt)) ** 2
     return pairs
 
 

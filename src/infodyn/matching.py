@@ -179,14 +179,14 @@ def branches(filters, pulled, inv_cov_norm, means, pulls):
     """The branch :func:`match` takes for each column of evolved means m*, and H's spectra.
 
     The lists hold (k, n, y) stacks of diagonal blocks: ``filters`` of W',
-    ``pulled`` of D*^-1 W', ``means`` of m* (columns) and ``pulls`` of the
-    prior pull D' Phi'^-1 psi' (one column); ``inv_cov_norm`` is
-    ||D*^-1||_2.  H = W'^T D*^-1 W' is regular when every eigenvalue over
-    the blocks exceeds ``SINGULAR_RTOL`` times the largest.  If not, a
-    column is ``zero`` when its linear term W'^T D*^-1 (D' Phi'^-1 psi' - m*)
-    is at most ``SINGULAR_RTOL`` times its bound, or 1 if larger, the bound
-    ||W'||_2 ||D*^-1||_2 (||D' Phi'^-1 psi'|| + ||m*||), and ``projected``
-    otherwise.  The spectra are the (w, q) of ``eigh`` on each stack of H.
+    ``pulled`` of D*^-1 W', ``means`` of m* (columns) and ``pulls`` of the prior
+    pull D' Phi'^-1 psi' (one column); ``inv_cov_norm`` is ||D*^-1||_2 or a
+    bound on it.  H = W'^T D*^-1 W' is regular when every eigenvalue over the
+    blocks exceeds ``SINGULAR_RTOL`` times the largest.  If not, a column is
+    ``zero`` when its linear term W'^T D*^-1 (D' Phi'^-1 psi' - m*) is at most
+    ``SINGULAR_RTOL`` times its bound, or 1 if larger, the bound
+    ||W'||_2 ||D*^-1||_2 (||D' Phi'^-1 psi'|| + ||m*||), and ``projected`` otherwise.
+    The spectra are the (w, q) of ``eigh`` on each stack of H.
     """
     spectra = [
         np.linalg.eigh(matfun.symmetric_part(np.swapaxes(f, -1, -2) @ p))

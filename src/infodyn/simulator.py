@@ -3,11 +3,11 @@
 A run evolves the packed data vector u by the closed-form update matrix
 M = 1 + dt M' over 2^N equal steps of total time T.  The trajectory is the
 powers of M applied to d(0), and nothing else.  The per-step diagnostics
-are computed after it, batched over the stacked trajectory, from matrices
-factored once per run: only the means change from step to step.  Each
-step gets two relative entropies measured against the exactly evolved
-posterior N(A m, A D A^T), where m is the posterior mean of the previous
-data vector and A the exact one-step evolution:
+are computed after it, batched over the stacked trajectory, from the one
+factorization of the posterior covariance D: only the means change from
+step to step.  Each step gets two relative entropies measured against the
+exactly evolved posterior N(A m, A D A^T), where m is the posterior mean
+of the previous data vector and A the exact one-step evolution:
 
 ``kl_step``
     against the posterior N(W u'', D) at the updated data vector, i.e. the
@@ -25,17 +25,18 @@ shape, and builds no dense response, density, measurement, generator,
 exact step, M' or M.  The response enters as its class blocks R_c
 (:func:`kleingordon.response_blocks`), the prior as its variances, the
 noise as sigma_n2, and A(dt) and 1 + dt L as their 2x2 blocks on each
-(phi, chi) pair, applied by :func:`kleingordon.apply_pairs`.  D, its
+(phi, chi) pair, applied by :func:`kleingordon.apply_pairs`.  D's
 spectrum and W = D R^T N^-1 come from :func:`gaussian.posterior_blocks`,
 M' from :func:`kleingordon.update_generator_blocks` (bit for bit the
 dense chain R2 L Phi R2^T) and the matcher branch of every step from
 :func:`matching.branches`.  What does not depend on dt (the posterior, M'
 and exp(T M') d(0)) is built once per :func:`convergence_sweep`; what
-does not depend on the step (also A D A^T, (1 + dt L) D (1 + dt L)^T, A W
-and (1 + dt L) W) once per run.  The trajectory is built by doubling,
-u(2^j + i) = (1 + dt M'_c)^(2^j) u(i); it agrees with stepping u <- M u
-to round-off that grows with N: at most 1.7e-11 row-relative at
-n_modes 16, Y 31, N 20.
+does not depend on the step (also the KL covariance terms, the matcher's
+evolved precision and the maps from data to evolved means) once per run,
+from D's spectrum, with no evolved covariance formed or factored.  The
+trajectory is built by doubling, u(2^j + i) = (1 + dt M'_c)^(2^j) u(i);
+it agrees with stepping u <- M u to round-off that grows with N: at most
+1.7e-11 row-relative at n_modes 16, Y 31, N 20.
 
 ``exact_deviation`` compares u against the noise-free image R2 A(t) m_0 of
 the exactly evolved initial posterior mean.  It does not vanish with dt; it
@@ -104,10 +105,11 @@ REFERENCE_BLOCK_ENTRIES = 1 << 18
 # Bounds, in bytes, on what a run allocates, checked by RunConfig so that a
 # config past them is refused at load time instead of failing in numpy.
 # Per-step arrays have up to 2^N + 1 rows of data_dim or signal_dim columns;
-# a stepping run's traced peak, less its class blocks, is 6.6 to 7.4 arrays
+# a stepping run's traced peak, less its class blocks, is 5.6 to 6.4 arrays
 # of (2^N + 1) x max(data_dim, signal_dim) at (4, 5, N 14), (16, 31, N 13),
 # (64, 127, N 11) and (256, 511, N 7).  A class-blocked matrix holds one
-# max(a, b)^2 block per class of a signal and b data indices; a run, several.
+# max(a, b)^2 block per class of a signal and b data indices; a run's peak
+# is about four of them where they dominate, 4.0 at (256, 5) and (512, 5).
 PER_STEP_ARRAYS = 8
 MAX_PER_STEP_BYTES = 1 << 30
 MAX_CLASS_BLOCKS_BYTES = 1 << 27
@@ -481,9 +483,9 @@ class _Setup(NamedTuple):
     """The part of a run that does not depend on dt, built once per model and initial data.
 
     ``classes`` are the model's Fourier classes, ``response`` the class
-    blocks of R2 and ``initial_data`` the data vector d(0).  ``cov``,
-    ``spectrum`` and ``filter`` hold the class blocks of the posterior
-    covariance D, its spectrum and the Wiener filter W
+    blocks of R2 and ``initial_data`` the data vector d(0).  ``spectrum``
+    and ``filter`` hold the class blocks of the spectrum (w, Q) of the
+    posterior covariance D, which is not kept, and of the Wiener filter W
     (:func:`gaussian.posterior_blocks`), and ``mean`` the posterior mean.
     ``m_prime`` holds the class blocks of M'
     (:func:`kleingordon.update_generator_blocks`) and ``direct_data`` the
@@ -493,7 +495,6 @@ class _Setup(NamedTuple):
     classes: list
     response: np.ndarray
     initial_data: np.ndarray
-    cov: list
     spectrum: list
     filter: list
     mean: np.ndarray
@@ -534,7 +535,7 @@ def _setup(config, direct):
             diag = np.arange(sig.shape[1])
             block[:, diag, diag] += 1.0 / variances[sig]
             info.append(matfun.symmetric_part(block))
-        cov, spectrum, filters = gaussian.posterior_blocks(info, rt_n_inv)
+        _, spectrum, filters = gaussian.posterior_blocks(info, rt_n_inv)
         mean = np.zeros(model.signal_dim)
         for (sig, dat), f in zip(classes, filters):
             mean[sig] = (f @ d0[dat][:, :, None])[:, :, 0]
@@ -542,17 +543,7 @@ def _setup(config, direct):
         direct_data = (
             _direct_endpoint(config.total_time, m_prime, classes, d0) if direct else None
         )
-    return _Setup(
-        classes=classes,
-        response=response,
-        initial_data=d0,
-        cov=cov,
-        spectrum=spectrum,
-        filter=filters,
-        mean=mean,
-        m_prime=m_prime,
-        direct_data=direct_data,
-    )
+    return _Setup(classes, response, d0, spectrum, filters, mean, m_prime, direct_data)
 
 
 def _powers_applied(m_update, u0, steps):
@@ -580,27 +571,30 @@ def _iterate(config, setup, reference):
     """
     model = config.model
     dt = config.dt
-    classes, cov, filters = setup.classes, setup.cov, setup.filter
-    # L and A(dt) couple each packed phi component only with its chi
-    # partner, so they act on class stacks through their 2x2 pair blocks.
-    # The config's dt < dt_limit keeps dt ||L|| < 1.
-    g_pairs = np.eye(2) + dt * kleingordon.generator_pairs(model)
-    a_pairs = kleingordon.exact_step_pairs(model, dt)
-    # The evolved covariances P D P^T, as P (P D)^T, and the maps from data
-    # to evolved means, P W and (A - (1 + dt L)) W, are the same at every
-    # step: form them, and check and factor the covariances, once.
+    classes, spectrum, filters = setup.classes, setup.spectrum, setup.filter
+    # L, A(dt) and G = 1 + dt L couple each packed phi component only with
+    # its chi partner, so they act on class stacks through their 2x2 pair
+    # blocks.  The config's dt < dt_limit keeps dt ||L|| < 1, so G is
+    # invertible, and B = G^-1 A has B - 1 = G^-1 (A - G).
+    dt_l = dt * kleingordon.generator_pairs(model)
+    g_pairs = np.eye(2) + dt_l
+    g_inv = np.linalg.inv(g_pairs)
+    a_offset = kleingordon.exact_step_offset_pairs(model, dt)
+    b_offset = g_inv @ (a_offset - dt_l)
 
-    def evolved(pairs):
-        p_d_t = [np.swapaxes(b, -1, -2) for b in kleingordon.apply_pairs(pairs, classes, cov)]
-        return [matfun.symmetric_part(c) for c in kleingordon.apply_pairs(pairs, classes, p_d_t)]
+    def excesses(offset):
+        """S^-1 (P D P^T - D) S^-T = E + E^T + E E^T, E = S^-1 (P - 1) S, S = Q diag(w)^1/2."""
+        for cls, (w, q) in zip(classes, spectrum):
+            root = np.sqrt(w)
+            e = np.swapaxes(q, -1, -2) @ kleingordon.apply_pairs(offset, [cls], [q])[0]
+            e *= root[..., None, :] / root[..., :, None]
+            yield e @ np.swapaxes(e, -1, -2) + e + np.swapaxes(e, -1, -2)
 
-    exact, linear = evolved(a_pairs), evolved(g_pairs)
-    matfun.require_pd([np.linalg.eigvalsh(c) for c in exact], "exactly evolved covariance")
-    linear_spectra = [np.linalg.eigh(c) for c in linear]
-    matfun.require_pd([w for w, _ in linear_spectra], "linearly evolved covariance")
-    a_w, g_w, offset_w = (
+    # The maps from data to evolved means, A W, G W and (B - 1) W, are the
+    # same at every step: form them once.
+    a_w, g_w, b_offset_w = (
         kleingordon.apply_pairs(pairs, classes, filters)
-        for pairs in (a_pairs, g_pairs, a_pairs - g_pairs)
+        for pairs in (kleingordon.exact_step_pairs(model, dt), g_pairs, b_offset)
     )
     # Per class, the data u of every step, as columns; ``data`` is filled by
     # data index, so it is held transposed.
@@ -614,18 +608,16 @@ def _iterate(config, setup, reference):
         data[dat] = trajectory[-1]
     data = data.T
 
-    # Per class and step, as columns: the offset A W u - W u'' of the
-    # exactly evolved posterior mean from the posterior mean of the new
-    # data, formed and dropped before the linearly evolved means exist.
-    kl_step = gaussian.kl_covariance_blocks(exact, cov, setup.spectrum)
+    # Per class and step, as columns, the mean offsets A W u - W u'' and,
+    # whitened by G, (B - 1) W u = G^-1 (A - G) W u.
+    kl_step = gaussian.kl_covariance_blocks(excesses(a_offset))
     kl_step += 0.5 * gaussian.quadratic_form_blocks(
-        setup.spectrum,
+        spectrum,
         [p @ u[..., :-1] - f @ u[..., 1:] for p, f, u in zip(a_w, filters, trajectory)],
     )
-    linear_means = [p @ u[..., :-1] for p, u in zip(g_w, trajectory)]
-    kl_evolution = gaussian.kl_covariance_blocks(exact, linear, linear_spectra)
+    kl_evolution = gaussian.kl_covariance_blocks(excesses(b_offset))
     kl_evolution += 0.5 * gaussian.quadratic_form_blocks(
-        linear_spectra, [p @ u[..., :-1] for p, u in zip(offset_w, trajectory)]
+        spectrum, [p @ u[..., :-1] for p, u in zip(b_offset_w, trajectory)]
     )
     columns = {
         "data": data[1:],
@@ -635,16 +627,18 @@ def _iterate(config, setup, reference):
         "exact_deviation": np.linalg.norm(data[1:] - reference.data[1:], axis=1),
     }
 
-    # The matcher's evolved density is the linearly pushed-forward posterior
-    # factored above, not its first-order truncation
-    # D^-1 - dt (D^-1 L + L^T D^-1), which can lose positive definiteness at
-    # steps the update matrix still accepts.  The branch taken is the same
-    # for any positive definite choice (it is decided by the response rank).
-    # The thermal prior has zero mean, so the prior pull vanishes.
+    # The matcher's evolved density is N(G m, G D G^T), precision
+    # G^-T D^-1 G^-1; a first-order truncation of it could lose positive
+    # definiteness.  The branch is the same for any positive definite
+    # choice (the response rank decides it), so the precision's norm enters
+    # as its bound ||G^-1||^2 / min w.  The prior pull vanishes: zero mean.
+    g_inv_w = kleingordon.apply_pairs(g_inv, classes, filters)
+    d_inv_g_inv_w = [matfun.spectral_inverse(w, q) @ x for (w, q), x in zip(spectrum, g_inv_w)]
+    linear_means = [p @ u[..., :-1] for p, u in zip(g_w, trajectory)]
     branch, _ = matching.branches(
         filters,
-        [matfun.spectral_inverse(w, v) @ f for (w, v), f in zip(linear_spectra, filters)],
-        1.0 / min(w.min() for w, _ in linear_spectra),
+        kleingordon.apply_pairs(np.swapaxes(g_inv, -1, -2), classes, d_inv_g_inv_w),
+        matfun.norm2(g_inv) ** 2 / min(w.min() for w, _ in spectrum),
         linear_means,
         [np.zeros(m.shape[:-1] + (1,)) for m in linear_means],
     )
@@ -660,20 +654,21 @@ def run_ifd(config):
     them.  The trajectory is the powers of M's class blocks applied to
     d(0), by doubling.  Afterwards, over all steps at once, the run
     computes the two relative entropies described in the module docstring
-    (a constant covariance term, factored once, plus a quadratic form of
-    the mean offset per step), the deviation from the exact reference, and
-    the branch the entropic matcher would take on each step (the closed
-    form is used for the update either way), each held as a column of the
-    result.  A covariance that fails the positive definiteness test is
-    refused with :class:`NotPositiveDefinite`.  A non-regular branch is
-    announced once per run at warning level, naming its first step: it
-    means the match Hessian is singular and the matched vector would be the
-    minimum-norm one, which for this data packing is the generic situation
-    since the conjugate-alias pair makes the lifted response rank
-    deficient.  If anything the result holds, or a linearly evolved mean,
-    overflowed to NaN or infinity, the run raises :class:`NonFiniteOutput`
-    naming the first such step.  The exact reference and its energy drift
-    cover every step time, or only t = 0 and T under scheme 'direct'.
+    (a constant covariance term from the spectrum of D, plus a quadratic
+    form of the mean offset per step), the deviation from the exact
+    reference, and the branch the entropic matcher would take on each step
+    (the closed form is used for the update either way), each held as a
+    column of the result.  A posterior information matrix that fails the
+    positive definiteness test is refused with :class:`NotPositiveDefinite`.
+    A non-regular branch is announced once per run at warning level, naming
+    its first step: it means the match Hessian is singular and the matched
+    vector would be the minimum-norm one, which for this data packing is the
+    generic situation since the conjugate-alias pair makes the lifted
+    response rank deficient.  If anything the result holds, or a linearly
+    evolved mean, overflowed to NaN or infinity, the run raises
+    :class:`NonFiniteOutput` naming the first such step.  The exact
+    reference and its energy drift cover every step time, or only t = 0 and
+    T under scheme 'direct'.
     """
     result = _run(config, _setup(config, direct=config.scheme != SCHEME_ITERATED))
     _warn_not_regular(result)

@@ -246,6 +246,13 @@ def test_model_refuses_booleans(field, flag):
         _model(**{field: flag})
 
 
+@pytest.mark.parametrize("field", ["mu", "beta", "sigma_n2"])
+@pytest.mark.parametrize("value", ["1.0", None, 1j])
+def test_model_refuses_scales_that_are_not_real_numbers(field, value):
+    with pytest.raises(InvalidInput, match="^mu, beta and sigma_n2 must be real numbers"):
+        _model(**{field: value})
+
+
 @pytest.mark.parametrize(
     "overrides",
     [

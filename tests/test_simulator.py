@@ -59,6 +59,17 @@ def test_config_dict_round_trip():
     assert again == config
 
 
+def test_report_of_a_model_built_from_numpy_scalars(tmp_path):
+    # KGModel stores its scales as Python floats; a float32 mass reached the
+    # report as float32, which json cannot write.
+    model = kleingordon.KGModel(4, 5, np.float32(1.0), np.int64(2), 0.01)
+    assert all(type(getattr(model, f)) is float for f in ("mu", "beta", "sigma_n2"))
+    config = simulator.RunConfig(model, 1.0, 4, 0, scheme=simulator.SCHEME_DIRECT)
+    path = tmp_path / "report.json"
+    simulator.write_report(simulator.run_ifd(config), path)
+    assert json.loads(path.read_text())["config"]["beta"] == 2.0
+
+
 def test_config_file_round_trip(tmp_path):
     config = _config(T=0.5, N=3)
     path = tmp_path / "run.json"
@@ -203,14 +214,26 @@ def test_per_step_arrays_of_signal_width_are_capped_at_load_time():
 
 
 @pytest.mark.parametrize(
-    "n_modes, pixels, total_time, resolution",
-    [(4, 5, 1.0, 14), (16, 31, 0.05, 13), (64, 127, 0.005, 11), (256, 511, 1e-4, 7)],
+    "n_modes, pixels, total_time, resolution, copies",
+    [
+        (4, 5, 1.0, 14, 1),
+        (16, 31, 0.05, 13, 1),
+        (64, 127, 0.005, 11, 1),
+        (256, 511, 1e-4, 7, 1),
+        (256, 5, 5e-5, 3, 5),
+    ],
+    ids=["4-5-1.0-14", "16-31-0.05-13", "64-127-0.005-11", "256-511-0.0001-7", "256-5-5e-05-3"],
 )
-def test_run_holds_at_most_per_step_arrays_at_once(n_modes, pixels, total_time, resolution):
+def test_run_holds_at_most_per_step_arrays_at_once(
+    n_modes, pixels, total_time, resolution, copies
+):
     # RunConfig bounds PER_STEP_ARRAYS per-step arrays together, so a run
-    # must not hold more: its traced peak stays within them, one copy of its
-    # class blocks and 1 MB.  These are the shapes RunConfig's bound quotes;
-    # all have small class blocks.
+    # must not hold more: its traced peak stays within them, ``copies``
+    # copies of its class blocks and 1 MB.  The first four are the shapes
+    # RunConfig's bound quotes; all have small class blocks.  (256, 5)
+    # aliases its modes onto two classes of 408 signal indices, so its class
+    # blocks dominate; a run that forms no evolved covariance A D A^T or
+    # (1 + dt L) D (1 + dt L)^T peaks at about 4 copies of them.
     config = _config(n_modes=n_modes, Y=pixels, T=total_time, N=resolution, scheme="both")
     model = config.model
     per_step = 8 * (config.steps + 1) * max(model.data_dim, model.signal_dim)
@@ -221,7 +244,7 @@ def test_run_holds_at_most_per_step_arrays_at_once(n_modes, pixels, total_time, 
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= simulator.PER_STEP_ARRAYS * per_step + blocks + (1 << 20)
+    assert peak <= simulator.PER_STEP_ARRAYS * per_step + copies * blocks + (1 << 20)
 
 
 def test_initial_data_file_loading(tmp_path):
@@ -548,7 +571,11 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
     # solve sees is the data part of the class of the duplicated conjugate
     # pair: coefficients (Y-1)/2 and (Y+1)/2, real and imaginary, phi and
     # chi, 8 in all.  No 2-norm may take an SVD.  The matcher branches of
-    # all steps come from one matching.branches call, with no match().
+    # all steps come from one matching.branches call, with no match().  The
+    # posterior's spectrum is the one factorization of a covariance: at
+    # (16, 31) the posterior, the two KL covariance terms and the match
+    # Hessian take two eigh or eigvalsh stacks wider than 2 x 2 each, and the
+    # filter's 2-norm two more: no evolved covariance is factored.
     counts = Counter()
     sizes = []
     # np.linalg.norm(x, 2) calls svd by name in the module that defines it.
@@ -561,6 +588,8 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
             counts[name] += 1
             if name in ("eigh", "eigvalsh", "solve"):
                 sizes.append(np.shape(args[0])[-1])
+            if name in ("eigh", "eigvalsh") and np.shape(args[0])[-1] > 2:
+                counts["wide eigh"] += 1
             return original(*args, **kwargs)
 
         # By-name imports inside the package are counted too.
@@ -602,6 +631,8 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
         assert counts["__init__"] == 0
         assert counts["branches"] == 1
         assert counts["match"] == 0
+        if n_modes == 16:
+            assert counts["wide eigh"] <= 10
 
 
 def test_runs_and_sweeps_build_no_dense_response(monkeypatch, caplog):
@@ -749,6 +780,23 @@ def test_per_step_entropy_decays_faster_than_linearly():
     evolution_ratio = coarse.kl_evolution[0] / fine.kl_evolution[0]
     assert step_ratio > 8.0
     assert evolution_ratio > step_ratio
+
+
+@pytest.mark.parametrize(
+    "resolution, expected, rtol",
+    [(12, 1.0165652297893865e-11, 1e-10), (16, 1.5513001198738316e-16, 1e-8)],
+)
+def test_kl_evolution_matches_high_precision_values(resolution, expected, rtol):
+    # kl_evolution is an O(dt^4) relative entropy between two posteriors
+    # whose covariances and means differ by O(dt^2).  The
+    # expected values are the first-step entropy evaluated in 60-digit
+    # mpmath arithmetic from the run's float64 d(0): the dense response,
+    # prior, posterior, A(dt) and 1 + dt L in closed form, then
+    # 1/2 [tr(S_q^-1 S_p) - n - log det(S_q^-1 S_p) + dm^T S_q^-1 dm].
+    # Subtracting formed evolved covariances loses digits: that form is off
+    # by 3.1e-10 and 8.4e-8 here, outside these tolerances.
+    config = _config(T=1.0, N=resolution, seed=0, scheme="iterated")
+    assert_allclose(simulator.run_ifd(config).kl_evolution[0], expected, rtol=rtol)
 
 
 def test_deviation_floor_decreases_with_resolution():
