@@ -9,12 +9,16 @@ with covariance D = (Phi^-1 + R^T N^-1 R)^-1 and mean psi + W (d - R psi),
 where W is the generalized Wiener filter.  The filter has two algebraically
 equal representations, one inverting in signal space and one in data space;
 both are kept because their conditioning differs and their agreement is a
-useful internal consistency check.  D, its spectrum and W = D R^T N^-1
-are derived in one place, :func:`posterior_blocks`, for one matrix or for
-stacks of blocks (a run's Fourier classes); a dense setup reaches it
-through :func:`posterior_operators`.  :func:`kl_covariance_blocks` and
-:func:`quadratic_form_blocks` are likewise the one KL covariance term, from
-whitened covariance excesses, and the one quadratic form delta^T Sigma^-1 delta.
+useful internal consistency check.
+
+This is the dense library: densities, measurements and updates as whole
+matrices, for one model at a time, as demos 01 and 02 use them.  A
+simulation run imports none of it.  The quantities both need are computed
+in one place, :mod:`infodyn.matfun`: D's spectrum and W = D R^T N^-1
+(:func:`infodyn.matfun.posterior_blocks`, which :func:`posterior_operators`
+calls on its one block), the KL covariance term from whitened covariance
+excesses (:func:`infodyn.matfun.kl_covariance_blocks`) and the quadratic
+form delta^T Sigma^-1 delta (:func:`infodyn.matfun.quadratic_form_blocks`).
 
 All covariance manipulation goes through the spectral helpers in
 :mod:`infodyn.matfun`, so positive definiteness failures surface as
@@ -25,7 +29,7 @@ import numpy as np
 
 from . import matfun
 from ._frozen import Frozen
-from .errors import InvalidInput, NonFiniteOutput
+from .errors import InvalidInput
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -81,7 +85,9 @@ class GaussianDensity(Frozen):
         """delta^T Sigma^-1 delta for one vector (n,) or each row of a batch (..., n)."""
         delta = np.asarray(delta, dtype=float)
         columns = delta.reshape(-1, self.dim).T
-        return quadratic_form_blocks([self._spectrum], [columns]).reshape(delta.shape[:-1])[()]
+        return matfun.quadratic_form_blocks([self._spectrum], [columns]).reshape(
+            delta.shape[:-1]
+        )[()]
 
     def log_density(self, x):
         """Log density at ``x``; accepts a single point (n,) or a batch (..., n)."""
@@ -164,29 +170,6 @@ def wiener_filter(prior, measurement, representation="signal_space"):
     raise InvalidInput(f"unknown representation {representation!r}")
 
 
-def posterior_blocks(info, rt_n_inv):
-    """D = (Phi^-1 + R^T N^-1 R)^-1, its spectrum and W = D R^T N^-1, from D^-1 and R^T N^-1.
-
-    ``info`` lists the symmetric information matrix D^-1, as one (n, n)
-    matrix or as (k, n, n) stacks of the blocks of a block-diagonal one, and
-    ``rt_n_inv`` lists R^T N^-1 in the same blocks.  Returns three lists in
-    those blocks: D, its (eigenvalues, eigenvectors) and W.  One positive
-    definiteness test covers all blocks; D has the reciprocal eigenvalues,
-    so it passes too.  A non-finite block, from an overflowed prior
-    precision, raises :class:`NonFiniteOutput`.
-    """
-    if not all(np.isfinite(block).all() for block in info):
-        raise NonFiniteOutput(
-            "the posterior information matrix is not finite; the prior "
-            "precision has overflowed"
-        )
-    spectra = [np.linalg.eigh(block) for block in info]
-    matfun.require_pd([w for w, _ in spectra], "posterior information matrix")
-    cov = [matfun.spectral_inverse(w, q) for w, q in spectra]
-    spectrum = [(1.0 / w, q) for w, q in spectra]
-    return cov, spectrum, [d @ f for d, f in zip(cov, rt_n_inv)]
-
-
 def posterior(prior, measurement, data):
     """Gaussian posterior N(m, D) for observed data, through :func:`posterior_operators`.
 
@@ -203,13 +186,13 @@ def posterior(prior, measurement, data):
 
 
 def posterior_operators(prior, measurement):
-    """D, W and the prior pull D Phi^-1 psi of a dense setup, through :func:`posterior_blocks`."""
+    """D, W and the prior pull D Phi^-1 psi of a dense setup, through :func:`infodyn.matfun.posterior_blocks`."""
     _check_compatible(prior, measurement)
     r = measurement.response
     rt_n_inv = r.T @ measurement.inv_noise_cov()
     phi_inv = prior.inv_cov()
     info = matfun.symmetrize(phi_inv + rt_n_inv @ r)
-    (cov,), _, (w,) = posterior_blocks([info], [rt_n_inv])
+    (cov,), _, (w,) = matfun.posterior_blocks([info], [rt_n_inv])
     return cov, w, cov @ (phi_inv @ prior.mean)
 
 
@@ -236,35 +219,7 @@ def kl_covariance_term(p, q):
     if p.dim != q.dim:
         raise InvalidInput(f"dimension mismatch: {p.dim} vs {q.dim}")
     whiten = q._spectrum[1] / np.sqrt(q._spectrum[0])
-    return kl_covariance_blocks([whiten.T @ (p.cov - q.cov) @ whiten])
-
-
-def kl_covariance_blocks(excesses):
-    """:func:`kl_covariance_term` from whitened covariance excesses, summed over blocks.
-
-    ``excesses`` iterates over (n, n) matrices or (k, n, n) stacks
-    C^-1 (Sigma_p - Sigma_q) C^-T, any C C^T = Sigma_q: for
-    Sigma_p = P Sigma_q P^T, E + E^T + E E^T with E = C^-1 (P - 1) C.  Over
-    the diagonal blocks of block-diagonal covariances it sums to the whole term.
-    """
-    total = 0.0
-    for excess in excesses:
-        x = np.linalg.eigvalsh(matfun.symmetric_part(excess))
-        total += 0.5 * float(np.sum(x - np.log1p(x)))
-    return total
-
-
-def quadratic_form_blocks(spectra, deltas):
-    """delta^T Sigma^-1 delta = ||diag(w^-1/2) Q^T delta||^2 of each column, summed over blocks.
-
-    ``spectra`` holds the (w, Q) of the diagonal blocks of Sigma, (n,) and
-    (n, n) or (k, n) and (k, n, n), and ``deltas`` the same blocks of the
-    columns, (n, m) or (k, n, m).
-    """
-    return sum(
-        np.sum((np.swapaxes(v, -1, -2) @ d) ** 2 / w[..., None], axis=tuple(range(d.ndim - 1)))
-        for (w, v), d in zip(spectra, deltas)
-    )
+    return matfun.kl_covariance_blocks([whiten.T @ (p.cov - q.cov) @ whiten])
 
 
 def kl_divergence(p, q):

@@ -9,8 +9,8 @@ chi = d_t phi and Fourier modes |k| < n the state is the real vector
 of dimension 4n - 2 (mode 0 of a real field is real).  Per mode the equation
 decouples into the oscillator  d_t (phi_k, chi_k) = ((0, 1), (-w_k^2, 0))
 with w_k = sqrt(k^2 + mu^2), which is solved exactly by the rotation-like
-2x2 block of :func:`exact_step`; this is the oracle every approximate update
-is measured against.
+2x2 block of :func:`exact_step_pairs`; this is the oracle every approximate
+update is measured against.
 
 Data are Y pixel averages (Y odd, > 1) of phi and of chi, stored as Fourier
 coefficients k = 0..(Y+1)/2 of the pixel sequence, again packed real:
@@ -29,13 +29,12 @@ over Fourier classes, and :func:`fourier_classes` reads that partition off
 the packing in closed form, once per model: the one place in the package
 that decides the blocks.  A run takes the prior as its variances
 (:func:`prior_variances`), the noise as sigma_n2, the response as its
-class blocks (:func:`response_blocks`, from the closed form that
-:func:`build_response` evaluates densely), and L and A(dt), which couple
-each phi component only with its chi partner, as their 2x2 pair blocks
+class blocks (:func:`response_blocks`, from the closed form per entry of
+:func:`_response_entries`), and L and A(dt), which couple each phi component
+only with its chi partner, as their 2x2 pair blocks
 (:func:`generator_pairs`, :func:`exact_step_pairs`), which
-:func:`apply_pairs` applies to class stacks.  The dense :func:`build_response`,
-:func:`lift_response`, :func:`build_generator`, :func:`exact_step`,
-:func:`prior_density` and :func:`measurement` serve library use and tests.
+:func:`apply_pairs` applies to class stacks.  No dense matrix of the model
+is built here; the tests build them from these closed forms as oracles.
 """
 
 import math
@@ -50,7 +49,6 @@ from .errors import (
     InvalidInput,
     UnsupportedPixelCount,
 )
-from .gaussian import GaussianDensity, LinearMeasurement
 
 PART_PHI = "phi"
 PART_CHI = "chi"
@@ -189,9 +187,9 @@ def _part_prior_diag(model, part):
 
 
 def prior_variances(model):
-    """Variances of the thermal prior, the diagonal of :func:`build_prior_cov`.
+    """Variances of the thermal prior, which is diagonal in the real packing.
 
-    Zero mode variances are 2 pi/(beta mu^2) for phi and 2 pi/beta for chi;
+    The phi and chi parts are uncorrelated.  Zero mode variances are 2 pi/(beta mu^2) for phi and 2 pi/beta for chi;
     every k > 0 real component has variance (pi/beta)/w_k^2 respectively
     pi/beta.  They are the prior's eigenvalues, so the positive definiteness
     test :func:`infodyn.matfun.require_pd` runs on them and refuses, with
@@ -205,20 +203,19 @@ def prior_variances(model):
     return var
 
 
-def build_prior_cov(model):
-    """Thermal prior covariance, diagonal in the real packing (:func:`prior_variances`).
-
-    The phi and chi blocks are uncorrelated.
-    """
-    return np.diag(prior_variances(model))
-
-
 def _response_entries(model, data, signal):
-    """Entries of :func:`build_response` at broadcastable arrays of packed indices.
+    """Pixel-average response of one field part at broadcastable arrays of packed indices.
 
     Index 0 is coefficient or mode 0, and 2k - 1 and 2k the real and
-    imaginary parts of coefficient or mode k.  Each entry is computed alone,
-    so it is the same bits whichever indices are asked for.
+    imaginary parts of coefficient or mode k.  Data coefficient k receives
+    mode l when l is congruent to +-k modulo Y; the 2x2 blocks are the
+    half-pixel phase rotation [[c, s], [-s, c]] (k = l mod Y) or
+    [[c, s], [s, -c]] (k = -l mod Y), with c, s = cos, sin(l Delta / 2),
+    scaled by sinc(l Delta / 2).  Entry (0, 0) is exactly 1; the rest of
+    coefficient 0 and mode 0 vanish (modes l = Y, 2Y, ... would land in
+    coefficient 0, but there sinc(l Delta / 2) = sinc(pi l / Y) = 0).  Each
+    entry is computed alone, so it is the same bits whichever indices are
+    asked for.
     """
     y = model.pixels
     l = np.arange(1, model.n_modes)
@@ -238,27 +235,12 @@ def _response_entries(model, data, signal):
     return np.where((coefficient == 0) & (mode == 0), 1.0, entries)
 
 
-def build_response(model):
-    """Pixel-average response of one field part in the packed Fourier bases.
-
-    Shape (Y + 2, 2n - 1).  Row block k receives mode l when l is congruent
-    to +-k modulo Y; the 2x2 blocks are the half-pixel phase rotation
-    [[c, s], [-s, c]] (k = l mod Y) or [[c, s], [s, -c]] (k = -l mod Y),
-    with c, s = cos, sin(l Delta / 2), scaled by sinc(l Delta / 2).  Entry
-    (0, 0) is exactly 1; the rest of the first row and column vanish (modes
-    l = Y, 2Y, ... would land in row 0, but there
-    sinc(l Delta / 2) = sinc(pi l / Y) = 0).
-    """
-    return _response_entries(
-        model, np.arange(model.data_part_dim)[:, None], np.arange(model.part_dim)[None, :]
-    )
-
-
 def response_blocks(model, classes):
     """Class blocks of the two-part response, a (k, b, a) stack per group of :func:`fourier_classes`.
 
-    Bit for bit the gathers from :func:`lift_response` of
-    :func:`build_response`, with no dense matrix built.
+    The response acts on the phi and the chi part alike, so each block
+    holds the :func:`_response_entries` of its class twice, on the
+    diagonal; no dense matrix is built.
     """
     blocks = []
     for sig, dat in classes:
@@ -274,7 +256,7 @@ def fourier_classes(model):
     """Signal and data indices of each Fourier class, grouped by block shape.
 
     The prior is diagonal, the noise is white, the generator couples phi_l
-    only with chi_l, and :func:`build_response` maps mode l only to the
+    only with chi_l, and the response maps mode l only to the
     data coefficients k = +-l (mod Y).  So every matrix a run builds from
     them is block diagonal over these classes, read off the packing:
 
@@ -345,16 +327,6 @@ def class_block_entries(model):
     return 4 + 8 * q + middle + last
 
 
-def lift_response(response):
-    """Block diagonal lift acting on (phi part, chi part) jointly."""
-    r = np.asarray(response, dtype=float)
-    rows, cols = r.shape
-    out = np.zeros((2 * rows, 2 * cols))
-    out[:rows, :cols] = r
-    out[rows:, cols:] = r
-    return out
-
-
 def apply_pairs(pairs, classes, blocks):
     """P_c X_c per class group, for a P that couples each phi component only with its chi partner.
 
@@ -375,11 +347,6 @@ def apply_pairs(pairs, classes, blocks):
     return out
 
 
-def _dense(pairs):
-    """The dense matrix whose pair blocks are ``pairs``."""
-    return np.block([[np.diag(pairs[:, row, col]) for col in (0, 1)] for row in (0, 1)])
-
-
 def generator_pairs(model):
     """Evolution generator L on each packed pair (phi_i, chi_i): [[0, 1], [-w_i^2, 0]]."""
     p = model.part_dim
@@ -394,18 +361,19 @@ def generator_pairs(model):
     return pairs
 
 
-def build_generator(model):
-    """Evolution generator L in the packed basis: d_t phi = chi, d_t chi = -w^2 phi."""
-    return _dense(generator_pairs(model))
-
-
 def _component_omegas(model):
     """w_k for each packed component of one field part: w_0, w_1, w_1, w_2, w_2, ..."""
     return model.omega(np.repeat(np.arange(model.n_modes), 2)[1:])
 
 
 def exact_step_pairs(model, dt):
-    """Exact evolution A(dt) on each packed pair (phi_i, chi_i), as in :func:`exact_step`."""
+    """Exact evolution A(dt) on each packed pair (phi_i, chi_i).
+
+    Per mode the (phi, chi) pair advances by
+    ((cos w dt, sin(w dt)/w), (-w sin w dt, cos w dt)); the map has unit
+    determinant, satisfies the group law A(s) A(t) = A(s + t) and conserves
+    :func:`field_energy`.
+    """
     dt = float(dt)
     if not np.isfinite(dt):
         raise InvalidInput(f"dt must be finite, got {dt!r}")
@@ -421,23 +389,12 @@ def exact_step_offset_pairs(model, dt):
     return pairs
 
 
-def exact_step(model, dt):
-    """Exact evolution matrix A(dt) of the packed field.
-
-    Per mode the (phi, chi) pair advances by
-    ((cos w dt, sin(w dt)/w), (-w sin w dt, cos w dt)); the map has unit
-    determinant, satisfies the group law A(s) A(t) = A(s + t) and conserves
-    :func:`field_energy`.
-    """
-    return _dense(exact_step_pairs(model, dt))
-
-
 def exact_evolve(model, packed, times):
     """States A(t) x for every t in ``times``, shape (len(times), 4n - 2).
 
-    Applies the per-mode rotation of :func:`exact_step` in closed form at
-    each time, so a trajectory costs no matrix products and accumulates no
-    round-off from repeated steps.
+    Applies the per-mode rotation of :func:`exact_step_pairs` in closed
+    form at each time, so a trajectory costs no matrix products and
+    accumulates no round-off from repeated steps.
     """
     x = np.asarray(packed, dtype=float)
     if x.shape != (model.signal_dim,):
@@ -456,7 +413,7 @@ def exact_evolve(model, packed, times):
 
 
 def field_energy(model, packed):
-    """Energy of a packed state, or of each row of a batch; conserved by :func:`exact_step`.
+    """Energy of a packed state, or of each row of a batch; conserved by the exact evolution.
 
     H = (|chi_0|^2 + mu^2 |phi_0|^2)/(4 pi)
         + sum_{k>0} (|chi_k|^2 + w_k^2 |phi_k|^2)/(2 pi).
@@ -550,10 +507,15 @@ def update_generator_blocks(model, classes, response, variances):
 
         M'_c = (1 + sigma^2 G_c) ((R_c L_c) Phi_c) R_c^T H_c,
 
-    with G and H as in :func:`update_generator`.  The chain keeps the dense
-    matrix's association, so the blocks are those of the dense chain to
-    round-off in the order of summation.  Returns a (k, b, b) stack for
-    each group of k classes with b data indices each.
+    with G the reciprocal of the closed-form Gram diagonal
+    (:func:`rphi_rt_diag`) and H the reciprocal of (Gram diagonal + sigma^2):
+    only diagonal reciprocals appear.  One step of length dt updates the
+    data by M = 1 + dt M', and the continuous-limit endpoint is
+    exp(T M') d(0).  The chain keeps the association of the dense
+    M' = (1 + sigma^2 G) R2 L Phi R2^T H, R2 the two-part response lift, so
+    the blocks are those of the dense chain to round-off in the order of
+    summation.  Returns a (k, b, b) stack for each group of k classes with b
+    data indices each.
     """
     s2 = model.sigma_n2
     diag = np.concatenate(
@@ -569,39 +531,3 @@ def update_generator_blocks(model, classes, response, variances):
         scaled = sandwich / (gram + s2)[:, None, :]  # right-multiply by H
         blocks.append(scaled + (s2 / gram)[:, :, None] * scaled)  # left (1 + s^2 G)
     return blocks
-
-
-def update_generator(model):
-    """Generator M' of the data update, assembled from closed-form inverses.
-
-    M' = (1 + sigma^2 G) R2 L Phi R2^T H with G the reciprocal of the
-    closed-form Gram diagonal, H the reciprocal of (Gram diagonal + sigma^2)
-    and R2 the two-part response lift.  Only diagonal reciprocals appear;
-    the dense factors enter through matrix products.  One step of length dt
-    updates the data by M = 1 + dt M', and the continuous-limit endpoint is
-    exp(T M') d(0).  M' couples only the data indices of one Fourier class,
-    so the dense matrix is assembled from :func:`update_generator_blocks`.
-    """
-    classes = fourier_classes(model)
-    blocks = update_generator_blocks(
-        model, classes, response_blocks(model, classes), prior_variances(model)
-    )
-    m_prime = np.zeros((model.data_dim, model.data_dim))
-    for (_, dat), block in zip(classes, blocks):
-        m_prime[dat[:, :, None], dat[:, None, :]] = block
-    return m_prime
-
-
-def prior_density(model):
-    """Zero-mean thermal prior as a GaussianDensity."""
-    return GaussianDensity(
-        mean=np.zeros(model.signal_dim), cov=build_prior_cov(model)
-    )
-
-
-def measurement(model):
-    """Both-part pixel-average measurement with white noise sigma_n2."""
-    r2 = lift_response(build_response(model))
-    return LinearMeasurement(
-        response=r2, noise_cov=model.sigma_n2 * np.eye(model.data_dim)
-    )

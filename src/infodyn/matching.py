@@ -22,11 +22,12 @@ Three branches cover the geometry of H:
     H singular with nonvanishing linear term; the minimizer set is an affine
     subspace and the returned u' is its unique norm-minimal element.
 
-:func:`branches` is the one place that decides the branch, from one ``eigh``
-of H and the norm of the linear term, on lists of block stacks with one label
-per column of evolved means.  :func:`match` calls it on its one dense block
-and applies the pseudo-inverse of H from that one factorization; a simulation
-run calls it on its Fourier-class blocks, one column per step.
+:func:`infodyn.matfun.branches` is the one place that decides the branch,
+from one ``eigh`` of H and the norm of the linear term, on lists of block
+stacks with one label per column of evolved means.  :func:`match` calls it
+on its one dense block and applies the pseudo-inverse of H from that one
+factorization; a simulation run calls it on its Fourier-class blocks, one
+column per step, and imports nothing of this dense library.
 """
 
 from typing import NamedTuple
@@ -37,15 +38,8 @@ from . import matfun
 from ._frozen import Frozen
 from .errors import InvalidInput
 from .gaussian import GaussianDensity, kl_divergence, posterior_operators
-
-# Relative threshold below which a Hessian eigenvalue or a linear term
-# counts as zero.  Shared by _nonzero() and branches(), and by
-# nullspace_projector(), an independent check the package never calls.
-SINGULAR_RTOL = 1e-10
-
-BRANCH_REGULAR = "regular"
-BRANCH_ZERO = "zero"
-BRANCH_PROJECTED = "projected"
+# The labels of MatchResult.branch, public here as well, and the zero cut.
+from .matfun import BRANCH_PROJECTED, BRANCH_REGULAR, BRANCH_ZERO, SINGULAR_RTOL
 
 
 class MatchProblem(Frozen):
@@ -56,8 +50,8 @@ class MatchProblem(Frozen):
     filter W' and the prior pull D' Phi'^-1 psi'
     (:func:`gaussian.posterior_operators`).
     The factors of D*^-1 give ||D*^-1||_2 and :meth:`evolved_density`.  A
-    simulation run builds no problem: it calls :func:`branches` on its
-    class blocks.
+    simulation run builds no problem: it calls
+    :func:`infodyn.matfun.branches` on its class blocks.
     """
 
     _fields = ("evolved_mean", "evolved_inv_cov", "new_prior", "new_meas")
@@ -140,17 +134,6 @@ def objective(problem, u):
     return kl_divergence(new_density, problem.evolved_density())
 
 
-def objective_gradient(problem, u):
-    """Analytic gradient H u + W'^T D*^-1 (D' Phi'^-1 psi' - m*) of :func:`objective` in u."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (problem.data_dim,):
-        raise InvalidInput(
-            f"data vector has shape {u.shape}, expected ({problem.data_dim},)"
-        )
-    offset = problem.evolved_inv_cov @ (problem._prior_pull - problem.evolved_mean)
-    return problem.hessian() @ u + problem._w.T @ offset
-
-
 def nullspace_projector(matrix, rel_tol=SINGULAR_RTOL):
     """Orthonormal basis of the non-null eigendirections of a symmetric matrix.
 
@@ -170,51 +153,12 @@ def nullspace_projector(matrix, rel_tol=SINGULAR_RTOL):
     return p, int(np.count_nonzero(keep))
 
 
-def _nonzero(eigenvalues):
-    """Mask of the eigenvalues above ``SINGULAR_RTOL`` times the largest, floored at 0."""
-    return eigenvalues > SINGULAR_RTOL * max(eigenvalues.max(), 0.0)
-
-
-def branches(filters, pulled, inv_cov_norm, means, pulls):
-    """The branch :func:`match` takes for each column of evolved means m*, and H's spectra.
-
-    The lists hold (k, n, y) stacks of diagonal blocks: ``filters`` of W',
-    ``pulled`` of D*^-1 W', ``means`` of m* (columns) and ``pulls`` of the prior
-    pull D' Phi'^-1 psi' (one column); ``inv_cov_norm`` is ||D*^-1||_2 or a
-    bound on it.  H = W'^T D*^-1 W' is regular when every eigenvalue over the
-    blocks exceeds ``SINGULAR_RTOL`` times the largest.  If not, a column is
-    ``zero`` when its linear term W'^T D*^-1 (D' Phi'^-1 psi' - m*) is at most
-    ``SINGULAR_RTOL`` times its bound, or 1 if larger, the bound
-    ||W'||_2 ||D*^-1||_2 (||D' Phi'^-1 psi'|| + ||m*||), and ``projected`` otherwise.
-    The spectra are the (w, q) of ``eigh`` on each stack of H.
-    """
-    spectra = [
-        np.linalg.eigh(matfun.symmetric_part(np.swapaxes(f, -1, -2) @ p))
-        for f, p in zip(filters, pulled)
-    ]
-    if _nonzero(np.concatenate([w.ravel() for w, _ in spectra])).all():
-        return (BRANCH_REGULAR,) * means[0].shape[-1], spectra
-    # Squared norms of each column, summed over the blocks.
-    term = sum(
-        np.sum((np.swapaxes(p, -1, -2) @ (m - c)) ** 2, axis=(0, 1))
-        for p, m, c in zip(pulled, means, pulls)
-    )
-    mean = sum(np.sum(m**2, axis=(0, 1)) for m in means)
-    pull = sum(np.sum(c**2) for c in pulls)
-    scale = (
-        max(matfun.norm2(f) for f in filters)
-        * inv_cov_norm
-        * (np.sqrt(pull) + np.sqrt(mean))
-    )
-    flat = np.sqrt(term) <= SINGULAR_RTOL * np.maximum(scale, 1.0)
-    return tuple(BRANCH_ZERO if f else BRANCH_PROJECTED for f in flat), spectra
-
-
 def match(problem):
     """Minimize the matching objective in closed form.
 
     u' = H^+ W'^T D*^-1 (m* - D' Phi'^-1 psi'), with H^+ over the eigenpairs
-    of :func:`branches` that pass the zero cut: on the regular branch, all.
+    of :func:`infodyn.matfun.branches` that pass the zero cut: on the regular
+    branch, all.
 
     Returns
     -------
@@ -224,7 +168,7 @@ def match(problem):
         applied: ``regular``, ``zero`` or ``projected``.
     """
     pulled = problem.evolved_inv_cov @ problem._w
-    (branch,), ((w, q),) = branches(
+    (branch,), ((w, q),) = matfun.branches(
         [problem._w[None]],
         [pulled[None]],
         problem._inv_cov_spectrum[0][-1],
@@ -235,7 +179,7 @@ def match(problem):
         # Objective is constant in the flat directions and the linear term
         # vanishes: the norm-minimal minimizer is the origin.
         return MatchResult(data=np.zeros(problem.data_dim), branch=BRANCH_ZERO)
-    keep = _nonzero(w[0])
+    keep = matfun.nonzero(w[0])
     basis = q[0][:, keep]
     rhs = basis.T @ (pulled.T @ (problem.evolved_mean - problem._prior_pull))
     return MatchResult(data=basis @ (rhs / w[0, keep]), branch=branch)

@@ -23,11 +23,20 @@ rejected.
 
 import numpy as np
 
-from .errors import InvalidInput, NotPositiveDefinite
+from .errors import InvalidInput, NonFiniteOutput, NotPositiveDefinite
 
 # Relative eigenvalue floor separating "positive definite" from "numerically
 # singular": smallest eigenvalue must exceed PD_RTOL times the largest.
 PD_RTOL = 1e-12
+
+# Relative threshold below which a match Hessian eigenvalue or a linear term
+# counts as zero: :func:`nonzero` and :func:`branches`, and the independent
+# check :func:`infodyn.matching.nullspace_projector`.
+SINGULAR_RTOL = 1e-10
+
+BRANCH_REGULAR = "regular"
+BRANCH_ZERO = "zero"
+BRANCH_PROJECTED = "projected"
 
 # Pade [13/13] coefficients b_0..b_13 of exp and the 1-norm up to which that
 # approximant is accurate to double precision (Higham 2005).
@@ -186,3 +195,93 @@ def expm_general(matrix):
         more = squarings > step
         r[more] = r[more] @ r[more]
     return r[0] if m.ndim == 2 else r
+
+
+def posterior_blocks(info, rt_n_inv):
+    """D = (Phi^-1 + R^T N^-1 R)^-1, its spectrum and W = D R^T N^-1, from D^-1 and R^T N^-1.
+
+    ``info`` lists the symmetric information matrix D^-1, as one (n, n)
+    matrix or as (k, n, n) stacks of the blocks of a block-diagonal one, and
+    ``rt_n_inv`` lists R^T N^-1 in the same blocks.  Returns three lists in
+    those blocks: D, its (eigenvalues, eigenvectors) and W.  One positive
+    definiteness test covers all blocks; D has the reciprocal eigenvalues,
+    so it passes too.  A non-finite block, from an overflowed prior
+    precision, raises :class:`NonFiniteOutput`.
+    """
+    if not all(np.isfinite(block).all() for block in info):
+        raise NonFiniteOutput(
+            "the posterior information matrix is not finite; the prior "
+            "precision has overflowed"
+        )
+    spectra = [np.linalg.eigh(block) for block in info]
+    require_pd([w for w, _ in spectra], "posterior information matrix")
+    cov = [spectral_inverse(w, q) for w, q in spectra]
+    spectrum = [(1.0 / w, q) for w, q in spectra]
+    return cov, spectrum, [d @ f for d, f in zip(cov, rt_n_inv)]
+
+
+def kl_covariance_blocks(excesses):
+    """Mean-independent part of a Gaussian relative entropy, from whitened covariance excesses.
+
+    ``excesses`` iterates over (n, n) matrices or (k, n, n) stacks
+    C^-1 (Sigma_p - Sigma_q) C^-T, any C C^T = Sigma_q: for
+    Sigma_p = P Sigma_q P^T, E + E^T + E E^T with E = C^-1 (P - 1) C.  The
+    term is 1/2 sum_j (x_j - log(1 + x_j)) over their eigenvalues x_j, each
+    summand nonnegative in floating point; over the diagonal blocks of
+    block-diagonal covariances it sums to the whole term.
+    """
+    total = 0.0
+    for excess in excesses:
+        x = np.linalg.eigvalsh(symmetric_part(excess))
+        total += 0.5 * float(np.sum(x - np.log1p(x)))
+    return total
+
+
+def quadratic_form_blocks(spectra, deltas):
+    """delta^T Sigma^-1 delta = ||diag(w^-1/2) Q^T delta||^2 of each column, summed over blocks.
+
+    ``spectra`` holds the (w, Q) of the diagonal blocks of Sigma, (n,) and
+    (n, n) or (k, n) and (k, n, n), and ``deltas`` the same blocks of the
+    columns, (n, m) or (k, n, m).
+    """
+    return sum(
+        np.sum((np.swapaxes(v, -1, -2) @ d) ** 2 / w[..., None], axis=tuple(range(d.ndim - 1)))
+        for (w, v), d in zip(spectra, deltas)
+    )
+
+
+def nonzero(eigenvalues):
+    """Mask of the eigenvalues above ``SINGULAR_RTOL`` times the largest, floored at 0."""
+    return eigenvalues > SINGULAR_RTOL * max(eigenvalues.max(), 0.0)
+
+
+def branches(filters, pulled, inv_cov_norm, means, pulls):
+    """The entropic matcher's branch for each column of evolved means m*, and its Hessian's spectra.
+
+    The lists hold (k, n, y) stacks of diagonal blocks: ``filters`` of W',
+    ``pulled`` of D*^-1 W', ``means`` of m* (columns) and ``pulls`` of the prior
+    pull D' Phi'^-1 psi' (one column); ``inv_cov_norm`` is ||D*^-1||_2 or a
+    bound on it.  H = W'^T D*^-1 W' is ``BRANCH_REGULAR`` when every eigenvalue
+    over the blocks exceeds ``SINGULAR_RTOL`` times the largest.  If not, a
+    column is ``BRANCH_ZERO`` when its linear term W'^T D*^-1 (D' Phi'^-1 psi' - m*)
+    is at most ``SINGULAR_RTOL`` times its bound, or 1 if larger, the bound
+    ||W'||_2 ||D*^-1||_2 (||D' Phi'^-1 psi'|| + ||m*||), and ``BRANCH_PROJECTED``
+    otherwise.  The spectra are the (w, q) of ``eigh`` on each stack of H.
+    :func:`infodyn.matching.match` documents the three branches.
+    """
+    spectra = [
+        np.linalg.eigh(symmetric_part(np.swapaxes(f, -1, -2) @ p))
+        for f, p in zip(filters, pulled)
+    ]
+    if nonzero(np.concatenate([w.ravel() for w, _ in spectra])).all():
+        return (BRANCH_REGULAR,) * means[0].shape[-1], spectra
+    # Squared norms of each column, summed over the blocks.
+    term = sum(
+        np.sum((np.swapaxes(p, -1, -2) @ (m - c)) ** 2, axis=(0, 1))
+        for p, m, c in zip(pulled, means, pulls)
+    )
+    mean = sum(np.sum(m**2, axis=(0, 1)) for m in means)
+    pull = sum(np.sum(c**2) for c in pulls)
+    scale = max(norm2(f) for f in filters) * inv_cov_norm * (np.sqrt(pull) + np.sqrt(mean))
+    flat = np.sqrt(term) <= SINGULAR_RTOL * np.maximum(scale, 1.0)
+    return tuple(BRANCH_ZERO if f else BRANCH_PROJECTED for f in flat), spectra

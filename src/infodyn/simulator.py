@@ -26,17 +26,19 @@ exact step, M' or M.  The response enters as its class blocks R_c
 (:func:`kleingordon.response_blocks`), the prior as its variances, the
 noise as sigma_n2, and A(dt) and 1 + dt L as their 2x2 blocks on each
 (phi, chi) pair, applied by :func:`kleingordon.apply_pairs`.  D's
-spectrum and W = D R^T N^-1 come from :func:`gaussian.posterior_blocks`,
+spectrum and W = D R^T N^-1 come from :func:`matfun.posterior_blocks`,
 M' from :func:`kleingordon.update_generator_blocks` (bit for bit the
 dense chain R2 L Phi R2^T) and the matcher branch of every step from
-:func:`matching.branches`.  What does not depend on dt (the posterior, M'
-and exp(T M') d(0)) is built once per :func:`convergence_sweep`; what
-does not depend on the step (also the KL covariance terms, the matcher's
-evolved precision and the maps from data to evolved means) once per run,
-from D's spectrum, with no evolved covariance formed or factored.  The
-trajectory is built by doubling, u(2^j + i) = (1 + dt M'_c)^(2^j) u(i);
-it agrees with stepping u <- M u to round-off that grows with N: at most
-1.7e-11 row-relative at n_modes 16, Y 31, N 20.
+:func:`matfun.branches`; a run imports none of the dense library,
+:mod:`infodyn.gaussian` and :mod:`infodyn.matching`.  What does not
+depend on dt (the posterior, M' and exp(T M') d(0)) is built once per
+:func:`convergence_sweep`; what does not depend on the step (also the KL
+covariance terms, the matcher's evolved precision and the maps from data
+to evolved means) once per run, from D's spectrum, with no evolved
+covariance formed or factored.  The trajectory is built by doubling,
+u(2^j + i) = (1 + dt M'_c)^(2^j) u(i); it agrees with stepping u <- M u to
+round-off that grows with N: at most 1.7e-11 row-relative at n_modes 16,
+Y 31, N 20.
 
 ``exact_deviation`` compares u against the noise-free image R2 A(t) m_0 of
 the exactly evolved initial posterior mean.  It does not vanish with dt; it
@@ -63,7 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import gaussian, kleingordon, matching, matfun
+from . import kleingordon, matfun
 from ._frozen import Frozen
 from .errors import (
     ConfigError,
@@ -360,7 +362,7 @@ def resolve_initial_data(config, classes=None, response=None):
     For ``initial_data = 'generate'`` a field state s is drawn from the
     thermal prior with the config seed, scaling standard normals by the
     square roots of :func:`kleingordon.prior_variances` (bit for bit the
-    state :func:`gaussian.sample` draws from the dense prior density), and
+    state :func:`infodyn.gaussian.sample` draws from the dense prior), and
     the data are R_c s_c per Fourier class plus white noise of variance
     sigma_n2 from the stream seeded with seed + 1: the dense R2 s + noise
     up to the round-off of the shorter sums.  ``classes`` and ``response``
@@ -486,7 +488,7 @@ class _Setup(NamedTuple):
     blocks of R2 and ``initial_data`` the data vector d(0).  ``spectrum``
     and ``filter`` hold the class blocks of the spectrum (w, Q) of the
     posterior covariance D, which is not kept, and of the Wiener filter W
-    (:func:`gaussian.posterior_blocks`), and ``mean`` the posterior mean.
+    (:func:`matfun.posterior_blocks`), and ``mean`` the posterior mean.
     ``m_prime`` holds the class blocks of M'
     (:func:`kleingordon.update_generator_blocks`) and ``direct_data`` the
     direct endpoint exp(T M') d(0), or None when it was not asked for.
@@ -535,7 +537,7 @@ def _setup(config, direct):
             diag = np.arange(sig.shape[1])
             block[:, diag, diag] += 1.0 / variances[sig]
             info.append(matfun.symmetric_part(block))
-        _, spectrum, filters = gaussian.posterior_blocks(info, rt_n_inv)
+        _, spectrum, filters = matfun.posterior_blocks(info, rt_n_inv)
         mean = np.zeros(model.signal_dim)
         for (sig, dat), f in zip(classes, filters):
             mean[sig] = (f @ d0[dat][:, :, None])[:, :, 0]
@@ -610,13 +612,13 @@ def _iterate(config, setup, reference):
 
     # Per class and step, as columns, the mean offsets A W u - W u'' and,
     # whitened by G, (B - 1) W u = G^-1 (A - G) W u.
-    kl_step = gaussian.kl_covariance_blocks(excesses(a_offset))
-    kl_step += 0.5 * gaussian.quadratic_form_blocks(
+    kl_step = matfun.kl_covariance_blocks(excesses(a_offset))
+    kl_step += 0.5 * matfun.quadratic_form_blocks(
         spectrum,
         [p @ u[..., :-1] - f @ u[..., 1:] for p, f, u in zip(a_w, filters, trajectory)],
     )
-    kl_evolution = gaussian.kl_covariance_blocks(excesses(b_offset))
-    kl_evolution += 0.5 * gaussian.quadratic_form_blocks(
+    kl_evolution = matfun.kl_covariance_blocks(excesses(b_offset))
+    kl_evolution += 0.5 * matfun.quadratic_form_blocks(
         spectrum, [p @ u[..., :-1] for p, u in zip(b_offset_w, trajectory)]
     )
     columns = {
@@ -635,7 +637,7 @@ def _iterate(config, setup, reference):
     g_inv_w = kleingordon.apply_pairs(g_inv, classes, filters)
     d_inv_g_inv_w = [matfun.spectral_inverse(w, q) @ x for (w, q), x in zip(spectrum, g_inv_w)]
     linear_means = [p @ u[..., :-1] for p, u in zip(g_w, trajectory)]
-    branch, _ = matching.branches(
+    branch, _ = matfun.branches(
         filters,
         kleingordon.apply_pairs(np.swapaxes(g_inv, -1, -2), classes, d_inv_g_inv_w),
         matfun.norm2(g_inv) ** 2 / min(w.min() for w, _ in spectrum),
@@ -736,7 +738,7 @@ def _run(config, setup):
 def _warn_not_regular(result):
     """Warn at the first step of ``result`` off the regular matcher branch; return whether it has one."""
     first = next(
-        (i for i, b in enumerate(result.branch, 1) if b != matching.BRANCH_REGULAR), None
+        (i for i, b in enumerate(result.branch, 1) if b != matfun.BRANCH_REGULAR), None
     )
     if first is not None:
         logger.warning(

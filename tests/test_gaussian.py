@@ -5,7 +5,7 @@ import pytest
 import scipy.stats
 from numpy.testing import assert_allclose
 
-from infodyn import gaussian
+from infodyn import gaussian, matfun
 from infodyn.errors import InvalidInput, NotPositiveDefinite
 from infodyn.gaussian import GaussianDensity, LinearMeasurement
 
@@ -62,9 +62,9 @@ def test_posterior_blocks_of_a_stack_equal_single_calls():
         single = np.linalg.eigh(info[i])
         assert np.array_equal(stacked[0][i], single[0])
         assert np.array_equal(stacked[1][i], single[1])
-    (cov,), ((w, q),), (filt,) = gaussian.posterior_blocks([info], [rt_n_inv])
+    (cov,), ((w, q),), (filt,) = matfun.posterior_blocks([info], [rt_n_inv])
     for i in range(k):
-        (cov_i,), ((w_i, q_i),), (filt_i,) = gaussian.posterior_blocks(
+        (cov_i,), ((w_i, q_i),), (filt_i,) = matfun.posterior_blocks(
             [info[i]], [rt_n_inv[i]]
         )
         for block, single in ((cov, cov_i), (w, w_i), (q, q_i), (filt, filt_i)):
@@ -78,9 +78,9 @@ def test_posterior_blocks_test_positive_definiteness_over_all_blocks():
     info, rt_n_inv = _information_stack(rng, 2, 3, 2)
     tiny = 1e-14 * np.eye(3)[None]
     for blocks in ([info], [tiny]):
-        gaussian.posterior_blocks(blocks, [rt_n_inv[:1]] * len(blocks))
+        matfun.posterior_blocks(blocks, [rt_n_inv[:1]] * len(blocks))
     with pytest.raises(NotPositiveDefinite, match="posterior information matrix"):
-        gaussian.posterior_blocks([info, tiny], [rt_n_inv, rt_n_inv[:1]])
+        matfun.posterior_blocks([info, tiny], [rt_n_inv, rt_n_inv[:1]])
 
 
 def _quadrature_posterior_moments(prior, meas, data, points=400):

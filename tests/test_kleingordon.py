@@ -24,6 +24,8 @@ from infodyn.errors import (
 )
 from infodyn.kleingordon import KGModel
 
+import oracles
+
 
 def _model(**kw):
     base = dict(n_modes=4, pixels=5, mu=1.0, beta=1.0, sigma_n2=0.01)
@@ -61,7 +63,7 @@ def _quadrature_response_column(model, col):
 @pytest.mark.parametrize("n,y", [(2, 3), (4, 5), (5, 3), (6, 7)])
 def test_response_matches_pixel_average_quadrature(n, y):
     model = _model(n_modes=n, pixels=y)
-    r = kg.build_response(model)
+    r = oracles.build_response(model)
     for col in range(model.part_dim):
         assert_allclose(
             r[:, col], _quadrature_response_column(model, col), atol=1e-12
@@ -71,7 +73,7 @@ def test_response_matches_pixel_average_quadrature(n, y):
 def test_response_frozen_values():
     # Y = 3, l = 1: scale = sinc(pi/3) = 3 sqrt(3)/(2 pi), rotation angle pi/3.
     model = _model(n_modes=2, pixels=3)
-    r = kg.build_response(model)
+    r = oracles.build_response(model)
     scale = 0.8269933431326881
     assert_allclose(r[0, 0], 1.0, rtol=1e-15)
     assert_allclose(
@@ -87,7 +89,7 @@ def test_response_aliased_mode_block():
     # Mode l = 4 on Y = 3 pixels lands in coefficient k = 1 with a negative
     # sinc factor: aliasing folds it onto the same rows as l = 1.
     model = _model(n_modes=5, pixels=3)
-    r = kg.build_response(model)
+    r = oracles.build_response(model)
     half = 0.5 * model.delta
     scale = np.sin(4.0 * half) / (4.0 * half)
     assert scale < 0.0
@@ -99,8 +101,8 @@ def test_response_aliased_mode_block():
 
 def test_lift_response_block_structure():
     model = _model()
-    r = kg.build_response(model)
-    r2 = kg.lift_response(r)
+    r = oracles.build_response(model)
+    r2 = oracles.lift_response(r)
     zeros = np.zeros_like(r)
     assert_allclose(r2[: r.shape[0], : r.shape[1]], r, rtol=1e-15)
     assert_allclose(r2[r.shape[0] :, r.shape[1] :], r, rtol=1e-15)
@@ -110,7 +112,7 @@ def test_lift_response_block_structure():
 
 def test_prior_covariance_entries():
     model = _model(mu=2.0, beta=0.5)
-    phi = kg.build_prior_cov(model)
+    phi = oracles.build_prior_cov(model)
     p = model.part_dim
     assert_allclose(np.diag(phi)[0], 2.0 * np.pi / (0.5 * 4.0), rtol=1e-14)
     assert_allclose(np.diag(phi)[p], 2.0 * np.pi / 0.5, rtol=1e-14)
@@ -149,13 +151,13 @@ def test_prior_variances_are_the_prior_diagonal_and_pass_its_pd_test(mu):
     else:
         var = kg.prior_variances(model)
         assert var.tobytes() == np.diagonal(dense).tobytes()
-        assert var.tobytes() == np.diagonal(kg.build_prior_cov(model)).tobytes()
+        assert var.tobytes() == np.diagonal(oracles.build_prior_cov(model)).tobytes()
         assert mu > 4.24e-6
 
 
 def test_generator_action():
     model = _model()
-    l_mat = kg.build_generator(model)
+    l_mat = oracles.build_generator(model)
     p = model.part_dim
     # d/dt phi = chi.
     assert_allclose(l_mat[:p, p:], np.eye(p), rtol=1e-15)
@@ -174,11 +176,11 @@ def test_generator_action():
 def test_exact_step_group_law_and_inverse():
     model = _model()
     for s, t in ((0.1, 0.25), (0.3, -0.3), (1.0, 2.0)):
-        left = kg.exact_step(model, s) @ kg.exact_step(model, t)
-        assert_allclose(left, kg.exact_step(model, s + t), atol=1e-10)
-    assert_allclose(kg.exact_step(model, 0.0), np.eye(model.signal_dim), rtol=1e-15)
+        left = oracles.exact_step(model, s) @ oracles.exact_step(model, t)
+        assert_allclose(left, oracles.exact_step(model, s + t), atol=1e-10)
+    assert_allclose(oracles.exact_step(model, 0.0), np.eye(model.signal_dim), rtol=1e-15)
     assert_allclose(
-        kg.exact_step(model, 0.4) @ kg.exact_step(model, -0.4),
+        oracles.exact_step(model, 0.4) @ oracles.exact_step(model, -0.4),
         np.eye(model.signal_dim),
         atol=1e-13,
     )
@@ -187,20 +189,20 @@ def test_exact_step_group_law_and_inverse():
 def test_exact_step_unit_determinant():
     model = _model()
     for dt in (0.1, 0.7, 3.0):
-        assert_allclose(np.linalg.det(kg.exact_step(model, dt)), 1.0, rtol=1e-12)
+        assert_allclose(np.linalg.det(oracles.exact_step(model, dt)), 1.0, rtol=1e-12)
 
 
 def test_exact_step_linearization_remainder():
     # || A(dt) - (1 + dt L) || <= K dt^2 with K below w_max^2 (1 + w_max)/2;
     # the ratio stays put under dt halving.
     model = _model()
-    l_mat = kg.build_generator(model)
+    l_mat = oracles.build_generator(model)
     w_max = float(model.omega(model.n_modes - 1))
     bound = w_max**2 * (1.0 + w_max) / 2.0
     ratios = []
     for dt in 0.1 * 0.5 ** np.arange(4):
         gap = np.linalg.norm(
-            kg.exact_step(model, dt) - np.eye(model.signal_dim) - dt * l_mat, 2
+            oracles.exact_step(model, dt) - np.eye(model.signal_dim) - dt * l_mat, 2
         )
         ratios.append(gap / dt**2)
     assert all(r <= bound for r in ratios)
@@ -216,7 +218,7 @@ def test_field_energy_frozen_and_conserved():
     rng = np.random.default_rng(401)
     state = rng.standard_normal(model.signal_dim)
     e0 = kg.field_energy(model, state)
-    a = kg.exact_step(model, 1.0 / 2**9)
+    a = oracles.exact_step(model, 1.0 / 2**9)
     for _ in range(2**9):
         state = a @ state
         assert abs(kg.field_energy(model, state) - e0) < 1e-10
@@ -299,13 +301,13 @@ def test_dt_limit_is_the_reciprocal_generator_norm():
     for n_modes in (2, 3, 5, 16, 64):
         for mu in (1e-3, 0.5, 1.0, 30.0, 1e5):
             model = _model(n_modes=n_modes, pixels=3, mu=mu)
-            norm = np.linalg.norm(kg.build_generator(model), 2)
+            norm = np.linalg.norm(oracles.build_generator(model), 2)
             assert_allclose(1.0 / model.dt_limit, norm, rtol=1e-15)
 
 
 def _dense_gram(model, part):
-    r = kg.build_response(model)
-    full = np.diag(kg.build_prior_cov(model))
+    r = oracles.build_response(model)
+    full = np.diag(oracles.build_prior_cov(model))
     p = model.part_dim
     diag = full[:p] if part == kg.PART_PHI else full[p:]
     return matfun.symmetrize(r @ np.diag(diag) @ r.T)
@@ -370,17 +372,17 @@ def test_update_generator_noise_free_limit():
     # Every sigma^2 dependence cancels down to a right division by the Gram
     # diagonal: M' -> (R2 L Phi R2^T) diag(1/b) as sigma^2 -> 0.
     model = _model(sigma_n2=1e-12)
-    r2 = kg.lift_response(kg.build_response(model))
-    sandwich = r2 @ kg.build_generator(model) @ kg.build_prior_cov(model) @ r2.T
+    r2 = oracles.lift_response(oracles.build_response(model))
+    sandwich = r2 @ oracles.build_generator(model) @ oracles.build_prior_cov(model) @ r2.T
     diag = np.concatenate(
         [kg.rphi_rt_diag(model, kg.PART_PHI), kg.rphi_rt_diag(model, kg.PART_CHI)]
     )
-    assert_allclose(kg.update_generator(model), sandwich / diag, rtol=1e-8)
+    assert_allclose(oracles.update_generator(model), sandwich / diag, rtol=1e-8)
 
 
 def _update_matrix(model, dt):
     """One-step data update M = 1 + dt M', as a run forms it."""
-    return np.eye(model.data_dim) + dt * kg.update_generator(model)
+    return np.eye(model.data_dim) + dt * oracles.update_generator(model)
 
 
 def _alias_coordinates(model):
@@ -399,11 +401,11 @@ def test_update_matches_matcher_except_alias_pair():
     # (the closed form divides by b + sigma^2 where the coupled dense truth
     # requires 2b + sigma^2).
     model = _model()
-    prior = kg.prior_density(model)
-    meas = kg.measurement(model)
+    prior = oracles.prior_density(model)
+    meas = oracles.measurement(model)
     d_cov = gaussian.posterior(prior, meas, np.zeros(model.data_dim)).cov
     w = gaussian.wiener_filter(prior, meas)
-    l_mat = kg.build_generator(model)
+    l_mat = oracles.build_generator(model)
     s0 = gaussian.sample(prior, 1, seed=5)[0]
     u = meas.response @ s0
     alias = _alias_coordinates(model)
@@ -436,7 +438,7 @@ def test_iterated_approaches_direct_at_first_order():
     rng = np.random.default_rng(431)
     d0 = rng.standard_normal(model.data_dim)
     t_final = 1.0
-    target = matfun.expm_general(t_final * kg.update_generator(model)) @ d0
+    target = matfun.expm_general(t_final * oracles.update_generator(model)) @ d0
     dts, gaps = [], []
     for n in (4, 5, 6, 7):
         steps = 2**n
@@ -458,7 +460,7 @@ def test_data_norm_stays_below_exponential_envelope():
     steps = 2**8
     m = _update_matrix(model, t_final / steps)
     envelope = np.exp(
-        t_final * np.linalg.norm(kg.update_generator(model), 2)
+        t_final * np.linalg.norm(oracles.update_generator(model), 2)
     ) * np.linalg.norm(d0)
     u = d0
     for _ in range(steps):
@@ -510,8 +512,8 @@ def _loop_gram_diag(model, part):
 
 def _dense_chain_update_generator(model):
     """M' as the dense chain (1 + sigma^2 G) R2 L Phi R2^T H, from the loop oracles."""
-    r2 = kg.lift_response(_loop_response(model))
-    sandwich = r2 @ kg.build_generator(model) @ kg.build_prior_cov(model) @ r2.T
+    r2 = oracles.lift_response(_loop_response(model))
+    sandwich = r2 @ oracles.build_generator(model) @ oracles.build_prior_cov(model) @ r2.T
     diag = np.concatenate(
         [_loop_gram_diag(model, kg.PART_PHI), _loop_gram_diag(model, kg.PART_CHI)]
     )
@@ -522,10 +524,10 @@ def _dense_chain_update_generator(model):
 @pytest.mark.parametrize("n, y", [(4, 5), (16, 31), (64, 127)])
 def test_builders_equal_the_loop_and_dense_chain_bitwise(n, y):
     model = _model(n_modes=n, pixels=y)
-    assert np.array_equal(kg.build_response(model), _loop_response(model))
+    assert np.array_equal(oracles.build_response(model), _loop_response(model))
     for part in (kg.PART_PHI, kg.PART_CHI):
         assert np.array_equal(kg.rphi_rt_diag(model, part), _loop_gram_diag(model, part))
-    assert np.array_equal(kg.update_generator(model), _dense_chain_update_generator(model))
+    assert np.array_equal(oracles.update_generator(model), _dense_chain_update_generator(model))
 
 
 @pytest.mark.parametrize("n, y", [(256, 511), (8, 5)])
@@ -533,12 +535,12 @@ def test_builders_match_the_loop_and_dense_chain_when_sums_reorder(n, y):
     # (8, 5) folds three modes onto each nonzero class; at (256, 511) the
     # dense products may sum a class's terms in another order.
     model = _model(n_modes=n, pixels=y)
-    pairs = [(kg.build_response(model), _loop_response(model))]
+    pairs = [(oracles.build_response(model), _loop_response(model))]
     pairs += [
         (kg.rphi_rt_diag(model, part), _loop_gram_diag(model, part))
         for part in (kg.PART_PHI, kg.PART_CHI)
     ]
-    pairs.append((kg.update_generator(model), _dense_chain_update_generator(model)))
+    pairs.append((oracles.update_generator(model), _dense_chain_update_generator(model)))
     for new, oracle in pairs:
         assert np.max(np.abs(new - oracle)) <= 1e-15 * np.max(np.abs(oracle))
 
@@ -554,8 +556,8 @@ def test_apply_pairs_is_the_dense_class_blocks_product(n, y):
     rng = np.random.default_rng(n + y)
     classes = kg.fourier_classes(model)
     for dense, pairs in (
-        (kg.build_generator(model), kg.generator_pairs(model)),
-        (kg.exact_step(model, 0.3), kg.exact_step_pairs(model, 0.3)),
+        (oracles.build_generator(model), kg.generator_pairs(model)),
+        (oracles.exact_step(model, 0.3), kg.exact_step_pairs(model, 0.3)),
     ):
         stacks = [rng.standard_normal(sig.shape + (3,)) for sig, _ in classes]
         applied = kg.apply_pairs(pairs, classes, stacks)
@@ -571,8 +573,8 @@ def _refuse_dense_response(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a dense response was built")
 
-    monkeypatch.setattr(kg, "build_response", refuse)
-    monkeypatch.setattr(kg, "lift_response", refuse)
+    monkeypatch.setattr(oracles, "build_response", refuse)
+    monkeypatch.setattr(oracles, "lift_response", refuse)
 
 
 @pytest.mark.parametrize("n, y", [(4, 5), (8, 5), (16, 31), (40, 31), (64, 127)])
@@ -602,7 +604,7 @@ def test_response_blocks_are_the_lifted_response_gathers_bitwise(n, y, monkeypat
     # A run takes the response's class blocks from the closed form; they
     # are the gathers from the dense lifted response, entry for entry.
     model = _model(n_modes=n, pixels=y)
-    r2 = kg.lift_response(kg.build_response(model))
+    r2 = oracles.lift_response(oracles.build_response(model))
     classes = kg.fourier_classes(model)
     gathers = [r2[dat[:, :, None], sig[:, None, :]] for sig, dat in classes]
     _refuse_dense_response(monkeypatch)
@@ -687,10 +689,10 @@ def test_fourier_classes_are_the_coupling_components(n, y):
     # (200, 127) has classes of 24 dimensions.
     model = _model(n_modes=n, pixels=y)
     s, d = model.signal_dim, model.data_dim
-    r2 = kg.lift_response(kg.build_response(model))
-    l_mat = kg.build_generator(model)
+    r2 = oracles.lift_response(oracles.build_response(model))
+    l_mat = oracles.build_generator(model)
     pattern = np.eye(s + d, dtype=bool)
-    pattern[:s, :s] |= (l_mat != 0) | (kg.build_prior_cov(model) != 0)
+    pattern[:s, :s] |= (l_mat != 0) | (oracles.build_prior_cov(model) != 0)
     pattern[s:, :s] = r2 != 0
     count, labels = scipy.sparse.csgraph.connected_components(pattern, directed=False)
     components = {frozenset(np.flatnonzero(labels == c).tolist()) for c in range(count)}
@@ -709,5 +711,5 @@ def test_fourier_classes_are_the_coupling_components(n, y):
     label = np.empty(d, dtype=int)
     for i, row in enumerate(dat_row for _, dat in classes for dat_row in dat):
         label[row] = i
-    m_prime = kg.update_generator(model)
+    m_prime = oracles.update_generator(model)
     assert np.all(m_prime[label[:, None] != label[None, :]] == 0.0)

@@ -8,7 +8,9 @@ from numpy.testing import assert_allclose
 from infodyn import matfun
 from infodyn.errors import InvalidInput, NotPositiveDefinite
 from infodyn.gaussian import GaussianDensity
-from infodyn.kleingordon import KGModel, build_prior_cov, update_generator
+from infodyn.kleingordon import KGModel
+
+from oracles import build_prior_cov, update_generator
 
 
 def _det_small(a):

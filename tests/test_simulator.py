@@ -19,6 +19,8 @@ from infodyn.errors import (
     NotPositiveDefinite,
 )
 
+import oracles
+
 
 def _base_mapping(**overrides):
     mapping = {
@@ -176,10 +178,10 @@ def test_generated_initial_data_is_seed_deterministic():
         # measured at most 3e-16 relative over 20 seeds at shapes up to
         # (1024, 2045), and 1.8e-15 at the heavily aliased (1025, 5).
         model = kleingordon.KGModel(n_modes, pixels, 1.0, 1.0, 0.01)
-        s0 = gaussian.sample(kleingordon.prior_density(model), 1, 123)[0]
+        s0 = gaussian.sample(oracles.prior_density(model), 1, 123)[0]
         noise_rng = np.random.Generator(np.random.PCG64(124))
         noise = np.sqrt(model.sigma_n2) * noise_rng.standard_normal(model.data_dim)
-        dense = kleingordon.measurement(model).response @ s0 + noise
+        dense = oracles.measurement(model).response @ s0 + noise
         assert np.linalg.norm(d_a - dense) <= 1e-14 * np.linalg.norm(dense)
 
 
@@ -276,8 +278,8 @@ def _dense_exact_reference(config, d0=None):
     model = config.model
     if d0 is None:
         d0 = simulator.resolve_initial_data(config)
-    meas = kleingordon.measurement(model)
-    mean = gaussian.posterior(kleingordon.prior_density(model), meas, d0).mean
+    meas = oracles.measurement(model)
+    mean = gaussian.posterior(oracles.prior_density(model), meas, d0).mean
     times = config.dt * np.arange(config.steps + 1)
     classes = kleingordon.fourier_classes(model)
     response = kleingordon.response_blocks(model, classes)
@@ -318,10 +320,10 @@ def test_closed_form_reference_matches_repeated_exact_steps():
     model = config.model
     d0 = simulator.resolve_initial_data(config)
     reference = _dense_exact_reference(config, d0)
-    prior = kleingordon.prior_density(model)
-    meas = kleingordon.measurement(model)
+    prior = oracles.prior_density(model)
+    meas = oracles.measurement(model)
     mean = gaussian.posterior(prior, meas, d0).mean
-    a_step = kleingordon.exact_step(model, config.dt)
+    a_step = oracles.exact_step(model, config.dt)
     for i in range(config.steps + 1):
         assert_allclose(reference.data[i], meas.response @ mean, rtol=1e-10)
         mean = a_step @ mean
@@ -393,15 +395,15 @@ def test_batched_diagnostics_match_per_step_oracle(tmp_path):
 def _check_against_per_step_oracle(run):
     model = run.config.model
     dt = run.config.dt
-    prior = kleingordon.prior_density(model)
-    meas = kleingordon.measurement(model)
+    prior = oracles.prior_density(model)
+    meas = oracles.measurement(model)
     w = gaussian.wiener_filter(prior, meas)
     d_cov = gaussian.posterior(prior, meas, np.zeros(model.data_dim)).cov
     g_step = dynamics.AffineDynamics(
-        generator=kleingordon.build_generator(model),
+        generator=oracles.build_generator(model),
         dt=dt,
     ).step_matrix()
-    a_step = kleingordon.exact_step(model, dt)
+    a_step = oracles.exact_step(model, dt)
     exact_cov = a_step @ d_cov @ a_step.T
     linear_cov = g_step @ d_cov @ g_step.T
     inv_cov = gaussian.GaussianDensity(np.zeros(model.signal_dim), linear_cov).inv_cov()
@@ -426,7 +428,7 @@ def _check_against_per_step_oracle(run):
 
 
 def _two_class_setup(rng, scales, deficient):
-    """A two-class setup, to compare :func:`matching.branches` on class blocks with match().
+    """A two-class setup, to compare :func:`matfun.branches` on class blocks with match().
 
     Each class has 4 signal and 3 data dimensions; ``scales`` scales the
     response of each, and ``deficient`` measures one data channel twice.
@@ -459,7 +461,7 @@ def _two_class_setup(rng, scales, deficient):
 
     def labels(means):
         columns = means.reshape(-1, 2, n).transpose(1, 2, 0)
-        batched, _ = matching.branches(
+        batched, _ = matfun.branches(
             [filters],
             [matfun.spectral_inverse(evolved_w, evolved_v) @ filters],
             1.0 / evolved_w.min(),
@@ -571,7 +573,7 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
     # solve sees is the data part of the class of the duplicated conjugate
     # pair: coefficients (Y-1)/2 and (Y+1)/2, real and imaginary, phi and
     # chi, 8 in all.  No 2-norm may take an SVD.  The matcher branches of
-    # all steps come from one matching.branches call, with no match().  The
+    # all steps come from one matfun.branches call, with no match().  The
     # posterior's spectrum is the one factorization of a covariance: at
     # (16, 31) the posterior, the two KL covariance terms and the match
     # Hessian take two eigh or eigvalsh stacks wider than 2 x 2 each, and the
@@ -600,10 +602,11 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
     for name in ("eigh", "eigvalsh", "solve", "svd"):
         count(np.linalg, name)
     count(gaussian, "posterior")
-    for name in ("update_generator", "update_generator_blocks", "build_generator", "exact_step"):
-        count(kleingordon, name)
+    count(kleingordon, "update_generator_blocks")
+    for name in ("update_generator", "build_generator", "exact_step"):
+        count(oracles, name)
     count(matfun, "spectral_decompose")
-    count(matching, "branches")
+    count(matfun, "branches")
     count(matching, "match")
     # Counted under one key, "__init__".
     count(gaussian.GaussianDensity, "__init__")
@@ -642,8 +645,8 @@ def test_runs_and_sweeps_build_no_dense_response(monkeypatch, caplog):
     def refuse(*args, **kwargs):
         raise AssertionError("a dense response was built")
 
-    monkeypatch.setattr(kleingordon, "build_response", refuse)
-    monkeypatch.setattr(kleingordon, "lift_response", refuse)
+    monkeypatch.setattr(oracles, "build_response", refuse)
+    monkeypatch.setattr(oracles, "lift_response", refuse)
     caplog.set_level(logging.INFO, logger="infodyn")
     for scheme in simulator.SCHEMES:
         run = simulator.run_ifd(_config(n_modes=16, Y=31, T=0.05, N=4, scheme=scheme))
@@ -673,11 +676,11 @@ def _mean_error_at_end(resolution, data_map):
     """|W u_T - A(T) m_0| at (16, 31, T 0.05, seed 0), with u_T from ``data_map``."""
     config = _config(n_modes=16, Y=31, T=0.05, N=resolution, seed=0)
     model = config.model
-    prior = kleingordon.prior_density(model)
-    meas = kleingordon.measurement(model)
+    prior = oracles.prior_density(model)
+    meas = oracles.measurement(model)
     d0 = simulator.resolve_initial_data(config)
     w = gaussian.wiener_filter(prior, meas)
-    exact_mean = kleingordon.exact_step(model, config.total_time) @ (w @ d0)
+    exact_mean = oracles.exact_step(model, config.total_time) @ (w @ d0)
     return np.linalg.norm(w @ data_map(config, prior, meas, w, d0) - exact_mean)
 
 
@@ -702,7 +705,7 @@ def test_matcher_map_posterior_mean_converges_at_first_order():
     # posterior mean tracks A(T) m_0 at first order in dt.
     def matcher_map(config, prior, meas, w, d0):
         model = config.model
-        g_step = np.eye(model.signal_dim) + config.dt * kleingordon.build_generator(model)
+        g_step = np.eye(model.signal_dim) + config.dt * oracles.build_generator(model)
         d_cov = gaussian.posterior(prior, meas, d0).cov
         inv_cov = gaussian.GaussianDensity(
             np.zeros(model.signal_dim), g_step @ d_cov @ g_step.T
