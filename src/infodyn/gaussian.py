@@ -192,7 +192,8 @@ def posterior_operators(prior, measurement):
     rt_n_inv = r.T @ measurement.inv_noise_cov()
     phi_inv = prior.inv_cov()
     info = matfun.symmetrize(phi_inv + rt_n_inv @ r)
-    (cov,), _, (w,) = matfun.posterior_blocks([info], [rt_n_inv])
+    ((d_w, d_q),), (w,) = matfun.posterior_blocks([info], [rt_n_inv])
+    cov = matfun.spectral_inverse(1.0 / d_w, d_q)
     return cov, w, cov @ (phi_inv @ prior.mean)
 
 

@@ -58,6 +58,11 @@ _PADE_13 = (
 )
 _THETA_13 = 5.371920351148152
 
+# x - log1p(x) = x^2 (1/2 - x/3 + x^2/4 - ... + x^8/10) + O(x^11) below
+# |x| = 1e-2, where the subtraction would cancel; coefficients from x^0.
+_KL_SERIES_BELOW = 1e-2
+_KL_SERIES = tuple((-1) ** j / (j + 2) for j in range(9))
+
 
 def symmetrize(matrix):
     """Return the symmetric part (M + M^T)/2 after validating shape and finiteness."""
@@ -198,15 +203,16 @@ def expm_general(matrix):
 
 
 def posterior_blocks(info, rt_n_inv):
-    """D = (Phi^-1 + R^T N^-1 R)^-1, its spectrum and W = D R^T N^-1, from D^-1 and R^T N^-1.
+    """Spectrum of D = (Phi^-1 + R^T N^-1 R)^-1 and W = D R^T N^-1, from D^-1 and R^T N^-1.
 
     ``info`` lists the symmetric information matrix D^-1, as one (n, n)
     matrix or as (k, n, n) stacks of the blocks of a block-diagonal one, and
-    ``rt_n_inv`` lists R^T N^-1 in the same blocks.  Returns three lists in
-    those blocks: D, its (eigenvalues, eigenvectors) and W.  One positive
-    definiteness test covers all blocks; D has the reciprocal eigenvalues,
-    so it passes too.  A non-finite block, from an overflowed prior
-    precision, raises :class:`NonFiniteOutput`.
+    ``rt_n_inv`` lists R^T N^-1 in the same blocks.  Returns two lists in
+    those blocks: D's (eigenvalues w, eigenvectors Q), and
+    W = Q (diag(w) (Q^T R^T N^-1)), so that no block of D is formed.  One
+    positive definiteness test covers all blocks; D has the reciprocal
+    eigenvalues, so it passes too.  A non-finite block, from an overflowed
+    prior precision, raises :class:`NonFiniteOutput`.
     """
     if not all(np.isfinite(block).all() for block in info):
         raise NonFiniteOutput(
@@ -215,9 +221,13 @@ def posterior_blocks(info, rt_n_inv):
         )
     spectra = [np.linalg.eigh(block) for block in info]
     require_pd([w for w, _ in spectra], "posterior information matrix")
-    cov = [spectral_inverse(w, q) for w, q in spectra]
     spectrum = [(1.0 / w, q) for w, q in spectra]
-    return cov, spectrum, [d @ f for d, f in zip(cov, rt_n_inv)]
+    filters = []
+    for (w, q), f in zip(spectrum, rt_n_inv):
+        x = np.swapaxes(q, -1, -2) @ f
+        x *= w[..., None]
+        filters.append(q @ x)
+    return spectrum, filters
 
 
 def kl_covariance_blocks(excesses):
@@ -228,12 +238,21 @@ def kl_covariance_blocks(excesses):
     Sigma_p = P Sigma_q P^T, E + E^T + E E^T with E = C^-1 (P - 1) C.  The
     term is 1/2 sum_j (x_j - log(1 + x_j)) over their eigenvalues x_j, each
     summand nonnegative in floating point; over the diagonal blocks of
-    block-diagonal covariances it sums to the whole term.
+    block-diagonal covariances it sums to the whole term.  Below
+    |x| = 1e-2 a summand is its Taylor series through x^10, since
+    x - log1p(x) would lose about -log10(|x|) digits there.
     """
     total = 0.0
     for excess in excesses:
         x = np.linalg.eigvalsh(symmetric_part(excess))
-        total += 0.5 * float(np.sum(x - np.log1p(x)))
+        summand = x - np.log1p(x)
+        small = np.abs(x) < _KL_SERIES_BELOW
+        x = x[small]
+        series = _KL_SERIES[-1]
+        for c in _KL_SERIES[-2::-1]:
+            series = c + x * series
+        summand[small] = x * x * series
+        total += 0.5 * float(np.sum(summand))
     return total
 
 

@@ -487,7 +487,7 @@ class _Setup(NamedTuple):
     ``classes`` are the model's Fourier classes, ``response`` the class
     blocks of R2 and ``initial_data`` the data vector d(0).  ``spectrum``
     and ``filter`` hold the class blocks of the spectrum (w, Q) of the
-    posterior covariance D, which is not kept, and of the Wiener filter W
+    posterior covariance D, which is not formed, and of the Wiener filter W
     (:func:`matfun.posterior_blocks`), and ``mean`` the posterior mean.
     ``m_prime`` holds the class blocks of M'
     (:func:`kleingordon.update_generator_blocks`) and ``direct_data`` the
@@ -537,7 +537,7 @@ def _setup(config, direct):
             diag = np.arange(sig.shape[1])
             block[:, diag, diag] += 1.0 / variances[sig]
             info.append(matfun.symmetric_part(block))
-        _, spectrum, filters = matfun.posterior_blocks(info, rt_n_inv)
+        spectrum, filters = matfun.posterior_blocks(info, rt_n_inv)
         mean = np.zeros(model.signal_dim)
         for (sig, dat), f in zip(classes, filters):
             mean[sig] = (f @ d0[dat][:, :, None])[:, :, 0]

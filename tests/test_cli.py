@@ -417,6 +417,45 @@ def test_direct_does_not_import_the_table_formatter(config_path):
     assert _last_line_in_fresh_interpreter(script) == "False"
 
 
+# The modules every command loads: the run path, with none of the dense
+# library (infodyn.gaussian, infodyn.matching, infodyn.dynamics), whose
+# compiling from source would cost start-up time.
+RUN_PATH = {
+    "infodyn",
+    "infodyn._frozen",
+    "infodyn.cli",
+    "infodyn.errors",
+    "infodyn.kleingordon",
+    "infodyn.matfun",
+    "infodyn.simulator",
+}
+
+
+@pytest.mark.parametrize(
+    "command, options, loaded",
+    [
+        ("simulate", ["--out", "run.csv", "--report", "report.json"], {"infodyn.floattext"}),
+        ("direct", [], set()),
+        ("sweep", ["--n-list", "4,5,6", "--out", "sweep.json"], set()),
+        ("compare-exact", ["--out", "dev.csv"], {"infodyn.floattext"}),
+    ],
+    ids=["simulate", "direct", "sweep", "compare-exact"],
+)
+def test_each_command_loads_only_the_run_path(tmp_path, config_path, command, options, loaded):
+    script = textwrap.dedent(
+        f"""
+        import os, sys
+        from infodyn import cli
+        os.chdir({str(tmp_path)!r})
+        argv = [{command!r}, "--config", {str(config_path)!r}, *{options!r}]
+        assert cli.main(argv) == 0
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "infodyn"))
+        """
+    )
+    expected = sorted(RUN_PATH | loaded)
+    assert _last_line_in_fresh_interpreter(script) == str(expected)
+
+
 def _last_line_in_fresh_interpreter(script):
     """The last line ``script`` prints in a new interpreter that imports this infodyn."""
     src = os.path.dirname(os.path.dirname(infodyn.__file__))

@@ -62,12 +62,10 @@ def test_posterior_blocks_of_a_stack_equal_single_calls():
         single = np.linalg.eigh(info[i])
         assert np.array_equal(stacked[0][i], single[0])
         assert np.array_equal(stacked[1][i], single[1])
-    (cov,), ((w, q),), (filt,) = matfun.posterior_blocks([info], [rt_n_inv])
+    ((w, q),), (filt,) = matfun.posterior_blocks([info], [rt_n_inv])
     for i in range(k):
-        (cov_i,), ((w_i, q_i),), (filt_i,) = matfun.posterior_blocks(
-            [info[i]], [rt_n_inv[i]]
-        )
-        for block, single in ((cov, cov_i), (w, w_i), (q, q_i), (filt, filt_i)):
+        ((w_i, q_i),), (filt_i,) = matfun.posterior_blocks([info[i]], [rt_n_inv[i]])
+        for block, single in ((w, w_i), (q, q_i), (filt, filt_i)):
             assert np.array_equal(block[i], single)
 
 
