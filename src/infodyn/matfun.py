@@ -19,6 +19,14 @@ run takes its blocks, the Fourier classes, in closed form from
 Floating-point input is re-symmetrized as (M + M^T)/2 before decomposition,
 so mild asymmetry from accumulated round-off is tolerated rather than
 rejected.
+
+The block numerics that a simulation run and the dense library
+(:mod:`infodyn.gaussian`, :mod:`infodyn.matching`) share live here too, so
+that each is computed in one place and a run imports neither: D's spectrum
+and the Wiener filter (:func:`posterior_blocks`), the KL covariance term
+(:func:`kl_covariance_blocks`), the quadratic form delta^T Sigma^-1 delta
+(:func:`quadratic_form_blocks`) and the entropic matcher's branch rule
+(:func:`branches`, with :func:`nonzero` and the ``BRANCH_*`` labels).
 """
 
 import numpy as np

@@ -111,7 +111,8 @@ REFERENCE_BLOCK_ENTRIES = 1 << 18
 # of (2^N + 1) x max(data_dim, signal_dim) at (4, 5, N 14), (16, 31, N 13),
 # (64, 127, N 11) and (256, 511, N 7).  A class-blocked matrix holds one
 # max(a, b)^2 block per class of a signal and b data indices; a run's peak
-# is about four of them where they dominate, 4.0 at (256, 5) and (512, 5).
+# is about three of them where they dominate, 3.1 at (256, 5) and (512, 5),
+# reached in the step diagnostics: the set-up forms no block of D.
 PER_STEP_ARRAYS = 8
 MAX_PER_STEP_BYTES = 1 << 30
 MAX_CLASS_BLOCKS_BYTES = 1 << 27
