@@ -186,7 +186,11 @@ def posterior(prior, measurement, data):
 
 
 def posterior_operators(prior, measurement):
-    """D, W and the prior pull D Phi^-1 psi of a dense setup, through :func:`infodyn.matfun.posterior_blocks`."""
+    """D, W and the prior pull D Phi^-1 psi of a dense setup.
+
+    W and D's spectrum come from :func:`infodyn.matfun.posterior_blocks`,
+    and D from that spectrum.
+    """
     _check_compatible(prior, measurement)
     r = measurement.response
     rt_n_inv = r.T @ measurement.inv_noise_cov()

@@ -294,7 +294,7 @@ def branches(filters, pulled, inv_cov_norm, means, pulls):
     is at most ``SINGULAR_RTOL`` times its bound, or 1 if larger, the bound
     ||W'||_2 ||D*^-1||_2 (||D' Phi'^-1 psi'|| + ||m*||), and ``BRANCH_PROJECTED``
     otherwise.  The spectra are the (w, q) of ``eigh`` on each stack of H.
-    :func:`infodyn.matching.match` documents the three branches.
+    :mod:`infodyn.matching` documents the three branches.
     """
     spectra = [
         np.linalg.eigh(symmetric_part(np.swapaxes(f, -1, -2) @ p))
