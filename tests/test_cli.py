@@ -403,23 +403,11 @@ def test_runs_do_not_import_scipy(tmp_path, config_path):
     assert _last_line_in_fresh_interpreter(script) == "[]"
 
 
-def test_direct_does_not_import_the_table_formatter(config_path):
-    # 'direct' prints one line of floats with %; compiling infodyn.floattext
-    # for it cost start-up time and memory.
-    script = textwrap.dedent(
-        f"""
-        import sys
-        from infodyn import cli
-        assert cli.main(["direct", "--config", {str(config_path)!r}]) == 0
-        print("infodyn.floattext" in sys.modules)
-        """
-    )
-    assert _last_line_in_fresh_interpreter(script) == "False"
-
-
 # The modules every command loads: the run path, with none of the dense
 # library (infodyn.gaussian, infodyn.matching, infodyn.dynamics), whose
-# compiling from source would cost start-up time.
+# compiling from source would cost start-up time.  Only the commands that
+# write a CSV load the table formatter, infodyn.floattext: 'direct' prints
+# its one line of floats with %.
 RUN_PATH = {
     "infodyn",
     "infodyn._frozen",
