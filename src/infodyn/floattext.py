@@ -2,70 +2,101 @@
 
 %.17g rounds the exact value of x to 17 digits: its text follows from
 k = floor(log10 |x|) and D = round(|x| 10^(16 - k)), which :func:`_decimal`
-forms as a double-double by Dekker's exact product, to a relative 2^-104.
-``%`` itself formats a cell within 1e-6 of a rounding tie, one next to a
-power of ten where log10 misses k, and one with |x| outside (1e-280, 1e280).
+forms by Dekker's exact product with 10^(16 - k) as a double-double, to a
+relative 2^-104.  ``%`` itself formats a cell within 1e-6 of a rounding tie,
+one next to a power of ten where log10 misses k, and one with |x| outside
+(1e-280, 1e280).  What depends on k alone is looked up per distinct k.
 """
+
+import functools
 
 import numpy as np
 
 FORMAT = "%.17g"
 # A cell is four little-endian words holding its text in order among FILL
-# bytes: sign and "0.000" lead; digits, point and "e+308"; a separator byte.
+# bytes: sign, "0.000" lead and first digit; the other 16 digits, those past
+# the point moved one byte up; "e+308" and a separator byte last.
 FILL = 0
 CELL = 32
-# Tables are formatted in blocks of at most this many cells, so that the
-# temporaries stay near 0.3 MB whatever the table's size.
-BLOCK_CELLS = 1 << 11
+# Tables are formatted in blocks of at most this many cells, which hold
+# about 90 bytes of temporaries a cell at their peak.
+BLOCK_CELLS = 1 << 12
 
 _U = np.uint64
-# "00".."99" and "0000".."9999" as words of ASCII digits, the first digit in
-# the low byte, and the lead after the sign byte for k = -5, -4, ..., 0.
+# "0000".."9999" as words of ASCII digits, the first digit in the low byte.
 _PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16).astype(_U)
 _QUADS = (_PAIRS[:, None] | (_PAIRS << 16)).ravel()
-_LEADS = np.array([0, *(int.from_bytes(b"0.000"[:n], "little") << 8 for n in (5, 4, 3, 2)), 0], _U)
-# For each index 19 p + c, p the point's byte and c the last byte kept, and
-# each of the three digit words: the bytes taken from the digits, from the
-# digits shifted one byte up, and the point.
-_p, _c = np.divmod(np.arange(18 * 19), 19)
-_byte = np.arange(24)
-_before, _at = _byte < _p[:, None], _byte == _p[:, None]
+# For each row 17 n + c, n = min(max(k, -5), 17) + 5 and c the last nonzero
+# digit, and each of the last three words: the bytes taken from the digits,
+# from the digits shifted one byte up, and the point.  Their bytes are bytes
+# 1 to 24 of the digits, the first digit being byte 0, and the exponent from
+# byte 18 on.  As %g: the point goes after digit k in fixed notation,
+# -4 <= k < 17, into the lead below 1 (byte 17: none), and after digit 0 in
+# exponent notation; the last digit kept is the last nonzero one, or digit k
+# in fixed notation.
+_n, _c = np.divmod(np.arange(23 * 17)[:, None], 17)
+_p = np.select([_n < 1, _n < 5, _n < 22], [1, 17, _n - 4], 1)
+_c = np.where((_n > 5) & (_n < 22), np.maximum(_c, _n - 5), _c)
+_c += _c >= _p
+_byte = np.arange(1, 25)
 _SELECT = (
-    (np.stack([_before, ~(_before | _at), _at]) & (_byte <= _c[:, None])).astype(np.uint8)
+    (np.stack([_byte < _p, _byte > _p, _byte == _p]) & (_byte <= _c)).astype(np.uint8)
     * np.array([255, 255, ord(".")], np.uint8)[:, None, None]
 ).view(_U).transpose(0, 2, 1).copy()
 
 
-def _decimal(a):
-    """k = floor(log10 a), D = round(a 10^(16 - k)) and whether both are exact, for a > 0."""
+def _per_k(k):
+    """10^(16 - k) as the float64 nearest, its Dekker halves (by 2^27 + 1) and
+    the rest; k's row 17 n in ``_SELECT``, and its lead and exponent words."""
+    n, m = 10 ** max(16 - k, 0), 10 ** max(k - 16, 0)
+    p = n / m  # int / int rounds correctly
+    num, den = p.as_integer_ratio()
+    high = 134217729.0 * p
+    high -= high - p
+    return (p, high, p - high, (n * den - num * m) / (m * den)), (
+        17 * (min(max(k, -5), 17) + 5),
+        int.from_bytes(b"\0" + b"0.000"[: 1 - k], "little") if -5 < k < 0 else 0,
+        0 if -5 < k < 17 else int.from_bytes(b"\0\0e%+03d" % k, "little"),
+    )
+
+
+def _table(k, part):
+    """Part ``part`` of :func:`_per_k` for each k from k.min() on, as columns, and k.min()."""
+    low = k.min(initial=0)
+    return _columns(low, k.max(initial=0), part), low
+
+
+@functools.lru_cache(maxsize=64)  # The blocks of a table share a few ranges of k.
+def _columns(low, high, part):
+    """Part ``part`` of :func:`_per_k` for k = low..high, as columns."""
+    return np.array([_per_k(e)[part] for e in range(low, high + 1)]).T
+
+
+def _decimal(x):
+    """k = floor(log10 |x|), D = round(|x| 10^(16 - k)) and whether both are exact."""
+    a = np.abs(x)
     exact = (a > 1e-280) & (a < 1e280)
-    a = np.where(exact, a, 1.0)
+    np.copyto(a, 1.0, where=~exact)
     k = np.floor(np.log10(a)).astype(np.intp)
-    j = 16 - k
-    j0 = int(j.min(initial=0))
-    count = np.bincount(j - j0)
-    present = np.flatnonzero(count)
-    power = np.empty((2, present.size))
-    for i, e in enumerate((present + j0).tolist()):
-        # int / int rounds correctly: the float64 nearest 10^e and the rest.
-        n, m = (10**e, 1) if e >= 0 else (1, 10**-e)
-        num, den = (n / m).as_integer_ratio()
-        power[:, i] = n / m, (n * den - num * m) / (m * den)
-    p, p_lo = power.take((np.cumsum(count > 0) - 1)[j - j0], axis=1)
-    # Dekker's split of a and p, by 2^27 + 1, into halves of 26 bits at most.
-    both = np.stack([a, p])
-    halves = 134217729.0 * both
-    halves -= halves - both
-    (a_hi, p_hi), (a_lo, p_mid) = halves, both - halves
-    s = a * p
-    t = (((a_hi * p_hi - s) + a_hi * p_mid + a_lo * p_hi) + a_lo * p_mid) + a * p_lo
-    hi = s + t
-    lo = t - (hi - s)
-    whole = np.floor(lo)
-    frac = lo - whole
-    exact &= (hi < 1e17) & ((hi > 1e16) | ((hi == 1e16) & (lo >= 0)))
-    exact &= np.abs(frac - 0.5) >= 1e-6
-    d = hi.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    (p, p_hi, p_mid, p_lo), low = _table(k, 0)
+    k -= low
+    # Dekker's exact product a p = s + t0, a split like p, and t = t0 + a p_lo:
+    # s >= 2^53 is an integer, so floor(a 10^(16 - k)) = s + floor(t).
+    s = a * p.take(k)
+    hi = a * 134217729.0
+    hi -= hi - a
+    lo = a - hi
+    a *= p_lo.take(k)
+    p_hi, p_mid = p_hi.take(k), p_mid.take(k)
+    t = hi * p_hi - s + hi * p_mid + lo * p_hi + lo * p_mid + a
+    del a, hi, lo, p_hi, p_mid
+    k += low
+    d = np.floor(t)
+    t -= d
+    d = s.astype(np.int64) + d.astype(np.int64)
+    exact &= (d >= 10**16) & (np.abs(t - 0.5) >= 1e-6)
+    d += t > 0.5
+    exact &= d <= 10**17
     carry = d == 10**17
     d[carry] = 10**16
     return k + carry, d, exact
@@ -74,45 +105,48 @@ def _decimal(a):
 def cells(x):
     """(x.size, ``CELL``) uint8 rows: row i, less its ``FILL`` bytes, is ``FORMAT % x[i]``."""
     x = np.ravel(x).astype(np.float64, copy=False)
+    k, d, exact = _decimal(x)
     zero = x == 0.0
-    k, d, exact = _decimal(np.where(zero, 1.0, np.abs(x)))
-    # The 17 digits of D in three words, and the index of its last nonzero
-    # digit: the highest nonzero byte of a word w is (exponent of w - 1) // 8.
-    high, low = np.divmod(d % 10**16, 10**8)
-    high, low_w = (_QUADS[v // 10**4] | (_QUADS[v % 10**4] << 32) for v in (high, low))
-    words = ((d // 10**16 + 48).astype(_U) | (high << 8), (high >> 56) | (low_w << 8), low_w >> 56)
-    zeros = _U(0x3030303030303030)  # b"00000000"
-    byte = [(np.frexp((w ^ zeros).astype(float))[1] - 1) >> 3 for w in (high, low_w)]
-    last = np.where(low != 0, 9 + byte[1], 1 + byte[0])
-    del d, high, low, low_w, byte  # keep the peak of a block low
-    # As %g: the point goes after digit k in fixed notation, -4 <= k < 17,
-    # after digit 0 in exponent notation, and into the lead below 1; the last
-    # digit kept is the last nonzero one, or digit k in fixed notation.
-    fixed = (k >= -4) & (k < 17)
-    point = np.where(fixed, np.where(k < 0, 17, k + 1), 1)
-    last = np.where(fixed & (k > 0), np.maximum(last, k), last)
-    index = point * 19 + last + (last >= point)
-
-    out = np.empty((x.size, 4), _U)
-    out[:, 0] = _LEADS[np.minimum(np.maximum(k, -5), 0) + 5] | (np.signbit(x) * _U(ord("-")))
-    for w in range(3):
-        shifted = (words[w] << 8) | (words[w - 1] >> 56 if w else 0)
-        take, take_shifted, point_byte = (table[w][index] for table in _SELECT)
-        out[:, w + 1] = (words[w] & take) | (shifted & take_shifted) | point_byte
-    exp = np.flatnonzero(~fixed)
-    mag = np.abs(k[exp])
-    pair = _PAIRS[mag % 100]
-    digits = np.where(mag >= 100, (mag // 100 + 48).astype(_U) | (pair << 8), pair)
-    sign = np.where(k[exp] < 0, _U(ord("-") << 24), _U(ord("+") << 24))
-    out[exp, 3] |= (digits << 32) | sign | ord("e") << 16
-    text = out.view(np.uint8)
-    out[zero, 1:] = 0
-    text[zero, 8] = ord("0")
-    slow = np.flatnonzero(~exact & ~zero)
-    for i, v in zip(slow.tolist(), x[slow].tolist()):
-        s = (FORMAT % v).encode("ascii")
-        out[i] = 0
-        text[i, : len(s)] = np.frombuffer(s, np.uint8)
+    exact |= zero
+    (notation, lead, exponent), low = _table(k, 1)
+    k -= low
+    # The cells' words, one row each: the sign, lead and first digit ("0" for
+    # zero); digits 1-8 and 9-16 as words of ASCII; the exponent.
+    out = np.empty((4, x.size), _U)
+    out[0] = lead.take(k).view(_U) | (x.view(_U) >> 63) * _U(ord("-"))
+    out[3] = exponent.take(k)
+    row = notation.take(k)
+    del k
+    digits = out[1:3].view(np.int64)
+    np.floor_divide(d, 10**8, out=digits[0])
+    np.subtract(d, digits[0] * 10**8, out=digits[1])
+    del d
+    out[0] |= (digits[0] // 10**8 + 48 - zero).view(_U) << 56
+    digits[0] -= digits[0] // 10**8 * 10**8
+    q = digits // 10**4
+    digits -= q * 10**4
+    out[1:3] = _QUADS.take(digits)
+    out[1:3] <<= 32
+    out[1:3] |= _QUADS.take(q)
+    del q
+    # The last digit not 0: the highest byte not "0" of digit word w is byte
+    # (e - 1023) // 8, e the biased exponent of float(w ^ b"00000000"), and
+    # digit 1 + 8 (w - 1) + that byte.
+    top = (out[1:3] ^ _U(0x3030303030303030)).astype(float).view(np.int64) >> 52
+    top -= [[1023 - 8], [1023 - 72]]
+    last = top.max(axis=0) >> 3
+    row += np.maximum(last, 0, out=last)
+    del top, last
+    # Word 3 keeps its exponent and takes the last digit past a point.
+    out[3] |= out[2] >> 56 & _SELECT[1, 2].take(row)
+    for w in (2, 1):
+        take, take_shifted, point = _SELECT[:, w - 1]
+        shifted = out[w] << 8 | out[w - 1] >> 56
+        out[w] &= take.take(row)
+        out[w] |= shifted & take_shifted.take(row) | point.take(row)
+    text = np.ascontiguousarray(out.T).view(np.uint8)
+    for i in np.flatnonzero(~exact):
+        text[i] = np.frombuffer((FORMAT % x[i]).encode("ascii").ljust(CELL, b"\0"), np.uint8)
     return text
 
 
@@ -121,19 +155,27 @@ def lines(columns, labels=None, at=0):
 
     ``columns`` are (rows,) or (rows, c) arrays of floats, or of integers
     below 2^53 (printed as %d prints them).  ``labels``, a (rows,) bytes
-    array, adds a cell before float cell ``at``.
+    array, adds a cell before column ``at``.
     """
-    columns = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
-    step = max(1, BLOCK_CELLS // sum(c.shape[1] for c in columns))
-    for start in range(0, len(columns[0]), step):
-        floats = np.concatenate([c[start : start + step] for c in columns], axis=1, dtype=float)
-        text = cells(floats)
+    parts = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
+    rows = len(parts[0])
+    if labels is not None:
+        # The label's cells are formatted as zeros, then overwritten, instead
+        # of copying every block around them.
+        width = labels.itemsize + 1
+        blank = -(width // -CELL)
+        first = sum(p.shape[1] for p in parts[:at]) * CELL
+        end = first + blank * CELL
+        parts.insert(at, np.broadcast_to(0.0, (rows, blank)))
+    step = max(1, BLOCK_CELLS // sum(p.shape[1] for p in parts))
+    for start in range(0, rows, step):
+        text = cells(np.concatenate([p[start : start + step] for p in parts], axis=1, dtype=float))
         text[:, -1] = ord(",")
-        text = text.reshape(len(floats), -1)
+        text = text.reshape(min(step, rows - start), -1)
         if labels is not None:
-            names = labels[start : start + step]
-            cell = np.full((len(names), names.itemsize + 1), ord(","), np.uint8)
-            cell[:, :-1] = names.view(np.uint8).reshape(len(names), -1)
-            text = np.concatenate((text[:, : at * CELL], cell, text[:, at * CELL :]), axis=1)
+            text[:, first : end - width] = FILL
+            text[:, end - width : end - 1] = labels[start : start + step, None].view(np.uint8)
         text[:, -1] = ord("\n")
+        text = text.ravel()
         yield text[text != FILL]
+        del text

@@ -176,7 +176,7 @@ def test_direct_line_is_the_joined_percent_text(tmp_path, capsys):
 def test_writing_a_wide_run_holds_little_beyond_the_result(tmp_path):
     # 4096 rows of 5 + 258 cells.  The per-row writer built Python lists of
     # every cell, a traced peak of 33 MB here; the vectorized one works in
-    # blocks of BLOCK_CELLS cells and peaks near 0.5 MB.
+    # blocks of BLOCK_CELLS cells and peaks near 0.47 MB.
     small = _run(64, 127, 0.001, 3)
     steps = 4096
     rng = np.random.default_rng(0)
@@ -198,3 +198,60 @@ def test_writing_a_wide_run_holds_little_beyond_the_result(tmp_path):
         tracemalloc.stop()
     assert peak < 2 << 20
     assert len((tmp_path / "run.csv").read_bytes().splitlines()) == steps + 1
+
+
+_LABELS = np.array([b"zero", b"regular", b"projected", b"projected", b"zero"] * 3, dtype="S")
+
+
+def _oracle_lines(columns, labels, at):
+    """``%`` per cell, joined by ',', with each row's label before column ``at``."""
+    rows = []
+    for i in range(len(columns[0])):
+        cells = [[floattext.FORMAT % v for v in np.atleast_1d(c[i]).tolist()] for c in columns]
+        cells.insert(at, [labels[i].decode()])
+        rows.append(",".join(sum(cells, [])) + "\n")
+    return "".join(rows)
+
+
+@pytest.mark.parametrize("block_cells", [None, 16, 4], ids=["blocks", "blocks16", "blocks4"])
+@pytest.mark.parametrize("at", [0, 2, 4])
+@pytest.mark.parametrize(
+    "labels", [_LABELS, np.array([b"x" * 40, b"y"] * 6 + [b""] * 3)], ids=["branches", "wide"]
+)
+def test_labelled_lines_print_as_percent_formatting(labels, at, block_cells, monkeypatch):
+    # 15 rows of 1 + 1 + 3 + 1 float cells and a label of one or two cells:
+    # with 16 cells a block holds 2 rows, so the last block holds 1; with 4
+    # a row is wider than a block.  The label goes first, after a 1-d
+    # column, or last; its lengths differ from row to row.
+    if block_cells:
+        monkeypatch.setattr(floattext, "BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(at)
+    rows = len(labels)
+    values = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-20, 20, (rows, 3))
+    values[::4, 1] = -0.0
+    values[1::5, 2] = _TIES[: len(values[1::5, 2])]
+    columns = [np.arange(1, rows + 1), rng.random(rows), values, -np.arange(rows) / 7.0]
+    text = b"".join(floattext.lines(columns, labels, at)).decode()
+    assert text == _oracle_lines(columns, labels, at)
+
+
+def test_writing_the_wide_run_holds_less_than_running_it(tmp_path):
+    # The simulate-wide config: 32 rows of 5 + 258 float cells and a label.
+    # The writer's temporaries stay below the run's own traced peak, so it
+    # never sets the process peak; at BLOCK_CELLS 8192 they would not.
+    config = simulator.parse_config({
+        "n_modes": 64, "Y": 127, "mu": 1.0, "beta": 1.0, "sigma_n2": 0.01,
+        "T": 0.005, "N": 5, "seed": 0, "initial_data": "generate", "scheme": "both",
+    })
+    simulator.write_csv(simulator.run_ifd(config), tmp_path / "warm.csv")
+    tracemalloc.start()
+    try:
+        result = simulator.run_ifd(config)
+        run_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        simulator.write_csv(result, tmp_path / "run.csv")
+        write_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert write_peak <= run_peak

@@ -805,6 +805,22 @@ def test_kl_evolution_matches_high_precision_values(resolution, expected, rtol):
     assert_allclose(simulator.run_ifd(config).kl_evolution[0], expected, rtol=rtol)
 
 
+@pytest.mark.parametrize(
+    "resolution, expected",
+    [(12, 3.3120248463301414e-05), (16, 1.2935078571467104e-07)],
+)
+def test_kl_step_matches_high_precision_values(resolution, expected):
+    # kl_step[0] in 60-digit mpmath arithmetic from the run's float64 d(0)
+    # and d(dt): the dense response, prior, posterior, W and A(dt) in closed
+    # form, then 1/2 [tr(D^-1 A D A^T) - n - log det(D^-1 A D A^T) + dm^T D^-1 dm]
+    # with dm = W d(dt) - A W d(0).  dm is O(dt) against O(1) terms; formed
+    # as that difference, W's round-off moves kl_step by about eps/dt:
+    # 3.0e-14 and 8.3e-13 off here.  From the offsets (A - 1) W d(0) and
+    # W (d(dt) - d(0)) it is 9.8e-16 and 9.3e-16 off.
+    config = _config(T=1.0, N=resolution, seed=0, scheme="iterated")
+    assert_allclose(simulator.run_ifd(config).kl_step[0], expected, rtol=5e-15)
+
+
 def test_deviation_floor_decreases_with_resolution():
     deviations = [_run_at(n).final_deviation for n in (4, 5, 6)]
     assert all(b < a for a, b in zip(deviations, deviations[1:]))
