@@ -5,9 +5,19 @@ All subcommands read the same flat JSON config (see
 configuration and I/O problems (a step outside its validity region among
 them, refused at load time), and 2 when the numerics refuse the request
 (loss of positive definiteness, non-finite output).
+
+A process enters through :func:`entry`, which ``python3 -m infodyn.cli`` and
+the ``infodyn`` console script both call.  It freezes the garbage collector
+before exiting, because the interpreter's shutdown otherwise collects over
+every object still alive, some 22 thousand with numpy loaded, after every
+output file is closed: that took about 34 of the 235 ms of a cold ``direct``
+command, and 9.5 ms frozen (Python 3.11, numpy 2.4, 2 shared vCPUs).
+:func:`main` alone, as tests and library callers run it in process, leaves
+the collector as it was.
 """
 
 import argparse
+import gc
 import logging
 import sys
 
@@ -153,5 +163,18 @@ def main(argv=None):
         return 1
 
 
+def entry():
+    """Run :func:`main` on ``sys.argv`` and exit the process with its status.
+
+    ``gc.freeze()`` moves every object alive at that point into the
+    collector's permanent generation, so the shutdown collections skip them.
+    The atexit handlers, the flush of the standard streams and the module
+    teardown still run.
+    """
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

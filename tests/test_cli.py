@@ -1,5 +1,6 @@
 """End-to-end command line checks: outputs, determinism, exit codes."""
 
+import gc
 import json
 import os
 import re
@@ -442,6 +443,79 @@ def test_each_command_loads_only_the_run_path(tmp_path, config_path, command, op
     )
     expected = sorted(RUN_PATH | loaded)
     assert _last_line_in_fresh_interpreter(script) == str(expected)
+
+
+def _as_main_in_fresh_interpreter(argv):
+    """Exit status, stderr and freeze of infodyn.cli run as ``__main__`` on ``argv``.
+
+    A fresh interpreter runs the module as ``python3 -m infodyn.cli`` does;
+    an atexit hook reports whether the collector is frozen at exit.
+    """
+    script = textwrap.dedent(
+        f"""
+        import atexit, contextlib, gc, io, json, runpy, sys
+        sys.argv = ["infodyn", *{argv!r}]
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err):
+                runpy.run_module("infodyn.cli", run_name="__main__")
+        except SystemExit as exc:
+            status = exc.code
+        atexit.register(
+            lambda: print(json.dumps([status, err.getvalue(), gc.get_freeze_count() > 0]))
+        )
+        """
+    )
+    return json.loads(_last_line_in_fresh_interpreter(script))
+
+
+def test_process_entry_freezes_and_writes_what_main_writes(tmp_path, config_path):
+    # The process entry freezes the collector before it exits, so the
+    # interpreter's shutdown collections skip the objects alive then.  The
+    # outputs are those of an in-process run.
+    def argv(side):
+        (tmp_path / side).mkdir()
+        return ["simulate", "--config", str(config_path),
+                "--out", str(tmp_path / side / "run.csv"),
+                "--report", str(tmp_path / side / "report.json")]
+
+    assert cli.main(argv("in_process")) == 0
+    status, _, frozen = _as_main_in_fresh_interpreter(argv("as_main"))
+    assert (status, frozen) == (0, True)
+    for name in ("run.csv", "report.json"):
+        ours = (tmp_path / "in_process" / name).read_bytes()
+        assert (tmp_path / "as_main" / name).read_bytes() == ours
+
+
+def test_process_entry_keeps_error_statuses(tmp_path, config_path, capsys):
+    overflowing = tmp_path / "overflow.json"
+    overflowing.write_text(
+        json.dumps({**json.loads(config_path.read_text()), "T": 1000.0, "N": 14})
+    )
+    out = ["--out", str(tmp_path / "run.csv"), "--report", str(tmp_path / "report.json")]
+    for config, expected_status in ((tmp_path / "nope.json", 1), (overflowing, 2)):
+        argv = ["simulate", "--config", str(config), *out]
+        assert cli.main(argv) == expected_status
+        expected = capsys.readouterr().err
+        status, err, frozen = _as_main_in_fresh_interpreter(argv)
+        assert (status, frozen) == (expected_status, True)
+        assert [line for line in err.splitlines(True) if line.startswith("error: ")] == [expected]
+        assert not (tmp_path / "run.csv").exists()
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = os.path.join(os.path.dirname(os.path.dirname(__file__)), "pyproject.toml")
+    with open(pyproject, "rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["infodyn"]
+    assert target == "infodyn.cli:entry"
+
+
+def test_main_leaves_the_collector_unfrozen(config_path):
+    frozen = gc.get_freeze_count()
+    assert cli.main(["direct", "--config", str(config_path)]) == 0
+    assert cli.main(["direct", "--config", str(config_path.parent / "nope.json")]) == 1
+    assert gc.get_freeze_count() == frozen
 
 
 def _last_line_in_fresh_interpreter(script):

@@ -216,27 +216,30 @@ def test_per_step_arrays_of_signal_width_are_capped_at_load_time():
 
 
 @pytest.mark.parametrize(
-    "n_modes, pixels, total_time, resolution, copies",
+    "n_modes, pixels, total_time, resolution, arrays, copies",
     [
-        (4, 5, 1.0, 14, 1),
-        (16, 31, 0.05, 13, 1),
-        (64, 127, 0.005, 11, 1),
-        (256, 511, 1e-4, 7, 1),
-        (256, 5, 5e-5, 3, 3),
+        (4, 5, 1.0, 14, 6, 1),
+        (16, 31, 0.05, 13, 6, 1),
+        (64, 127, 0.005, 11, 6, 1),
+        (256, 511, 1e-4, 7, 7, 1),
+        (256, 5, 5e-5, 3, 8, 3),
     ],
     ids=["4-5-1.0-14", "16-31-0.05-13", "64-127-0.005-11", "256-511-0.0001-7", "256-5-5e-05-3"],
 )
 def test_run_holds_at_most_per_step_arrays_at_once(
-    n_modes, pixels, total_time, resolution, copies
+    n_modes, pixels, total_time, resolution, arrays, copies
 ):
     # RunConfig bounds PER_STEP_ARRAYS per-step arrays together, so a run
-    # must not hold more: its traced peak stays within them, ``copies``
-    # copies of its class blocks and 1 MB.  The first four are the shapes
-    # RunConfig's bound quotes; all have small class blocks.  (256, 5)
-    # aliases its modes onto two classes of 408 signal indices, so its class
-    # blocks dominate; a run that forms no evolved covariance A D A^T or
-    # (1 + dt L) D (1 + dt L)^T, and no block of D, peaks at about 3.4
-    # copies of them, 2.8 above the per-step arrays and 1 MB.
+    # must not hold more: its traced peak stays within ``arrays`` of them,
+    # ``copies`` copies of its class blocks and a quarter of one array.  The
+    # first four are the shapes RunConfig's bound quotes; all have small
+    # class blocks, and the runs peak at 5.59, 5.74, 5.96 and 6.46 arrays,
+    # so one array more than a run holds fails at each.  (256, 5) aliases
+    # its modes onto two classes of 408 signal indices, so its class blocks
+    # dominate; a run that forms no evolved covariance A D A^T or
+    # (1 + dt L) D (1 + dt L)^T, and no block of D, peaks at about 3.1
+    # copies of them, 2.9 above the per-step arrays.
+    assert arrays <= simulator.PER_STEP_ARRAYS
     config = _config(n_modes=n_modes, Y=pixels, T=total_time, N=resolution, scheme="both")
     model = config.model
     per_step = 8 * (config.steps + 1) * max(model.data_dim, model.signal_dim)
@@ -247,7 +250,7 @@ def test_run_holds_at_most_per_step_arrays_at_once(
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= simulator.PER_STEP_ARRAYS * per_step + copies * blocks + (1 << 20)
+    assert peak <= arrays * per_step + copies * blocks + per_step // 4
 
 
 def test_initial_data_file_loading(tmp_path):
