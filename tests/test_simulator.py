@@ -1,5 +1,6 @@
 """Run loop, config handling, CSV determinism and convergence slopes."""
 
+import gc
 import json
 import logging
 import sys
@@ -251,6 +252,28 @@ def test_run_holds_at_most_per_step_arrays_at_once(
     finally:
         tracemalloc.stop()
     assert peak <= arrays * per_step + copies * blocks + per_step // 4
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: simulator.run_ifd(_config(N=12, scheme="both")),
+        lambda: simulator.run_ifd(_config(n_modes=16, Y=31, T=0.05, N=16, scheme="direct")),
+        lambda: simulator.convergence_sweep(_config(scheme="both"), (4, 5, 6)),
+    ],
+    ids=["simulate-small", "direct-long", "sweep"],
+)
+def test_a_run_makes_no_reference_cycles(run):
+    # The process entry of infodyn.cli collects the young generation rarely,
+    # which costs nothing only while a run leaves no cyclic garbage: every
+    # object it makes is freed by reference counting.
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_initial_data_file_loading(tmp_path):
