@@ -151,7 +151,7 @@ def cells(x):
 
 
 def lines(columns, labels=None, at=0):
-    """The text of one line per row, in uint8 blocks: its cells joined by ',', then a newline.
+    """The text of one line per row, in bytes blocks: its cells joined by ',', then a newline.
 
     ``columns`` are (rows,) or (rows, c) arrays of floats, or of integers
     below 2^53 (printed as %d prints them).  ``labels``, a (rows,) bytes
@@ -176,6 +176,5 @@ def lines(columns, labels=None, at=0):
             text[:, first : end - width] = FILL
             text[:, end - width : end - 1] = labels[start : start + step, None].view(np.uint8)
         text[:, -1] = ord("\n")
-        text = text.ravel()
-        yield text[text != FILL]
+        yield text.tobytes().translate(None, bytes([FILL]))
         del text

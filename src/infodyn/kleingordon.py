@@ -72,8 +72,10 @@ class KGModel(Frozen):
     1/sigma_n2 must be a finite positive float: a mass whose square
     underflows to 0 or overflows, or a noise variance whose reciprocal
     overflows, is refused here with :class:`InvalidInput`, as is a boolean
-    in any field or a scale that is not a real number.  ``n_modes`` and
-    ``pixels`` are stored as Python ints, the scales as Python floats.
+    in any field and a scale that is not a real number or is too large for
+    a float; :func:`infodyn.simulator.parse_config` leaves these checks to
+    this class.  ``n_modes`` and ``pixels`` are stored as Python ints, the
+    scales as Python floats.
     """
 
     __slots__ = _fields = ("n_modes", "pixels", "mu", "beta", "sigma_n2")
@@ -100,7 +102,15 @@ class KGModel(Frozen):
         if not all(isinstance(v, numbers.Real) for v in (mu, beta, sigma_n2)):
             raise InvalidInput(f"mu, beta and sigma_n2 must be real numbers, got {mu!r}, "
                                f"{beta!r} and {sigma_n2!r}")
-        mu, beta, sigma_n2 = float(mu), float(beta), float(sigma_n2)
+        scales = []
+        for name, value in (("|mu|", mu), ("beta", beta), ("sigma_n2", sigma_n2)):
+            try:
+                scales.append(float(value))
+            except OverflowError:
+                raise InvalidInput(
+                    f"{name} must be a finite positive float, got one too large for a float"
+                ) from None
+        mu, beta, sigma_n2 = scales
         if mu == 0.0:
             raise DegenerateMassError(
                 "mu = 0 makes the zero-mode prior variance infinite"

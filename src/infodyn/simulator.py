@@ -59,6 +59,7 @@ bit-identical across repeats.
 import json
 import logging
 import math
+import numbers
 import sys
 from collections import Counter
 from typing import NamedTuple
@@ -121,16 +122,18 @@ MAX_CLASS_BLOCKS_BYTES = 1 << 27
 class RunConfig(Frozen):
     """Validated run parameters: model, horizon T, resolution N, seed, scheme.
 
-    The step count is 2^N.  Construction refuses a boolean T, N or seed, as
-    :func:`parse_config` does, and checks that 2^N and the step dt = T/2^N are
-    finite, normal floats, as the report prints both, and that a class-blocked
-    matrix fits in ``MAX_CLASS_BLOCKS_BYTES``.  Under schemes 'iterated' and
-    'both', which step, it also checks that ``PER_STEP_ARRAYS`` arrays of
-    (2^N + 1) x max(data_dim, signal_dim) fit in ``MAX_PER_STEP_BYTES`` and
-    that dt lies inside the validity region dt ||L|| < 1 of the linearized
-    step 1 + dt L that the per-step diagnostics take,
-    dt < :attr:`KGModel.dt_limit` = 1/w_{n-1}^2.  Scheme 'direct' needs
-    neither.  :meth:`replace` gives a changed copy through the same checks.
+    The step count is 2^N.  Construction is the one check of T, N, seed,
+    initial_data and scheme: :func:`parse_config` leaves them to it.  It
+    refuses a boolean T, N or seed and a T that is not a real number or is too
+    large for a float, and checks that 2^N and the step dt = T/2^N are finite,
+    normal floats, as the report prints both, and that a class-blocked matrix
+    fits in ``MAX_CLASS_BLOCKS_BYTES``.  Under schemes 'iterated' and 'both',
+    which step, it also checks that ``PER_STEP_ARRAYS`` arrays of (2^N + 1) x
+    max(data_dim, signal_dim) fit in ``MAX_PER_STEP_BYTES`` and that dt lies
+    inside the validity region dt ||L|| < 1 of the linearized step 1 + dt L
+    that the per-step diagnostics take, dt < :attr:`KGModel.dt_limit` =
+    1/w_{n-1}^2.  Scheme 'direct' needs neither.  :meth:`replace` gives a
+    changed copy through the same checks.
     """
 
     _fields = ("model", "total_time", "resolution", "seed", "initial_data", "scheme")
@@ -150,7 +153,12 @@ class RunConfig(Frozen):
                 "config fields 'T', 'N' and 'seed' must not be booleans, got "
                 f"T = {total_time!r}, N = {resolution!r} and seed = {seed!r}"
             )
-        t = float(total_time)
+        if not isinstance(total_time, numbers.Real):
+            raise ConfigError(f"config field 'T' must be a real number, got {total_time!r}")
+        try:
+            t = float(total_time)
+        except OverflowError:
+            raise ConfigError("config field 'T' is a number too large for a float") from None
         if not (np.isfinite(t) and t > 0.0):
             raise ConfigError(f"config field 'T' must be positive, got {total_time!r}")
         if not isinstance(resolution, (int, np.integer)) or resolution < 1:
@@ -266,16 +274,13 @@ class RunResult(NamedTuple):
     direct_gap: float = None
 
 
-def _is_number(value):
-    """Whether a JSON value is a number; booleans, which Python counts as ints, are not."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def parse_config(mapping, scheme=None):
     """Build a :class:`RunConfig` from a flat dict of exactly the documented keys.
 
-    Unknown or missing keys raise :class:`ConfigError` naming them, as do
-    invalid values (delegated to the model and config validators).  A
+    Unknown or missing keys raise :class:`ConfigError` naming them; each
+    value is checked only by the record that stores it: n_modes, Y (as
+    ``pixels``), mu, beta and sigma_n2 by :class:`KGModel`, whose refusals
+    become :class:`ConfigError`, the rest by :class:`RunConfig`.  A
     ``scheme`` argument replaces the mapping's scheme, whose value is then
     not used.
     """
@@ -287,36 +292,20 @@ def parse_config(mapping, scheme=None):
     missing = [key for key in CONFIG_KEYS if key not in mapping]
     if missing:
         raise ConfigError(f"missing config field(s): {', '.join(missing)}")
-    for key in ("n_modes", "Y", "N", "seed"):
-        if isinstance(mapping[key], bool) or not isinstance(mapping[key], int):
-            raise ConfigError(
-                f"config field {key!r} must be an integer, got {mapping[key]!r}"
-            )
-    numbers = {}
-    for key in ("mu", "beta", "sigma_n2", "T"):
-        if not _is_number(mapping[key]):
-            raise ConfigError(
-                f"config field {key!r} must be a number, got {mapping[key]!r}"
-            )
-        try:
-            numbers[key] = float(mapping[key])
-        except OverflowError:
-            raise ConfigError(
-                f"config field {key!r} is an integer too large for a float"
-            ) from None
     try:
         model = KGModel(
             n_modes=mapping["n_modes"],
             pixels=mapping["Y"],
-            mu=numbers["mu"],
-            beta=numbers["beta"],
-            sigma_n2=numbers["sigma_n2"],
+            mu=mapping["mu"],
+            beta=mapping["beta"],
+            sigma_n2=mapping["sigma_n2"],
         )
     except InfodynError as exc:
-        raise ConfigError(str(exc)) from exc
+        note = " (pixels: config field 'Y')" if "pixel" in str(exc) else ""
+        raise ConfigError(f"{exc}{note}") from exc
     return RunConfig(
         model=model,
-        total_time=numbers["T"],
+        total_time=mapping["T"],
         resolution=mapping["N"],
         seed=mapping["seed"],
         initial_data=mapping["initial_data"],
@@ -393,7 +382,8 @@ def resolve_initial_data(config, classes=None, response=None):
         raise ConfigError(
             f"could not read initial data file {config.initial_data!r}: {exc}"
         ) from exc
-    if not (isinstance(raw, list) and all(_is_number(x) for x in raw)):
+    # Booleans, which Python counts as ints, are not numbers here.
+    if not (isinstance(raw, list) and all(type(x) in (int, float) for x in raw)):
         raise ConfigError(
             f"initial data file {config.initial_data!r} must hold a flat list "
             f"of length {model.data_dim} of numbers"

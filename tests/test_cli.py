@@ -154,6 +154,9 @@ _NUMBERS = ", ".join(["0.5"] * 13)
         ("mu", b'"\xff"'),
         ("mu", b"1" + b"0" * 400),
         ("mu", b"1" + b"0" * 5000),
+        # No float holds T; N is a boolean.
+        ("T", b"1" + b"0" * 400),
+        ("N", b"true"),
         # The raw text of the initial data file, one number short of the 14
         # the model needs, then one bad entry.
         ("initial_data", b"[" + _NUMBERS.encode() + b", 1\xe9]"),

@@ -264,6 +264,10 @@ def test_model_refuses_scales_that_are_not_real_numbers(field, value):
         {"beta": 1e-300, "mu": 1e-20},  # beta mu^2 underflows to 0
         {"beta": 1e300, "mu": 1e10},  # beta mu^2 overflows
         {"sigma_n2": 1e-320},  # 1/sigma_n2 overflows
+        # No float holds them: these raised OverflowError.
+        {"mu": 10**400},
+        {"beta": 10**400},
+        {"sigma_n2": 10**400},
     ],
 )
 def test_model_refuses_scales_that_underflow_or_overflow(overrides):

@@ -60,6 +60,14 @@ def test_config_dict_round_trip():
     config = _config(N=5, scheme="both", seed=7)
     again = simulator.parse_config(simulator.config_dict(config))
     assert again == config
+    # The loader accepts what the constructors accept, numpy scalars included.
+    i, f = np.int64, np.float32
+    config = simulator.parse_config(
+        _base_mapping(n_modes=i(4), Y=i(5), N=i(5), seed=i(7), T=f(0.5), mu=f(1.5))
+    )
+    model = kleingordon.KGModel(i(4), i(5), f(1.5), 1.0, 0.01)
+    assert config == simulator.RunConfig(model, f(0.5), i(5), i(7))
+    assert simulator.parse_config(simulator.config_dict(config)) == config
 
 
 def test_report_of_a_model_built_from_numpy_scalars(tmp_path):
@@ -92,12 +100,14 @@ def test_parse_config_names_unknown_and_missing_fields():
 
 
 def test_parse_config_rejects_bad_types():
-    with pytest.raises(ConfigError, match="'seed' must be an integer"):
+    with pytest.raises(ConfigError, match="'seed' must not be booleans"):
         simulator.parse_config(_base_mapping(seed=True))
     with pytest.raises(ConfigError, match="'N' must be an integer"):
         simulator.parse_config(_base_mapping(N=4.0))
-    with pytest.raises(ConfigError, match="'mu' must be a number"):
+    with pytest.raises(ConfigError, match="mu, beta and sigma_n2 must be real numbers"):
         simulator.parse_config(_base_mapping(mu="1.0"))
+    with pytest.raises(ConfigError, match=r"^pixels must be an integer.*config field 'Y'"):
+        simulator.parse_config(_base_mapping(Y=5.0))
     with pytest.raises(ConfigError, match="'scheme' must be one of"):
         simulator.parse_config(_base_mapping(scheme="exact"))
     with pytest.raises(ConfigError, match="'T' must be positive"):
@@ -112,6 +122,16 @@ def test_run_config_refuses_booleans_as_parse_config_does(field, flag):
     fields = {"total_time": 1.0, "resolution": 4, "seed": 0, field: flag}
     with pytest.raises(ConfigError, match="'T', 'N' and 'seed' must not be booleans"):
         simulator.RunConfig(_config().model, **fields)
+
+
+@pytest.mark.parametrize(
+    "total_time", ["1.0", b"1", 1j, 10**400], ids=["str", "bytes", "complex", "huge-int"]
+)
+def test_run_config_refuses_a_horizon_no_float_holds(total_time):
+    # "1.0" and b"1" ran as T = 1.0; 1j and 10**400 raised TypeError and
+    # OverflowError.
+    with pytest.raises(ConfigError, match="config field 'T'"):
+        simulator.RunConfig(_config().model, total_time, 4, 0)
 
 
 @pytest.mark.parametrize("scheme", simulator.SCHEMES)
