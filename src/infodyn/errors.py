@@ -7,7 +7,22 @@ kept distinct from input and configuration mistakes because the command
 line maps them to different exit codes.  A run's step outside the validity
 region is a load-time :class:`ConfigError`; only the library's
 :class:`infodyn.dynamics.AffineDynamics` raises :class:`StepTooLarge`.
+A refusal message shows the refused value through :func:`shown`.
 """
+
+import sys
+
+
+def shown(value):
+    """repr(value), or a description for an integer with too many digits to print.
+
+    ``repr`` of an int past Python's digit limit raises ``ValueError``, which
+    would replace the refusal that was meant to name it.
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a number of more than {sys.get_int_max_str_digits()} digits"
 
 
 class InfodynError(Exception):

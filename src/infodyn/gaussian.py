@@ -20,9 +20,13 @@ calls on its one block), the KL covariance term from whitened covariance
 excesses (:func:`infodyn.matfun.kl_covariance_blocks`) and the quadratic
 form delta^T Sigma^-1 delta (:func:`infodyn.matfun.quadratic_form_blocks`).
 
-All covariance manipulation goes through the spectral helpers in
-:mod:`infodyn.matfun`, so positive definiteness failures surface as
+:class:`GaussianDensity` is the one place that factors a dense covariance
+and tests it positive definite, so a failure surfaces as
 :class:`infodyn.errors.NotPositiveDefinite` with the offending eigenvalue.
+A measurement holds its noise N(0, N) as a density, and the data-space
+Wiener filter inverts the covariance of the :func:`evidence`; the inverse,
+the square root that :func:`sample` draws with and the log-determinant are
+read off the spectrum a density stores.
 """
 
 import numpy as np
@@ -63,7 +67,7 @@ class GaussianDensity(Frozen):
             raise InvalidInput(
                 f"mean has dimension {mean.shape[0]} but covariance is {cov.shape}"
             )
-        w, q = matfun.spectral_decompose(cov)
+        w, q = np.linalg.eigh(cov)
         matfun.require_pd(w, "GaussianDensity")
         mean.setflags(write=False)
         cov.setflags(write=False)
@@ -96,11 +100,15 @@ class GaussianDensity(Frozen):
 
 
 class LinearMeasurement(Frozen):
-    """Linear response R with additive Gaussian noise of covariance N."""
+    """Linear response R with additive Gaussian noise N(0, N).
+
+    The noise is held as a :class:`GaussianDensity`, which checks N and
+    factors it once; its refusals are the density's.
+    """
 
     _fields = ("response", "noise_cov")
-    # ``_noise_spectrum`` caches the (eigenvalues, eigenvectors) of N.
-    __slots__ = _fields + ("_noise_spectrum",)
+    # ``_noise`` is the density N(0, N), whose spectrum gives N^-1.
+    __slots__ = _fields + ("_noise",)
 
     def __init__(self, response, noise_cov):
         r = np.asarray(response, dtype=float)
@@ -108,16 +116,14 @@ class LinearMeasurement(Frozen):
             raise InvalidInput(f"response must be a matrix, got shape {r.shape}")
         if not np.all(np.isfinite(r)):
             raise InvalidInput("response entries must be finite")
-        n = matfun.symmetrize(noise_cov)
-        w, q = matfun.spectral_decompose(n)
-        matfun.require_pd(w, "LinearMeasurement noise covariance")
-        if n.shape[0] != r.shape[0]:
+        if np.shape(noise_cov)[:1] != r.shape[:1]:
             raise InvalidInput(
-                f"noise covariance {n.shape} does not match response rows {r.shape[0]}"
+                f"noise covariance {np.shape(noise_cov)} does not match response "
+                f"rows {r.shape[0]}"
             )
+        noise = GaussianDensity(np.zeros(r.shape[0]), noise_cov)
         r.setflags(write=False)
-        n.setflags(write=False)
-        self._set(response=r, noise_cov=n, _noise_spectrum=(w, q))
+        self._set(response=r, noise_cov=noise.cov, _noise=noise)
 
     @property
     def data_dim(self):
@@ -126,10 +132,6 @@ class LinearMeasurement(Frozen):
     @property
     def signal_dim(self):
         return self.response.shape[1]
-
-    def inv_noise_cov(self):
-        """Noise covariance inverse through the spectral decomposition."""
-        return matfun.spectral_inverse(*self._noise_spectrum)
 
 
 def _check_compatible(prior, measurement):
@@ -151,22 +153,18 @@ def wiener_filter(prior, measurement, representation="signal_space"):
     representation : {"signal_space", "data_space"}
         ``signal_space`` computes (Phi^-1 + R^T N^-1 R)^-1 R^T N^-1
         (:func:`posterior_operators`), ``data_space`` computes
-        Phi R^T (R Phi R^T + N)^-1.  The two agree up to round-off.
+        Phi R^T (R Phi R^T + N)^-1, the inverse of the :func:`evidence`
+        covariance.  The two agree up to round-off.
 
     Returns
     -------
     (n, Y) ndarray
     """
-    _check_compatible(prior, measurement)
-    r = measurement.response
-    phi = prior.cov
     if representation == "signal_space":
         return posterior_operators(prior, measurement)[1]
     if representation == "data_space":
-        gram = matfun.symmetrize(r @ phi @ r.T + measurement.noise_cov)
-        w, q = matfun.spectral_decompose(gram)
-        matfun.require_pd(w, "wiener_filter data-space gram")
-        return phi @ r.T @ matfun.spectral_inverse(w, q)
+        gram_inv = evidence(prior, measurement).inv_cov()
+        return prior.cov @ measurement.response.T @ gram_inv
     raise InvalidInput(f"unknown representation {representation!r}")
 
 
@@ -193,7 +191,7 @@ def posterior_operators(prior, measurement):
     """
     _check_compatible(prior, measurement)
     r = measurement.response
-    rt_n_inv = r.T @ measurement.inv_noise_cov()
+    rt_n_inv = r.T @ measurement._noise.inv_cov()
     phi_inv = prior.inv_cov()
     info = matfun.symmetrize(phi_inv + rt_n_inv @ r)
     ((d_w, d_q),), (w,) = matfun.posterior_blocks([info], [rt_n_inv])
@@ -239,10 +237,9 @@ def kl_divergence(p, q):
 def info_hamiltonian(prior, measurement, data, signal):
     """Negative log of the joint density of (data, signal).
 
-    H(d, s) = 1/2 (d - R s)^T N^-1 (d - R s) + 1/2 (s - psi)^T Phi^-1 (s - psi)
-    plus the two Gaussian normalization constants, so that
-    exp(-H) = P(d | s) P(s).  Consequently -H equals the log posterior of s
-    plus the log evidence of d.
+    H(d, s) = -log P(d | s) P(s), the noise log-density of d - R s plus the
+    prior log-density of s, negated.  Consequently -H equals the log
+    posterior of s plus the log evidence of d.
     """
     _check_compatible(prior, measurement)
     d_vec = _vector(data, "data")
@@ -256,25 +253,16 @@ def info_hamiltonian(prior, measurement, data, signal):
             f"data has dimension {d_vec.shape[0]}, expected {measurement.data_dim}"
         )
     resid = d_vec - measurement.response @ s_vec
-    ds = s_vec - prior.mean
-    quad = float(resid @ measurement.inv_noise_cov() @ resid) + float(
-        ds @ prior.inv_cov() @ ds
-    )
-    norm = (
-        measurement.data_dim * LOG_2PI
-        + matfun.log_det_spd(measurement.noise_cov)
-        + prior.dim * LOG_2PI
-        + matfun.log_det_spd(prior.cov)
-    )
-    return 0.5 * (quad + norm)
+    return -float(measurement._noise.log_density(resid) + prior.log_density(s_vec))
 
 
 def sample(density, count, seed):
     """Draw ``count`` samples, deterministically for a given seed.
 
-    Uses the package RNG (:data:`RNG_ALGORITHM`) and the symmetric spectral
-    square root of the covariance, so identical (density, count, seed)
-    triples give bit-identical output.
+    Uses the package RNG (:data:`RNG_ALGORITHM`) and the symmetric square
+    root Q diag(w)^1/2 Q^T of the covariance, from the spectrum the density
+    stores, so identical (density, count, seed) triples give bit-identical
+    output.
 
     Returns
     -------
@@ -284,5 +272,5 @@ def sample(density, count, seed):
         raise InvalidInput(f"count must be a positive integer, got {count!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
     z = rng.standard_normal((int(count), density.dim))
-    root = matfun.sqrtm_spd(density.cov)
-    return density.mean + z @ root
+    w, q = density._spectrum
+    return density.mean + z @ ((q * np.sqrt(w)) @ q.T)

@@ -48,6 +48,7 @@ from .errors import (
     DegenerateMassError,
     InvalidInput,
     UnsupportedPixelCount,
+    shown,
 )
 
 PART_PHI = "phi"
@@ -85,23 +86,23 @@ class KGModel(Frozen):
             if isinstance(value, (bool, np.bool_)):
                 raise InvalidInput(f"{name} must be a number, not a boolean, got {value!r}")
         if not isinstance(n_modes, (int, np.integer)) or n_modes < 2:
-            raise InvalidInput(f"n_modes must be an integer >= 2, got {n_modes!r}")
+            raise InvalidInput(f"n_modes must be an integer >= 2, got {shown(n_modes)}")
         if not isinstance(pixels, (int, np.integer)):
-            raise InvalidInput(f"pixels must be an integer, got {pixels!r}")
+            raise InvalidInput(f"pixels must be an integer, got {shown(pixels)}")
         n_modes, pixels = int(n_modes), int(pixels)
         if pixels <= 1 or pixels % 2 == 0:
             raise UnsupportedPixelCount(
-                f"pixel count must be odd and greater than one, got {pixels}"
+                f"pixel count must be odd and greater than one, got {shown(pixels)}"
             )
         if 2 * (n_modes - 1) < pixels - 1:
             raise InvalidInput(
                 "every data coefficient must be reached by a field mode, so "
-                f"n_modes - 1 >= (pixels - 1)/2; got n_modes={n_modes}, "
-                f"pixels={pixels}"
+                f"n_modes - 1 >= (pixels - 1)/2; got n_modes={shown(n_modes)}, "
+                f"pixels={shown(pixels)}"
             )
         if not all(isinstance(v, numbers.Real) for v in (mu, beta, sigma_n2)):
-            raise InvalidInput(f"mu, beta and sigma_n2 must be real numbers, got {mu!r}, "
-                               f"{beta!r} and {sigma_n2!r}")
+            raise InvalidInput(f"mu, beta and sigma_n2 must be real numbers, got {shown(mu)}, "
+                               f"{shown(beta)} and {shown(sigma_n2)}")
         scales = []
         for name, value in (("|mu|", mu), ("beta", beta), ("sigma_n2", sigma_n2)):
             try:

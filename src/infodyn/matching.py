@@ -66,7 +66,7 @@ class MatchProblem(Frozen):
                 f"evolved mean must be a vector, got shape {m_star.shape}"
             )
         inv_cov = matfun.symmetrize(evolved_inv_cov)
-        spectrum = matfun.spectral_decompose(inv_cov)
+        spectrum = np.linalg.eigh(inv_cov)
         matfun.require_pd(spectrum[0], "MatchProblem evolved inverse covariance")
         if inv_cov.shape[0] != m_star.shape[0]:
             raise InvalidInput(
@@ -146,7 +146,7 @@ def nullspace_projector(matrix, rel_tol=SINGULAR_RTOL):
         complement of the nullspace.
     rank : int
     """
-    w, q = matfun.spectral_decompose(matrix)
+    w, q = np.linalg.eigh(matfun.symmetrize(matrix))
     scale = float(np.max(np.abs(w))) if w.size else 0.0
     keep = np.abs(w) > rel_tol * scale if scale > 0.0 else np.zeros_like(w, bool)
     p = q[:, keep].T

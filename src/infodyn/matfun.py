@@ -2,9 +2,11 @@
 
 A symmetric matrix A = Q diag(a_1..a_n) Q^T defines f(A) = Q diag(f(a_k)) Q^T
 for any f whose domain contains the spectrum.  Everything symmetric here
-goes through one eigendecomposition; there is no Cholesky or LU path, so the
-square root, the log-determinant, the spectral norm and the
-positive-definiteness test share the same numerical behaviour.  The one
+goes through an eigendecomposition; there is no Cholesky or LU path.  The
+positive-definiteness test :func:`require_pd` reads a spectrum that its
+caller has computed: a dense covariance is factored once, by
+:class:`infodyn.gaussian.GaussianDensity`, which keeps the spectrum that its
+inverse, square root and log-determinant are read from.  The one
 non-symmetric function, :func:`expm_general`, is the Pade [13/13]
 scaling-and-squaring exponential of Higham (2005), written with numpy alone.
 
@@ -16,9 +18,9 @@ tests a list of such stacks as one block-diagonal matrix.  A Klein-Gordon
 run takes its blocks, the Fourier classes, in closed form from
 :func:`infodyn.kleingordon.fourier_classes`.
 
-Floating-point input is re-symmetrized as (M + M^T)/2 before decomposition,
-so mild asymmetry from accumulated round-off is tolerated rather than
-rejected.
+A caller re-symmetrizes floating-point input as (M + M^T)/2
+(:func:`symmetrize`) before it decomposes it, so mild asymmetry from
+accumulated round-off is tolerated rather than rejected.
 
 The block numerics that a simulation run and the dense library
 (:mod:`infodyn.gaussian`, :mod:`infodyn.matching`) share live here too, so
@@ -87,38 +89,6 @@ def symmetrize(matrix):
 def symmetric_part(matrix):
     """(M + M^T)/2 of a matrix or of each block of a stack, unvalidated."""
     return 0.5 * (matrix + np.swapaxes(matrix, -1, -2))
-
-
-def spectral_decompose(matrix):
-    """Eigendecomposition of a symmetric matrix.
-
-    Parameters
-    ----------
-    matrix : (n, n) array_like
-        Symmetric up to round-off; symmetrized internally.
-
-    Returns
-    -------
-    eigenvalues : (n,) ndarray
-        Ascending.
-    eigenvectors : (n, n) ndarray
-        Orthonormal columns, ``matrix ~ Q @ diag(w) @ Q.T``.
-    """
-    return np.linalg.eigh(symmetrize(matrix))
-
-
-def sqrtm_spd(matrix):
-    """A^{1/2} for symmetric positive definite A."""
-    w, q = spectral_decompose(matrix)
-    require_pd(w, "sqrtm_spd")
-    return (q * np.sqrt(w)) @ q.T
-
-
-def log_det_spd(matrix):
-    """log det(A) as the sum of eigenvalue logs; raises :class:`NotPositiveDefinite`."""
-    w, _ = spectral_decompose(matrix)
-    require_pd(w, "log_det_spd")
-    return float(np.sum(np.log(w)))
 
 
 def require_pd(eigenvalues, op_name):

@@ -74,6 +74,7 @@ from .errors import (
     InsufficientSweep,
     InvalidInput,
     NonFiniteOutput,
+    shown,
 )
 from .kleingordon import KGModel
 
@@ -151,32 +152,39 @@ class RunConfig(Frozen):
         if any(isinstance(v, (bool, np.bool_)) for v in (total_time, resolution, seed)):
             raise ConfigError(
                 "config fields 'T', 'N' and 'seed' must not be booleans, got "
-                f"T = {total_time!r}, N = {resolution!r} and seed = {seed!r}"
+                f"T = {shown(total_time)}, N = {shown(resolution)} and seed = {shown(seed)}"
             )
         if not isinstance(total_time, numbers.Real):
-            raise ConfigError(f"config field 'T' must be a real number, got {total_time!r}")
+            raise ConfigError(f"config field 'T' must be a real number, got {shown(total_time)}")
         try:
             t = float(total_time)
         except OverflowError:
             raise ConfigError("config field 'T' is a number too large for a float") from None
         if not (np.isfinite(t) and t > 0.0):
-            raise ConfigError(f"config field 'T' must be positive, got {total_time!r}")
+            raise ConfigError(f"config field 'T' must be positive, got {shown(total_time)}")
         if not isinstance(resolution, (int, np.integer)) or resolution < 1:
             raise ConfigError(
-                f"config field 'N' must be an integer >= 1, got {resolution!r}"
+                f"config field 'N' must be an integer >= 1, got {shown(resolution)}"
             )
         if not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ConfigError(
-                f"config field 'seed' must be a nonnegative integer, got {seed!r}"
+                f"config field 'seed' must be a nonnegative integer, got {shown(seed)}"
             )
+        try:
+            str(seed)
+        except ValueError:
+            raise ConfigError(
+                "config field 'seed' must have at most "
+                f"{sys.get_int_max_str_digits()} digits, as report.json holds it"
+            ) from None
         if not isinstance(initial_data, str) or not initial_data:
             raise ConfigError(
                 "config field 'initial_data' must be 'generate' or a file path, "
-                f"got {initial_data!r}"
+                f"got {shown(initial_data)}"
             )
         if scheme not in SCHEMES:
             raise ConfigError(
-                f"config field 'scheme' must be one of {SCHEMES}, got {scheme!r}"
+                f"config field 'scheme' must be one of {SCHEMES}, got {shown(scheme)}"
             )
         self._set(
             model=model,
@@ -190,9 +198,9 @@ class RunConfig(Frozen):
         if 8 * block_entries > MAX_CLASS_BLOCKS_BYTES:
             raise ConfigError(
                 "config fields 'n_modes' and 'Y' must keep the run's class-blocked "
-                f"matrices, {block_entries} float64 entries, within "
-                f"{MAX_CLASS_BLOCKS_BYTES} bytes, got n_modes = {model.n_modes!r} "
-                f"and Y = {model.pixels!r}"
+                f"matrices, {shown(block_entries)} float64 entries, within "
+                f"{MAX_CLASS_BLOCKS_BYTES} bytes, got n_modes = {shown(model.n_modes)} "
+                f"and Y = {shown(model.pixels)}"
             )
         # Tested on the exponent, so that no 2^N is formed for an absurd N.
         if (
@@ -201,7 +209,7 @@ class RunConfig(Frozen):
         ):
             raise ConfigError(
                 "config fields 'T' and 'N' must keep 2^N and dt = T/2^N finite, "
-                f"normal floats, got T = {t!r} and N = {self.resolution!r}"
+                f"normal floats, got T = {t!r} and N = {shown(self.resolution)}"
             )
         if scheme == SCHEME_DIRECT:
             return
@@ -795,7 +803,10 @@ def convergence_sweep(config, resolutions):
     falls off like dt, as does the gap between the iterated endpoint and the
     continuous-limit endpoint exp(T M').  Fewer than three distinct
     resolutions cannot support a slope estimate and raise
-    :class:`InsufficientSweep`.  Every resolution's config is validated
+    :class:`InsufficientSweep`.  A fitted quantity that is not positive at
+    every resolution has no logarithm and raises :class:`InvalidInput`
+    after the runs: all-zero initial data, for one, keep every exact
+    deviation at 0.  Every resolution's config is validated
     before the first run.  The part of a run that does not depend on dt,
     including M' and exp(T M') d(0), is built once and serves every run.
     A non-regular matcher branch is announced once per sweep, at the first

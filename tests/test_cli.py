@@ -306,6 +306,25 @@ def test_sweep_refuses_a_coarse_resolution_before_any_run(config_path, capsys, m
     assert "give step dt = 0.125, outside the validity region" in captured.err
 
 
+def test_sweep_of_all_zero_data_refuses_the_log_log_fit(tmp_path, config_path, capsys):
+    # Zero data stay zero, as does the exact reference, so every final
+    # deviation is 0 and has no logarithm.  The sweep refuses before it
+    # writes anything.
+    d0 = tmp_path / "d0.json"
+    d0.write_text(json.dumps([0.0] * 14))
+    mapping = json.loads(config_path.read_text())
+    config_path.write_text(json.dumps({**mapping, "initial_data": str(d0)}))
+    out = tmp_path / "sweep.json"
+    argv = ["sweep", "--config", str(config_path), "--n-list", "4,5,6", "--out", str(out)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: exact deviation must be positive for a log-log fit, got [0. 0. 0.]\n"
+    )
+    assert not out.exists()
+
+
 def _simulate_quietly(tmp_path, config_path, mapping):
     """Exit code of simulate --report on ``mapping``; any numpy warning fails."""
     config_path.write_text(json.dumps(mapping))

@@ -262,3 +262,15 @@ def test_density_validation():
         GaussianDensity(mean=[np.inf], cov=[[1.0]])
     with pytest.raises(NotPositiveDefinite):
         GaussianDensity(mean=[0.0, 0.0], cov=[[1.0, 0.0], [0.0, -1.0]])
+
+
+def test_measurement_validation():
+    with pytest.raises(InvalidInput, match="response must be a matrix"):
+        LinearMeasurement(response=[1.0, 2.0], noise_cov=[[1.0]])
+    with pytest.raises(InvalidInput, match="response entries must be finite"):
+        LinearMeasurement(response=[[np.nan, 1.0]], noise_cov=[[1.0]])
+    with pytest.raises(InvalidInput, match="does not match response rows 2"):
+        LinearMeasurement(response=np.ones((2, 3)), noise_cov=np.eye(3))
+    # The noise is refused by the density that holds it.
+    with pytest.raises(NotPositiveDefinite, match="GaussianDensity"):
+        LinearMeasurement(response=np.ones((2, 3)), noise_cov=np.diag([1.0, -1.0]))

@@ -237,6 +237,14 @@ def test_model_validation():
         _model(beta=0.0)
     with pytest.raises(InvalidInput):
         _model(sigma_n2=-1.0)
+    # Sizes too long to print are refused by name, not by repr's ValueError.
+    huge = 10**5000
+    with pytest.raises(InvalidInput, match="^n_modes must be an integer >= 2, got a number"):
+        _model(n_modes=-huge)
+    with pytest.raises(UnsupportedPixelCount, match="got a number of more than"):
+        _model(pixels=huge)
+    with pytest.raises(InvalidInput, match="pixels=a number of more than"):
+        _model(pixels=huge + 1)
 
 
 @pytest.mark.parametrize("field", ["n_modes", "pixels", "mu", "beta", "sigma_n2"])

@@ -1,14 +1,21 @@
-"""Spectral matrix functions against an independent small-matrix eigen oracle."""
+"""Spectral matrix functions against independent oracles.
+
+A dense covariance is factored in one place, :class:`GaussianDensity`; its
+spectrum, the square root :func:`gaussian.sample` draws with and its
+log-determinant are checked here against a small-matrix eigen oracle,
+LAPACK and ``slogdet``.
+"""
 
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from infodyn import matfun
+from infodyn import gaussian, matfun
 from infodyn.errors import InvalidInput, NotPositiveDefinite
-from infodyn.gaussian import GaussianDensity
+from infodyn.gaussian import GaussianDensity, LinearMeasurement
 from infodyn.kleingordon import KGModel
+from infodyn.matching import nullspace_projector
 
 from oracles import build_prior_cov, update_generator
 
@@ -69,12 +76,22 @@ def _random_separated_symmetric(rng, n):
     return base + 0.05 * (pert + pert.T)
 
 
-def test_spectral_decompose_matches_charpoly_oracle():
+def _density(cov):
+    return GaussianDensity(np.zeros(len(cov)), cov)
+
+
+def _draws_and_normals(density, count, seed):
+    """gaussian.sample's draws and the standard normals z behind them, x = mean + z root."""
+    z = np.random.Generator(np.random.PCG64(seed)).standard_normal((count, density.dim))
+    return gaussian.sample(density, count, seed), z
+
+
+def test_density_spectrum_matches_charpoly_oracle():
     rng = np.random.default_rng(7)
     for n in (1, 2, 3):
         for _ in range(20):
             a = _random_separated_symmetric(rng, n)
-            w, q = matfun.spectral_decompose(a)
+            w, q = _density(a)._spectrum
             w_oracle = charpoly_eigenvalues(a)
             assert len(w_oracle) == n
             assert_allclose(w, np.sort(w_oracle), atol=1e-9)
@@ -82,10 +99,12 @@ def test_spectral_decompose_matches_charpoly_oracle():
             assert_allclose((q * w) @ q.T, matfun.symmetrize(a), atol=1e-12)
 
 
-def test_spectral_decompose_exchange_matrix():
-    w, q = matfun.spectral_decompose([[0.0, 1.0], [1.0, 0.0]])
-    assert_allclose(w, [-1.0, 1.0], atol=1e-15)
-    assert_allclose(q.T @ q, np.eye(2), atol=1e-15)
+def test_nullspace_projector_keeps_both_directions_of_the_exchange_matrix():
+    # The exchange matrix has eigenvalues -1 and 1: neither is null.
+    p, rank = nullspace_projector([[0.0, 1.0], [1.0, 0.0]])
+    assert rank == 2
+    assert_allclose(p @ p.T, np.eye(2), atol=1e-15)
+    assert_allclose(p.T @ p, np.eye(2), atol=1e-15)
 
 
 _PRIOR_16_31 = np.diag(
@@ -106,31 +125,26 @@ _PRIOR_16_31 = np.diag(
     ids=["tied", "kg-prior", "1x1", "zero", "negative", "below-floor"],
 )
 def test_diagonal_spectrum_is_read_off_like_eigh(diagonal, refused):
-    # The spectrum of a diagonal input, and every inverse and square root
-    # built from it, must be what LAPACK gives, and the positive
-    # definiteness test must refuse exactly the singular ones.
+    # The spectrum a density stores for a diagonal covariance, and the
+    # inverse, square root and log-determinant read off it, must be what
+    # LAPACK gives, and the positive definiteness test must refuse exactly
+    # the singular ones, as a density and as a measurement's noise.
     a = np.diag(np.asarray(diagonal, dtype=float))
+    if refused:
+        for op in (_density, lambda cov: LinearMeasurement(np.eye(len(cov)), cov)):
+            with pytest.raises(NotPositiveDefinite):
+                op(a)
+        return
     w_lapack, q_lapack = np.linalg.eigh(a)
-    w, q = matfun.spectral_decompose(a)
+    density = _density(a)
+    w, q = density._spectrum
     assert w.tobytes() == w_lapack.tobytes()
     assert np.array_equal(q.T @ q, np.eye(len(w)))
     assert np.array_equal((q * w) @ q.T, a)
-    if w[0] > 0.0:
-        assert np.array_equal((q / w) @ q.T, (q_lapack / w_lapack) @ q_lapack.T)
-        root = (q * np.sqrt(w)) @ q.T
-        assert np.array_equal(root, (q_lapack * np.sqrt(w_lapack)) @ q_lapack.T)
-    if refused:
-        for op in (
-            matfun.sqrtm_spd,
-            matfun.log_det_spd,
-            lambda cov: GaussianDensity(np.zeros(len(cov)), cov),
-        ):
-            with pytest.raises(NotPositiveDefinite):
-                op(a)
-    else:
-        assert np.array_equal(matfun.sqrtm_spd(a), root)
-        assert matfun.log_det_spd(a) == np.sum(np.log(w))
-        GaussianDensity(np.zeros(len(w)), a)
+    assert np.array_equal(density.inv_cov(), (q_lapack / w_lapack) @ q_lapack.T)
+    draws, z = _draws_and_normals(density, 3, seed=0)
+    assert np.array_equal(draws, z @ ((q_lapack * np.sqrt(w_lapack)) @ q_lapack.T))
+    assert density.log_det_cov() == np.sum(np.log(w_lapack))
 
 
 def test_symmetrize_rejects_bad_input():
@@ -149,28 +163,30 @@ def test_log_det_matches_slogdet():
         a = (q * rng.uniform(0.5, 4.0, 4)) @ q.T
         sign, logdet = np.linalg.slogdet(a)
         assert sign == 1.0
-        assert_allclose(matfun.log_det_spd(a), logdet, rtol=1e-8)
+        assert_allclose(_density(a).log_det_cov(), logdet, rtol=1e-8)
 
 
 def test_log_det_frozen_value():
     # diag(2, 8): log det = log 16.
-    assert_allclose(
-        matfun.log_det_spd(np.diag([2.0, 8.0])), np.log(16.0), rtol=1e-14
-    )
+    assert_allclose(_density(np.diag([2.0, 8.0])).log_det_cov(), np.log(16.0), rtol=1e-14)
 
 
 def test_sqrt_squares_back():
+    # The root gaussian.sample draws with, solved from 4 draws of a
+    # zero-mean density: x = z root.
     rng = np.random.default_rng(19)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     a = (q * rng.uniform(0.5, 4.0, 4)) @ q.T
-    root = matfun.sqrtm_spd(a)
+    draws, z = _draws_and_normals(_density(a), 4, seed=3)
+    root = np.linalg.solve(z, draws)
+    assert_allclose(root, root.T, atol=1e-12)
     assert_allclose(root @ root, a, atol=1e-10)
 
 
 def test_pd_operations_reject_indefinite():
     a = np.diag([1.0, -1.0])
-    for op in (matfun.sqrtm_spd, matfun.log_det_spd):
-        with pytest.raises(NotPositiveDefinite):
+    for op in (_density, lambda cov: LinearMeasurement(np.eye(2), cov)):
+        with pytest.raises(NotPositiveDefinite, match="GaussianDensity"):
             op(a)
 
 

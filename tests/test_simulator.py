@@ -6,13 +6,14 @@ import logging
 import sys
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from infodyn import dynamics, gaussian, kleingordon, matching, matfun, simulator
+from infodyn import gaussian, kleingordon, matching, matfun, simulator
 from infodyn.errors import (
     ConfigError,
     InsufficientSweep,
@@ -112,6 +113,15 @@ def test_parse_config_rejects_bad_types():
         simulator.parse_config(_base_mapping(scheme="exact"))
     with pytest.raises(ConfigError, match="'T' must be positive"):
         simulator.parse_config(_base_mapping(T=-1.0))
+    # Integers too long to print ended in a raw ValueError from repr, and a
+    # seed that report.json cannot hold ran, then failed in write_report.
+    huge = 10**5000
+    with pytest.raises(ConfigError, match="'N' must be an integer >= 1, got a number of"):
+        simulator.parse_config(_base_mapping(N=-huge))
+    with pytest.raises(ConfigError, match="'seed' must be a nonnegative integer, got a number"):
+        simulator.parse_config(_base_mapping(seed=-huge))
+    with pytest.raises(ConfigError, match=r"'seed' must have at most \d+ digits, as report.json"):
+        simulator.parse_config(_base_mapping(seed=huge))
 
 
 @pytest.mark.parametrize("field", ["total_time", "resolution", "seed"])
@@ -125,11 +135,14 @@ def test_run_config_refuses_booleans_as_parse_config_does(field, flag):
 
 
 @pytest.mark.parametrize(
-    "total_time", ["1.0", b"1", 1j, 10**400], ids=["str", "bytes", "complex", "huge-int"]
+    "total_time",
+    ["1.0", b"1", 1j, 10**400, Fraction(1, 10**5000)],
+    ids=["str", "bytes", "complex", "huge-int", "underflowing-fraction"],
 )
 def test_run_config_refuses_a_horizon_no_float_holds(total_time):
     # "1.0" and b"1" ran as T = 1.0; 1j and 10**400 raised TypeError and
-    # OverflowError.
+    # OverflowError, and the fraction, 0.0 as a float, a ValueError from
+    # the repr of its denominator.
     with pytest.raises(ConfigError, match="config field 'T'"):
         simulator.RunConfig(_config().model, total_time, 4, 0)
 
@@ -168,7 +181,7 @@ def test_direct_scheme_skips_trajectory_and_step_checks():
     ).scheme == "direct"
     # 2^N and dt = T/2^N must stay finite, normal floats under every scheme.
     for scheme in simulator.SCHEMES:
-        for t, n in ((1.0, 1024), (1.0, 1023), (1e-300, 40), (1.0, 10**30)):
+        for t, n in ((1.0, 1024), (1.0, 1023), (1e-300, 40), (1.0, 10**30), (1.0, 10**5000)):
             with pytest.raises(ConfigError, match="finite, normal floats"):
                 _config(T=t, N=n, scheme=scheme)
     assert _config(T=1.0, N=1022, scheme="direct").dt == 2.0**-1022
@@ -217,9 +230,11 @@ def test_model_size_is_capped_at_load_time_under_every_scheme():
         for n_modes, pixels in ((1024, 2045), (1025, 5), (500_001, 1_000_001)):
             config = _config(n_modes=n_modes, Y=pixels, T=1e-12, N=1, scheme=scheme)
             assert config.model.n_modes == n_modes
-        # One class of 1.6e8 signal indices.
-        with pytest.raises(ConfigError, match="class-blocked matrices"):
-            _config(n_modes=100_000_000, Y=5, T=1e-12, N=1, scheme=scheme)
+        # One class of 1.6e8 signal indices, and one of an n_modes too
+        # long to print.
+        for n_modes in (100_000_000, 10**5000):
+            with pytest.raises(ConfigError, match="class-blocked matrices"):
+                _config(n_modes=n_modes, Y=5, T=1e-12, N=1, scheme=scheme)
 
 
 def test_per_step_arrays_of_signal_width_are_capped_at_load_time():
@@ -446,10 +461,7 @@ def _check_against_per_step_oracle(run):
     meas = oracles.measurement(model)
     w = gaussian.wiener_filter(prior, meas)
     d_cov = gaussian.posterior(prior, meas, np.zeros(model.data_dim)).cov
-    g_step = dynamics.AffineDynamics(
-        generator=oracles.build_generator(model),
-        dt=dt,
-    ).step_matrix()
+    g_step = np.eye(model.signal_dim) + dt * oracles.build_generator(model)
     a_step = oracles.exact_step(model, dt)
     exact_cov = a_step @ d_cov @ a_step.T
     linear_cov = g_step @ d_cov @ g_step.T
@@ -652,7 +664,6 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
     count(kleingordon, "update_generator_blocks")
     for name in ("update_generator", "build_generator", "exact_step"):
         count(oracles, name)
-    count(matfun, "spectral_decompose")
     count(matfun, "branches")
     count(matching, "match")
     # Counted under one key, "__init__".
@@ -677,7 +688,6 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
         assert counts["update_generator"] == 0
         assert counts["build_generator"] == 0
         assert counts["exact_step"] == 0
-        assert counts["spectral_decompose"] == 0
         assert counts["__init__"] == 0
         assert counts["branches"] == 1
         assert counts["match"] == 0
