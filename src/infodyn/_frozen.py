@@ -4,11 +4,14 @@ A subclass names its constructor arguments in ``_fields`` and every stored
 attribute, cached ones included, in ``__slots__``.  Its ``__init__``
 validates the arguments and stores them with :meth:`Frozen._set`; after
 that the instance refuses assignment and deletion with
-:class:`AttributeError`.  Equality, hashing and ``repr`` go by ``_fields``,
-and :meth:`Frozen.replace` builds a changed copy through ``__init__``, so it
-is validated like a new instance.  Nothing is generated at class creation,
-which keeps the package's import cheap.
+:class:`AttributeError`.  Equality (arrays by value), hashing (which an
+array field refuses) and ``repr`` go by ``_fields``, and :meth:`Frozen.replace`
+builds a changed copy through ``__init__``, so it is validated like a new
+instance.  Nothing is generated at class creation, which keeps the package's
+import cheap.
 """
+
+import numpy as np
 
 
 class Frozen:
@@ -38,7 +41,10 @@ class Frozen:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._values() == other._values()
+        return all(
+            np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
+            for mine, theirs in zip(self._values(), other._values())
+        )
 
     def __hash__(self):
         return hash(self._values())

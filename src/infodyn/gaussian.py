@@ -37,11 +37,6 @@ from .errors import InvalidInput
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-# Generator identity for all sampling in the package: numpy PCG64 behind
-# numpy.random.Generator, seeded explicitly.  Same seed, same stream, on any
-# platform numpy supports.
-RNG_ALGORITHM = "PCG64"
-
 
 def _vector(x, name):
     v = np.asarray(x, dtype=float)
@@ -259,10 +254,10 @@ def info_hamiltonian(prior, measurement, data, signal):
 def sample(density, count, seed):
     """Draw ``count`` samples, deterministically for a given seed.
 
-    Uses the package RNG (:data:`RNG_ALGORITHM`) and the symmetric square
-    root Q diag(w)^1/2 Q^T of the covariance, from the spectrum the density
-    stores, so identical (density, count, seed) triples give bit-identical
-    output.
+    Draws from numpy's PCG64 behind ``numpy.random.Generator``, seeded
+    explicitly, and uses the symmetric square root Q diag(w)^1/2 Q^T of the
+    covariance, from the spectrum the density stores, so identical
+    (density, count, seed) triples give bit-identical output.
 
     Returns
     -------

@@ -155,11 +155,6 @@ class KGModel(Frozen):
         return self.pixels + 2
 
     @property
-    def k_max(self):
-        """Largest stored data coefficient index, (Y + 1)/2."""
-        return (self.pixels + 1) // 2
-
-    @property
     def delta(self):
         """Pixel width 2 pi / Y."""
         return 2.0 * np.pi / self.pixels

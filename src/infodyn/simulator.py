@@ -242,13 +242,12 @@ class RunConfig(Frozen):
 class ExactReference(NamedTuple):
     """Exact trajectory R2 A(t) m_0 of the initial posterior mean.
 
-    ``data`` has one row per entry of ``times``, the times a run compares
-    against: every step time, or t = 0 and T for scheme 'direct'.
-    ``energy_drift`` is the largest change of the field energy over those
-    times: roundoff-level, as the exact step conserves it, or NaN on overflow.
+    ``data`` has one row per time a run compares against: every step time,
+    or t = 0 and T for scheme 'direct'.  ``energy_drift`` is the largest
+    change of the field energy over those times: roundoff-level, as the
+    exact step conserves it, or NaN on overflow.
     """
 
-    times: np.ndarray
     data: np.ndarray
     energy_drift: float
 
@@ -433,7 +432,7 @@ def _exact_reference(model, mean, classes, response, times):
         drift = np.maximum(drift, np.max(np.abs(energies - energy_0)))
         for (sig, dat), r in zip(classes, response):
             data[dat, start : start + len(states)] = r @ np.moveaxis(states[:, sig], 0, -1)
-    return ExactReference(times=times, data=data.T, energy_drift=float(drift))
+    return ExactReference(data=data.T, energy_drift=float(drift))
 
 
 def _refuse_nonfinite(steps, columns, values):
@@ -801,23 +800,27 @@ def convergence_sweep(config, resolutions):
     leaves the same state, so the fit isolates the dt-scaling of a single
     step; it falls off like dt^2.  The running sum over the full horizon
     falls off like dt, as does the gap between the iterated endpoint and the
-    continuous-limit endpoint exp(T M').  Fewer than three distinct
-    resolutions cannot support a slope estimate and raise
-    :class:`InsufficientSweep`.  A fitted quantity that is not positive at
-    every resolution has no logarithm and raises :class:`InvalidInput`
-    after the runs: all-zero initial data, for one, keep every exact
-    deviation at 0.  Every resolution's config is validated
-    before the first run.  The part of a run that does not depend on dt,
-    including M' and exp(T M') d(0), is built once and serves every run.
+    continuous-limit endpoint exp(T M').  Each resolution is checked as a
+    config's N, unconverted, by :meth:`RunConfig.replace` before the first
+    run; fewer than three distinct ones cannot support a slope estimate and
+    raise :class:`InsufficientSweep`.  A fitted quantity that is not
+    positive at every resolution has no logarithm and raises
+    :class:`InvalidInput` after the runs: all-zero initial data, for one,
+    keep every exact deviation at 0.  The part of a run that does not
+    depend on dt, including M' and exp(T M') d(0), is built once and serves
+    every run.
     A non-regular matcher branch is announced once per sweep, at the first
     resolution that takes one, as :func:`run_ifd` announces it once per run.
     """
-    res_list = sorted({int(n) for n in resolutions})
+    configs = {}
+    for n in resolutions:
+        run_config = config.replace(resolution=n, scheme=SCHEME_BOTH)
+        configs[run_config.resolution] = run_config
+    res_list = sorted(configs)
     if len(res_list) < 3:
         raise InsufficientSweep(
             f"need at least 3 distinct resolutions for a sweep, got {res_list}"
         )
-    configs = [config.replace(resolution=n, scheme=SCHEME_BOTH) for n in res_list]
     setup = _setup(config, direct=True)
     dts = []
     per_step = []
@@ -825,8 +828,8 @@ def convergence_sweep(config, resolutions):
     deviations = []
     gaps = []
     warned = False
-    for run_config in configs:
-        run = _run(run_config, setup)
+    for n in res_list:
+        run = _run(configs[n], setup)
         warned = warned or _warn_not_regular(run)
         dts.append(run.config.dt)
         per_step.append(run.kl_step[0])
@@ -858,8 +861,8 @@ def convergence_sweep(config, resolutions):
 
 def _write_table(result, path, header, columns, labels=None, at=0):
     """Write ``header``, then a line step, t, ``columns`` per step (:func:`floattext.lines`)."""
-    # Imported here: importing it from source takes 3.8 ms on 2 vCPUs (median
-    # of 15 fresh interpreters, no bytecode cache).
+    # Imported here: importing it from source after numpy takes 2.3 ms on 2
+    # vCPUs (median of 15 fresh interpreters, no bytecode cache).
     from . import floattext
 
     steps = np.arange(1, len(result.kl_step) + 1)

@@ -192,7 +192,10 @@ def test_unreadable_config_and_initial_data_exit_1(tmp_path, config_path, capsys
 def test_bad_n_list_exits_1(config_path, capsys):
     assert cli.main(["sweep", "--config", str(config_path), "--n-list", "4,x"]) == 1
     assert cli.main(["sweep", "--config", str(config_path), "--n-list", "4,5"]) == 1
-    assert capsys.readouterr().err.count("error:") == 2
+    assert cli.main(["sweep", "--config", str(config_path), "--n-list", ","]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 3
+    assert "error: --n-list must not be empty, got ','\n" in err
 
 
 def test_numeric_refusal_exits_2(tmp_path, capsys):

@@ -96,3 +96,8 @@ def test_dimension_mismatch():
         AffineDynamics(generator=np.zeros(2), dt=0.1)
     with pytest.raises(InvalidInput):
         AffineDynamics(generator=np.zeros((2, 2, 3)), dt=0.1)
+    with pytest.raises(InvalidInput, match="^generator entries must be finite$"):
+        AffineDynamics(generator=[[0.0, np.inf], [0.0, 0.0]], dt=0.1)
+    for dt in (-0.1, np.nan, np.inf):
+        with pytest.raises(InvalidInput, match="^dt must be finite and nonnegative, got "):
+            AffineDynamics(generator=np.zeros((2, 2)), dt=dt)

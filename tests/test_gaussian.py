@@ -260,6 +260,13 @@ def test_density_validation():
         GaussianDensity(mean=[0.0, 1.0], cov=[[1.0]])
     with pytest.raises(InvalidInput):
         GaussianDensity(mean=[np.inf], cov=[[1.0]])
+    with pytest.raises(InvalidInput, match=r"^mean must be one dimensional, got shape \(1, 2\)$"):
+        GaussianDensity(mean=[[0.0, 1.0]], cov=np.eye(2))
+    with pytest.raises(InvalidInput, match="^dimension mismatch: 2 vs 3$"):
+        gaussian.kl_divergence(
+            GaussianDensity(mean=np.zeros(2), cov=np.eye(2)),
+            GaussianDensity(mean=np.zeros(3), cov=np.eye(3)),
+        )
     with pytest.raises(NotPositiveDefinite):
         GaussianDensity(mean=[0.0, 0.0], cov=[[1.0, 0.0], [0.0, -1.0]])
 
@@ -274,3 +281,13 @@ def test_measurement_validation():
     # The noise is refused by the density that holds it.
     with pytest.raises(NotPositiveDefinite, match="GaussianDensity"):
         LinearMeasurement(response=np.ones((2, 3)), noise_cov=np.diag([1.0, -1.0]))
+    prior = GaussianDensity(mean=np.zeros(3), cov=np.eye(3))
+    meas = LinearMeasurement(response=np.ones((2, 3)), noise_cov=np.eye(2))
+    with pytest.raises(InvalidInput, match="^response acts on dimension 3 but prior has dimension 2$"):
+        gaussian.posterior_operators(GaussianDensity(mean=np.zeros(2), cov=np.eye(2)), meas)
+    with pytest.raises(InvalidInput, match="^data has dimension 3, expected 2$"):
+        gaussian.posterior(prior, meas, np.zeros(3))
+    with pytest.raises(InvalidInput, match="^signal has dimension 2, expected 3$"):
+        gaussian.info_hamiltonian(prior, meas, np.zeros(2), np.zeros(2))
+    with pytest.raises(InvalidInput, match="^data has dimension 3, expected 2$"):
+        gaussian.info_hamiltonian(prior, meas, np.zeros(3), np.zeros(3))

@@ -51,7 +51,7 @@ def _quadrature_response_column(model, col):
     for j in range(y):
         value, _ = scipy.integrate.quad(field, j * delta, (j + 1) * delta)
         averages[j] = value / delta
-    ks = np.arange(model.k_max + 1)
+    ks = np.arange((y + 1) // 2 + 1)
     coeffs = delta * np.exp(1j * np.outer(ks, np.arange(y)) * delta) @ averages
     packed = np.empty(model.data_part_dim)
     packed[0] = coeffs[0].real
@@ -245,6 +245,23 @@ def test_model_validation():
         _model(pixels=huge)
     with pytest.raises(InvalidInput, match="pixels=a number of more than"):
         _model(pixels=huge + 1)
+
+
+def test_closed_forms_refuse_bad_arguments():
+    model = _model(n_modes=4, pixels=5)
+    classes = kg.fourier_classes(model)
+    with pytest.raises(InvalidInput, match="^unknown part 'psi'$"):
+        kg.data_gram_condition(model, classes, "psi")
+    with pytest.raises(InvalidInput, match="^unknown part 'psi'$"):
+        kg.rphi_rt_diag(model, "psi")
+    with pytest.raises(InvalidInput, match="^dt must be finite, got nan$"):
+        kg.exact_step_pairs(model, np.nan)
+    with pytest.raises(InvalidInput, match=r"^packed field has shape \(13,\), expected \(14,\)$"):
+        kg.exact_evolve(model, np.zeros(13), [0.0, 1.0])
+    with pytest.raises(InvalidInput, match=r"^packed field has shape \(\), expected \(\.\.\., 14\)$"):
+        kg.field_energy(model, 1.0)
+    with pytest.raises(InvalidInput, match=r"^packed field has shape \(2, 13\), expected"):
+        kg.field_energy(model, np.zeros((2, 13)))
 
 
 @pytest.mark.parametrize("field", ["n_modes", "pixels", "mu", "beta", "sigma_n2"])
@@ -483,6 +500,7 @@ def test_data_norm_stays_below_exponential_envelope():
 def _loop_response(model):
     """The response built mode by mode, with a scalar sinc and rotation per mode."""
     n, y = model.n_modes, model.pixels
+    k_max = (y + 1) // 2  # the largest stored data coefficient index
     half = 0.5 * model.delta
     r = np.zeros((model.data_part_dim, model.part_dim))
     r[0, 0] = 1.0
@@ -492,11 +510,11 @@ def _loop_response(model):
         s = np.sin(l * half)
         cols = (2 * l - 1, 2 * l)
         k_direct = l % y
-        if 1 <= k_direct <= model.k_max:
+        if 1 <= k_direct <= k_max:
             rows = (2 * k_direct - 1, 2 * k_direct)
             r[np.ix_(rows, cols)] += scale * np.array([[c, s], [-s, c]])
         k_mirror = (-l) % y
-        if 1 <= k_mirror <= model.k_max:
+        if 1 <= k_mirror <= k_max:
             rows = (2 * k_mirror - 1, 2 * k_mirror)
             r[np.ix_(rows, cols)] += scale * np.array([[c, s], [s, -c]])
     return r
@@ -516,7 +534,7 @@ def _loop_gram_diag(model, part):
     diag = np.empty(model.data_part_dim)
     diag[0] = zero_entry
     residues = m % y
-    for k in range(1, model.k_max + 1):
+    for k in range(1, (y + 1) // 2 + 1):
         hits = (residues == k) | (residues == (y - k) % y)
         diag[2 * k - 1] = diag[2 * k] = (np.pi / beta) * np.sum(weight[hits] * sinc2[hits])
     return diag

@@ -291,3 +291,17 @@ def test_objective_validates_shape():
         matching.objective(problem, np.zeros(3))
     with pytest.raises(InvalidInput):
         oracles.objective_gradient(problem, np.zeros(5))
+    prior, meas = problem.new_prior, problem.new_meas
+    cases = [
+        ((np.zeros((1, 3)), np.eye(3), prior, meas),
+         r"^evolved mean must be a vector, got shape \(1, 3\)$"),
+        ((np.zeros(3), np.eye(2), prior, meas),
+         r"^evolved mean dimension 3 does not match inverse covariance \(2, 2\)$"),
+        ((np.zeros(2), np.eye(2), prior, meas),
+         "^new prior dimension 3 does not match evolved mean dimension 2$"),
+        ((np.zeros(2), np.eye(2), GaussianDensity(np.zeros(2), np.eye(2)), meas),
+         "^new measurement signal dimension 3 does not match prior dimension 2$"),
+    ]
+    for args, message in cases:
+        with pytest.raises(InvalidInput, match=message):
+            MatchProblem(*args)

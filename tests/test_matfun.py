@@ -154,6 +154,8 @@ def test_symmetrize_rejects_bad_input():
         matfun.symmetrize([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(InvalidInput):
         matfun.symmetrize(np.ones(3))
+    with pytest.raises(InvalidInput, match="^matrix must be at least 1x1$"):
+        matfun.symmetrize(np.ones((0, 0)))
 
 
 def test_log_det_matches_slogdet():
@@ -203,6 +205,8 @@ def test_expm_general_matches_series_and_rejects_nonsquare():
     assert_allclose(matfun.expm_general(t * gen), expected, atol=1e-12)
     with pytest.raises(InvalidInput):
         matfun.expm_general(np.ones((2, 3)))
+    with pytest.raises(InvalidInput, match="^matrix entries must be finite$"):
+        matfun.expm_general([[0.0, np.nan], [0.0, 0.0]])
 
 
 def _assert_matches_scipy_expm(a):

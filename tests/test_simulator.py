@@ -3,6 +3,7 @@
 import gc
 import json
 import logging
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -113,6 +114,11 @@ def test_parse_config_rejects_bad_types():
         simulator.parse_config(_base_mapping(scheme="exact"))
     with pytest.raises(ConfigError, match="'T' must be positive"):
         simulator.parse_config(_base_mapping(T=-1.0))
+    for initial_data in ("", 3):
+        with pytest.raises(
+            ConfigError, match="^config field 'initial_data' must be 'generate' or a file path"
+        ):
+            simulator.parse_config(_base_mapping(initial_data=initial_data))
     # Integers too long to print ended in a raw ValueError from repr, and a
     # seed that report.json cannot hold ran, then failed in write_report.
     huge = 10**5000
@@ -352,8 +358,6 @@ def test_exact_reference_conserves_energy():
     config = _config(N=5)
     reference = _dense_exact_reference(config)
     assert reference.data.shape == (config.steps + 1, config.model.data_dim)
-    assert reference.times[0] == 0.0
-    assert_allclose(reference.times[-1], config.total_time, rtol=1e-12)
     assert reference.energy_drift < 1e-10
 
 
@@ -927,6 +931,25 @@ def test_sweep_requires_three_distinct_resolutions():
         simulator.convergence_sweep(config, [4, 5])
     with pytest.raises(InsufficientSweep):
         simulator.convergence_sweep(config, [4, 4, 4])
+    with pytest.raises(InsufficientSweep, match=r"got \[4, 5\]$"):
+        simulator.convergence_sweep(config, [4, 4, 5])
+
+
+@pytest.mark.parametrize(
+    "resolutions, message",
+    [
+        ([4, 5.9, 6], "config field 'N' must be an integer >= 1, got 5.9"),
+        ([4, 5, "6"], "config field 'N' must be an integer >= 1, got '6'"),
+        ([True, 4, 5], "config fields 'T', 'N' and 'seed' must not be booleans"),
+        ([4, 10**5000], "N = a number of more than"),
+    ],
+    ids=["float", "string", "boolean", "too-many-digits"],
+)
+def test_sweep_checks_each_resolution_as_a_configs_n(resolutions, message):
+    # RunConfig is the one check of N: nothing converts a resolution first,
+    # and every one is checked before the distinct ones are counted.
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        simulator.convergence_sweep(_config(), resolutions)
 
 
 def test_sweep_slopes_and_monotonicity():
