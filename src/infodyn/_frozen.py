@@ -17,6 +17,7 @@ import numpy as np
 class Frozen:
     __slots__ = ()
     _fields = ()
+    __array_ufunc__ = None  # numpy defers == and != to the record: a bool, not an array
 
     def _set(self, **values):
         for name, value in values.items():

@@ -16,9 +16,8 @@ matrices, for one model at a time, as demos 01 and 02 use them.  A
 simulation run imports none of it.  The quantities both need are computed
 in one place, :mod:`infodyn.matfun`: D's spectrum and W = D R^T N^-1
 (:func:`infodyn.matfun.posterior_blocks`, which :func:`posterior_operators`
-calls on its one block), the KL covariance term from whitened covariance
-excesses (:func:`infodyn.matfun.kl_covariance_blocks`) and the quadratic
-form delta^T Sigma^-1 delta (:func:`infodyn.matfun.quadratic_form_blocks`).
+calls on its one block) and the KL covariance term from whitened covariance
+excesses (:func:`infodyn.matfun.kl_covariance_blocks`).
 
 :class:`GaussianDensity` is the one place that factors a dense covariance
 and tests it positive definite, so a failure surfaces as
@@ -81,12 +80,9 @@ class GaussianDensity(Frozen):
         return float(np.sum(np.log(w)))
 
     def quadratic_form(self, delta):
-        """delta^T Sigma^-1 delta for one vector (n,) or each row of a batch (..., n)."""
-        delta = np.asarray(delta, dtype=float)
-        columns = delta.reshape(-1, self.dim).T
-        return matfun.quadratic_form_blocks([self._spectrum], [columns]).reshape(
-            delta.shape[:-1]
-        )[()]
+        """delta^T Sigma^-1 delta from the spectrum, for one vector (n,) or each row of (..., n)."""
+        w, q = self._spectrum
+        return np.sum((np.asarray(delta, dtype=float) @ q) ** 2 / w, axis=-1)
 
     def log_density(self, x):
         """Log density at ``x``; accepts a single point (n,) or a batch (..., n)."""

@@ -26,9 +26,10 @@ The block numerics that a simulation run and the dense library
 (:mod:`infodyn.gaussian`, :mod:`infodyn.matching`) share live here too, so
 that each is computed in one place and a run imports neither: D's spectrum
 and the Wiener filter (:func:`posterior_blocks`), the KL covariance term
-(:func:`kl_covariance_blocks`), the quadratic form delta^T Sigma^-1 delta
-(:func:`quadratic_form_blocks`) and the entropic matcher's branch rule
-(:func:`branches`, with :func:`nonzero` and the ``BRANCH_*`` labels).
+(:func:`kl_covariance_blocks`) and the entropic matcher's branch rule
+(:func:`branches`, with :func:`nonzero` and the ``BRANCH_*`` labels).  A
+run applies D^-1 = Phi^-1 + R^T N^-1 R in closed form, so
+:func:`spectral_inverse` serves the dense library alone.
 """
 
 import numpy as np
@@ -232,19 +233,6 @@ def kl_covariance_blocks(excesses):
         summand[small] = x * x * series
         total += 0.5 * float(np.sum(summand))
     return total
-
-
-def quadratic_form_blocks(spectra, deltas):
-    """delta^T Sigma^-1 delta = ||diag(w^-1/2) Q^T delta||^2 of each column, summed over blocks.
-
-    ``spectra`` holds the (w, Q) of the diagonal blocks of Sigma, (n,) and
-    (n, n) or (k, n) and (k, n, n), and ``deltas`` the same blocks of the
-    columns, (n, m) or (k, n, m).
-    """
-    return sum(
-        np.sum((np.swapaxes(v, -1, -2) @ d) ** 2 / w[..., None], axis=tuple(range(d.ndim - 1)))
-        for (w, v), d in zip(spectra, deltas)
-    )
 
 
 def nonzero(eigenvalues):

@@ -30,15 +30,17 @@ spectrum and W = D R^T N^-1 come from :func:`matfun.posterior_blocks`,
 M' from :func:`kleingordon.update_generator_blocks` (bit for bit the
 dense chain R2 L Phi R2^T) and the matcher branch of every step from
 :func:`matfun.branches`; a run imports none of the dense library,
-:mod:`infodyn.gaussian` and :mod:`infodyn.matching`.  What does not
-depend on dt (the posterior, M' and exp(T M') d(0)) is built once per
+:mod:`infodyn.gaussian` and :mod:`infodyn.matching`.  The posterior
+precision D^-1 = Phi^-1 + R^T R / sigma_n2 is applied in closed form, and
+D's spectrum serves only where a root of D is needed: W, the KL covariance
+terms' whitening and the matcher's bound.  What does not depend on dt (the
+posterior, M' and exp(T M') d(0)) is built once per
 :func:`convergence_sweep`; what does not depend on the step (also the KL
-covariance terms, the matcher's evolved precision and the maps from data
-to evolved means) once per run, from D's spectrum, with no evolved
-covariance formed or factored.  The trajectory is built by doubling,
-u(2^j + i) = (1 + dt M'_c)^(2^j) u(i); it agrees with stepping u <- M u to
-round-off that grows with N: at most 1.7e-11 row-relative at n_modes 16,
-Y 31, N 20.
+covariance terms, the matcher's evolved precision and the maps from data to
+evolved means) once per run, with no evolved covariance formed or factored.
+The trajectory is built by doubling, u(2^j + i) = (1 + dt M'_c)^(2^j) u(i);
+it agrees with stepping u <- M u to round-off that grows with N: at most
+1.7e-11 row-relative at n_modes 16, Y 31, N 20.
 
 ``exact_deviation`` compares u against the noise-free image R2 A(t) m_0 of
 the exactly evolved initial posterior mean.  It does not vanish with dt; it
@@ -483,17 +485,19 @@ class _Setup(NamedTuple):
     """The part of a run that does not depend on dt, built once per model and initial data.
 
     ``classes`` are the model's Fourier classes, ``response`` the class
-    blocks of R2 and ``initial_data`` the data vector d(0).  ``spectrum``
-    and ``filter`` hold the class blocks of the spectrum (w, Q) of the
-    posterior covariance D, which is not formed, and of the Wiener filter W
-    (:func:`matfun.posterior_blocks`), and ``mean`` the posterior mean.
-    ``m_prime`` holds the class blocks of M'
+    blocks of R2, ``variances`` those of the prior variances phi, from
+    which D^-1 = Phi^-1 + R^T R / sigma_n2 is applied, and ``initial_data``
+    d(0).  ``spectrum`` and ``filter`` hold the class blocks of the spectrum
+    (w, Q) of the posterior covariance D, which is not formed, and of the
+    Wiener filter W (:func:`matfun.posterior_blocks`), ``mean`` the
+    posterior mean, ``m_prime`` the class blocks of M'
     (:func:`kleingordon.update_generator_blocks`) and ``direct_data`` the
     direct endpoint exp(T M') d(0), or None when it was not asked for.
     """
 
     classes: list
     response: np.ndarray
+    variances: list
     initial_data: np.ndarray
     spectrum: list
     filter: list
@@ -522,28 +526,29 @@ def _setup(config, direct):
                     part,
                     kleingordon.data_gram_condition(model, classes, part),
                 )
-        variances = kleingordon.prior_variances(model)
+        prior = kleingordon.prior_variances(model)
+        variances = [prior[sig] for sig, _ in classes]
         # The posterior, with the diagonal prior as its variances and the
         # white noise as sigma_n2.  D and W do not depend on the data and
         # serve every step; the mean W d0 (the prior mean is zero) starts
         # the exact reference.
         n_inv = 1.0 / model.sigma_n2
         rt_n_inv, info = [], []
-        for (sig, _), r in zip(classes, response):
+        for v, r in zip(variances, response):
             rt_n_inv.append(np.swapaxes(r, -1, -2) * n_inv)
             block = rt_n_inv[-1] @ r
-            diag = np.arange(sig.shape[1])
-            block[:, diag, diag] += 1.0 / variances[sig]
+            diag = np.arange(v.shape[1])
+            block[:, diag, diag] += 1.0 / v
             info.append(matfun.symmetric_part(block))
         spectrum, filters = matfun.posterior_blocks(info, rt_n_inv)
         mean = np.zeros(model.signal_dim)
         for (sig, dat), f in zip(classes, filters):
             mean[sig] = (f @ d0[dat][:, :, None])[:, :, 0]
-        m_prime = kleingordon.update_generator_blocks(model, classes, response, variances)
+        m_prime = kleingordon.update_generator_blocks(model, classes, response, prior)
         direct_data = (
             _direct_endpoint(config.total_time, m_prime, classes, d0) if direct else None
         )
-    return _Setup(classes, response, d0, spectrum, filters, mean, m_prime, direct_data)
+    return _Setup(classes, response, variances, d0, spectrum, filters, mean, m_prime, direct_data)
 
 
 def _powers_applied(m_update, u0, steps):
@@ -590,6 +595,14 @@ def _iterate(config, setup, reference):
             e *= root[..., None, :] / root[..., :, None]
             yield e @ np.swapaxes(e, -1, -2) + e + np.swapaxes(e, -1, -2)
 
+    def mean_term(offsets):
+        """1/2 delta^T D^-1 delta per column as 1/2 sum delta^2/phi + 1/2 ||R delta||^2/sigma_n2."""
+        return 0.5 * sum(
+            np.sum(d * d / v[..., None], axis=(0, 1))
+            + np.sum((r @ d) ** 2, axis=(0, 1)) / model.sigma_n2
+            for v, r, d in zip(setup.variances, setup.response, offsets)
+        )
+
     # The maps from data to evolved means, (A - 1) W, G W and (B - 1) W, are
     # the same at every step: form them once.
     a_offset_w, g_w, b_offset_w = (
@@ -611,16 +624,13 @@ def _iterate(config, setup, reference):
     # whitened by G, (B - 1) W u = G^-1 (A - G) W u.  The first is an O(dt)
     # difference of O(1) vectors, so it is formed from O(dt) terms,
     # (A - 1) W u - W (u'' - u): as A W u - W u'' it took W's round-off
-    # times 1/dt.
+    # times 1/dt.  Both sums of each quadratic form are nonnegative.
     kl_step = matfun.kl_covariance_blocks(excesses(a_offset))
-    kl_step += 0.5 * matfun.quadratic_form_blocks(
-        spectrum,
-        [p @ u[..., :-1] - f @ np.diff(u) for p, f, u in zip(a_offset_w, filters, trajectory)],
+    kl_step += mean_term(
+        [p @ u[..., :-1] - f @ np.diff(u) for p, f, u in zip(a_offset_w, filters, trajectory)]
     )
     kl_evolution = matfun.kl_covariance_blocks(excesses(b_offset))
-    kl_evolution += 0.5 * matfun.quadratic_form_blocks(
-        spectrum, [p @ u[..., :-1] for p, u in zip(b_offset_w, trajectory)]
-    )
+    kl_evolution += mean_term([p @ u[..., :-1] for p, u in zip(b_offset_w, trajectory)])
     columns = {
         "data": data[1:],
         "kl_step": kl_step,
@@ -633,9 +643,13 @@ def _iterate(config, setup, reference):
     # G^-T D^-1 G^-1; a first-order truncation of it could lose positive
     # definiteness.  The branch is the same for any positive definite
     # choice (the response rank decides it), so the precision's norm enters
-    # as its bound ||G^-1||^2 / min w.  The prior pull vanishes: zero mean.
+    # as its bound ||G^-1||^2 / min w, and D^-1 G^-1 W = G^-1 W / phi +
+    # R^T (R G^-1 W) / sigma_n2.  The prior pull vanishes: zero mean.
     g_inv_w = kleingordon.apply_pairs(g_inv, classes, filters)
-    d_inv_g_inv_w = [matfun.spectral_inverse(w, q) @ x for (w, q), x in zip(spectrum, g_inv_w)]
+    d_inv_g_inv_w = [
+        x / v[..., None] + np.swapaxes(r, -1, -2) @ (r @ x) / model.sigma_n2
+        for v, r, x in zip(setup.variances, setup.response, g_inv_w)
+    ]
     linear_means = [p @ u[..., :-1] for p, u in zip(g_w, trajectory)]
     branch, _ = matfun.branches(
         filters,
@@ -656,8 +670,8 @@ def run_ifd(config):
     them.  The trajectory is the powers of M's class blocks applied to
     d(0), by doubling.  Afterwards, over all steps at once, the run
     computes the two relative entropies described in the module docstring
-    (a constant covariance term from the spectrum of D, plus a quadratic
-    form of the mean offset per step), the deviation from the exact
+    (a constant covariance term from the spectrum of D, plus the quadratic
+    form of D^-1 on the mean offset per step), the deviation from the exact
     reference, and the branch the entropic matcher would take on each step
     (the closed form is used for the update either way), each held as a
     column of the result.  A posterior information matrix that fails the

@@ -66,6 +66,18 @@ def test_a_record_is_unequal_to_another_type():
     assert GaussianDensity(np.zeros(2), np.eye(2)) != _model()
 
 
+@pytest.mark.parametrize("name", sorted(_records()))
+def test_a_record_compared_with_an_array_gives_a_bool(name):
+    # numpy defers to the record instead of comparing it with each entry,
+    # in either order, so Python falls back to identity.
+    record, _ = _records()[name]
+    array = np.zeros(2)
+    assert (record == array) is False
+    assert (array == record) is False
+    assert (record != array) is True
+    assert (array != record) is True
+
+
 def test_equal_records_hash_alike():
     first, second = _records()["KGModel"]
     assert hash(first) == hash(second)

@@ -637,10 +637,14 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
     # pair: coefficients (Y-1)/2 and (Y+1)/2, real and imaginary, phi and
     # chi, 8 in all.  No 2-norm may take an SVD.  The matcher branches of
     # all steps come from one matfun.branches call, with no match().  The
-    # posterior's spectrum is the one factorization of a covariance: at
-    # (16, 31) the posterior, the two KL covariance terms and the match
-    # Hessian take two eigh or eigvalsh stacks wider than 2 x 2 each, and the
-    # filter's 2-norm two more: no evolved covariance is factored.
+    # posterior's spectrum is the one factorization of a covariance, and it
+    # serves only where a root of D is needed: W, the whitening of the two
+    # KL covariance terms and lambda_min(D) in the matcher's bound.  D^-1 is
+    # applied in closed form, Phi^-1 + R^T R / sigma_n2, so no run calls
+    # spectral_inverse.  At (16, 31) the posterior, the two KL covariance
+    # terms and the match Hessian take two eigh or eigvalsh stacks wider
+    # than 2 x 2 each, and the filter's 2-norm two more: no evolved
+    # covariance is factored.
     counts = Counter()
     sizes = []
     # np.linalg.norm(x, 2) calls svd by name in the module that defines it.
@@ -669,6 +673,7 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
     for name in ("update_generator", "build_generator", "exact_step"):
         count(oracles, name)
     count(matfun, "branches")
+    count(matfun, "spectral_inverse")
     count(matching, "match")
     # Counted under one key, "__init__".
     count(gaussian.GaussianDensity, "__init__")
@@ -694,6 +699,7 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
         assert counts["exact_step"] == 0
         assert counts["__init__"] == 0
         assert counts["branches"] == 1
+        assert counts["spectral_inverse"] == 0
         assert counts["match"] == 0
         if n_modes == 16:
             assert counts["wide eigh"] <= 10
@@ -846,9 +852,15 @@ def test_per_step_entropy_decays_faster_than_linearly():
     assert evolution_ratio > step_ratio
 
 
+# kl_step[0] and kl_evolution[0] at (4, 5, T 1, seed 0), by N, in 60-digit
+# arithmetic; tests/high_precision.py re-derives them.
+KL_STEP_PINS = {12: 3.3120248463301414e-05, 16: 1.2935078571467104e-07}
+KL_EVOLUTION_PINS = {12: 1.0165652297893865e-11, 16: 1.5513001198738316e-16}
+
+
 @pytest.mark.parametrize(
     "resolution, expected, rtol",
-    [(12, 1.0165652297893865e-11, 1e-12), (16, 1.5513001198738316e-16, 1e-11)],
+    [(12, KL_EVOLUTION_PINS[12], 1e-12), (16, KL_EVOLUTION_PINS[16], 1e-11)],
 )
 def test_kl_evolution_matches_high_precision_values(resolution, expected, rtol):
     # kl_evolution is an O(dt^4) relative entropy between two posteriors
@@ -865,10 +877,7 @@ def test_kl_evolution_matches_high_precision_values(resolution, expected, rtol):
     assert_allclose(simulator.run_ifd(config).kl_evolution[0], expected, rtol=rtol)
 
 
-@pytest.mark.parametrize(
-    "resolution, expected",
-    [(12, 3.3120248463301414e-05), (16, 1.2935078571467104e-07)],
-)
+@pytest.mark.parametrize("resolution, expected", sorted(KL_STEP_PINS.items()))
 def test_kl_step_matches_high_precision_values(resolution, expected):
     # kl_step[0] in 60-digit mpmath arithmetic from the run's float64 d(0)
     # and d(dt): the dense response, prior, posterior, W and A(dt) in closed
@@ -879,6 +888,23 @@ def test_kl_step_matches_high_precision_values(resolution, expected):
     # W (d(dt) - d(0)) it is 9.8e-16 and 9.3e-16 off.
     config = _config(T=1.0, N=resolution, seed=0, scheme="iterated")
     assert_allclose(simulator.run_ifd(config).kl_step[0], expected, rtol=5e-15)
+
+
+def test_high_precision_script_rederives_the_pins():
+    # tests/high_precision.py builds every matrix in closed form, with
+    # w_k = sqrt(k^2 + mu^2) exact; its values agree at 60 and 90 digits.
+    # kl_step's pin is its value rounded.  kl_evolution's N 12 pin is 2 ulp
+    # (3.2e-16 relative) above it; with the float64 w_k in place of the
+    # exact ones the script lands 1 ulp below the pin.  Either way it is far
+    # inside the 1e-12 that the pin's own test allows.
+    pytest.importorskip("mpmath")
+    import high_precision
+
+    config = simulator.parse_config({**high_precision.CONFIG, "N": 12})
+    assert config == _config(T=1.0, N=12, seed=0, scheme="iterated")
+    step, evolution = (float(kl) for kl in high_precision.kl_first_step(12))
+    assert abs(step - KL_STEP_PINS[12]) <= np.spacing(KL_STEP_PINS[12])
+    assert abs(evolution - KL_EVOLUTION_PINS[12]) <= 2 * np.spacing(KL_EVOLUTION_PINS[12])
 
 
 def test_deviation_floor_decreases_with_resolution():
