@@ -13,11 +13,10 @@ useful internal consistency check.
 
 This is the dense library: densities, measurements and updates as whole
 matrices, for one model at a time, as demos 01 and 02 use them.  A
-simulation run imports none of it.  The quantities both need are computed
-in one place, :mod:`infodyn.matfun`: D's spectrum and W = D R^T N^-1
-(:func:`infodyn.matfun.posterior_blocks`, which :func:`posterior_operators`
-calls on its one block) and the KL covariance term from whitened covariance
-excesses (:func:`infodyn.matfun.kl_covariance_blocks`).
+simulation run imports none of it: it takes its posterior class by class,
+from the data-space form.  The KL covariance term from whitened covariance
+excesses, which both need, is computed in one place,
+:func:`infodyn.matfun.kl_covariance_blocks`.
 
 :class:`GaussianDensity` is the one place that factors a dense covariance
 and tests it positive definite, so a failure surfaces as
@@ -79,14 +78,20 @@ class GaussianDensity(Frozen):
         w, _ = self._spectrum
         return float(np.sum(np.log(w)))
 
+    def _points(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 0 or x.shape[-1] != self.dim:
+            raise InvalidInput(f"points of shape {x.shape} do not have dimension {self.dim}")
+        return x
+
     def quadratic_form(self, delta):
         """delta^T Sigma^-1 delta from the spectrum, for one vector (n,) or each row of (..., n)."""
         w, q = self._spectrum
-        return np.sum((np.asarray(delta, dtype=float) @ q) ** 2 / w, axis=-1)
+        return np.sum((self._points(delta) @ q) ** 2 / w, axis=-1)
 
     def log_density(self, x):
         """Log density at ``x``; accepts a single point (n,) or a batch (..., n)."""
-        quad = self.quadratic_form(np.asarray(x, dtype=float) - self.mean)
+        quad = self.quadratic_form(self._points(x) - self.mean)
         return -0.5 * (quad + self.dim * LOG_2PI + self.log_det_cov())
 
 
@@ -175,19 +180,18 @@ def posterior(prior, measurement, data):
 
 
 def posterior_operators(prior, measurement):
-    """D, W and the prior pull D Phi^-1 psi of a dense setup.
+    """D, W = D R^T N^-1 and the prior pull D Phi^-1 psi of a dense setup.
 
-    W and D's spectrum come from :func:`infodyn.matfun.posterior_blocks`,
-    and D from that spectrum.
+    All from the spectrum of D^-1 = Phi^-1 + R^T N^-1 R, tested positive definite.
     """
     _check_compatible(prior, measurement)
     r = measurement.response
     rt_n_inv = r.T @ measurement._noise.inv_cov()
     phi_inv = prior.inv_cov()
-    info = matfun.symmetrize(phi_inv + rt_n_inv @ r)
-    ((d_w, d_q),), (w,) = matfun.posterior_blocks([info], [rt_n_inv])
-    cov = matfun.spectral_inverse(1.0 / d_w, d_q)
-    return cov, w, cov @ (phi_inv @ prior.mean)
+    w, q = np.linalg.eigh(matfun.symmetrize(phi_inv + rt_n_inv @ r))
+    matfun.require_pd(w, "posterior information matrix")
+    cov = matfun.spectral_inverse(w, q)
+    return cov, q @ ((q.T @ rt_n_inv) / w[:, None]), cov @ (phi_inv @ prior.mean)
 
 
 def evidence(prior, measurement):
@@ -208,7 +212,8 @@ def kl_covariance_term(p, q):
     1/2 [tr(Sigma_q^-1 Sigma_p) - n - log det(Sigma_q^-1 Sigma_p)], but each
     summand is nonnegative in floating point as well (log1p is monotone and
     below the identity), and equal covariances give exactly 0 instead of a
-    cancellation residue of either sign.
+    cancellation residue of either sign.  The 1 + x_j must pass the positive
+    definiteness test (:func:`infodyn.matfun.kl_covariance_blocks`).
     """
     if p.dim != q.dim:
         raise InvalidInput(f"dimension mismatch: {p.dim} vs {q.dim}")

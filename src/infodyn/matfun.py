@@ -24,25 +24,25 @@ accumulated round-off is tolerated rather than rejected.
 
 The block numerics that a simulation run and the dense library
 (:mod:`infodyn.gaussian`, :mod:`infodyn.matching`) share live here too, so
-that each is computed in one place and a run imports neither: D's spectrum
-and the Wiener filter (:func:`posterior_blocks`), the KL covariance term
+that each is computed in one place and a run imports neither: the KL
+covariance term with its positive definiteness test
 (:func:`kl_covariance_blocks`) and the entropic matcher's branch rule
 (:func:`branches`, with :func:`nonzero` and the ``BRANCH_*`` labels).  A
-run applies D^-1 = Phi^-1 + R^T N^-1 R in closed form, so
+run factors no signal-space block of the posterior, so
 :func:`spectral_inverse` serves the dense library alone.
 """
 
 import numpy as np
 
-from .errors import InvalidInput, NonFiniteOutput, NotPositiveDefinite
+from .errors import InvalidInput, NotPositiveDefinite
 
 # Relative eigenvalue floor separating "positive definite" from "numerically
 # singular": smallest eigenvalue must exceed PD_RTOL times the largest.
 PD_RTOL = 1e-12
 
-# Relative threshold below which a match Hessian eigenvalue or a linear term
-# counts as zero: :func:`nonzero` and :func:`branches`, and the independent
-# check :func:`infodyn.matching.nullspace_projector`.
+# Relative threshold below which a match Hessian eigenvalue, a linear term or
+# a run's data Gram eigenvalue counts as zero: :func:`nonzero`, :func:`branches`,
+# :func:`infodyn.matching.nullspace_projector` and the run's posterior.
 SINGULAR_RTOL = 1e-10
 
 BRANCH_REGULAR = "regular"
@@ -181,34 +181,6 @@ def expm_general(matrix):
     return r[0] if m.ndim == 2 else r
 
 
-def posterior_blocks(info, rt_n_inv):
-    """Spectrum of D = (Phi^-1 + R^T N^-1 R)^-1 and W = D R^T N^-1, from D^-1 and R^T N^-1.
-
-    ``info`` lists the symmetric information matrix D^-1, as one (n, n)
-    matrix or as (k, n, n) stacks of the blocks of a block-diagonal one, and
-    ``rt_n_inv`` lists R^T N^-1 in the same blocks.  Returns two lists in
-    those blocks: D's (eigenvalues w, eigenvectors Q), and
-    W = Q (diag(w) (Q^T R^T N^-1)), so that no block of D is formed.  One
-    positive definiteness test covers all blocks; D has the reciprocal
-    eigenvalues, so it passes too.  A non-finite block, from an overflowed
-    prior precision, raises :class:`NonFiniteOutput`.
-    """
-    if not all(np.isfinite(block).all() for block in info):
-        raise NonFiniteOutput(
-            "the posterior information matrix is not finite; the prior "
-            "precision has overflowed"
-        )
-    spectra = [np.linalg.eigh(block) for block in info]
-    require_pd([w for w, _ in spectra], "posterior information matrix")
-    spectrum = [(1.0 / w, q) for w, q in spectra]
-    filters = []
-    for (w, q), f in zip(spectrum, rt_n_inv):
-        x = np.swapaxes(q, -1, -2) @ f
-        x *= w[..., None]
-        filters.append(q @ x)
-    return spectrum, filters
-
-
 def kl_covariance_blocks(excesses):
     """Mean-independent part of a Gaussian relative entropy, from whitened covariance excesses.
 
@@ -219,11 +191,15 @@ def kl_covariance_blocks(excesses):
     summand nonnegative in floating point; over the diagonal blocks of
     block-diagonal covariances it sums to the whole term.  Below
     |x| = 1e-2 a summand is its Taylor series through x^10, since
-    x - log1p(x) would lose about -log10(|x|) digits there.
+    x - log1p(x) would lose about -log10(|x|) digits there.  The 1 + x_j,
+    over all blocks, are the eigenvalues of C^-1 Sigma_p C^-T, the same for
+    every root C; they must pass :func:`require_pd`, or
+    :class:`NotPositiveDefinite` is raised.
     """
+    spectra = [np.linalg.eigvalsh(symmetric_part(excess)) for excess in excesses]
+    require_pd([1.0 + x for x in spectra], "whitened covariance of a relative entropy")
     total = 0.0
-    for excess in excesses:
-        x = np.linalg.eigvalsh(symmetric_part(excess))
+    for x in spectra:
         summand = x - np.log1p(x)
         small = np.abs(x) < _KL_SERIES_BELOW
         x = x[small]

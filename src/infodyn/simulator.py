@@ -3,11 +3,11 @@
 A run evolves the packed data vector u by the closed-form update matrix
 M = 1 + dt M' over 2^N equal steps of total time T.  The trajectory is the
 powers of M applied to d(0), and nothing else.  The per-step diagnostics
-are computed after it, batched over the stacked trajectory, from the one
-factorization of the posterior covariance D: only the means change from
-step to step.  Each step gets two relative entropies measured against the
-exactly evolved posterior N(A m, A D A^T), where m is the posterior mean
-of the previous data vector and A the exact one-step evolution:
+are computed after it, batched over the stacked trajectory, from one root
+of the posterior covariance D: only the means change from step to step.
+Each step gets two relative entropies measured against the exactly evolved
+posterior N(A m, A D A^T), where m is the posterior mean of the previous
+data vector and A the exact one-step evolution:
 
 ``kl_step``
     against the posterior N(W u'', D) at the updated data vector, i.e. the
@@ -25,16 +25,15 @@ shape, and builds no dense response, density, measurement, generator,
 exact step, M' or M.  The response enters as its class blocks R_c
 (:func:`kleingordon.response_blocks`), the prior as its variances, the
 noise as sigma_n2, and A(dt) and 1 + dt L as their 2x2 blocks on each
-(phi, chi) pair, applied by :func:`kleingordon.apply_pairs`.  D's
-spectrum and W = D R^T N^-1 come from :func:`matfun.posterior_blocks`,
-M' from :func:`kleingordon.update_generator_blocks` (bit for bit the
-dense chain R2 L Phi R2^T) and the matcher branch of every step from
+(phi, chi) pair, applied by :func:`kleingordon.apply_pairs`.  W and a
+root of D come from each class's data Gram R_c Phi_c R_c^T, at most 8 x 8,
+so the set-up factors no signal-space block; the posterior precision
+D^-1 = Phi^-1 + R^T R / sigma_n2 is applied in closed form.  M' comes from
+:func:`kleingordon.update_generator_blocks` (bit for bit the dense chain
+R2 L Phi R2^T) and the matcher branch of every step from
 :func:`matfun.branches`; a run imports none of the dense library,
-:mod:`infodyn.gaussian` and :mod:`infodyn.matching`.  The posterior
-precision D^-1 = Phi^-1 + R^T R / sigma_n2 is applied in closed form, and
-D's spectrum serves only where a root of D is needed: W, the KL covariance
-terms' whitening and the matcher's bound.  What does not depend on dt (the
-posterior, M' and exp(T M') d(0)) is built once per
+:mod:`infodyn.gaussian` and :mod:`infodyn.matching`.  What does not depend
+on dt (the posterior, M' and exp(T M') d(0)) is built once per
 :func:`convergence_sweep`; what does not depend on the step (also the KL
 covariance terms, the matcher's evolved precision and the maps from data to
 evolved means) once per run, with no evolved covariance formed or factored.
@@ -115,8 +114,8 @@ REFERENCE_BLOCK_ENTRIES = 1 << 18
 # of (2^N + 1) x max(data_dim, signal_dim) at (4, 5, N 14), (16, 31, N 13),
 # (64, 127, N 11) and (256, 511, N 7).  A class-blocked matrix holds one
 # max(a, b)^2 block per class of a signal and b data indices; a run's peak
-# is about three of them where they dominate, 3.1 at (256, 5) and (512, 5),
-# reached in the step diagnostics: the set-up forms no block of D.
+# is under three of them where they dominate, 2.65 at (256, 5) and 2.57 at
+# (512, 5), reached in the step diagnostics: the set-up forms no a x a block.
 PER_STEP_ARRAYS = 8
 MAX_PER_STEP_BYTES = 1 << 30
 MAX_CLASS_BLOCKS_BYTES = 1 << 27
@@ -485,11 +484,10 @@ class _Setup(NamedTuple):
     """The part of a run that does not depend on dt, built once per model and initial data.
 
     ``classes`` are the model's Fourier classes, ``response`` the class
-    blocks of R2, ``variances`` those of the prior variances phi, from
-    which D^-1 = Phi^-1 + R^T R / sigma_n2 is applied, and ``initial_data``
-    d(0).  ``spectrum`` and ``filter`` hold the class blocks of the spectrum
-    (w, Q) of the posterior covariance D, which is not formed, and of the
-    Wiener filter W (:func:`matfun.posterior_blocks`), ``mean`` the
+    blocks of R2, ``prior`` the prior variances phi, ``initial_data`` d(0),
+    ``root`` and ``filter`` the class blocks of (V, t), which give the root
+    S = Phi^1/2 (1 + V (t^1/2 - 1) V^T) of the posterior covariance
+    D = S S^T, not formed, and of the Wiener filter W, ``mean`` the
     posterior mean, ``m_prime`` the class blocks of M'
     (:func:`kleingordon.update_generator_blocks`) and ``direct_data`` the
     direct endpoint exp(T M') d(0), or None when it was not asked for.
@@ -497,9 +495,9 @@ class _Setup(NamedTuple):
 
     classes: list
     response: np.ndarray
-    variances: list
+    prior: np.ndarray
     initial_data: np.ndarray
-    spectrum: list
+    root: list
     filter: list
     mean: np.ndarray
     m_prime: list
@@ -527,28 +525,30 @@ def _setup(config, direct):
                     kleingordon.data_gram_condition(model, classes, part),
                 )
         prior = kleingordon.prior_variances(model)
-        variances = [prior[sig] for sig, _ in classes]
-        # The posterior, with the diagonal prior as its variances and the
-        # white noise as sigma_n2.  D and W do not depend on the data and
-        # serve every step; the mean W d0 (the prior mean is zero) starts
-        # the exact reference.
-        n_inv = 1.0 / model.sigma_n2
-        rt_n_inv, info = [], []
-        for v, r in zip(variances, response):
-            rt_n_inv.append(np.swapaxes(r, -1, -2) * n_inv)
-            block = rt_n_inv[-1] @ r
-            diag = np.arange(v.shape[1])
-            block[:, diag, diag] += 1.0 / v
-            info.append(matfun.symmetric_part(block))
-        spectrum, filters = matfun.posterior_blocks(info, rt_n_inv)
-        mean = np.zeros(model.signal_dim)
-        for (sig, dat), f in zip(classes, filters):
-            mean[sig] = (f @ d0[dat][:, :, None])[:, :, 0]
+        # The posterior from each class's data Gram R Phi R^T = U s U^T, over
+        # the directions s > SINGULAR_RTOL max s (the cut drops the null
+        # directions of the duplicated conjugate pair): W = Phi R^T U
+        # (s + sigma_n2)^-1 U^T, and the orthonormal V = Phi^1/2 R^T U s^-1/2
+        # and t = sigma_n2 / (s + sigma_n2) give Phi^-1/2 D Phi^-1/2 =
+        # 1 + V (t - 1) V^T.  The mean W d0 (zero prior mean) starts the
+        # exact reference.
+        s2 = model.sigma_n2
+        root, filters, mean = [], [], np.zeros(model.signal_dim)
+        for (sig, dat), r in zip(classes, response):
+            v, rt = prior[sig][..., None], np.swapaxes(r, -1, -2)
+            s, u = np.linalg.eigh(r @ (v * rt))
+            keep = s > matfun.SINGULAR_RTOL * s.max(axis=-1, keepdims=True, initial=0.0)
+            kept = np.where(keep, s, 0.0)
+            t = s2 / (kept + s2)
+            rt_u = rt @ u
+            root.append((np.sqrt(v) * rt_u * (keep / np.sqrt(np.where(keep, s, 1.0)))[..., None, :], t))
+            filters.append(v * rt_u * (keep / (kept + s2))[..., None, :] @ np.swapaxes(u, -1, -2))
+            mean[sig] = (filters[-1] @ d0[dat][:, :, None])[:, :, 0]
         m_prime = kleingordon.update_generator_blocks(model, classes, response, prior)
         direct_data = (
             _direct_endpoint(config.total_time, m_prime, classes, d0) if direct else None
         )
-    return _Setup(classes, response, variances, d0, spectrum, filters, mean, m_prime, direct_data)
+    return _Setup(classes, response, prior, d0, root, filters, mean, m_prime, direct_data)
 
 
 def _powers_applied(m_update, u0, steps):
@@ -576,7 +576,11 @@ def _iterate(config, setup, reference):
     """
     model = config.model
     dt = config.dt
-    classes, spectrum, filters = setup.classes, setup.spectrum, setup.filter
+    classes, filters = setup.classes, setup.filter
+    variances = [setup.prior[sig] for sig, _ in classes]
+    # D^-1 and the root's t^-1/2 serve only the relative entropies and the matcher.
+    if not (np.isfinite(1.0 / setup.prior).all() and all(t.all() for _, t in setup.root)):
+        raise NonFiniteOutput("the posterior information matrix is not finite; it has overflowed")
     # L, A(dt) and G = 1 + dt L couple each packed phi component only with
     # its chi partner, so they act on class stacks through their 2x2 pair
     # blocks.  The config's dt < dt_limit keeps dt ||L|| < 1, so G is
@@ -586,13 +590,21 @@ def _iterate(config, setup, reference):
     g_inv = np.linalg.inv(g_pairs)
     a_offset = kleingordon.exact_step_offset_pairs(model, dt)
     b_offset = g_inv @ (a_offset - dt_l)
+    # Phi^-1/2 (P - 1) Phi^1/2: pair entry (i, j) of P - 1 times sqrt(phi_j / phi_i).
+    pair_phi = np.stack(np.split(setup.prior, 2), axis=-1)
+    pair_scale = np.sqrt(pair_phi[:, None, :] / pair_phi[:, :, None])
 
     def excesses(offset):
-        """S^-1 (P D P^T - D) S^-T = E + E^T + E E^T, E = S^-1 (P - 1) S, S = Q diag(w)^1/2."""
-        for cls, (w, q) in zip(classes, spectrum):
-            root = np.sqrt(w)
-            e = np.swapaxes(q, -1, -2) @ kleingordon.apply_pairs(offset, [cls], [q])[0]
-            e *= root[..., None, :] / root[..., :, None]
+        """S^-1 (P D P^T - D) S^-T = E + E^T + E E^T, E = S^-1 (P - 1) S.
+
+        S^-1 = (1 + V (t^-1/2 - 1) V^T) Phi^-1/2 is the inverse of the root S.
+        """
+        whitened = offset * pair_scale
+        for cls, (v, t) in zip(classes, setup.root):
+            v_t = np.swapaxes(v, -1, -2)
+            e = np.eye(v.shape[-2]) + (v * (np.sqrt(t) - 1.0)[..., None, :]) @ v_t
+            e = kleingordon.apply_pairs(whitened, [cls], [e])[0]
+            e += v @ ((1.0 / np.sqrt(t) - 1.0)[..., :, None] * (v_t @ e))
             yield e @ np.swapaxes(e, -1, -2) + e + np.swapaxes(e, -1, -2)
 
     def mean_term(offsets):
@@ -600,7 +612,7 @@ def _iterate(config, setup, reference):
         return 0.5 * sum(
             np.sum(d * d / v[..., None], axis=(0, 1))
             + np.sum((r @ d) ** 2, axis=(0, 1)) / model.sigma_n2
-            for v, r, d in zip(setup.variances, setup.response, offsets)
+            for v, r, d in zip(variances, setup.response, offsets)
         )
 
     # The maps from data to evolved means, (A - 1) W, G W and (B - 1) W, are
@@ -639,22 +651,26 @@ def _iterate(config, setup, reference):
         "exact_deviation": np.linalg.norm(data[1:] - reference.data[1:], axis=1),
     }
 
-    # The matcher's evolved density is N(G m, G D G^T), precision
-    # G^-T D^-1 G^-1; a first-order truncation of it could lose positive
-    # definiteness.  The branch is the same for any positive definite
-    # choice (the response rank decides it), so the precision's norm enters
-    # as its bound ||G^-1||^2 / min w, and D^-1 G^-1 W = G^-1 W / phi +
-    # R^T (R G^-1 W) / sigma_n2.  The prior pull vanishes: zero mean.
+    # The matcher's evolved density is N(G m, G D G^T), precision G^-T D^-1 G^-1;
+    # a first-order truncation of it could lose positive definiteness.  The
+    # branch is the same for any positive definite choice (the response rank
+    # decides it), so the precision's norm enters as its bound ||G^-1||^2
+    # max_c (max 1/phi_c + ||R_c||_1 ||R_c||_inf / sigma_n2), and D^-1 G^-1 W =
+    # G^-1 W / phi + R^T (R G^-1 W) / sigma_n2.  The prior pull vanishes: zero mean.
     g_inv_w = kleingordon.apply_pairs(g_inv, classes, filters)
     d_inv_g_inv_w = [
         x / v[..., None] + np.swapaxes(r, -1, -2) @ (r @ x) / model.sigma_n2
-        for v, r, x in zip(setup.variances, setup.response, g_inv_w)
+        for v, r, x in zip(variances, setup.response, g_inv_w)
     ]
+    inv_cov_bound = 0.0
+    for v, r in zip(variances, setup.response):
+        r_1, r_inf = (np.max(np.sum(np.abs(r), axis=a), axis=-1, initial=0.0) for a in (-2, -1))
+        inv_cov_bound = max(inv_cov_bound, np.max(np.max(1.0 / v, axis=-1) + r_1 * r_inf / model.sigma_n2))
     linear_means = [p @ u[..., :-1] for p, u in zip(g_w, trajectory)]
     branch, _ = matfun.branches(
         filters,
         kleingordon.apply_pairs(np.swapaxes(g_inv, -1, -2), classes, d_inv_g_inv_w),
-        matfun.norm2(g_inv) ** 2 / min(w.min() for w, _ in spectrum),
+        matfun.norm2(g_inv) ** 2 * inv_cov_bound,
         linear_means,
         [np.zeros(m.shape[:-1] + (1,)) for m in linear_means],
     )
@@ -670,12 +686,15 @@ def run_ifd(config):
     them.  The trajectory is the powers of M's class blocks applied to
     d(0), by doubling.  Afterwards, over all steps at once, the run
     computes the two relative entropies described in the module docstring
-    (a constant covariance term from the spectrum of D, plus the quadratic
-    form of D^-1 on the mean offset per step), the deviation from the exact
+    (a constant covariance term from a root of D, plus the quadratic form
+    of D^-1 on the mean offset per step), the deviation from the exact
     reference, and the branch the entropic matcher would take on each step
     (the closed form is used for the update either way), each held as a
-    column of the result.  A posterior information matrix that fails the
-    positive definiteness test is refused with :class:`NotPositiveDefinite`.
+    column of the result.  D^-1 is positive definite once the prior passes
+    its test; a stepping run refuses one that is not finite with
+    :class:`NonFiniteOutput`, and evolved covariances that fail the positive
+    definiteness test against D (:func:`matfun.kl_covariance_blocks`) with
+    :class:`NotPositiveDefinite`.
     A non-regular branch is announced once per run at warning level, naming
     its first step: it means the match Hessian is singular and the matched
     vector would be the minimum-norm one, which for this data packing is the

@@ -12,10 +12,13 @@ G = 1 + dt L are each built in closed form, and then
     KL = 1/2 [tr(S_q^-1 S_p) - n - log det(S_q^-1 S_p) + dm^T S_q^-1 dm]
 
 for p = N(A m, A D A^T), m = W d(0), against q = N(W d(dt), D) for
-``kl_step`` and q = N(G m, G D G^T) for ``kl_evolution``.  Print the four
-values with ``PYTHONPATH=src python3 tests/high_precision.py``; it takes
-about a second.  mpmath is not a dependency of the package.
+``kl_step`` and q = N(G m, G D G^T) for ``kl_evolution``.  Print the values with
+``PYTHONPATH=src python3 tests/high_precision.py [N ...]``, at the given
+resolutions or at :data:`RESOLUTIONS`; it takes about a second.  mpmath is
+not a dependency of the package.
 """
+
+import sys
 
 import mpmath
 from mpmath import mp
@@ -116,7 +119,7 @@ def kl_first_step(resolution):
 
 
 if __name__ == "__main__":
-    for resolution in RESOLUTIONS:
+    for resolution in [int(arg) for arg in sys.argv[1:]] or RESOLUTIONS:
         step, evolution = kl_first_step(resolution)
         print(
             f"N {resolution}: kl_step[0] {mpmath.nstr(step, 25)} ({float(step)!r}), "

@@ -227,19 +227,29 @@ def test_numeric_refusal_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(direct))
     assert cli.main(["direct", "--config", str(path)]) == 0
     capsys.readouterr()
-    # A posterior that fails the positive definiteness test is refused by
-    # both commands, whether the prior, the noise or the posterior is at fault.
-    # The eigenvalues it names are printed as plain floats.
+    # A prior that fails the positive definiteness test (mu 1e-8) is refused
+    # by both commands.  The posterior information matrix passes whenever
+    # the prior does; at a tiny noise or temperature it is the whitened
+    # evolved covariance of the relative entropies that fails the test, so
+    # scheme 'iterated' refuses those configs and 'direct', which measures
+    # no relative entropy, runs them.  The eigenvalues a refusal names are
+    # printed as plain floats.
     for key, value in (
         ("sigma_n2", 1e-14), ("sigma_n2", 1e-300), ("mu", 1e-8), ("beta", 1e-10)
     ):
-        path.write_text(json.dumps({**direct, "N": 6, key: value}))
+        path.write_text(json.dumps({**direct, "N": 6, "scheme": "iterated", key: value}))
         assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 2
-        assert cli.main(["direct", "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.count("positive definiteness test") == 2
+        assert err.count("positive definiteness test") == 1
         assert "np.float64(" not in err
         assert not out.exists()
+        code = cli.main(["direct", "--config", str(path)])
+        if key == "mu":
+            assert code == 2
+            assert capsys.readouterr().err.count("positive definiteness test") == 1
+        else:
+            assert code == 0
+            assert capsys.readouterr().out.startswith("final data:")
 
 
 def test_direct_runs_configs_only_the_iterated_schemes_refuse(tmp_path, capsys):
@@ -389,15 +399,20 @@ def test_direct_overflow_exits_2_before_writing(tmp_path, config_path, capsys):
 @pytest.mark.parametrize(
     "overrides, message",
     [
-        # Prior variances near 5e-309, whose reciprocals overflow; this used
-        # to warn and then refuse on NaN eigenvalues.
-        ({"n_modes": 4, "Y": 3, "beta": 5.6e307, "sigma_n2": 1.0, "T": 0.5, "N": 3},
+        # Prior variances near 2.6e-309, whose reciprocals overflow; this
+        # used to warn and then refuse on NaN eigenvalues.
+        ({"n_modes": 4, "Y": 3, "beta": 1.2e308, "sigma_n2": 1.0, "T": 0.5, "N": 3},
          "the posterior information matrix is not finite"),
         # sigma_n2 / (R Phi R^T) overflows in M'; this used to exit 1 with
         # "matrix entries must be finite" from the matrix exponential.
         ({"n_modes": 2, "Y": 3, "beta": 2.4e16, "sigma_n2": 8.25e306, "T": 1.0, "N": 2,
           "scheme": "direct"},
          "T M' is not finite"),
+        # 1 + s / sigma_n2 overflows, so t = sigma_n2 / (s + sigma_n2) in the
+        # root of D underflows to 0.
+        ({"n_modes": 2, "Y": 3, "mu": 2**-9, "beta": 1.18e-38, "sigma_n2": 1e-280, "T": 0.5,
+          "N": 2},
+         "the posterior information matrix is not finite"),
     ],
 )
 def test_overflowing_precisions_exit_2(tmp_path, config_path, capsys, overrides, message):

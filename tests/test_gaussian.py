@@ -1,11 +1,13 @@
 """Bayesian updating against quadrature, Monte Carlo and closed-form oracles."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.stats
 from numpy.testing import assert_allclose
 
-from infodyn import gaussian, matfun
+from infodyn import gaussian
 from infodyn.errors import InvalidInput, NotPositiveDefinite
 from infodyn.gaussian import GaussianDensity, LinearMeasurement
 
@@ -42,43 +44,15 @@ def test_wiener_unknown_representation():
         gaussian.wiener_filter(prior, meas, "spectral")
 
 
-def _information_stack(rng, k, n, y):
-    """k random information blocks R^T N^-1 R + Phi^-1 and their R^T N^-1, as stacks."""
-    r = rng.standard_normal((k, y, n))
-    rt_n_inv = np.swapaxes(r, -1, -2) / rng.uniform(0.1, 1.0, (k, 1, y))
-    info = rt_n_inv @ r + np.eye(n) * rng.uniform(0.5, 2.0, (k, 1, n))
-    return 0.5 * (info + np.swapaxes(info, -1, -2)), rt_n_inv
-
-
-def test_posterior_blocks_of_a_stack_equal_single_calls():
-    # A stack of k blocks gives, bit for bit, what k calls on one block
-    # each give.  It rests on numpy's stacked eigh factoring each matrix of
-    # the stack as it factors that matrix alone.
-    rng = np.random.default_rng(37)
-    k = 5
-    info, rt_n_inv = _information_stack(rng, k, 4, 3)
-    stacked = np.linalg.eigh(info)
-    for i in range(k):
-        single = np.linalg.eigh(info[i])
-        assert np.array_equal(stacked[0][i], single[0])
-        assert np.array_equal(stacked[1][i], single[1])
-    ((w, q),), (filt,) = matfun.posterior_blocks([info], [rt_n_inv])
-    for i in range(k):
-        ((w_i, q_i),), (filt_i,) = matfun.posterior_blocks([info[i]], [rt_n_inv[i]])
-        for block, single in ((w, w_i), (q, q_i), (filt, filt_i)):
-            assert np.array_equal(block[i], single)
-
-
-def test_posterior_blocks_test_positive_definiteness_over_all_blocks():
-    # Each stack passes on its own; together the smallest eigenvalue is
-    # below PD_RTOL times the largest, as for the block-diagonal matrix.
-    rng = np.random.default_rng(41)
-    info, rt_n_inv = _information_stack(rng, 2, 3, 2)
-    tiny = 1e-14 * np.eye(3)[None]
-    for blocks in ([info], [tiny]):
-        matfun.posterior_blocks(blocks, [rt_n_inv[:1]] * len(blocks))
-    with pytest.raises(NotPositiveDefinite, match="posterior information matrix"):
-        matfun.posterior_blocks([info, tiny], [rt_n_inv, rt_n_inv[:1]])
+def test_posterior_operators_refuse_an_information_matrix_that_fails_the_pd_test():
+    # The prior passes its own test (smallest variance ratio 1e-11), but
+    # D^-1 = diag(1 + 1e3, 1e-11) does not: 1e-11 < PD_RTOL * 1001.
+    prior = GaussianDensity(mean=np.zeros(2), cov=np.diag([1.0, 1e11]))
+    meas = LinearMeasurement(response=[[1.0, 0.0]], noise_cov=[[1e-3]])
+    with pytest.raises(NotPositiveDefinite, match="^posterior information matrix: smallest"):
+        gaussian.posterior_operators(prior, meas)
+    # A little more prior precision on the second component passes.
+    gaussian.posterior_operators(GaussianDensity(np.zeros(2), np.diag([1.0, 1e8])), meas)
 
 
 def _quadrature_posterior_moments(prior, meas, data, points=400):
@@ -269,6 +243,16 @@ def test_density_validation():
         )
     with pytest.raises(NotPositiveDefinite):
         GaussianDensity(mean=[0.0, 0.0], cov=[[1.0, 0.0], [0.0, -1.0]])
+
+
+@pytest.mark.parametrize("shape", [(4,), (2,), (1,), (5, 2), ()])
+def test_density_evaluations_refuse_points_of_another_dimension(shape):
+    # Neither numpy's broadcasting error nor a point of dimension 1
+    # broadcast against the mean: the dense library's own InvalidInput.
+    density = GaussianDensity(np.zeros(3), np.eye(3))
+    for evaluate in (density.log_density, density.quadratic_form):
+        with pytest.raises(InvalidInput, match=rf"^points of shape {re.escape(str(shape))} do not have dimension 3$"):
+            evaluate(np.ones(shape))
 
 
 def test_measurement_validation():

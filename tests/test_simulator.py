@@ -279,8 +279,8 @@ def test_run_holds_at_most_per_step_arrays_at_once(
     # so one array more than a run holds fails at each.  (256, 5) aliases
     # its modes onto two classes of 408 signal indices, so its class blocks
     # dominate; a run that forms no evolved covariance A D A^T or
-    # (1 + dt L) D (1 + dt L)^T, and no block of D, peaks at about 3.1
-    # copies of them, 2.9 above the per-step arrays.
+    # (1 + dt L) D (1 + dt L)^T, and no a x a block in its set-up, peaks at
+    # about 2.65 copies of them, 2.4 above the per-step arrays.
     assert arrays <= simulator.PER_STEP_ARRAYS
     config = _config(n_modes=n_modes, Y=pixels, T=total_time, N=resolution, scheme="both")
     model = config.model
@@ -565,6 +565,47 @@ def test_class_branches_agree_with_match_per_row():
     assert expected[-1] == matching.BRANCH_PROJECTED
 
 
+@pytest.mark.parametrize(
+    "n_modes, pixels, total_time, sigma_n2, beta",
+    [
+        (4, 5, 1.0, 0.01, 1.0),
+        (4, 5, 1.0, 1e-8, 1.0),
+        (4, 5, 1.0, 100.0, 1.0),
+        (40, 31, 0.02, 0.01, 1.0),
+        (40, 31, 0.02, 1e-8, 1.0),
+        (16, 31, 0.05, 1e-6, 0.1),
+    ],
+)
+def test_matcher_precision_bound_holds_the_dense_norm(
+    monkeypatch, n_modes, pixels, total_time, sigma_n2, beta
+):
+    # The zero branch scales by a bound on ||D*^-1||_2, D*^-1 = G^-T D^-1 G^-1,
+    # that the run takes in closed form: ||G^-1||^2 max_c (max 1/phi_c +
+    # ||R_c||_1 ||R_c||_inf / sigma_n2).  It must hold the dense norm, with
+    # D^-1 = Phi^-1 + R^T R / sigma_n2 from the oracles, on the alias
+    # classes of (4, 5) and (40, 31) and at small sigma_n2, and stay within
+    # 4 of ||G^-1||^2 ||D^-1||_2, so that the zero branch does not widen.
+    bounds = []
+    original = matfun.branches
+
+    def captured(filters, pulled, inv_cov_norm, means, pulls):
+        bounds.append(inv_cov_norm)
+        return original(filters, pulled, inv_cov_norm, means, pulls)
+
+    monkeypatch.setattr(matfun, "branches", captured)
+    config = _config(
+        n_modes=n_modes, Y=pixels, T=total_time, N=5, sigma_n2=sigma_n2, beta=beta
+    )
+    simulator.run_ifd(config)
+    model = config.model
+    r2 = oracles.lift_response(oracles.build_response(model))
+    info = np.diag(1.0 / kleingordon.prior_variances(model)) + r2.T @ r2 / sigma_n2
+    g_inv = np.linalg.inv(np.eye(model.signal_dim) + config.dt * oracles.build_generator(model))
+    (bound,) = bounds
+    assert bound >= np.linalg.norm(g_inv.T @ info @ g_inv, 2)
+    assert bound <= 4.0 * np.linalg.norm(g_inv, 2) ** 2 * np.linalg.norm(info, 2)
+
+
 def test_positive_definiteness_test_spans_all_classes():
     # Two blocks that each pass the test but not together: the smallest
     # eigenvalue of the whole block-diagonal matrix is compared with its
@@ -637,16 +678,19 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
     # pair: coefficients (Y-1)/2 and (Y+1)/2, real and imaginary, phi and
     # chi, 8 in all.  No 2-norm may take an SVD.  The matcher branches of
     # all steps come from one matfun.branches call, with no match().  The
-    # posterior's spectrum is the one factorization of a covariance, and it
-    # serves only where a root of D is needed: W, the whitening of the two
-    # KL covariance terms and lambda_min(D) in the matcher's bound.  D^-1 is
-    # applied in closed form, Phi^-1 + R^T R / sigma_n2, so no run calls
+    # set-up factors each class's data Gram R Phi R^T, at most 8 x 8, and
+    # nothing wider: W and the root of D that whitens the two KL covariance
+    # terms come from it, and the matcher's bound is in closed form.  D^-1
+    # is applied in closed form, Phi^-1 + R^T R / sigma_n2, so no run calls
     # spectral_inverse.  At (16, 31) the posterior, the two KL covariance
     # terms and the match Hessian take two eigh or eigvalsh stacks wider
     # than 2 x 2 each, and the filter's 2-norm two more: no evolved
-    # covariance is factored.
+    # covariance is factored.  At (256, 5) a class holds 408 signal
+    # indices, which the KL covariance terms factor, but the set-up does not.
     counts = Counter()
-    sizes = []
+    sizes, setup_sizes = [], []
+    # Nonempty while simulator._setup runs.
+    in_setup = []
     # np.linalg.norm(x, 2) calls svd by name in the module that defines it.
     linalg_impl = sys.modules[np.linalg.norm.__wrapped__.__globals__["__name__"]]
 
@@ -657,6 +701,8 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
             counts[name] += 1
             if name in ("eigh", "eigvalsh", "solve"):
                 sizes.append(np.shape(args[0])[-1])
+            if name in ("eigh", "eigvalsh") and in_setup:
+                setup_sizes.append(np.shape(args[0])[-1])
             if name in ("eigh", "eigvalsh") and np.shape(args[0])[-1] > 2:
                 counts["wide eigh"] += 1
             return original(*args, **kwargs)
@@ -675,6 +721,16 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
     count(matfun, "branches")
     count(matfun, "spectral_inverse")
     count(matching, "match")
+    setup = simulator._setup
+
+    def traced_setup(*args, **kwargs):
+        in_setup.append(True)
+        try:
+            return setup(*args, **kwargs)
+        finally:
+            in_setup.pop()
+
+    monkeypatch.setattr(simulator, "_setup", traced_setup)
     # Counted under one key, "__init__".
     count(gaussian.GaussianDensity, "__init__")
     count(gaussian.LinearMeasurement, "__init__")
@@ -683,6 +739,7 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
     for n_modes, pixels, total_time in ((16, 31, 0.05), (64, 127, 0.005)):
         counts.clear()
         sizes.clear()
+        setup_sizes.clear()
         model = kleingordon.KGModel(n_modes, pixels, 1.0, 1.0, 0.01)
         assert max(
             sig.shape[1] + dat.shape[1] for sig, dat in kleingordon.fourier_classes(model)
@@ -701,8 +758,14 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
         assert counts["branches"] == 1
         assert counts["spectral_inverse"] == 0
         assert counts["match"] == 0
+        assert setup_sizes and max(setup_sizes) <= 8
         if n_modes == 16:
             assert counts["wide eigh"] <= 10
+    setup_sizes.clear()
+    config = _config(n_modes=256, Y=5, T=5e-5, N=3, scheme="both")
+    assert max(sig.shape[1] for sig, _ in kleingordon.fourier_classes(config.model)) == 408
+    simulator.run_ifd(config)
+    assert setup_sizes and max(setup_sizes) <= 8
 
 
 def test_runs_and_sweeps_build_no_dense_response(monkeypatch, caplog):
@@ -855,12 +918,22 @@ def test_per_step_entropy_decays_faster_than_linearly():
 # kl_step[0] and kl_evolution[0] at (4, 5, T 1, seed 0), by N, in 60-digit
 # arithmetic; tests/high_precision.py re-derives them.
 KL_STEP_PINS = {12: 3.3120248463301414e-05, 16: 1.2935078571467104e-07}
-KL_EVOLUTION_PINS = {12: 1.0165652297893865e-11, 16: 1.5513001198738316e-16}
+KL_EVOLUTION_PINS = {
+    6: 0.00016909289893148863,
+    8: 6.651308962520695e-07,
+    12: 1.0165652297893865e-11,
+    16: 1.5513001198738316e-16,
+}
 
 
 @pytest.mark.parametrize(
     "resolution, expected, rtol",
-    [(12, KL_EVOLUTION_PINS[12], 1e-12), (16, KL_EVOLUTION_PINS[16], 1e-11)],
+    [
+        (6, KL_EVOLUTION_PINS[6], 1e-14),
+        (8, KL_EVOLUTION_PINS[8], 1e-14),
+        (12, KL_EVOLUTION_PINS[12], 1e-12),
+        (16, KL_EVOLUTION_PINS[16], 1e-11),
+    ],
 )
 def test_kl_evolution_matches_high_precision_values(resolution, expected, rtol):
     # kl_evolution is an O(dt^4) relative entropy between two posteriors
@@ -870,9 +943,12 @@ def test_kl_evolution_matches_high_precision_values(resolution, expected, rtol):
     # prior, posterior, A(dt) and 1 + dt L in closed form, then
     # 1/2 [tr(S_q^-1 S_p) - n - log det(S_q^-1 S_p) + dm^T S_q^-1 dm].
     # Subtracting formed evolved covariances loses digits: that form is off
-    # by 3.1e-10 and 8.4e-8 here, outside these tolerances.  So does
-    # x - log1p(x) at the small eigenvalues x of the whitened excess,
+    # by 3.1e-10 and 8.4e-8 at N 12 and 16, outside these tolerances.  So
+    # does x - log1p(x) at the small eigenvalues x of the whitened excess,
     # 5.0e-12 and 1.8e-9 off, where its Taylor series is 1.3e-13 and 8.1e-13.
+    # At N 6 and 8 the run is 3.5e-15 and 9.6e-16 off, whitened by the root
+    # of D from the data Gram; whitened by D's eigenvectors it was 7.2e-14
+    # and 6.9e-14 off.
     config = _config(T=1.0, N=resolution, seed=0, scheme="iterated")
     assert_allclose(simulator.run_ifd(config).kl_evolution[0], expected, rtol=rtol)
 
@@ -905,6 +981,10 @@ def test_high_precision_script_rederives_the_pins():
     step, evolution = (float(kl) for kl in high_precision.kl_first_step(12))
     assert abs(step - KL_STEP_PINS[12]) <= np.spacing(KL_STEP_PINS[12])
     assert abs(evolution - KL_EVOLUTION_PINS[12]) <= 2 * np.spacing(KL_EVOLUTION_PINS[12])
+    # The N 6 and 8 pins are the script's values rounded.
+    for resolution in (6, 8):
+        _, evolution = high_precision.kl_first_step(resolution)
+        assert float(evolution) == KL_EVOLUTION_PINS[resolution]
 
 
 def test_deviation_floor_decreases_with_resolution():
