@@ -212,8 +212,8 @@ def kl_covariance_term(p, q):
     1/2 [tr(Sigma_q^-1 Sigma_p) - n - log det(Sigma_q^-1 Sigma_p)], but each
     summand is nonnegative in floating point as well (log1p is monotone and
     below the identity), and equal covariances give exactly 0 instead of a
-    cancellation residue of either sign.  The 1 + x_j must pass the positive
-    definiteness test (:func:`infodyn.matfun.kl_covariance_blocks`).
+    cancellation residue of either sign.  The 1 + x_j must be positive
+    (:func:`infodyn.matfun.kl_covariance_blocks`).
     """
     if p.dim != q.dim:
         raise InvalidInput(f"dimension mismatch: {p.dim} vs {q.dim}")

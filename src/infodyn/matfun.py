@@ -92,8 +92,8 @@ def symmetric_part(matrix):
     return 0.5 * (matrix + np.swapaxes(matrix, -1, -2))
 
 
-def require_pd(eigenvalues, op_name):
-    """Positive definiteness test: the smallest eigenvalue must exceed PD_RTOL times the largest.
+def require_pd(eigenvalues, op_name, rtol=PD_RTOL):
+    """Positive definiteness test: the smallest eigenvalue must exceed ``rtol`` times the largest.
 
     ``eigenvalues`` is one spectrum, or a list of the spectra (any shapes)
     of the blocks of a block-diagonal matrix, tested as the whole matrix.
@@ -102,7 +102,7 @@ def require_pd(eigenvalues, op_name):
     if isinstance(eigenvalues, list):
         eigenvalues = np.concatenate([np.ravel(w) for w in eigenvalues])
     smallest, largest = np.min(eigenvalues), np.max(eigenvalues)
-    if not smallest > PD_RTOL * max(largest, 0.0):
+    if not smallest > rtol * max(largest, 0.0):
         raise NotPositiveDefinite(
             f"{op_name}: smallest eigenvalue {float(smallest)!r} fails the positive "
             f"definiteness test against largest {float(largest)!r}"
@@ -193,11 +193,12 @@ def kl_covariance_blocks(excesses):
     |x| = 1e-2 a summand is its Taylor series through x^10, since
     x - log1p(x) would lose about -log10(|x|) digits there.  The 1 + x_j,
     over all blocks, are the eigenvalues of C^-1 Sigma_p C^-T, the same for
-    every root C; they must pass :func:`require_pd`, or
-    :class:`NotPositiveDefinite` is raised.
+    every root C.  Where one is not positive, its log is not finite, and
+    :func:`require_pd` with no relative floor raises
+    :class:`NotPositiveDefinite`; a wide positive spread is kept.
     """
     spectra = [np.linalg.eigvalsh(symmetric_part(excess)) for excess in excesses]
-    require_pd([1.0 + x for x in spectra], "whitened covariance of a relative entropy")
+    require_pd([1.0 + x for x in spectra], "whitened covariance of a relative entropy", 0.0)
     total = 0.0
     for x in spectra:
         summand = x - np.log1p(x)

@@ -26,12 +26,12 @@ exact step, M' or M.  The response enters as its class blocks R_c
 (:func:`kleingordon.response_blocks`), the prior as its variances, the
 noise as sigma_n2, and A(dt) and 1 + dt L as their 2x2 blocks on each
 (phi, chi) pair, applied by :func:`kleingordon.apply_pairs`.  W and a
-root of D come from each class's data Gram R_c Phi_c R_c^T, at most 8 x 8,
-so the set-up factors no signal-space block; the posterior precision
-D^-1 = Phi^-1 + R^T R / sigma_n2 is applied in closed form.  M' comes from
-:func:`kleingordon.update_generator_blocks` (bit for bit the dense chain
-R2 L Phi R2^T) and the matcher branch of every step from
-:func:`matfun.branches`; a run imports none of the dense library,
+root of D come from the phi and chi blocks, at most 4 x 4, of each class's
+data Gram R_c Phi_c R_c^T, so the set-up factors no signal-space block; the
+posterior precision D^-1 = Phi^-1 + R^T R / sigma_n2 is applied in closed
+form.  M' comes from :func:`kleingordon.update_generator_blocks` (bit for
+bit the dense chain R2 L Phi R2^T) and the matcher branch of every step
+from :func:`matfun.branches`; a run imports none of the dense library,
 :mod:`infodyn.gaussian` and :mod:`infodyn.matching`.  What does not depend
 on dt (the posterior, M' and exp(T M') d(0)) is built once per
 :func:`convergence_sweep`; what does not depend on the step (also the KL
@@ -525,24 +525,28 @@ def _setup(config, direct):
                     kleingordon.data_gram_condition(model, classes, part),
                 )
         prior = kleingordon.prior_variances(model)
-        # The posterior from each class's data Gram R Phi R^T = U s U^T, over
-        # the directions s > SINGULAR_RTOL max s (the cut drops the null
-        # directions of the duplicated conjugate pair): W = Phi R^T U
-        # (s + sigma_n2)^-1 U^T, and the orthonormal V = Phi^1/2 R^T U s^-1/2
-        # and t = sigma_n2 / (s + sigma_n2) give Phi^-1/2 D Phi^-1/2 =
-        # 1 + V (t - 1) V^T.  The mean W d0 (zero prior mean) starts the
-        # exact reference.
+        # The posterior from each class's data Gram R Phi R^T = U s U^T: W =
+        # Phi R^T U (s + sigma_n2)^-1 U^T, and the orthonormal V = Phi^1/2 R^T
+        # U s^-1/2 and t = sigma_n2 / (s + sigma_n2) give Phi^-1/2 D Phi^-1/2
+        # = 1 + V (t - 1) V^T.  The Gram is block diagonal over the phi and
+        # chi data, whose priors differ by omega^2, so each half is factored
+        # and keeps s > SINGULAR_RTOL times its own largest: this drops only
+        # the duplicated conjugate pair's null directions.  The mean W d0
+        # (zero prior mean) starts the exact reference.
         s2 = model.sigma_n2
         root, filters, mean = [], [], np.zeros(model.signal_dim)
         for (sig, dat), r in zip(classes, response):
             v, rt = prior[sig][..., None], np.swapaxes(r, -1, -2)
-            s, u = np.linalg.eigh(r @ (v * rt))
+            gram, half = r @ (v * rt), dat.shape[1] // 2
+            s, parts = np.linalg.eigh(np.stack([gram[:, :half, :half], gram[:, half:, half:]]))
             keep = s > matfun.SINGULAR_RTOL * s.max(axis=-1, keepdims=True, initial=0.0)
-            kept = np.where(keep, s, 0.0)
-            t = s2 / (kept + s2)
+            keep, s = np.concatenate(keep, axis=-1), np.concatenate(np.where(keep, s, 0.0), axis=-1)
+            u = np.zeros_like(gram)
+            u[:, :half, :half], u[:, half:, half:] = parts
+            t = s2 / (s + s2)
             rt_u = rt @ u
             root.append((np.sqrt(v) * rt_u * (keep / np.sqrt(np.where(keep, s, 1.0)))[..., None, :], t))
-            filters.append(v * rt_u * (keep / (kept + s2))[..., None, :] @ np.swapaxes(u, -1, -2))
+            filters.append(v * rt_u * (keep / (s + s2))[..., None, :] @ np.swapaxes(u, -1, -2))
             mean[sig] = (filters[-1] @ d0[dat][:, :, None])[:, :, 0]
         m_prime = kleingordon.update_generator_blocks(model, classes, response, prior)
         direct_data = (
@@ -692,9 +696,9 @@ def run_ifd(config):
     (the closed form is used for the update either way), each held as a
     column of the result.  D^-1 is positive definite once the prior passes
     its test; a stepping run refuses one that is not finite with
-    :class:`NonFiniteOutput`, and evolved covariances that fail the positive
-    definiteness test against D (:func:`matfun.kl_covariance_blocks`) with
-    :class:`NotPositiveDefinite`.
+    :class:`NonFiniteOutput`, and an evolved covariance whose generalized
+    eigenvalues against D are not all positive
+    (:func:`matfun.kl_covariance_blocks`) with :class:`NotPositiveDefinite`.
     A non-regular branch is announced once per run at warning level, naming
     its first step: it means the match Hessian is singular and the matched
     vector would be the minimum-norm one, which for this data packing is the

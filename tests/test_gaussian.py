@@ -158,6 +158,16 @@ def test_kl_scalar_frozen():
     )
 
 
+def test_kl_of_densities_whose_generalized_spectrum_spreads_widely():
+    # Each density passes its own positive definiteness test, but the
+    # generalized eigenvalues of (Sigma_p, Sigma_q), 1e-7 and 1e7, spread
+    # past 1 / PD_RTOL.  The relative entropy is finite and exact there:
+    # 1/2 (1e7 + 1e-7 - 2 - log(1e7 * 1e-7)).
+    p = GaussianDensity(mean=np.zeros(2), cov=np.diag([1.0, 1e-7]))
+    q = GaussianDensity(mean=np.zeros(2), cov=np.diag([1e-7, 1.0]))
+    assert_allclose(gaussian.kl_divergence(p, q), 0.5 * (1e7 + 1e-7 - 2.0), rtol=1e-14)
+
+
 def test_kl_self_is_zero_and_nonnegative():
     rng = np.random.default_rng(127)
     for _ in range(10):

@@ -192,6 +192,22 @@ def test_pd_operations_reject_indefinite():
             op(a)
 
 
+def test_kl_covariance_term_refuses_only_a_nonpositive_whitened_eigenvalue():
+    # The whitened evolved covariance has eigenvalues 1 + x.  A positive
+    # spectrum of any spread, here 0.5 to 1e20, gives the finite term
+    # 1/2 sum (x - log(1 + x)); a zero or negative 1 + x, whose logarithm is
+    # not finite, is refused.
+    x = np.array([-0.5, 1e20])
+    assert_allclose(
+        matfun.kl_covariance_blocks([np.diag(x)]),
+        0.5 * np.sum(x - np.log1p(x)),
+        rtol=1e-15,
+    )
+    for smallest in (-1.0, -2.0):
+        with pytest.raises(NotPositiveDefinite, match="^whitened covariance of a relative entropy"):
+            matfun.kl_covariance_blocks([np.diag([0.5]), np.diag([smallest, 3.0])])
+
+
 def test_expm_general_matches_series_and_rejects_nonsquare():
     # Non-normal block: exp([[0, 1], [-w^2, 0]] t) is the oscillator rotation.
     w, t = 2.0, 0.3

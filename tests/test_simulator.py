@@ -458,6 +458,44 @@ def test_batched_diagnostics_match_per_step_oracle(tmp_path):
         _check_against_per_step_oracle(run)
 
 
+@pytest.mark.parametrize(
+    "overrides", [{"mu": 5e-6, "T": 1.0, "N": 6}, {"mu": 2e5, "T": 1e-11, "N": 3}]
+)
+def test_posterior_keeps_directions_measured_in_only_one_field_part(overrides):
+    # A class's data Gram R Phi R^T is block diagonal over its phi and chi
+    # data, whose prior variances differ by omega^2.  At mu 5e-6, class 0's
+    # chi Gram is 4e10 times smaller than its phi Gram; at mu 2e5 every phi
+    # Gram is 4e10 times smaller than its chi Gram.  Cut against the largest
+    # eigenvalue of the whole class, those measured directions were dropped.
+    # The run's Wiener filter, posterior mean, exact deviation and kl_step
+    # must match the dense oracle.
+    config = _config(scheme="both", **overrides)
+    model = config.model
+    setup = simulator._setup(config, direct=False)
+    prior, meas = oracles.prior_density(model), oracles.measurement(model)
+    w = gaussian.wiener_filter(prior, meas)
+    filters = np.zeros_like(w)
+    for (sig, dat), block in zip(setup.classes, setup.filter):
+        filters[sig[:, :, None], dat[:, None, :]] = block
+    assert_allclose(filters, w, rtol=0.0, atol=1e-12 * np.abs(w).max())
+    mean = w @ setup.initial_data
+    assert_allclose(setup.mean, mean, rtol=0.0, atol=1e-12 * np.abs(mean).max())
+    run = simulator.run_ifd(config)
+    reference = _dense_exact_reference(config)
+    assert_allclose(
+        run.exact_deviation, np.linalg.norm(run.data - reference.data[1:], axis=1), rtol=1e-10
+    )
+    d_cov = gaussian.posterior(prior, meas, np.zeros(model.data_dim)).cov
+    a_step = oracles.exact_step(model, config.dt)
+    exact_cov = a_step @ d_cov @ a_step.T
+    u = run.initial_data
+    for i, u_next in enumerate(run.data):
+        exact = gaussian.GaussianDensity(a_step @ w @ u, exact_cov)
+        kl_step = gaussian.kl_divergence(exact, gaussian.GaussianDensity(w @ u_next, d_cov))
+        assert_allclose(run.kl_step[i], kl_step, rtol=1e-9)
+        u = u_next
+
+
 def _check_against_per_step_oracle(run):
     model = run.config.model
     dt = run.config.dt
@@ -678,9 +716,9 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
     # pair: coefficients (Y-1)/2 and (Y+1)/2, real and imaginary, phi and
     # chi, 8 in all.  No 2-norm may take an SVD.  The matcher branches of
     # all steps come from one matfun.branches call, with no match().  The
-    # set-up factors each class's data Gram R Phi R^T, at most 8 x 8, and
-    # nothing wider: W and the root of D that whitens the two KL covariance
-    # terms come from it, and the matcher's bound is in closed form.  D^-1
+    # set-up factors the phi and chi blocks of each class's data Gram
+    # R Phi R^T, at most 4 x 4, and nothing wider: W and the root of D that
+    # whitens the two KL covariance terms come from them, and the matcher's bound is in closed form.  D^-1
     # is applied in closed form, Phi^-1 + R^T R / sigma_n2, so no run calls
     # spectral_inverse.  At (16, 31) the posterior, the two KL covariance
     # terms and the match Hessian take two eigh or eigvalsh stacks wider
@@ -758,14 +796,14 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
         assert counts["branches"] == 1
         assert counts["spectral_inverse"] == 0
         assert counts["match"] == 0
-        assert setup_sizes and max(setup_sizes) <= 8
+        assert setup_sizes and max(setup_sizes) <= 4
         if n_modes == 16:
             assert counts["wide eigh"] <= 10
     setup_sizes.clear()
     config = _config(n_modes=256, Y=5, T=5e-5, N=3, scheme="both")
     assert max(sig.shape[1] for sig, _ in kleingordon.fourier_classes(config.model)) == 408
     simulator.run_ifd(config)
-    assert setup_sizes and max(setup_sizes) <= 8
+    assert setup_sizes and max(setup_sizes) <= 4
 
 
 def test_runs_and_sweeps_build_no_dense_response(monkeypatch, caplog):
@@ -964,6 +1002,17 @@ def test_kl_step_matches_high_precision_values(resolution, expected):
     # W (d(dt) - d(0)) it is 9.8e-16 and 9.3e-16 off.
     config = _config(T=1.0, N=resolution, seed=0, scheme="iterated")
     assert_allclose(simulator.run_ifd(config).kl_step[0], expected, rtol=5e-15)
+
+
+def test_tiny_noise_run_matches_high_precision_values():
+    # At sigma_n2 1e-11 the eigenvalues 1 + x of kl_step's whitened evolved
+    # covariance span 1.3e-8 to 8.0e7, wider than 1 / PD_RTOL, but all
+    # positive, so the run keeps them.  Its first-step entropies match
+    # tests/high_precision.py's kl_first_step(6) with CONFIG's sigma_n2 set
+    # to 1e-11, 122111019.74516147265 and 168382.41289907526773.
+    run = simulator.run_ifd(_config(T=1.0, N=6, seed=0, sigma_n2=1e-11))
+    assert_allclose(run.kl_step[0], 122111019.74516147, rtol=1e-8)
+    assert_allclose(run.kl_evolution[0], 168382.41289907527, rtol=1e-11)
 
 
 def test_high_precision_script_rederives_the_pins():
