@@ -11,9 +11,10 @@ form errs on the conjugate pair the data packing stores twice.
     python3 demos/03_field_simulation.py
 """
 
-import numpy as np
+import logging
+import sys
 
-from infodyn import kleingordon, simulator
+from infodyn import simulator
 
 config = simulator.parse_config(
     {
@@ -35,12 +36,12 @@ print(f"signal dim {model.signal_dim}, data dim {model.data_dim}, "
 
 # The stored data coefficients (Y-1)/2 and (Y+1)/2 are complex conjugates of
 # each other: the measurement is redundant there, which conditions the data
-# Gram and forces the matcher onto its projected branch at every step.
-classes = kleingordon.fourier_classes(model)
-for part in (kleingordon.PART_PHI, kleingordon.PART_CHI):
-    cond = kleingordon.data_gram_condition(model, classes, part)
-    print(f"data gram condition ({part} part): {cond:.1f}")
-
+# Gram and forces the matcher onto its projected branch at every step.  The
+# run logs both at INFO; here the log goes to stdout, as `infodyn --verbose`
+# sends it to stderr.
+logging.basicConfig(
+    level=logging.INFO, stream=sys.stdout, format="%(levelname)s %(name)s: %(message)s"
+)
 result = simulator.run_ifd(config)
 
 print("\n step      t    kl_step   kl_cumulative   deviation   branch")

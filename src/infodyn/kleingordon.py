@@ -176,17 +176,15 @@ class KGModel(Frozen):
 
 
 def _part_prior_diag(model, part):
-    """Diagonal of the thermal prior for one field part in the real packing."""
+    """Diagonal of the thermal prior in the real packing for PART_PHI, else for PART_CHI."""
     n, beta = model.n_modes, model.beta
     diag = np.empty(model.part_dim)
     if part == PART_PHI:
         diag[0] = 2.0 * np.pi / (beta * model.mu**2)
         per_mode = (np.pi / beta) / model.omega(np.arange(1, n)) ** 2
-    elif part == PART_CHI:
+    else:
         diag[0] = 2.0 * np.pi / beta
         per_mode = np.full(n - 1, np.pi / beta)
-    else:
-        raise InvalidInput(f"unknown part {part!r}")
     diag[1::2] = per_mode
     diag[2::2] = per_mode
     return diag
@@ -475,32 +473,6 @@ def rphi_rt_diag(model, part):
     # Coefficient (Y+1)/2 is the duplicated conjugate of (Y-1)/2.
     diag[y:] = b[-1]
     return diag
-
-
-def data_gram_condition(model, classes, part):
-    """Spectral condition number of the noisy Gram R Phi_part R^T + sigma^2.
-
-    The packed data layout stores the conjugate pair ((Y-1)/2, (Y+1)/2)
-    twice, which couples those rows in the Gram and leaves the noise floor
-    as the smallest eigenvalue; this number makes that conditioning
-    visible.  The Gram is block diagonal over the data indices of the
-    model's :func:`fourier_classes` ``classes``, so its extreme eigenvalues
-    are taken over the blocks, with no dense response built.
-    """
-    var = _part_prior_diag(model, part)
-    spectra = []
-    for sig, dat in classes:
-        # A class's first half of indices is its part of the phi field; the
-        # chi part repeats them, shifted.
-        sig, dat = sig[:, : sig.shape[1] // 2], dat[:, : dat.shape[1] // 2]
-        if dat.shape[1]:
-            r_c = _response_entries(model, dat[:, :, None], sig[:, None, :])
-            gram = (r_c * var[sig][:, None, :]) @ np.swapaxes(r_c, -1, -2)
-            diag = np.arange(dat.shape[1])
-            gram[:, diag, diag] += model.sigma_n2
-            spectra.append(np.linalg.eigvalsh(gram).ravel())
-    w = np.concatenate(spectra)
-    return float(w.max() / w.min())
 
 
 def update_generator_blocks(model, classes, response, variances):

@@ -134,21 +134,21 @@ def objective(problem, u):
     return kl_divergence(new_density, problem.evolved_density())
 
 
-def nullspace_projector(matrix, rel_tol=SINGULAR_RTOL):
+def nullspace_projector(matrix):
     """Orthonormal basis of the non-null eigendirections of a symmetric matrix.
 
     Returns
     -------
     p : (rank, n) ndarray
         Rows form an orthonormal basis of the span of eigenvectors whose
-        eigenvalue exceeds ``rel_tol`` times the largest magnitude
+        eigenvalue exceeds ``SINGULAR_RTOL`` times the largest magnitude
         eigenvalue.  ``p.T @ p`` is the orthogonal projector onto the
         complement of the nullspace.
     rank : int
     """
     w, q = np.linalg.eigh(matfun.symmetrize(matrix))
     scale = float(np.max(np.abs(w))) if w.size else 0.0
-    keep = np.abs(w) > rel_tol * scale if scale > 0.0 else np.zeros_like(w, bool)
+    keep = np.abs(w) > SINGULAR_RTOL * scale if scale > 0.0 else np.zeros_like(w, bool)
     p = q[:, keep].T
     return p, int(np.count_nonzero(keep))
 

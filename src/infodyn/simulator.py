@@ -517,13 +517,6 @@ def _setup(config, direct):
     # Overflow is refused by the checks of the posterior and of the direct
     # endpoint, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        if logger.isEnabledFor(logging.INFO):
-            for part in (kleingordon.PART_PHI, kleingordon.PART_CHI):
-                logger.info(
-                    "data-space Gram condition number (%s part): %.6g",
-                    part,
-                    kleingordon.data_gram_condition(model, classes, part),
-                )
         prior = kleingordon.prior_variances(model)
         # The posterior from each class's data Gram R Phi R^T = U s U^T: W =
         # Phi R^T U (s + sigma_n2)^-1 U^T, and the orthonormal V = Phi^1/2 R^T
@@ -531,16 +524,23 @@ def _setup(config, direct):
         # = 1 + V (t - 1) V^T.  The Gram is block diagonal over the phi and
         # chi data, whose priors differ by omega^2, so each half is factored
         # and keeps s > SINGULAR_RTOL times its own largest: this drops only
-        # the duplicated conjugate pair's null directions.  The mean W d0
-        # (zero prior mean) starts the exact reference.
+        # the duplicated conjugate pair's null directions, which count as
+        # s = 0.  The same spectra give each part's condition number of
+        # R Phi R^T + sigma_n2, (max s + sigma_n2) / (min s + sigma_n2) over
+        # the classes.  The mean W d0 (zero prior mean) starts the exact
+        # reference.
         s2 = model.sigma_n2
         root, filters, mean = [], [], np.zeros(model.signal_dim)
+        s_max, s_min = np.zeros(2), np.full(2, np.inf)
         for (sig, dat), r in zip(classes, response):
             v, rt = prior[sig][..., None], np.swapaxes(r, -1, -2)
             gram, half = r @ (v * rt), dat.shape[1] // 2
             s, parts = np.linalg.eigh(np.stack([gram[:, :half, :half], gram[:, half:, half:]]))
             keep = s > matfun.SINGULAR_RTOL * s.max(axis=-1, keepdims=True, initial=0.0)
-            keep, s = np.concatenate(keep, axis=-1), np.concatenate(np.where(keep, s, 0.0), axis=-1)
+            s = np.where(keep, s, 0.0)
+            s_max = np.maximum(s_max, s.max(axis=(1, 2), initial=0.0))
+            s_min = np.minimum(s_min, s.min(axis=(1, 2), initial=np.inf))
+            keep, s = np.concatenate(keep, axis=-1), np.concatenate(s, axis=-1)
             u = np.zeros_like(gram)
             u[:, :half, :half], u[:, half:, half:] = parts
             t = s2 / (s + s2)
@@ -548,6 +548,10 @@ def _setup(config, direct):
             root.append((np.sqrt(v) * rt_u * (keep / np.sqrt(np.where(keep, s, 1.0)))[..., None, :], t))
             filters.append(v * rt_u * (keep / (s + s2))[..., None, :] @ np.swapaxes(u, -1, -2))
             mean[sig] = (filters[-1] @ d0[dat][:, :, None])[:, :, 0]
+        logger.info(
+            "data-space Gram condition numbers: phi part %.6g, chi part %.6g",
+            *(s_max + s2) / (s_min + s2),
+        )
         m_prime = kleingordon.update_generator_blocks(model, classes, response, prior)
         direct_data = (
             _direct_endpoint(config.total_time, m_prime, classes, d0) if direct else None

@@ -235,7 +235,7 @@ def test_acceptance_4_entropic_matching():
             break
         # Minimum norm: the solution carries no component in the Hessian
         # nullspace, and the descent oracle from the origin agrees.
-        p, rank = matching.nullspace_projector(problem.hessian(), 1e-10)
+        p, rank = matching.nullspace_projector(problem.hessian())
         assert rank < problem.data_dim
         null_part = result.data - p.T @ (p @ result.data)
         worst_null = max(worst_null, float(np.linalg.norm(null_part)))

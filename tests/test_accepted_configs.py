@@ -6,13 +6,16 @@ output and nonnegative relative entropies, or raise an
 :class:`InfodynError`, which ``infodyn.cli.main`` turns into exit status 1
 or 2.  That error is never :class:`StepTooLarge`: the step bound is the
 loader's to check.  A numpy warning fails the run as well (see
-``filterwarnings`` in ``pyproject.toml``).  The settings are fixed, so the
-examples are the same on every run of the suite.
+``filterwarnings`` in ``pyproject.toml``).  The runs log at INFO, as under
+``infodyn --verbose``, so the verbose path is tested too.  The settings are
+fixed, so the examples are the same on every run of the suite.
 """
 
+import logging
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -51,9 +54,19 @@ def mappings(draw):
     }
 
 
+@pytest.fixture(scope="module")
+def info_log():
+    """Log the package at INFO while the module's tests run, then restore the level."""
+    logger = logging.getLogger("infodyn")
+    level = logger.level
+    logger.setLevel(logging.INFO)
+    yield
+    logger.setLevel(level)
+
+
 @settings(derandomize=True, max_examples=500, deadline=None, database=None)
 @given(mappings())
-def test_accepted_config_runs_finite_or_is_refused(mapping):
+def test_accepted_config_runs_finite_or_is_refused(info_log, mapping):
     try:
         config = simulator.parse_config(mapping)
     except ConfigError:

@@ -46,6 +46,12 @@ def test_demo_runs(demo, tmp_path):
             "hessian rank      : 3 of 4",
         ):
             assert line in lines
+    if demo.name == "03_field_simulation.py":
+        # The run's own INFO line, routed to stdout.
+        assert any(
+            line.startswith("INFO infodyn.simulator: data-space Gram condition numbers: phi part ")
+            for line in result.stdout.splitlines()
+        )
 
 
 def test_readme_library_example_runs(tmp_path):

@@ -7,6 +7,8 @@ field cos(l x)/pi and "Im phihat_l = 1" is sin(l x)/pi.  Data coefficients
 are dhat_k = Delta sum_j exp(i k j Delta) d_j of the pixel averages d_j.
 """
 
+import logging
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -15,7 +17,7 @@ from numpy.testing import assert_allclose
 
 from infodyn import gaussian
 from infodyn import kleingordon as kg
-from infodyn import matfun, matching
+from infodyn import matfun, matching, simulator
 from infodyn.errors import (
     DegenerateMassError,
     InvalidInput,
@@ -249,9 +251,6 @@ def test_model_validation():
 
 def test_closed_forms_refuse_bad_arguments():
     model = _model(n_modes=4, pixels=5)
-    classes = kg.fourier_classes(model)
-    with pytest.raises(InvalidInput, match="^unknown part 'psi'$"):
-        kg.data_gram_condition(model, classes, "psi")
     with pytest.raises(InvalidInput, match="^unknown part 'psi'$"):
         kg.rphi_rt_diag(model, "psi")
     with pytest.raises(InvalidInput, match="^dt must be finite, got nan$"):
@@ -607,24 +606,46 @@ def _refuse_dense_response(monkeypatch):
     monkeypatch.setattr(oracles, "lift_response", refuse)
 
 
+def _logged_gram_conditions(model, caplog):
+    """The phi and chi condition numbers a run's set-up logs for ``model``, as the record's args.
+
+    Read unformatted, not from the text that %.6g prints.  A numpy
+    RuntimeWarning fails the set-up (``filterwarnings`` in ``pyproject.toml``).
+    """
+    config = simulator.RunConfig(model, 1.0, 1, 0, scheme=simulator.SCHEME_DIRECT)
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="infodyn"):
+        simulator._setup(config, direct=False)
+    (record,) = [r for r in caplog.records if "Gram condition" in r.msg]
+    return record.args
+
+
 @pytest.mark.parametrize("n, y", [(4, 5), (8, 5), (16, 31), (40, 31), (64, 127)])
-def test_data_gram_condition_matches_the_dense_gram(n, y, monkeypatch):
-    # (8, 5) and (40, 31) alias.  The condition number is taken from the
-    # response's class blocks, with no dense response.
+def test_data_gram_condition_matches_the_dense_gram(n, y, monkeypatch, caplog):
+    # (8, 5) and (40, 31) alias.  The condition number the set-up logs is
+    # taken from the spectra of the response's class blocks that it factors
+    # for the posterior, with no dense response.
     model = _model(n_modes=n, pixels=y)
-    dense = {}
+    dense = []
     for part in (kg.PART_PHI, kg.PART_CHI):
         w = np.linalg.eigvalsh(
             _dense_gram(model, part) + model.sigma_n2 * np.eye(model.data_part_dim)
         )
-        dense[part] = w[-1] / w[0]
+        dense.append(w[-1] / w[0])
     _refuse_dense_response(monkeypatch)
-    for part in (kg.PART_PHI, kg.PART_CHI):
-        assert_allclose(
-            kg.data_gram_condition(model, kg.fourier_classes(model), part),
-            dense[part],
-            rtol=1e-12,
-        )
+    assert_allclose(_logged_gram_conditions(model, caplog), dense, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n, y", [(4, 5), (16, 31)])
+@pytest.mark.parametrize("sigma_n2", [1e-14, 1e-300])
+def test_data_gram_condition_is_finite_at_tiny_noise(n, y, sigma_n2, caplog):
+    # The Gram is singular on the duplicated conjugate pair, so its
+    # condition number is (max s + sigma^2) / sigma^2: finite and positive
+    # however small sigma^2 is.  Round-off there, read as the smallest
+    # eigenvalue of the noisy Gram, gives negative or infinite numbers and
+    # numpy's divide-by-zero warning.
+    conditions = _logged_gram_conditions(_model(n_modes=n, pixels=y, sigma_n2=sigma_n2), caplog)
+    assert np.all(np.isfinite(conditions)) and np.all(np.asarray(conditions) > 1.0)
 
 
 @pytest.mark.parametrize(
@@ -645,13 +666,12 @@ def test_response_blocks_are_the_lifted_response_gathers_bitwise(n, y, monkeypat
         assert np.array_equal(block, gathered)
 
 
-def test_data_gram_condition_sees_alias_redundancy():
+def test_data_gram_condition_sees_alias_redundancy(caplog):
     # Noise-free Gram is singular on the duplicated pair; with noise the
     # condition number is the ratio of the largest entry-pair sum to the
     # noise floor, so it grows as sigma^2 shrinks.
-    classes = kg.fourier_classes(_model())
-    loose = kg.data_gram_condition(_model(), classes, kg.PART_PHI)
-    tight = kg.data_gram_condition(_model(sigma_n2=1e-6), classes, kg.PART_PHI)
+    loose, _ = _logged_gram_conditions(_model(), caplog)
+    tight, _ = _logged_gram_conditions(_model(sigma_n2=1e-6), caplog)
     assert tight > loose > 1.0
 
 

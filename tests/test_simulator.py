@@ -772,9 +772,15 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
     # Counted under one key, "__init__".
     count(gaussian.GaussianDensity, "__init__")
     count(gaussian.LinearMeasurement, "__init__")
-    # The Gram condition numbers are factored only when INFO is logged.
-    caplog.set_level(logging.WARNING, logger="infodyn")
-    for n_modes, pixels, total_time in ((16, 31, 0.05), (64, 127, 0.005)):
+    # A verbose run factors what a quiet one does, no more.
+    runs = [
+        (level, n_modes, pixels, total_time)
+        for level in (logging.WARNING, logging.INFO)
+        for n_modes, pixels, total_time in ((16, 31, 0.05), (64, 127, 0.005))
+    ]
+    factored = {}
+    for level, n_modes, pixels, total_time in runs:
+        caplog.set_level(level, logger="infodyn")
         counts.clear()
         sizes.clear()
         setup_sizes.clear()
@@ -785,6 +791,7 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
         simulator.run_ifd(
             _config(n_modes=n_modes, Y=pixels, T=total_time, N=5, scheme="both")
         )
+        factored[level, n_modes] = (counts["eigh"], counts["eigvalsh"], list(setup_sizes))
         assert sizes and max(sizes) <= 8
         assert counts["svd"] == 0
         assert counts["posterior"] == 0
@@ -799,6 +806,8 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
         assert setup_sizes and max(setup_sizes) <= 4
         if n_modes == 16:
             assert counts["wide eigh"] <= 10
+    for n_modes in (16, 64):
+        assert factored[logging.INFO, n_modes] == factored[logging.WARNING, n_modes]
     setup_sizes.clear()
     config = _config(n_modes=256, Y=5, T=5e-5, N=3, scheme="both")
     assert max(sig.shape[1] for sig, _ in kleingordon.fourier_classes(config.model)) == 408
@@ -808,8 +817,8 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
 
 def test_runs_and_sweeps_build_no_dense_response(monkeypatch, caplog):
     # The run holds the response as class blocks only: the initial draw, the
-    # posterior, M', the exact reference and the Gram condition numbers
-    # logged at INFO all come from kleingordon.response_blocks.
+    # posterior, with the Gram condition numbers it logs once per set-up at
+    # INFO, M' and the exact reference all come from kleingordon.response_blocks.
     def refuse(*args, **kwargs):
         raise AssertionError("a dense response was built")
 
@@ -821,7 +830,7 @@ def test_runs_and_sweeps_build_no_dense_response(monkeypatch, caplog):
         assert np.all(np.isfinite(run.final_data))
     sweep = simulator.convergence_sweep(_config(), (4, 5, 6))
     assert np.all(np.isfinite(sweep.final_deviations))
-    assert len([r for r in caplog.records if "Gram condition" in r.message]) == 8
+    assert len([r for r in caplog.records if "Gram condition" in r.message]) == 4
 
 
 def test_verbose_run_builds_the_fourier_classes_once(monkeypatch, caplog):
@@ -836,7 +845,7 @@ def test_verbose_run_builds_the_fourier_classes_once(monkeypatch, caplog):
     monkeypatch.setattr(kleingordon, "fourier_classes", counted)
     caplog.set_level(logging.INFO, logger="infodyn")
     simulator.run_ifd(_config(scheme="both"))
-    assert len([r for r in caplog.records if "Gram condition" in r.message]) == 2
+    assert len([r for r in caplog.records if "Gram condition" in r.message]) == 1
     assert len(calls) == 1
 
 
@@ -1147,7 +1156,7 @@ def test_sweep_builds_the_dt_independent_setup_once(monkeypatch, caplog):
     caplog.set_level(logging.INFO, logger="infodyn")
     simulator.convergence_sweep(_config(n_modes=16, Y=31, T=0.05), (4, 5, 6))
     assert calls["update_generator_blocks"] == 1
-    assert len([r for r in caplog.records if "Gram condition" in r.message]) == 2
+    assert len([r for r in caplog.records if "Gram condition" in r.message]) == 1
 
 
 def test_mass_enters_only_squared():
