@@ -23,11 +23,11 @@ Three branches cover the geometry of H:
     subspace and the returned u' is its unique norm-minimal element.
 
 :func:`infodyn.matfun.branches` is the one place that decides the branch,
-from one ``eigh`` of H and the norm of the linear term, on lists of block
-stacks with one label per column of evolved means.  :func:`match` calls it
-on its one dense block and applies the pseudo-inverse of H from that one
-factorization; a simulation run calls it on its Fourier-class blocks, one
-column per step, and imports nothing of this dense library.
+from the regularity of H and the norms of the linear term and its bound;
+it factors nothing.  :func:`match` takes them from its one ``eigh`` of H
+and applies the pseudo-inverse of H from that one factorization; a
+simulation run takes them from its set-up and from per-class maps from
+data, and imports nothing of this dense library.
 """
 
 from typing import NamedTuple
@@ -50,8 +50,7 @@ class MatchProblem(Frozen):
     filter W' and the prior pull D' Phi'^-1 psi'
     (:func:`gaussian.posterior_operators`).
     The factors of D*^-1 give ||D*^-1||_2 and :meth:`evolved_density`.  A
-    simulation run builds no problem: it calls
-    :func:`infodyn.matfun.branches` on its class blocks.
+    simulation run builds no problem and forms no evolved mean.
     """
 
     _fields = ("evolved_mean", "evolved_inv_cov", "new_prior", "new_meas")
@@ -157,8 +156,9 @@ def match(problem):
     """Minimize the matching objective in closed form.
 
     u' = H^+ W'^T D*^-1 (m* - D' Phi'^-1 psi'), with H^+ over the eigenpairs
-    of :func:`infodyn.matfun.branches` that pass the zero cut: on the regular
-    branch, all.
+    of one ``eigh`` of H that pass the zero cut: on the regular branch, all.
+    :func:`infodyn.matfun.branches` decides the branch from them, the norm
+    of the linear term and, off the regular branch only, its bound.
 
     Returns
     -------
@@ -168,18 +168,20 @@ def match(problem):
         applied: ``regular``, ``zero`` or ``projected``.
     """
     pulled = problem.evolved_inv_cov @ problem._w
-    (branch,), ((w, q),) = matfun.branches(
-        [problem._w[None]],
-        [pulled[None]],
-        problem._inv_cov_spectrum[0][-1],
-        [problem.evolved_mean[None, :, None]],
-        [problem._prior_pull[None, :, None]],
-    )
+    w, q = np.linalg.eigh(matfun.symmetric_part(problem._w.T @ pulled))
+    keep = matfun.nonzero(w)
+    linear = pulled.T @ (problem.evolved_mean - problem._prior_pull)
+    scale = 0.0
+    if not keep.all():
+        scale = (
+            matfun.norm2(problem._w)
+            * problem._inv_cov_spectrum[0][-1]
+            * (np.linalg.norm(problem._prior_pull) + np.linalg.norm(problem.evolved_mean))
+        )
+    (branch,) = matfun.branches(keep.all(), [np.linalg.norm(linear)], [scale])
     if branch == BRANCH_ZERO:
         # Objective is constant in the flat directions and the linear term
         # vanishes: the norm-minimal minimizer is the origin.
         return MatchResult(data=np.zeros(problem.data_dim), branch=BRANCH_ZERO)
-    keep = matfun.nonzero(w[0])
-    basis = q[0][:, keep]
-    rhs = basis.T @ (pulled.T @ (problem.evolved_mean - problem._prior_pull))
-    return MatchResult(data=basis @ (rhs / w[0, keep]), branch=branch)
+    basis = q[:, keep]
+    return MatchResult(data=basis @ (basis.T @ linear / w[keep]), branch=branch)

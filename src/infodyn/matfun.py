@@ -27,9 +27,10 @@ The block numerics that a simulation run and the dense library
 that each is computed in one place and a run imports neither: the KL
 covariance term with its positive definiteness test
 (:func:`kl_covariance_blocks`) and the entropic matcher's branch rule
-(:func:`branches`, with :func:`nonzero` and the ``BRANCH_*`` labels).  A
-run factors no signal-space block of the posterior, so
-:func:`spectral_inverse` serves the dense library alone.
+(:func:`branches`, with :func:`nonzero` and the ``BRANCH_*`` labels), which
+factors nothing: its callers pass the norms it compares.  A run factors no
+signal-space block of the posterior, so :func:`spectral_inverse` serves the
+dense library alone.
 """
 
 import numpy as np
@@ -217,33 +218,19 @@ def nonzero(eigenvalues):
     return eigenvalues > SINGULAR_RTOL * max(eigenvalues.max(), 0.0)
 
 
-def branches(filters, pulled, inv_cov_norm, means, pulls):
-    """The entropic matcher's branch for each column of evolved means m*, and its Hessian's spectra.
+def branches(regular, terms, scales):
+    """The entropic matcher's branch for each evolved mean m*, from norms its caller has computed.
 
-    The lists hold (k, n, y) stacks of diagonal blocks: ``filters`` of W',
-    ``pulled`` of D*^-1 W', ``means`` of m* (columns) and ``pulls`` of the prior
-    pull D' Phi'^-1 psi' (one column); ``inv_cov_norm`` is ||D*^-1||_2 or a
-    bound on it.  H = W'^T D*^-1 W' is ``BRANCH_REGULAR`` when every eigenvalue
-    over the blocks exceeds ``SINGULAR_RTOL`` times the largest.  If not, a
-    column is ``BRANCH_ZERO`` when its linear term W'^T D*^-1 (D' Phi'^-1 psi' - m*)
-    is at most ``SINGULAR_RTOL`` times its bound, or 1 if larger, the bound
-    ||W'||_2 ||D*^-1||_2 (||D' Phi'^-1 psi'|| + ||m*||), and ``BRANCH_PROJECTED``
-    otherwise.  The spectra are the (w, q) of ``eigh`` on each stack of H.
+    ``regular`` says whether the match Hessian H = W'^T D*^-1 W' is regular,
+    every eigenvalue above ``SINGULAR_RTOL`` times the largest: then every
+    mean is ``BRANCH_REGULAR``.  If not, a mean is ``BRANCH_ZERO`` when the
+    norm in ``terms`` of its linear term W'^T D*^-1 (D' Phi'^-1 psi' - m*) is
+    at most ``SINGULAR_RTOL`` times its entry in ``scales``, or 1 if larger,
+    the bound ||W'||_2 ||D*^-1||_2 (||D' Phi'^-1 psi'|| + ||m*||), and
+    ``BRANCH_PROJECTED`` otherwise.  Nothing is factored here.
     :mod:`infodyn.matching` documents the three branches.
     """
-    spectra = [
-        np.linalg.eigh(symmetric_part(np.swapaxes(f, -1, -2) @ p))
-        for f, p in zip(filters, pulled)
-    ]
-    if nonzero(np.concatenate([w.ravel() for w, _ in spectra])).all():
-        return (BRANCH_REGULAR,) * means[0].shape[-1], spectra
-    # Squared norms of each column, summed over the blocks.
-    term = sum(
-        np.sum((np.swapaxes(p, -1, -2) @ (m - c)) ** 2, axis=(0, 1))
-        for p, m, c in zip(pulled, means, pulls)
-    )
-    mean = sum(np.sum(m**2, axis=(0, 1)) for m in means)
-    pull = sum(np.sum(c**2) for c in pulls)
-    scale = max(norm2(f) for f in filters) * inv_cov_norm * (np.sqrt(pull) + np.sqrt(mean))
-    flat = np.sqrt(term) <= SINGULAR_RTOL * np.maximum(scale, 1.0)
-    return tuple(BRANCH_ZERO if f else BRANCH_PROJECTED for f in flat), spectra
+    if regular:
+        return (BRANCH_REGULAR,) * len(terms)
+    flat = np.asarray(terms) <= SINGULAR_RTOL * np.maximum(scales, 1.0)
+    return tuple(BRANCH_ZERO if f else BRANCH_PROJECTED for f in flat)

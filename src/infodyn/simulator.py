@@ -31,12 +31,13 @@ data Gram R_c Phi_c R_c^T, so the set-up factors no signal-space block; the
 posterior precision D^-1 = Phi^-1 + R^T R / sigma_n2 is applied in closed
 form.  M' comes from :func:`kleingordon.update_generator_blocks` (bit for
 bit the dense chain R2 L Phi R2^T) and the matcher branch of every step
-from :func:`matfun.branches`; a run imports none of the dense library,
-:mod:`infodyn.gaussian` and :mod:`infodyn.matching`.  What does not depend
-on dt (the posterior, M' and exp(T M') d(0)) is built once per
-:func:`convergence_sweep`; what does not depend on the step (also the KL
-covariance terms, the matcher's evolved precision and the maps from data to
-evolved means) once per run, with no evolved covariance formed or factored.
+from :func:`matfun.branches`, with no evolved mean of it formed; a run
+imports none of the dense library, :mod:`infodyn.gaussian` and
+:mod:`infodyn.matching`.  What does not depend on dt (the posterior, M' and
+exp(T M') d(0)) is built once per :func:`convergence_sweep`; what does not
+depend on the step (also the KL covariance terms and the maps from data to
+evolved means and to the matcher's norms) once per run, with no evolved
+covariance or match Hessian formed or factored.
 The trajectory is built by doubling, u(2^j + i) = (1 + dt M'_c)^(2^j) u(i);
 it agrees with stepping u <- M u to round-off that grows with N: at most
 1.7e-11 row-relative at n_modes 16, Y 31, N 20.
@@ -110,7 +111,7 @@ REFERENCE_BLOCK_ENTRIES = 1 << 18
 # Bounds, in bytes, on what a run allocates, checked by RunConfig so that a
 # config past them is refused at load time instead of failing in numpy.
 # Per-step arrays have up to 2^N + 1 rows of data_dim or signal_dim columns;
-# a stepping run's traced peak, less its class blocks, is 5.6 to 6.4 arrays
+# a stepping run's traced peak, less its class blocks, is 5.4 to 6.4 arrays
 # of (2^N + 1) x max(data_dim, signal_dim) at (4, 5, N 14), (16, 31, N 13),
 # (64, 127, N 11) and (256, 511, N 7).  A class-blocked matrix holds one
 # max(a, b)^2 block per class of a signal and b data indices; a run's peak
@@ -439,16 +440,12 @@ def _exact_reference(model, mean, classes, response, times):
 def _refuse_nonfinite(steps, columns, values):
     """Raise :class:`NonFiniteOutput` naming the first step or value that is not finite.
 
-    ``columns`` hold one row per step, or are lists of (k, a, steps) class
-    blocks with one column per step; None entries of ``values`` are skipped.
+    ``columns`` hold one row per step; None entries of ``values`` are skipped.
     """
     first = None
     for name, column in columns.items():
-        if isinstance(column, list):
-            finite = np.logical_and.reduce([np.isfinite(b).all(axis=(0, 1)) for b in column])
-        else:
-            finite = np.isfinite(column)
-            finite = finite.all(axis=1) if finite.ndim == 2 else finite
+        finite = np.isfinite(column)
+        finite = finite.all(axis=1) if finite.ndim == 2 else finite
         bad = np.flatnonzero(~finite)
         if bad.size and (first is None or bad[0] < first[0]):
             first = (int(bad[0]), name)
@@ -487,8 +484,10 @@ class _Setup(NamedTuple):
     blocks of R2, ``prior`` the prior variances phi, ``initial_data`` d(0),
     ``root`` and ``filter`` the class blocks of (V, t), which give the root
     S = Phi^1/2 (1 + V (t^1/2 - 1) V^T) of the posterior covariance
-    D = S S^T, not formed, and of the Wiener filter W, ``mean`` the
-    posterior mean, ``m_prime`` the class blocks of M'
+    D = S S^T, not formed, and of the Wiener filter W, ``full_rank``
+    whether every class's data Gram kept all its directions, so that W and
+    the match Hessian have full rank, ``mean`` the posterior mean,
+    ``m_prime`` the class blocks of M'
     (:func:`kleingordon.update_generator_blocks`) and ``direct_data`` the
     direct endpoint exp(T M') d(0), or None when it was not asked for.
     """
@@ -499,6 +498,7 @@ class _Setup(NamedTuple):
     initial_data: np.ndarray
     root: list
     filter: list
+    full_rank: bool
     mean: np.ndarray
     m_prime: list
     direct_data: np.ndarray
@@ -530,13 +530,14 @@ def _setup(config, direct):
         # the classes.  The mean W d0 (zero prior mean) starts the exact
         # reference.
         s2 = model.sigma_n2
-        root, filters, mean = [], [], np.zeros(model.signal_dim)
+        root, filters, full_rank, mean = [], [], True, np.zeros(model.signal_dim)
         s_max, s_min = np.zeros(2), np.full(2, np.inf)
         for (sig, dat), r in zip(classes, response):
             v, rt = prior[sig][..., None], np.swapaxes(r, -1, -2)
             gram, half = r @ (v * rt), dat.shape[1] // 2
             s, parts = np.linalg.eigh(np.stack([gram[:, :half, :half], gram[:, half:, half:]]))
             keep = s > matfun.SINGULAR_RTOL * s.max(axis=-1, keepdims=True, initial=0.0)
+            full_rank &= bool(keep.all())
             s = np.where(keep, s, 0.0)
             s_max = np.maximum(s_max, s.max(axis=(1, 2), initial=0.0))
             s_min = np.minimum(s_min, s.min(axis=(1, 2), initial=np.inf))
@@ -556,7 +557,9 @@ def _setup(config, direct):
         direct_data = (
             _direct_endpoint(config.total_time, m_prime, classes, d0) if direct else None
         )
-    return _Setup(classes, response, prior, d0, root, filters, mean, m_prime, direct_data)
+    return _Setup(
+        classes, response, prior, d0, root, filters, full_rank, mean, m_prime, direct_data
+    )
 
 
 def _powers_applied(m_update, u0, steps):
@@ -578,7 +581,7 @@ def _powers_applied(m_update, u0, steps):
 
 
 def _iterate(config, setup, reference):
-    """Per-step columns of :class:`RunResult`, linear means and branch labels, unchecked.
+    """Per-step columns of :class:`RunResult` and matcher branch labels, unchecked.
 
     Everything runs class by class, save the data rows and their deviation.
     """
@@ -623,10 +626,10 @@ def _iterate(config, setup, reference):
             for v, r, d in zip(variances, setup.response, offsets)
         )
 
-    # The maps from data to evolved means, (A - 1) W, G W and (B - 1) W, are
-    # the same at every step: form them once.
-    a_offset_w, g_w, b_offset_w = (
-        kleingordon.apply_pairs(pairs, classes, filters) for pairs in (a_offset, g_pairs, b_offset)
+    # The maps from data to evolved means, (A - 1) W and (B - 1) W, are the
+    # same at every step: form them once.
+    a_offset_w, b_offset_w = (
+        kleingordon.apply_pairs(pairs, classes, filters) for pairs in (a_offset, b_offset)
     )
     # Per class, the data u of every step, as columns; ``data`` is filled by
     # data index, so it is held transposed.
@@ -659,31 +662,33 @@ def _iterate(config, setup, reference):
         "exact_deviation": np.linalg.norm(data[1:] - reference.data[1:], axis=1),
     }
 
-    # The matcher's evolved density is N(G m, G D G^T), precision G^-T D^-1 G^-1;
-    # a first-order truncation of it could lose positive definiteness.  The
-    # branch is the same for any positive definite choice (the response rank
-    # decides it), so the precision's norm enters as its bound ||G^-1||^2
-    # max_c (max 1/phi_c + ||R_c||_1 ||R_c||_inf / sigma_n2), and D^-1 G^-1 W =
-    # G^-1 W / phi + R^T (R G^-1 W) / sigma_n2.  The prior pull vanishes: zero mean.
-    g_inv_w = kleingordon.apply_pairs(g_inv, classes, filters)
-    d_inv_g_inv_w = [
-        x / v[..., None] + np.swapaxes(r, -1, -2) @ (r @ x) / model.sigma_n2
-        for v, r, x in zip(variances, setup.response, g_inv_w)
+    # The matcher's evolved density is N(G m, G D G^T), precision
+    # D*^-1 = G^-T D^-1 G^-1; a first-order truncation of it could lose
+    # positive definiteness.  The branch is the same for any positive definite
+    # choice: H = W^T D*^-1 W has the rank of W, full only where the set-up
+    # cut no data Gram direction.  At m* = G W u the linear term
+    # W^T D*^-1 m* is (R G^-1 W)^T u / sigma_n2, as D^-1 W = R^T / sigma_n2 on
+    # the kept directions and R^T sends the cut ones to zero, and
+    # ||m*|| = ||T u|| with G W = Q T.  The prior pull vanishes: zero mean.
+    # The zero cut scales ||m*|| by ||W||_2 and the bound ||G^-1||^2
+    # max_c (max 1/phi_c + ||R_c||_1 ||R_c||_inf / sigma_n2) on ||D*^-1||_2.
+    term_maps = [
+        np.swapaxes(r @ x, -1, -2) / model.sigma_n2
+        for r, x in zip(setup.response, kleingordon.apply_pairs(g_inv, classes, filters))
+    ]
+    triangles = [
+        np.linalg.qr(x, mode="r") for x in kleingordon.apply_pairs(g_pairs, classes, filters)
     ]
     inv_cov_bound = 0.0
     for v, r in zip(variances, setup.response):
         r_1, r_inf = (np.max(np.sum(np.abs(r), axis=a), axis=-1, initial=0.0) for a in (-2, -1))
         inv_cov_bound = max(inv_cov_bound, np.max(np.max(1.0 / v, axis=-1) + r_1 * r_inf / model.sigma_n2))
-    linear_means = [p @ u[..., :-1] for p, u in zip(g_w, trajectory)]
-    branch, _ = matfun.branches(
-        filters,
-        kleingordon.apply_pairs(np.swapaxes(g_inv, -1, -2), classes, d_inv_g_inv_w),
-        matfun.norm2(g_inv) ** 2 * inv_cov_bound,
-        linear_means,
-        [np.zeros(m.shape[:-1] + (1,)) for m in linear_means],
+    terms, mean_norms = (
+        np.sqrt(sum(np.sum((p @ u[..., :-1]) ** 2, axis=(0, 1)) for p, u in zip(maps, trajectory)))
+        for maps in (term_maps, triangles)
     )
-    # Overflowed offsets show in kl_step; only the linear means need a check.
-    return columns, {"linear mean": linear_means}, branch
+    scale = max(matfun.norm2(f) for f in filters) * matfun.norm2(g_inv) ** 2 * inv_cov_bound
+    return columns, matfun.branches(setup.full_rank, terms, scale * mean_norms)
 
 
 def run_ifd(config):
@@ -707,9 +712,9 @@ def run_ifd(config):
     its first step: it means the match Hessian is singular and the matched
     vector would be the minimum-norm one, which for this data packing is the
     generic situation since the conjugate-alias pair makes the lifted
-    response rank deficient.  If anything the result holds, or a linearly
-    evolved mean, overflowed to NaN or infinity, the run raises
-    :class:`NonFiniteOutput` naming the first such step.  The exact
+    response rank deficient.  If anything the result holds overflowed to
+    NaN or infinity, the run raises :class:`NonFiniteOutput` naming the
+    first such step.  The exact
     reference and its energy drift cover every step time, or only t = 0 and
     T under scheme 'direct'.
     """
@@ -739,18 +744,18 @@ def _run(config, setup):
                 np.empty(0),
             )
             columns["data"] = np.empty((0, model.data_dim))
-            step_means, branch = {}, ()
+            branch = ()
             final_data = direct_data
             final_deviation = float(np.linalg.norm(direct_data - reference.data[-1]))
         else:
-            columns, step_means, branch = _iterate(config, setup, reference)
+            columns, branch = _iterate(config, setup, reference)
             final_data = columns["data"][-1]
             final_deviation = float(columns["exact_deviation"][-1])
         if config.scheme == SCHEME_BOTH:
             direct_gap = float(np.linalg.norm(final_data - direct_data))
     _refuse_nonfinite(
         config.steps,
-        {**columns, **step_means},
+        columns,
         {
             "the direct endpoint exp(T M') d(0)": direct_data,
             "the final deviation from the exact reference": final_deviation,

@@ -244,8 +244,8 @@ def test_model_size_is_capped_at_load_time_under_every_scheme():
 
 
 def test_per_step_arrays_of_signal_width_are_capped_at_load_time():
-    # At (1024, 5) the per-step mean offsets and linearly evolved means hold
-    # signal_dim = 4094 columns, not data_dim = 14; at N 16 one of them
+    # At (1024, 5) the per-step mean offsets hold signal_dim = 4094
+    # columns, not data_dim = 14; at N 16 one of them
     # would be 2.1 GB, and such a run ran out of memory in numpy.  A run
     # holds PER_STEP_ARRAYS of them at once, so N 13, 268 MB each, is
     # refused too.  Only the config is built.
@@ -275,7 +275,7 @@ def test_run_holds_at_most_per_step_arrays_at_once(
     # must not hold more: its traced peak stays within ``arrays`` of them,
     # ``copies`` copies of its class blocks and a quarter of one array.  The
     # first four are the shapes RunConfig's bound quotes; all have small
-    # class blocks, and the runs peak at 5.59, 5.74, 5.96 and 6.46 arrays,
+    # class blocks, and the runs peak at 5.44, 5.69, 5.96 and 6.38 arrays,
     # so one array more than a run holds fails at each.  (256, 5) aliases
     # its modes onto two classes of 408 signal indices, so its class blocks
     # dominate; a run that forms no evolved covariance A D A^T or
@@ -439,8 +439,13 @@ def test_batched_diagnostics_match_per_step_oracle(tmp_path):
     # classes reach 16 dimensions, at a step inside dt ||L|| < 1; (16, 5),
     # whose classes hold many more signal than data indices, which is where
     # the composed maps A W and (1 + dt L) W differ most from applying A
-    # and 1 + dt L to the means W u; and a run from zero data, whose means vanish, so the matcher takes
-    # its zero branch.
+    # and 1 + dt L to the means W u, and whose free modes make classes with
+    # no data; a run from zero data, whose means vanish, so the matcher takes
+    # its zero branch; and (2, 3) and (3, 5), the smallest models, where the
+    # alias class of (3, 5) holds 4 signal and 8 data indices, so the
+    # triangular factor of its G W, from which the run takes ||m*||, is
+    # wide.  Every set-up cuts a direction of a data Gram, the duplicated
+    # conjugate pair's, so no run takes the regular branch.
     zeros = tmp_path / "zeros.json"
     zeros.write_text(json.dumps([0.0] * 14))
     runs = [
@@ -448,13 +453,20 @@ def test_batched_diagnostics_match_per_step_oracle(tmp_path):
         simulator.run_ifd(_config(n_modes=40, Y=31, T=0.005, N=3, scheme="both")),
         simulator.run_ifd(_config(initial_data=str(zeros), scheme="both")),
         simulator.run_ifd(_config(n_modes=16, Y=5, T=0.01, N=3, scheme="both")),
+        simulator.run_ifd(_config(n_modes=2, Y=3, N=3, scheme="both")),
+        simulator.run_ifd(_config(n_modes=3, Y=5, N=3, scheme="both")),
     ]
     assert max(
         sig.shape[1] + dat.shape[1]
         for sig, dat in kleingordon.fourier_classes(runs[1].config.model)
     ) == 16
+    assert min(dat.shape[1] for _, dat in kleingordon.fourier_classes(runs[3].config.model)) == 0
+    assert (4, 8) in [
+        (sig.shape[1], dat.shape[1]) for sig, dat in kleingordon.fourier_classes(runs[5].config.model)
+    ]
     assert runs[2].branch == (matching.BRANCH_ZERO,) * runs[2].config.steps
     for run in runs:
+        assert not simulator._setup(run.config, direct=False).full_rank
         _check_against_per_step_oracle(run)
 
 
@@ -529,14 +541,14 @@ def _check_against_per_step_oracle(run):
 
 
 def _two_class_setup(rng, scales, deficient):
-    """A two-class setup, to compare :func:`matfun.branches` on class blocks with match().
+    """A two-class setup, to compare :func:`matfun.branches` fed from class blocks with match().
 
     Each class has 4 signal and 3 data dimensions; ``scales`` scales the
     response of each, and ``deficient`` measures one data channel twice.
     The run's prior has zero mean, so this one has too, and the prior pull
-    vanishes.  Returns a function
-    that maps rows of evolved means to (run labels, match() labels), and W
-    and D*^-1 as dense matrices.
+    vanishes.  Returns a function that maps rows of evolved means to
+    (labels from each class's Hessian spectrum, linear terms and bounds,
+    formed densely; match() labels), and W and D*^-1 as dense matrices.
     """
     n, y = 4, 3
     prior_cov, response, evolved_w, evolved_v = [], [], [], []
@@ -559,16 +571,15 @@ def _two_class_setup(rng, scales, deficient):
     _, w, _ = gaussian.posterior_operators(prior, meas)
     assert np.all(w[:n, y:] == 0.0) and np.all(w[n:, :y] == 0.0)
     filters = np.array([w[:n, :y], w[n:, y:]])
+    pulled = matfun.spectral_inverse(evolved_w, evolved_v) @ filters
+    hessian = matfun.symmetric_part(np.swapaxes(filters, -1, -2) @ pulled)
+    regular = matfun.nonzero(np.linalg.eigvalsh(hessian).ravel()).all()
 
     def labels(means):
         columns = means.reshape(-1, 2, n).transpose(1, 2, 0)
-        batched, _ = matfun.branches(
-            [filters],
-            [matfun.spectral_inverse(evolved_w, evolved_v) @ filters],
-            1.0 / evolved_w.min(),
-            [columns],
-            [np.zeros((2, n, 1))],
-        )
+        terms = np.sqrt(np.sum((np.swapaxes(pulled, -1, -2) @ columns) ** 2, axis=(0, 1)))
+        scales = matfun.norm2(filters) / evolved_w.min() * np.linalg.norm(means, axis=1)
+        batched = matfun.branches(regular, terms, scales)
         expected = [
             matching.match(matching.MatchProblem(m, inv_cov, prior, meas)).branch
             for m in means
@@ -617,31 +628,75 @@ def test_class_branches_agree_with_match_per_row():
 def test_matcher_precision_bound_holds_the_dense_norm(
     monkeypatch, n_modes, pixels, total_time, sigma_n2, beta
 ):
-    # The zero branch scales by a bound on ||D*^-1||_2, D*^-1 = G^-T D^-1 G^-1,
-    # that the run takes in closed form: ||G^-1||^2 max_c (max 1/phi_c +
-    # ||R_c||_1 ||R_c||_inf / sigma_n2).  It must hold the dense norm, with
-    # D^-1 = Phi^-1 + R^T R / sigma_n2 from the oracles, on the alias
-    # classes of (4, 5) and (40, 31) and at small sigma_n2, and stay within
-    # 4 of ||G^-1||^2 ||D^-1||_2, so that the zero branch does not widen.
-    bounds = []
-    original = matfun.branches
-
-    def captured(filters, pulled, inv_cov_norm, means, pulls):
-        bounds.append(inv_cov_norm)
-        return original(filters, pulled, inv_cov_norm, means, pulls)
-
-    monkeypatch.setattr(matfun, "branches", captured)
+    # The zero branch scales ||W||_2 ||m*|| by a bound on ||D*^-1||_2,
+    # D*^-1 = G^-T D^-1 G^-1, that the run takes in closed form: ||G^-1||^2
+    # max_c (max 1/phi_c + ||R_c||_1 ||R_c||_inf / sigma_n2).  Read off each
+    # step's scale with the dense W and m* = G W u, it must be one number
+    # that holds the dense norm, with D^-1 = Phi^-1 + R^T R / sigma_n2 from
+    # the oracles, on the alias classes of (4, 5) and (40, 31) and at small
+    # sigma_n2, and stays within 4 of ||G^-1||^2 ||D^-1||_2, so that the
+    # zero branch does not widen.
     config = _config(
         n_modes=n_modes, Y=pixels, T=total_time, N=5, sigma_n2=sigma_n2, beta=beta
     )
-    simulator.run_ifd(config)
+    ((_, _, scales),), run = _captured_branches(monkeypatch, config)
+    w, g, info = _dense_matcher_operators(config)
+    g_inv = np.linalg.inv(g)
+    means = _step_inputs(run) @ (g @ w).T
+    bounds = scales / (np.linalg.norm(w, 2) * np.linalg.norm(means, axis=1))
+    assert_allclose(bounds, bounds[0], rtol=1e-9)
+    assert bounds.min() >= np.linalg.norm(g_inv.T @ info @ g_inv, 2)
+    assert bounds.max() <= 4.0 * np.linalg.norm(g_inv, 2) ** 2 * np.linalg.norm(info, 2)
+
+
+def _captured_branches(monkeypatch, config):
+    """The arguments of each :func:`matfun.branches` call in a run of ``config``, and the run."""
+    calls = []
+    original = matfun.branches
+
+    def captured(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(matfun, "branches", captured)
+    return calls, simulator.run_ifd(config)
+
+
+def _dense_matcher_operators(config):
+    """Dense W, G = 1 + dt L and D^-1 = Phi^-1 + R^T R / sigma_n2 of ``config``, from the oracles."""
     model = config.model
     r2 = oracles.lift_response(oracles.build_response(model))
-    info = np.diag(1.0 / kleingordon.prior_variances(model)) + r2.T @ r2 / sigma_n2
-    g_inv = np.linalg.inv(np.eye(model.signal_dim) + config.dt * oracles.build_generator(model))
-    (bound,) = bounds
-    assert bound >= np.linalg.norm(g_inv.T @ info @ g_inv, 2)
-    assert bound <= 4.0 * np.linalg.norm(g_inv, 2) ** 2 * np.linalg.norm(info, 2)
+    info = np.diag(1.0 / kleingordon.prior_variances(model)) + r2.T @ r2 / model.sigma_n2
+    w = gaussian.wiener_filter(oracles.prior_density(model), oracles.measurement(model))
+    return w, np.eye(model.signal_dim) + config.dt * oracles.build_generator(model), info
+
+
+def _step_inputs(run):
+    """The data vector each step of ``run`` starts from, as rows."""
+    return np.vstack([run.initial_data, run.data[:-1]])
+
+
+@pytest.mark.parametrize("n_modes, pixels, total_time", [(4, 5, 1.0), (16, 31, 0.05)])
+@pytest.mark.parametrize("sigma_n2", [1e-2, 1e-8])
+def test_run_takes_matcher_norms_from_data_space_maps(
+    monkeypatch, n_modes, pixels, total_time, sigma_n2
+):
+    # The run forms no evolved mean m* = G W u: the norm of each step's
+    # linear term W^T D*^-1 m* is that of (R G^-1 W)^T u / sigma_n2, and
+    # ||m*|| that of T u, with T the triangular factor of each class's G W.
+    # Against the dense linear term, with D*^-1 = G^-T D^-1 G^-1 in closed
+    # form (inverting G D G^T is itself 8.7e-9 off at (4, 5, sigma_n2
+    # 1e-8)), and against ||G W u|| up to the scale's one constant factor,
+    # which test_matcher_precision_bound_holds_the_dense_norm pins.
+    config = _config(n_modes=n_modes, Y=pixels, T=total_time, N=5, sigma_n2=sigma_n2)
+    ((regular, terms, scales),), run = _captured_branches(monkeypatch, config)
+    w, g, info = _dense_matcher_operators(config)
+    g_inv = np.linalg.inv(g)
+    means = _step_inputs(run) @ (g @ w).T
+    assert not regular
+    assert_allclose(terms, np.linalg.norm(means @ (g_inv.T @ info @ g_inv @ w), axis=1), rtol=1e-9)
+    ratios = scales / np.linalg.norm(means, axis=1)
+    assert_allclose(ratios, ratios[0], rtol=1e-9)
 
 
 def test_positive_definiteness_test_spans_all_classes():
@@ -715,20 +770,23 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
     # solve sees is the data part of the class of the duplicated conjugate
     # pair: coefficients (Y-1)/2 and (Y+1)/2, real and imaginary, phi and
     # chi, 8 in all.  No 2-norm may take an SVD.  The matcher branches of
-    # all steps come from one matfun.branches call, with no match().  The
-    # set-up factors the phi and chi blocks of each class's data Gram
-    # R Phi R^T, at most 4 x 4, and nothing wider: W and the root of D that
-    # whitens the two KL covariance terms come from them, and the matcher's bound is in closed form.  D^-1
+    # all steps come from one matfun.branches call, with no match(), and
+    # nothing is factored inside it.  The set-up factors the phi and chi
+    # blocks of each class's data Gram R Phi R^T, at most 4 x 4, and nothing
+    # wider: W and the root of D that whitens the two KL covariance terms
+    # come from them, and so does the regularity of the match Hessian.  D^-1
     # is applied in closed form, Phi^-1 + R^T R / sigma_n2, so no run calls
-    # spectral_inverse.  At (16, 31) the posterior, the two KL covariance
-    # terms and the match Hessian take two eigh or eigvalsh stacks wider
-    # than 2 x 2 each, and the filter's 2-norm two more: no evolved
-    # covariance is factored.  At (256, 5) a class holds 408 signal
+    # spectral_inverse, and the matcher's bound on ||D*^-1|| is in closed
+    # form too.  So a run's eigh calls are the set-up's, one per class group
+    # (three at (16, 31) and at (64, 127), of which only the duplicated
+    # pair's class is wider than 2 x 2), and its one QR factorization per
+    # class group is that of G W, for ||m*||; no evolved covariance and no
+    # match Hessian is factored.  At (256, 5) a class holds 408 signal
     # indices, which the KL covariance terms factor, but the set-up does not.
     counts = Counter()
     sizes, setup_sizes = [], []
-    # Nonempty while simulator._setup runs.
-    in_setup = []
+    # Nonempty while simulator._setup or matfun.branches runs.
+    in_setup, in_branches = [], []
     # np.linalg.norm(x, 2) calls svd by name in the module that defines it.
     linalg_impl = sys.modules[np.linalg.norm.__wrapped__.__globals__["__name__"]]
 
@@ -742,7 +800,9 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
             if name in ("eigh", "eigvalsh") and in_setup:
                 setup_sizes.append(np.shape(args[0])[-1])
             if name in ("eigh", "eigvalsh") and np.shape(args[0])[-1] > 2:
-                counts["wide eigh"] += 1
+                counts["wide " + name] += 1
+            if in_branches and owner is np.linalg:
+                counts["in branches"] += 1
             return original(*args, **kwargs)
 
         # By-name imports inside the package are counted too.
@@ -750,7 +810,7 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
 
-    for name in ("eigh", "eigvalsh", "solve", "svd"):
+    for name in ("eigh", "eigvalsh", "solve", "svd", "qr"):
         count(np.linalg, name)
     count(gaussian, "posterior")
     count(kleingordon, "update_generator_blocks")
@@ -759,16 +819,21 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
     count(matfun, "branches")
     count(matfun, "spectral_inverse")
     count(matching, "match")
-    setup = simulator._setup
 
-    def traced_setup(*args, **kwargs):
-        in_setup.append(True)
-        try:
-            return setup(*args, **kwargs)
-        finally:
-            in_setup.pop()
+    def trace(owner, name, flag):
+        original = getattr(owner, name)
 
-    monkeypatch.setattr(simulator, "_setup", traced_setup)
+        def traced(*args, **kwargs):
+            flag.append(True)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                flag.pop()
+
+        monkeypatch.setattr(owner, name, traced)
+
+    trace(simulator, "_setup", in_setup)
+    trace(matfun, "branches", in_branches)
     # Counted under one key, "__init__".
     count(gaussian.GaussianDensity, "__init__")
     count(gaussian.LinearMeasurement, "__init__")
@@ -785,9 +850,9 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
         sizes.clear()
         setup_sizes.clear()
         model = kleingordon.KGModel(n_modes, pixels, 1.0, 1.0, 0.01)
-        assert max(
-            sig.shape[1] + dat.shape[1] for sig, dat in kleingordon.fourier_classes(model)
-        ) == 12
+        classes = kleingordon.fourier_classes(model)
+        assert max(sig.shape[1] + dat.shape[1] for sig, dat in classes) == 12
+        assert len(classes) == 3
         simulator.run_ifd(
             _config(n_modes=n_modes, Y=pixels, T=total_time, N=5, scheme="both")
         )
@@ -804,8 +869,10 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
         assert counts["spectral_inverse"] == 0
         assert counts["match"] == 0
         assert setup_sizes and max(setup_sizes) <= 4
-        if n_modes == 16:
-            assert counts["wide eigh"] <= 10
+        assert counts["eigh"] == len(setup_sizes) == 3
+        assert counts["wide eigh"] == 1
+        assert counts["qr"] == len(classes)
+        assert counts["in branches"] == 0
     for n_modes in (16, 64):
         assert factored[logging.INFO, n_modes] == factored[logging.WARNING, n_modes]
     setup_sizes.clear()
