@@ -476,24 +476,34 @@ def rphi_rt_diag(model, part):
 
 
 def update_generator_blocks(model, classes, response, variances):
-    """Blocks of the generator M' of the data update, one stack per class group.
+    """Blocks of the generator M' of the data update, with their rotation form, per class group.
 
     ``classes`` are the model's :func:`fourier_classes`, ``response`` its
     :func:`response_blocks` and ``variances`` its :func:`prior_variances`.
     Per class c, with R_c, L_c and Phi_c the class blocks of the lifted
     response, the generator and the prior,
 
-        M'_c = (1 + sigma^2 G_c) ((R_c L_c) Phi_c) R_c^T H_c,
+        M'_c = (1 + sigma^2 G_c) S_c H_c,   S_c = ((R_c L_c) Phi_c) R_c^T,
 
-    with G the reciprocal of the closed-form Gram diagonal
-    (:func:`rphi_rt_diag`) and H the reciprocal of (Gram diagonal + sigma^2):
-    only diagonal reciprocals appear.  One step of length dt updates the
-    data by M = 1 + dt M', and the continuous-limit endpoint is
-    exp(T M') d(0).  The chain keeps the association of the dense
+    with G the reciprocal of the closed-form Gram diagonal g
+    (:func:`rphi_rt_diag`) and H the reciprocal of g + sigma^2: only
+    diagonal reciprocals appear.  One step of length dt updates the data by
+    M = 1 + dt M', and the continuous-limit endpoint is exp(T M') d(0).  The
+    chain keeps the association of the dense
     M' = (1 + sigma^2 G) R2 L Phi R2^T H, R2 the two-part response lift, so
     the blocks are those of the dense chain to round-off in the order of
-    summation.  Returns a (k, b, b) stack for each group of k classes with b
-    data indices each.
+    summation.
+
+    The thermal prior is stationary under the free flow, L Phi + Phi L^T = 0,
+    so S_c is antisymmetric, and so is the core K_c = g^-1/2 S_c g^-1/2.
+    With the scales x_c = (g + sigma^2) / sqrt(g), entry (i, j) of
+    X_c K_c X_c^-1 is (g_i + sigma^2)/g_i S_ij / (g_j + sigma^2), which is
+    M'_c: M' is diagonally similar to an antisymmetric matrix, its spectrum
+    is imaginary, and exp(T M'_c) = X_c exp(T K_c) X_c^-1 is a rotation in
+    X_c-scaled data space.  Returns, for each group of k classes with b data
+    indices each, a (k, b, b) stack of M' blocks, one list of them; the
+    (k, b, b) stack of cores K, a second list; and the (k, b) scales x, a
+    third.
     """
     s2 = model.sigma_n2
     diag = np.concatenate(
@@ -502,10 +512,13 @@ def update_generator_blocks(model, classes, response, variances):
     # R_c L_c = (L_c^T R_c^T)^T, one product per entry: L has one nonzero per column.
     r_t = [np.swapaxes(r, -1, -2) for r in response]
     l_t = np.swapaxes(generator_pairs(model), -1, -2)
-    blocks = []
+    blocks, cores, scales = [], [], []
     for (sig, dat), lt_rt, rt in zip(classes, apply_pairs(l_t, classes, r_t), r_t):
         sandwich = (np.swapaxes(lt_rt, -1, -2) * variances[sig][:, None, :]) @ rt
         gram = diag[dat]
         scaled = sandwich / (gram + s2)[:, None, :]  # right-multiply by H
         blocks.append(scaled + (s2 / gram)[:, :, None] * scaled)  # left (1 + s^2 G)
-    return blocks
+        root = np.sqrt(gram)
+        cores.append(sandwich / root[:, :, None] / root[:, None, :])
+        scales.append((gram + s2) / root)
+    return blocks, cores, scales

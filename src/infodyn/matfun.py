@@ -1,18 +1,18 @@
 """Functions of symmetric matrices through the spectral theorem.
 
 A symmetric matrix A = Q diag(a_1..a_n) Q^T defines f(A) = Q diag(f(a_k)) Q^T
-for any f whose domain contains the spectrum.  Everything symmetric here
-goes through an eigendecomposition; there is no Cholesky or LU path.  The
-positive-definiteness test :func:`require_pd` reads a spectrum that its
+for any f whose domain contains the spectrum.  Everything here goes through
+an eigendecomposition; there is no Cholesky, LU or other non-normal path.
+The positive-definiteness test :func:`require_pd` reads a spectrum that its
 caller has computed: a dense covariance is factored once, by
 :class:`infodyn.gaussian.GaussianDensity`, which keeps the spectrum that its
 inverse, square root and log-determinant are read from.  The one
-non-symmetric function, :func:`expm_general`, is the Pade [13/13]
-scaling-and-squaring exponential of Higham (2005), written with numpy alone.
+exponential, :func:`expm_antisymmetric`, takes an antisymmetric K through
+the spectrum of the Hermitian iK.
 
 No function here searches a matrix for block structure.  A caller that
 knows its blocks passes them as a stack: :func:`symmetric_part`,
-:func:`spectral_inverse`, :func:`norm2` and :func:`expm_general` take a
+:func:`spectral_inverse`, :func:`norm2` and :func:`expm_antisymmetric` take a
 (k, s, s) stack of blocks as well as one matrix, and :func:`require_pd`
 tests a list of such stacks as one block-diagonal matrix.  A Klein-Gordon
 run takes its blocks, the Fourier classes, in closed form from
@@ -41,34 +41,15 @@ from .errors import InvalidInput, NotPositiveDefinite
 # singular": smallest eigenvalue must exceed PD_RTOL times the largest.
 PD_RTOL = 1e-12
 
-# Relative threshold below which a match Hessian eigenvalue, a linear term or
-# a run's data Gram eigenvalue counts as zero: :func:`nonzero`, :func:`branches`,
+# Relative threshold below which a match Hessian eigenvalue, a linear term, a
+# run's data Gram eigenvalue or a frequency of an antisymmetric matrix counts
+# as zero: :func:`nonzero`, :func:`branches`, :func:`expm_antisymmetric`,
 # :func:`infodyn.matching.nullspace_projector` and the run's posterior.
 SINGULAR_RTOL = 1e-10
 
 BRANCH_REGULAR = "regular"
 BRANCH_ZERO = "zero"
 BRANCH_PROJECTED = "projected"
-
-# Pade [13/13] coefficients b_0..b_13 of exp and the 1-norm up to which that
-# approximant is accurate to double precision (Higham 2005).
-_PADE_13 = (
-    64764752532480000.0,
-    32382376266240000.0,
-    7771770303897600.0,
-    1187353796428800.0,
-    129060195264000.0,
-    10559470521600.0,
-    670442572800.0,
-    33522128640.0,
-    1323241920.0,
-    40840800.0,
-    960960.0,
-    16380.0,
-    182.0,
-    1.0,
-)
-_THETA_13 = 5.371920351148152
 
 # x - log1p(x) = x^2 (1/2 - x/3 + x^2/4 - ... + x^8/10) + O(x^11) below
 # |x| = 1e-2, where the subtraction would cancel; coefficients from x^0.
@@ -133,53 +114,26 @@ def norm2(matrix):
     return float(np.ldexp(np.sqrt(top), exponent))
 
 
-def expm_general(matrix):
-    """Matrix exponential without a symmetry requirement.
+def expm_antisymmetric(core, t):
+    """exp(t K) of a real antisymmetric K, or of each block of a stack, through the spectral theorem.
 
-    The symmetric spectral path does not apply to non-normal generators, so
-    this is the fixed-degree Pade [13/13] scaling-and-squaring method of
-    N. J. Higham, "The scaling and squaring method for the matrix
-    exponential revisited", SIAM J. Matrix Anal. Appl. 26 (2005) 1179-1193:
-    scale A by 2^-s until its 1-norm is at most theta_13, evaluate the
-    [13/13] Pade approximant r(A) = (V - U)^{-1} (V + U) from A^2, A^4 and
-    A^6, then square the result s times.  A (k, s, s) stack gives the
-    exponential of each matrix in it, each with its own scaling.
+    iK is Hermitian, i (K - K^T)/2 = Q diag(w) Q^H with real w, so
+    exp(t K) = Q diag(e^(-i t w)) Q^H, real and orthogonal.  The w come in
+    pairs +-w whose eigenvectors are each other's conjugates, so exp(t K) is
+    1 + 2 Re(Q+ diag(e^(-i t w+) - 1) Q+^H) over the upper half w+ of the
+    spectrum, with each w+ that counts as zero (at most ``SINGULAR_RTOL``
+    times the largest) set to 0.  That keeps the result real and orthogonal
+    also where t times the eigensolver's error in w is not small, so that
+    e^(-i t w) of a computed pair would no longer be conjugate.  K is
+    factored without t: the eigensolver sees a finite, moderate matrix for
+    any t, and t enters only the phases.
     """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
-        raise InvalidInput(
-            f"expected a square matrix or a stack of them, got shape {m.shape}"
-        )
-    if not np.all(np.isfinite(m)):
-        raise InvalidInput("matrix entries must be finite")
-    if m.shape[-1] == 1:
-        # exp of a scalar is correctly rounded; the rational approximant
-        # is off by 2e-15 relative at -3 and 3e-15 at 7.
-        return np.exp(m)
-    stack = m[None] if m.ndim == 2 else m
-    norm = np.max(np.sum(np.abs(stack), axis=-2), axis=-1)
-    squarings = np.zeros(len(stack), dtype=int)
-    large = norm > _THETA_13
-    squarings[large] = np.ceil(np.log2(norm[large] / _THETA_13))
-    a = np.ldexp(stack, -squarings[:, None, None])
-    b = _PADE_13
-    ident = np.eye(stack.shape[-1])
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (
-        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident
-    )
-    v = (
-        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
-    )
-    r = np.linalg.solve(v - u, v + u)
-    for step in range(squarings.max(initial=0)):
-        more = squarings > step
-        r[more] = r[more] @ r[more]
-    return r[0] if m.ndim == 2 else r
+    n = core.shape[-1]
+    w, q = np.linalg.eigh(0.5j * (core - np.swapaxes(core, -1, -2)))
+    top, q = w[..., n - n // 2 :], q[..., n - n // 2 :]
+    top = np.where(top > SINGULAR_RTOL * w[..., -1:], top, 0.0)
+    turn = np.exp(-1j * (t * top)) - 1.0
+    return np.eye(n) + 2.0 * ((q * turn[..., None, :]) @ np.swapaxes(q.conj(), -1, -2)).real
 
 
 def kl_covariance_blocks(excesses):

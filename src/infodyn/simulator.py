@@ -30,7 +30,9 @@ root of D come from the phi and chi blocks, at most 4 x 4, of each class's
 data Gram R_c Phi_c R_c^T, so the set-up factors no signal-space block; the
 posterior precision D^-1 = Phi^-1 + R^T R / sigma_n2 is applied in closed
 form.  M' comes from :func:`kleingordon.update_generator_blocks` (bit for
-bit the dense chain R2 L Phi R2^T) and the matcher branch of every step
+bit the dense chain R2 L Phi R2^T), the direct endpoint from the
+antisymmetric cores it is diagonally similar to, as a rotation
+(:func:`_direct_endpoint`), and the matcher branch of every step
 from :func:`matfun.branches`, with no evolved mean of it formed; a run
 imports none of the dense library, :mod:`infodyn.gaussian` and
 :mod:`infodyn.matching`.  What does not depend on dt (the posterior, M' and
@@ -459,21 +461,25 @@ def _refuse_nonfinite(steps, columns, values):
             raise NonFiniteOutput(f"{name} is not finite; the run has overflowed")
 
 
-def _direct_endpoint(total_time, m_prime, classes, d0):
+def _direct_endpoint(total_time, generator, classes, d0):
     """The continuous-limit endpoint exp(T M') d(0), one Fourier class at a time.
 
     M' couples only the data coefficients of one class, so exp(T M') is
-    block diagonal over the classes' data indices; ``m_prime`` holds those
-    blocks.  Classes without data indices have no block.  A T M' that has
-    overflowed raises :class:`NonFiniteOutput`.
+    block diagonal over the classes' data indices.  ``generator`` is what
+    :func:`kleingordon.update_generator_blocks` returns: per class group the
+    blocks M'_c = X_c K_c X_c^-1, the antisymmetric cores K_c and the
+    scales x_c.  So exp(T M'_c) d_c(0) = X_c exp(T K_c) X_c^-1 d_c(0), a
+    rotation that keeps ||X_c^-1 d_c||.  Classes without data indices have
+    no block.  A T M' that has overflowed raises :class:`NonFiniteOutput`.
     """
-    t_m_prime = [total_time * block for block in m_prime]
-    if not all(np.all(np.isfinite(block)) for block in t_m_prime):
+    m_prime, cores, scales = generator
+    if not all(np.all(np.isfinite(total_time * block)) for block in m_prime):
         raise NonFiniteOutput("T M' is not finite; the run has overflowed")
     out = np.zeros(len(d0))
-    for (_, dat), block in zip(classes, t_m_prime):
+    for (_, dat), core, x in zip(classes, cores, scales):
         if dat.shape[1]:
-            out[dat] = (matfun.expm_general(block) @ d0[dat][:, :, None])[:, :, 0]
+            rotation = matfun.expm_antisymmetric(core, total_time)
+            out[dat] = x * (rotation @ (d0[dat] / x)[:, :, None])[:, :, 0]
     return out
 
 
@@ -484,9 +490,8 @@ class _Setup(NamedTuple):
     blocks of R2, ``prior`` the prior variances phi, ``initial_data`` d(0),
     ``root`` and ``filter`` the class blocks of (V, t), which give the root
     S = Phi^1/2 (1 + V (t^1/2 - 1) V^T) of the posterior covariance
-    D = S S^T, not formed, and of the Wiener filter W, ``full_rank``
-    whether every class's data Gram kept all its directions, so that W and
-    the match Hessian have full rank, ``mean`` the posterior mean,
+    D = S S^T, not formed, and of the Wiener filter W, ``mean`` the
+    posterior mean,
     ``m_prime`` the class blocks of M'
     (:func:`kleingordon.update_generator_blocks`) and ``direct_data`` the
     direct endpoint exp(T M') d(0), or None when it was not asked for.
@@ -498,7 +503,6 @@ class _Setup(NamedTuple):
     initial_data: np.ndarray
     root: list
     filter: list
-    full_rank: bool
     mean: np.ndarray
     m_prime: list
     direct_data: np.ndarray
@@ -530,14 +534,13 @@ def _setup(config, direct):
         # the classes.  The mean W d0 (zero prior mean) starts the exact
         # reference.
         s2 = model.sigma_n2
-        root, filters, full_rank, mean = [], [], True, np.zeros(model.signal_dim)
+        root, filters, mean = [], [], np.zeros(model.signal_dim)
         s_max, s_min = np.zeros(2), np.full(2, np.inf)
         for (sig, dat), r in zip(classes, response):
             v, rt = prior[sig][..., None], np.swapaxes(r, -1, -2)
             gram, half = r @ (v * rt), dat.shape[1] // 2
             s, parts = np.linalg.eigh(np.stack([gram[:, :half, :half], gram[:, half:, half:]]))
             keep = s > matfun.SINGULAR_RTOL * s.max(axis=-1, keepdims=True, initial=0.0)
-            full_rank &= bool(keep.all())
             s = np.where(keep, s, 0.0)
             s_max = np.maximum(s_max, s.max(axis=(1, 2), initial=0.0))
             s_min = np.minimum(s_min, s.min(axis=(1, 2), initial=np.inf))
@@ -553,13 +556,11 @@ def _setup(config, direct):
             "data-space Gram condition numbers: phi part %.6g, chi part %.6g",
             *(s_max + s2) / (s_min + s2),
         )
-        m_prime = kleingordon.update_generator_blocks(model, classes, response, prior)
+        generator = kleingordon.update_generator_blocks(model, classes, response, prior)
         direct_data = (
-            _direct_endpoint(config.total_time, m_prime, classes, d0) if direct else None
+            _direct_endpoint(config.total_time, generator, classes, d0) if direct else None
         )
-    return _Setup(
-        classes, response, prior, d0, root, filters, full_rank, mean, m_prime, direct_data
-    )
+    return _Setup(classes, response, prior, d0, root, filters, mean, generator[0], direct_data)
 
 
 def _powers_applied(m_update, u0, steps):
@@ -665,8 +666,10 @@ def _iterate(config, setup, reference):
     # The matcher's evolved density is N(G m, G D G^T), precision
     # D*^-1 = G^-T D^-1 G^-1; a first-order truncation of it could lose
     # positive definiteness.  The branch is the same for any positive definite
-    # choice: H = W^T D*^-1 W has the rank of W, full only where the set-up
-    # cut no data Gram direction.  At m* = G W u the linear term
+    # choice: H = W^T D*^-1 W has the rank of W, which is never full.  Every
+    # model KGModel accepts has the alias class (Y-1)/2, each half of whose
+    # data Gram has rank 2 of 4 (the duplicated conjugate pair), so the
+    # set-up always cuts a direction.  At m* = G W u the linear term
     # W^T D*^-1 m* is (R G^-1 W)^T u / sigma_n2, as D^-1 W = R^T / sigma_n2 on
     # the kept directions and R^T sends the cut ones to zero, and
     # ||m*|| = ||T u|| with G W = Q T.  The prior pull vanishes: zero mean.
@@ -688,7 +691,7 @@ def _iterate(config, setup, reference):
         for maps in (term_maps, triangles)
     )
     scale = max(matfun.norm2(f) for f in filters) * matfun.norm2(g_inv) ** 2 * inv_cov_bound
-    return columns, matfun.branches(setup.full_rank, terms, scale * mean_norms)
+    return columns, matfun.branches(False, terms, scale * mean_norms)
 
 
 def run_ifd(config):
@@ -708,11 +711,11 @@ def run_ifd(config):
     :class:`NonFiniteOutput`, and an evolved covariance whose generalized
     eigenvalues against D are not all positive
     (:func:`matfun.kl_covariance_blocks`) with :class:`NotPositiveDefinite`.
-    A non-regular branch is announced once per run at warning level, naming
-    its first step: it means the match Hessian is singular and the matched
-    vector would be the minimum-norm one, which for this data packing is the
-    generic situation since the conjugate-alias pair makes the lifted
-    response rank deficient.  If anything the result holds overflowed to
+    A non-regular branch is announced once per run at warning level, at
+    step 1: it means the match Hessian is singular and the matched vector
+    would be the minimum-norm one, which for this data packing is every
+    step, since the conjugate-alias pair makes the lifted response rank
+    deficient.  If anything the result holds overflowed to
     NaN or infinity, the run raises :class:`NonFiniteOutput` naming the
     first such step.  The exact
     reference and its energy drift cover every step time, or only t = 0 and
@@ -782,22 +785,21 @@ def _run(config, setup):
 
 
 def _warn_not_regular(result):
-    """Warn at the first step of ``result`` off the regular matcher branch; return whether it has one."""
-    first = next(
-        (i for i, b in enumerate(result.branch, 1) if b != matfun.BRANCH_REGULAR), None
-    )
-    if first is not None:
+    """Warn that ``result`` left the regular matcher branch; return whether it has a step.
+
+    No step is regular (see :func:`_iterate`), so the first one named is step 1.
+    """
+    if result.branch:
         logger.warning(
-            "N = %d, step %d: entropic matching took the %r branch; the match "
+            "N = %d, step 1: entropic matching took the %r branch; the match "
             "Hessian is singular, so the matcher would pick the minimum-norm data "
             "vector.  The run keeps the closed-form update M = 1 + dt M'.  "
             "Expected here: the packed coefficients (Y-1)/2 and (Y+1)/2 "
             "duplicate one conjugate pair.",
             result.config.resolution,
-            first,
-            result.branch[first - 1],
+            result.branch[0],
         )
-    return first is not None
+    return bool(result.branch)
 
 
 class SweepResult(NamedTuple):

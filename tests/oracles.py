@@ -62,7 +62,7 @@ def update_generator(model):
     :func:`kleingordon.update_generator_blocks` documents.
     """
     classes = kleingordon.fourier_classes(model)
-    blocks = kleingordon.update_generator_blocks(
+    blocks, _, _ = kleingordon.update_generator_blocks(
         model, classes, kleingordon.response_blocks(model, classes),
         kleingordon.prior_variances(model),
     )

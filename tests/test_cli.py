@@ -422,6 +422,21 @@ def test_overflowing_precisions_exit_2(tmp_path, config_path, capsys, overrides,
     assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("total_time", [1e20, 5.92e307])
+def test_direct_endpoint_at_huge_times_exits_0(tmp_path, config_path, total_time):
+    # At (2, 3, sigma_n2 1) both T M' are finite, and so is the true
+    # endpoint.  X exp(T K) X^-1 d(0) factors the antisymmetric core K
+    # without T, so T enters only the phases: the endpoint is finite and
+    # keeps ||X^-1 d||, though its phase is off by about eps T max|w|.  The
+    # accepted configs' property test found T 5.92e307.
+    mapping = json.loads(config_path.read_text())
+    mapping.update(n_modes=2, Y=3, sigma_n2=1.0, T=total_time, N=2, seed=0, scheme="direct")
+    assert _simulate_quietly(tmp_path, config_path, mapping) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert np.all(np.isfinite(report["direct_data"]))
+    assert report["final_data"] == report["direct_data"]
+
+
 def test_runs_do_not_import_scipy(tmp_path, config_path):
     # A fresh interpreter, because this test process has scipy loaded.  Nor
     # may a run import numpy.ma, which np.unique pulls in lazily at a cost

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
-from infodyn import gaussian, matfun
+from infodyn import gaussian
 from infodyn.dynamics import AffineDynamics
 from infodyn.errors import InvalidInput, StepTooLarge
 from infodyn.gaussian import GaussianDensity
@@ -57,7 +58,7 @@ def test_kl_of_truncation_fourth_order_in_dt():
     kls = []
     for dt in dts:
         g = AffineDynamics(generator=gen, dt=dt).step_matrix()
-        a = matfun.expm_general(dt * gen)
+        a = scipy.linalg.expm(dt * gen)
         exact = GaussianDensity(mean=a @ mean, cov=a @ cov @ a.T)
         linear = GaussianDensity(mean=g @ mean, cov=g @ cov @ g.T)
         kls.append(gaussian.kl_divergence(exact, linear))

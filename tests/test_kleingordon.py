@@ -12,6 +12,7 @@ import logging
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 import scipy.sparse.csgraph
 from numpy.testing import assert_allclose
 
@@ -408,6 +409,32 @@ def test_update_generator_noise_free_limit():
     assert_allclose(oracles.update_generator(model), sandwich / diag, rtol=1e-8)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"n_modes": 16, "pixels": 5}, {"n_modes": 16, "pixels": 31},
+     {"n_modes": 2, "pixels": 3, "sigma_n2": 1.0}, {"mu": 2e5}, {"mu": 5e-6}],
+)
+def test_update_generator_is_diagonally_similar_to_its_antisymmetric_core(overrides):
+    # The thermal prior is stationary under the free flow, L Phi + Phi L^T
+    # = 0, so S = R L Phi R^T is antisymmetric to round-off, and so is the
+    # core K = g^-1/2 S g^-1/2.  With x = (g + sigma^2) / sqrt(g) from the
+    # closed-form Gram diagonal g, X K X^-1 is each block of M'.
+    model = _model(**overrides)
+    classes = kg.fourier_classes(model)
+    blocks, cores, scales = kg.update_generator_blocks(
+        model, classes, kg.response_blocks(model, classes), kg.prior_variances(model)
+    )
+    g = np.concatenate([kg.rphi_rt_diag(model, kg.PART_PHI), kg.rphi_rt_diag(model, kg.PART_CHI)])
+    x_closed = (g + model.sigma_n2) / np.sqrt(g)
+    eps = np.finfo(float).eps
+    for (_, dat), block, core, x in zip(classes, blocks, cores, scales):
+        assert np.array_equal(x, x_closed[dat])
+        peak = np.max(np.abs(core), axis=(-2, -1), initial=0.0)
+        asymmetry = np.max(np.abs(core + np.swapaxes(core, -1, -2)), axis=(-2, -1), initial=0.0)
+        assert np.all(asymmetry <= 4 * eps * peak)
+        assert_allclose(x[:, :, None] * core / x[:, None, :], block, rtol=1e-14, atol=0.0)
+
+
 def _update_matrix(model, dt):
     """One-step data update M = 1 + dt M', as a run forms it."""
     return np.eye(model.data_dim) + dt * oracles.update_generator(model)
@@ -466,7 +493,7 @@ def test_iterated_approaches_direct_at_first_order():
     rng = np.random.default_rng(431)
     d0 = rng.standard_normal(model.data_dim)
     t_final = 1.0
-    target = matfun.expm_general(t_final * oracles.update_generator(model)) @ d0
+    target = scipy.linalg.expm(t_final * oracles.update_generator(model)) @ d0
     dts, gaps = [], []
     for n in (4, 5, 6, 7):
         steps = 2**n

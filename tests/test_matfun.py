@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from infodyn import gaussian, matfun
+from infodyn import gaussian, kleingordon, matfun
 from infodyn.errors import InvalidInput, NotPositiveDefinite
 from infodyn.gaussian import GaussianDensity, LinearMeasurement
 from infodyn.kleingordon import KGModel
@@ -208,59 +208,64 @@ def test_kl_covariance_term_refuses_only_a_nonpositive_whitened_eigenvalue():
             matfun.kl_covariance_blocks([np.diag([0.5]), np.diag([smallest, 3.0])])
 
 
-def test_expm_general_matches_series_and_rejects_nonsquare():
-    # Non-normal block: exp([[0, 1], [-w^2, 0]] t) is the oscillator rotation.
-    w, t = 2.0, 0.3
-    gen = np.array([[0.0, 1.0], [-(w**2), 0.0]])
-    expected = np.array(
-        [
-            [np.cos(w * t), np.sin(w * t) / w],
-            [-w * np.sin(w * t), np.cos(w * t)],
-        ]
-    )
-    assert_allclose(matfun.expm_general(t * gen), expected, atol=1e-12)
-    with pytest.raises(InvalidInput):
-        matfun.expm_general(np.ones((2, 3)))
-    with pytest.raises(InvalidInput, match="^matrix entries must be finite$"):
-        matfun.expm_general([[0.0, np.nan], [0.0, 0.0]])
-
-
-def _assert_matches_scipy_expm(a):
+def _assert_matches_scipy_expm(result, a):
     # Norm-relative, so tiny entries of exp(A) are not held to their own digits.
     expected = scipy.linalg.expm(a)
-    error = np.linalg.norm(matfun.expm_general(a) - expected, 1)
+    error = np.linalg.norm(result - expected, 1)
     assert error <= 1e-12 * np.linalg.norm(expected, 1)
 
 
-def test_expm_general_matches_scipy_on_nonnormal_matrices():
-    # 1-norms from 1e-3 (no squaring) to 200 (six squarings).
-    rng = np.random.default_rng(29)
-    for norm in np.geomspace(1e-3, 200.0, 25):
-        a = rng.standard_normal((12, 12)) + np.triu(3.0 * rng.standard_normal((12, 12)), 1)
-        _assert_matches_scipy_expm(a * (norm / np.linalg.norm(a, 1)))
-
-
-def test_expm_general_rotation_at_every_scale():
-    # exp(t [[0, 1], [-1, 0]]) is the rotation by t.  Its spectral radius
-    # equals its 1-norm, so too few squarings for a norm shows at once.
+def test_expm_antisymmetric_rotation_at_every_scale():
+    # exp(t [[0, 1], [-1, 0]]) is the rotation by t, whether t scales the
+    # matrix or is passed as the time.  The oscillator generator
+    # [[0, 1], [-w^2, 0]] is X [[0, w], [-w, 0]] X^-1 with X = diag(1, w).
     for t in np.geomspace(1e-3, 200.0, 25):
         expected = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
-        result = matfun.expm_general([[0.0, t], [-t, 0.0]])
-        assert np.linalg.norm(result - expected, 1) <= 1e-12
+        for result in (
+            matfun.expm_antisymmetric(np.array([[0.0, t], [-t, 0.0]]), 1.0),
+            matfun.expm_antisymmetric(np.array([[0.0, 1.0], [-1.0, 0.0]]), t),
+        ):
+            assert np.linalg.norm(result - expected, 1) <= 1e-12
+    w, t = 2.0, 0.3
+    x = np.array([1.0, w])
+    oscillator = x[:, None] * matfun.expm_antisymmetric(np.array([[0.0, w], [-w, 0.0]]), t) / x
+    expected = np.array(
+        [[np.cos(w * t), np.sin(w * t) / w], [-w * np.sin(w * t), np.cos(w * t)]]
+    )
+    assert_allclose(oscillator, expected, rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize(
     "n_modes, pixels, total_time", [(4, 5, 1.0), (64, 127, 0.005), (16, 31, 0.05)]
 )
-def test_expm_general_matches_scipy_on_update_generators(n_modes, pixels, total_time):
+def test_expm_antisymmetric_matches_scipy_on_update_generators(n_modes, pixels, total_time):
+    # exp(T M') = X exp(T K) X^-1 class by class, assembled dense, against
+    # scipy's exponential of the dense M' that the classes make up.
     model = KGModel(n_modes=n_modes, pixels=pixels, mu=1.0, beta=1.0, sigma_n2=0.01)
-    _assert_matches_scipy_expm(total_time * update_generator(model))
+    classes = kleingordon.fourier_classes(model)
+    _, cores, scales = kleingordon.update_generator_blocks(
+        model, classes, kleingordon.response_blocks(model, classes),
+        kleingordon.prior_variances(model),
+    )
+    result = np.zeros((model.data_dim, model.data_dim))
+    for (_, dat), core, x in zip(classes, cores, scales):
+        rotation = matfun.expm_antisymmetric(core, total_time)
+        result[dat[:, :, None], dat[:, None, :]] = x[:, :, None] * rotation / x[:, None, :]
+    _assert_matches_scipy_expm(result, total_time * update_generator(model))
 
 
-def test_expm_general_zero_and_scalar():
-    assert_allclose(matfun.expm_general(np.zeros((5, 5))), np.eye(5), rtol=0.0, atol=1e-15)
-    for x in (-3.0, 0.5, 7.0):
-        assert_allclose(matfun.expm_general([[x]]), [[np.exp(x)]], rtol=1e-15)
+def test_expm_antisymmetric_is_orthogonal_at_any_time():
+    # K is factored without t, so any finite t K only turns the phases:
+    # exp(t K) stays finite and orthogonal, also where t times the error of
+    # a computed eigenvalue is far above 1.
+    rng = np.random.default_rng(37)
+    k = rng.standard_normal((6, 6))
+    k = (k - k.T) / np.linalg.norm(k - k.T, 2)
+    for t in (0.0, 1.0, 1e6, 1e20, 5.92e307):
+        r = matfun.expm_antisymmetric(k, t)
+        assert np.all(np.isfinite(r))
+        assert_allclose(r @ r.T, np.eye(6), rtol=0.0, atol=1e-14)
+    assert np.array_equal(matfun.expm_antisymmetric(k, 0.0), np.eye(6))
 
 
 def _permuted_blocks(rng, sizes, make_block):
@@ -280,44 +285,24 @@ def _permuted_blocks(rng, sizes, make_block):
     return a[np.ix_(perm, perm)], mask[np.ix_(perm, perm)]
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_expm_general_matches_scipy_on_permuted_blocks(seed):
-    # Non-normal blocks of 1-norms from 1e-3 to 200 in one dense matrix:
-    # scaled by the largest, the small blocks still meet the norm-relative
-    # bound, and the exponential keeps the zeros between the blocks.
-    rng = np.random.default_rng(41 + seed)
-    sizes = [1, 2, 2, 3, 5, 1, 4]
-
-    def make_block(s):
-        b = rng.standard_normal((s, s)) + np.triu(3.0 * rng.standard_normal((s, s)), 1)
-        return b * (10.0 ** rng.uniform(-3.0, 2.3) / max(np.linalg.norm(b, 1), 1e-300))
-
-    a, mask = _permuted_blocks(rng, sizes, make_block)
-    result = matfun.expm_general(a)
-    _assert_matches_scipy_expm(a)
-    assert np.all(result[~mask] == 0.0)
-
-
 @pytest.mark.parametrize("size", [1, 2, 5])
-def test_expm_general_exponentiates_each_matrix_of_a_stack(size):
-    # A stack of non-normal matrices of 1-norms from 1e-3 to 200: each takes
-    # its own number of squarings, so each matches scipy on its own scale,
+def test_expm_antisymmetric_exponentiates_each_matrix_of_a_stack(size):
+    # A stack of antisymmetric matrices of 1-norms from 1e-3 to 200 (all
+    # zero at size 1): each matches scipy on its own scale, also at time 0.5,
     # and equals the exponential of the same matrix passed alone.
     rng = np.random.default_rng(47 + size)
     norms = np.geomspace(1e-3, 200.0, 9)
     stack = rng.standard_normal((len(norms), size, size))
-    stack += np.triu(3.0 * rng.standard_normal(stack.shape), 1)
-    stack *= (norms / np.max(np.sum(np.abs(stack), axis=-2), axis=-1))[:, None, None]
-    result = matfun.expm_general(stack)
+    stack -= np.swapaxes(stack, -1, -2)
+    peak = np.max(np.sum(np.abs(stack), axis=-2), axis=-1)
+    stack *= (norms / np.maximum(peak, 1e-300))[:, None, None]
+    result = matfun.expm_antisymmetric(stack, 1.0)
     assert result.shape == stack.shape
-    for a, r in zip(stack, result):
-        expected = scipy.linalg.expm(a)
-        assert np.linalg.norm(r - expected, 1) <= 1e-12 * np.linalg.norm(expected, 1)
-        assert np.array_equal(r, matfun.expm_general(a))
-    assert matfun.expm_general(np.zeros((0, 3, 3))).shape == (0, 3, 3)
-    for bad in (np.ones((2, 2, 3)), np.ones((2, 2, 2, 2)), np.ones(3)):
-        with pytest.raises(InvalidInput):
-            matfun.expm_general(bad)
+    for a, r, r_half in zip(stack, result, matfun.expm_antisymmetric(stack, 0.5)):
+        _assert_matches_scipy_expm(r, a)
+        _assert_matches_scipy_expm(r_half, 0.5 * a)
+        assert np.array_equal(r, matfun.expm_antisymmetric(a, 1.0))
+    assert matfun.expm_antisymmetric(np.zeros((0, 3, 3)), 1.0).shape == (0, 3, 3)
 
 
 def test_norm2_matches_svd_norm():

@@ -466,8 +466,26 @@ def test_batched_diagnostics_match_per_step_oracle(tmp_path):
     ]
     assert runs[2].branch == (matching.BRANCH_ZERO,) * runs[2].config.steps
     for run in runs:
-        assert not simulator._setup(run.config, direct=False).full_rank
+        # The alias class's phi and chi halves each have rank 2 of 4.
+        assert _data_gram_cuts(run.config.model) == 4
         _check_against_per_step_oracle(run)
+
+
+def _data_gram_cuts(model):
+    """How many directions the set-up's cut drops from the halves of the class data Grams.
+
+    Each half of each class's R Phi R^T keeps the eigenvalues above
+    ``SINGULAR_RTOL`` times its own largest, as :func:`simulator._setup` does.
+    """
+    classes = kleingordon.fourier_classes(model)
+    prior = kleingordon.prior_variances(model)
+    cuts = 0
+    for (sig, dat), r in zip(classes, kleingordon.response_blocks(model, classes)):
+        gram, half = r @ (prior[sig][..., None] * np.swapaxes(r, -1, -2)), dat.shape[1] // 2
+        for part in (gram[:, :half, :half], gram[:, half:, half:]):
+            s = np.linalg.eigvalsh(part)
+            cuts += int(np.sum(s <= matfun.SINGULAR_RTOL * s.max(axis=-1, keepdims=True, initial=0.0)))
+    return cuts
 
 
 @pytest.mark.parametrize(
@@ -766,27 +784,29 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
     # dense M', generator or exact step, makes no dense posterior call,
     # builds no dense density or measurement and decomposes no dense
     # matrix.  A class holds at most 12 signal and data dimensions here;
-    # the largest matrix a factorization or the direct endpoint's Pade
-    # solve sees is the data part of the class of the duplicated conjugate
+    # the largest matrix a factorization sees is the core of M' that the
+    # direct endpoint factors for the class of the duplicated conjugate
     # pair: coefficients (Y-1)/2 and (Y+1)/2, real and imaginary, phi and
-    # chi, 8 in all.  No 2-norm may take an SVD.  The matcher branches of
-    # all steps come from one matfun.branches call, with no match(), and
-    # nothing is factored inside it.  The set-up factors the phi and chi
-    # blocks of each class's data Gram R Phi R^T, at most 4 x 4, and nothing
-    # wider: W and the root of D that whitens the two KL covariance terms
-    # come from them, and so does the regularity of the match Hessian.  D^-1
+    # chi, 8 in all.  Nothing is solved.  No 2-norm may take an SVD.  The
+    # matcher branches of all steps come from one matfun.branches call, with
+    # no match(), and nothing is factored inside it.  The set-up factors the
+    # phi and chi blocks of each class's data Gram R Phi R^T, at most 4 x 4,
+    # and nothing wider: W and the root of D that whitens the two KL
+    # covariance terms come from them.  D^-1
     # is applied in closed form, Phi^-1 + R^T R / sigma_n2, so no run calls
     # spectral_inverse, and the matcher's bound on ||D*^-1|| is in closed
-    # form too.  So a run's eigh calls are the set-up's, one per class group
-    # (three at (16, 31) and at (64, 127), of which only the duplicated
-    # pair's class is wider than 2 x 2), and its one QR factorization per
-    # class group is that of G W, for ||m*||; no evolved covariance and no
-    # match Hessian is factored.  At (256, 5) a class holds 408 signal
+    # form too.  So under scheme 'both' a run's eigh calls are the set-up's,
+    # one per class group (three at (16, 31) and at (64, 127), of which only
+    # the duplicated pair's class is wider than 2 x 2), and the direct
+    # endpoint's, one per class group with data (the same three, 2, 4 and
+    # 8 wide), and its one QR factorization per class group is that of
+    # G W, for ||m*||; no evolved covariance and no match Hessian is
+    # factored.  At (256, 5) a class holds 408 signal
     # indices, which the KL covariance terms factor, but the set-up does not.
     counts = Counter()
-    sizes, setup_sizes = [], []
-    # Nonempty while simulator._setup or matfun.branches runs.
-    in_setup, in_branches = [], []
+    sizes, setup_sizes, endpoint_sizes = [], [], []
+    # Nonempty while simulator._setup, its direct endpoint or matfun.branches runs.
+    in_setup, in_endpoint, in_branches = [], [], []
     # np.linalg.norm(x, 2) calls svd by name in the module that defines it.
     linalg_impl = sys.modules[np.linalg.norm.__wrapped__.__globals__["__name__"]]
 
@@ -797,7 +817,9 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
             counts[name] += 1
             if name in ("eigh", "eigvalsh", "solve"):
                 sizes.append(np.shape(args[0])[-1])
-            if name in ("eigh", "eigvalsh") and in_setup:
+            if name in ("eigh", "eigvalsh") and in_endpoint:
+                endpoint_sizes.append(np.shape(args[0])[-1])
+            elif name in ("eigh", "eigvalsh") and in_setup:
                 setup_sizes.append(np.shape(args[0])[-1])
             if name in ("eigh", "eigvalsh") and np.shape(args[0])[-1] > 2:
                 counts["wide " + name] += 1
@@ -833,6 +855,7 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
         monkeypatch.setattr(owner, name, traced)
 
     trace(simulator, "_setup", in_setup)
+    trace(simulator, "_direct_endpoint", in_endpoint)
     trace(matfun, "branches", in_branches)
     # Counted under one key, "__init__".
     count(gaussian.GaussianDensity, "__init__")
@@ -849,6 +872,7 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
         counts.clear()
         sizes.clear()
         setup_sizes.clear()
+        endpoint_sizes.clear()
         model = kleingordon.KGModel(n_modes, pixels, 1.0, 1.0, 0.01)
         classes = kleingordon.fourier_classes(model)
         assert max(sig.shape[1] + dat.shape[1] for sig, dat in classes) == 12
@@ -856,8 +880,11 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
         simulator.run_ifd(
             _config(n_modes=n_modes, Y=pixels, T=total_time, N=5, scheme="both")
         )
-        factored[level, n_modes] = (counts["eigh"], counts["eigvalsh"], list(setup_sizes))
+        factored[level, n_modes] = (
+            counts["eigh"], counts["eigvalsh"], list(setup_sizes), list(endpoint_sizes)
+        )
         assert sizes and max(sizes) <= 8
+        assert counts["solve"] == 0
         assert counts["svd"] == 0
         assert counts["posterior"] == 0
         assert counts["update_generator_blocks"] == 1
@@ -869,8 +896,10 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
         assert counts["spectral_inverse"] == 0
         assert counts["match"] == 0
         assert setup_sizes and max(setup_sizes) <= 4
-        assert counts["eigh"] == len(setup_sizes) == 3
-        assert counts["wide eigh"] == 1
+        assert len(setup_sizes) == 3
+        assert sorted(endpoint_sizes) == [2, 4, 8]
+        assert counts["eigh"] == len(setup_sizes) + len(endpoint_sizes)
+        assert counts["wide eigh"] == 3
         assert counts["qr"] == len(classes)
         assert counts["in branches"] == 0
     for n_modes in (16, 64):
@@ -1089,6 +1118,57 @@ def test_tiny_noise_run_matches_high_precision_values():
     run = simulator.run_ifd(_config(T=1.0, N=6, seed=0, sigma_n2=1e-11))
     assert_allclose(run.kl_step[0], 122111019.74516147, rtol=1e-8)
     assert_allclose(run.kl_evolution[0], 168382.41289907527, rtol=1e-11)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"T": 1.0},
+        {"T": 1000.0},
+        {"n_modes": 16, "Y": 31},
+        {"n_modes": 64, "Y": 127},
+        {"n_modes": 16, "Y": 5},
+        {"n_modes": 2, "Y": 3, "T": 1e6},
+    ],
+)
+def test_direct_endpoint_keeps_each_class_scaled_norm(overrides):
+    # exp(T M'_c) = X_c exp(T K_c) X_c^-1 with K_c antisymmetric, so the
+    # endpoint keeps ||X_c^-1 d_c|| for every class c, with
+    # X = diag((g + sigma_n2) / sqrt(g)) from the closed-form Gram diagonal
+    # g.  (16, 5) has data-free classes.
+    config = _config(N=2, seed=0, scheme="direct", **overrides)
+    run = simulator.run_ifd(config)
+    model = config.model
+    g = np.concatenate(
+        [kleingordon.rphi_rt_diag(model, part) for part in (kleingordon.PART_PHI, kleingordon.PART_CHI)]
+    )
+    x = (g + model.sigma_n2) / np.sqrt(g)
+    for _, dat in kleingordon.fourier_classes(model):
+        for idx in dat:
+            before = np.linalg.norm(run.initial_data[idx] / x[idx])
+            after = np.linalg.norm(run.direct_data[idx] / x[idx])
+            assert abs(after - before) <= 1e-14 * before
+
+
+@pytest.mark.parametrize("overrides, rtol", [({}, 4e-15), ({"mu": 2e5}, 3e-9)])
+def test_direct_endpoint_matches_a_high_precision_exponential(overrides, rtol):
+    # The endpoint at (4, 5, T 1) against exp(T M') d(0) in 60-digit mpmath
+    # arithmetic, from the run's float64 M' class blocks and d(0).  At
+    # mu 2e5 the phases turn by T max|w|, about 2e5, so an error of a few
+    # eps in w shows as about eps T max|w|.  The run is 5.7e-16 and 1.2e-9
+    # off here.
+    mpmath = pytest.importorskip("mpmath")
+    config = _config(N=2, seed=0, scheme="direct", **overrides)
+    setup = simulator._setup(config, direct=True)
+    expected = np.empty(config.model.data_dim)
+    with mpmath.workdps(60):
+        for (_, dat), block in zip(setup.classes, setup.m_prime):
+            for idx, b in zip(dat, block):
+                endpoint = mpmath.expm(config.total_time * mpmath.matrix(b.tolist()))
+                endpoint *= mpmath.matrix(setup.initial_data[idx].tolist())
+                expected[idx] = [float(v) for v in endpoint]
+    error = np.linalg.norm(setup.direct_data - expected) / np.linalg.norm(expected)
+    assert error <= rtol
 
 
 def test_high_precision_script_rederives_the_pins():
