@@ -500,10 +500,20 @@ def update_generator_blocks(model, classes, response, variances):
     X_c K_c X_c^-1 is (g_i + sigma^2)/g_i S_ij / (g_j + sigma^2), which is
     M'_c: M' is diagonally similar to an antisymmetric matrix, its spectrum
     is imaginary, and exp(T M'_c) = X_c exp(T K_c) X_c^-1 is a rotation in
-    X_c-scaled data space.  Returns, for each group of k classes with b data
-    indices each, a (k, b, b) stack of M' blocks, one list of them; the
-    (k, b, b) stack of cores K, a second list; and the (k, b) scales x, a
-    third.
+    X_c-scaled data space.
+
+    Each core has one frequency: K_c^3 = -w_c^2 K_c.  Per (phi, chi) pair,
+    L Phi = (pi/beta) [[0, 1], [-1, 0]] (2 pi/beta for mode 0, alone in
+    class 0), and R_c acts on both parts by one block R_p, so
+    K_c = [[0, A], [-A, 0]] with A = (pi/beta) R_p R_p^T / sqrt(g_phi g_chi),
+    g being one number on each part of a class.  Each mode meets a class's
+    coefficient by sinc times a rotation or a reflection, so R_p R_p^T = p 1,
+    p the sum of the sinc^2; on the alias class each meets (Y-1)/2 by one and
+    (Y+1)/2 by the other, so R_p R_p^T = p [[1, J], [J, 1]], J = diag(1, -1),
+    of eigenvalues 2p, 2p, 0, 0.  So A^3 = w_c^2 A, w_c = ||K_c^2||_F / ||K_c||_F.
+    Returns, for each group of k classes with b data indices each, a
+    (k, b, b) stack of M' blocks, one list of them; the (k, b, b) stack of
+    cores K, a second list; and the (k, b) scales x, a third.
     """
     s2 = model.sigma_n2
     diag = np.concatenate(

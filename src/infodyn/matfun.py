@@ -6,13 +6,11 @@ an eigendecomposition; there is no Cholesky, LU or other non-normal path.
 The positive-definiteness test :func:`require_pd` reads a spectrum that its
 caller has computed: a dense covariance is factored once, by
 :class:`infodyn.gaussian.GaussianDensity`, which keeps the spectrum that its
-inverse, square root and log-determinant are read from.  The one
-exponential, :func:`expm_antisymmetric`, takes an antisymmetric K through
-the spectrum of the Hermitian iK.
+inverse, square root and log-determinant are read from.
 
 No function here searches a matrix for block structure.  A caller that
 knows its blocks passes them as a stack: :func:`symmetric_part`,
-:func:`spectral_inverse`, :func:`norm2` and :func:`expm_antisymmetric` take a
+:func:`spectral_inverse` and :func:`norm2` take a
 (k, s, s) stack of blocks as well as one matrix, and :func:`require_pd`
 tests a list of such stacks as one block-diagonal matrix.  A Klein-Gordon
 run takes its blocks, the Fourier classes, in closed form from
@@ -41,10 +39,10 @@ from .errors import InvalidInput, NotPositiveDefinite
 # singular": smallest eigenvalue must exceed PD_RTOL times the largest.
 PD_RTOL = 1e-12
 
-# Relative threshold below which a match Hessian eigenvalue, a linear term, a
-# run's data Gram eigenvalue or a frequency of an antisymmetric matrix counts
-# as zero: :func:`nonzero`, :func:`branches`, :func:`expm_antisymmetric`,
-# :func:`infodyn.matching.nullspace_projector` and the run's posterior.
+# Relative threshold below which a match Hessian eigenvalue, a linear term or
+# a run's data Gram eigenvalue counts as zero: :func:`nonzero`,
+# :func:`branches`, :func:`infodyn.matching.nullspace_projector` and the
+# run's posterior.
 SINGULAR_RTOL = 1e-10
 
 BRANCH_REGULAR = "regular"
@@ -112,28 +110,6 @@ def norm2(matrix):
     scaled = np.ldexp(a, -exponent)
     top = np.max(np.linalg.eigvalsh(np.swapaxes(scaled, -1, -2) @ scaled))
     return float(np.ldexp(np.sqrt(top), exponent))
-
-
-def expm_antisymmetric(core, t):
-    """exp(t K) of a real antisymmetric K, or of each block of a stack, through the spectral theorem.
-
-    iK is Hermitian, i (K - K^T)/2 = Q diag(w) Q^H with real w, so
-    exp(t K) = Q diag(e^(-i t w)) Q^H, real and orthogonal.  The w come in
-    pairs +-w whose eigenvectors are each other's conjugates, so exp(t K) is
-    1 + 2 Re(Q+ diag(e^(-i t w+) - 1) Q+^H) over the upper half w+ of the
-    spectrum, with each w+ that counts as zero (at most ``SINGULAR_RTOL``
-    times the largest) set to 0.  That keeps the result real and orthogonal
-    also where t times the eigensolver's error in w is not small, so that
-    e^(-i t w) of a computed pair would no longer be conjugate.  K is
-    factored without t: the eigensolver sees a finite, moderate matrix for
-    any t, and t enters only the phases.
-    """
-    n = core.shape[-1]
-    w, q = np.linalg.eigh(0.5j * (core - np.swapaxes(core, -1, -2)))
-    top, q = w[..., n - n // 2 :], q[..., n - n // 2 :]
-    top = np.where(top > SINGULAR_RTOL * w[..., -1:], top, 0.0)
-    turn = np.exp(-1j * (t * top)) - 1.0
-    return np.eye(n) + 2.0 * ((q * turn[..., None, :]) @ np.swapaxes(q.conj(), -1, -2)).real
 
 
 def kl_covariance_blocks(excesses):

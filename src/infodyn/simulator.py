@@ -30,9 +30,9 @@ root of D come from the phi and chi blocks, at most 4 x 4, of each class's
 data Gram R_c Phi_c R_c^T, so the set-up factors no signal-space block; the
 posterior precision D^-1 = Phi^-1 + R^T R / sigma_n2 is applied in closed
 form.  M' comes from :func:`kleingordon.update_generator_blocks` (bit for
-bit the dense chain R2 L Phi R2^T), the direct endpoint from the
-antisymmetric cores it is diagonally similar to, as a rotation
-(:func:`_direct_endpoint`), and the matcher branch of every step
+bit the dense chain R2 L Phi R2^T), every step of the trajectory and the
+direct endpoint in closed form from the one frequency of each class
+(:func:`_flow`), and the matcher branch of every step
 from :func:`matfun.branches`, with no evolved mean of it formed; a run
 imports none of the dense library, :mod:`infodyn.gaussian` and
 :mod:`infodyn.matching`.  What does not depend on dt (the posterior, M' and
@@ -40,9 +40,6 @@ exp(T M') d(0)) is built once per :func:`convergence_sweep`; what does not
 depend on the step (also the KL covariance terms and the maps from data to
 evolved means and to the matcher's norms) once per run, with no evolved
 covariance or match Hessian formed or factored.
-The trajectory is built by doubling, u(2^j + i) = (1 + dt M'_c)^(2^j) u(i);
-it agrees with stepping u <- M u to round-off that grows with N: at most
-1.7e-11 row-relative at n_modes 16, Y 31, N 20.
 
 ``exact_deviation`` compares u against the noise-free image R2 A(t) m_0 of
 the exactly evolved initial posterior mean.  It does not vanish with dt; it
@@ -266,7 +263,10 @@ class RunResult(NamedTuple):
     'direct' takes no steps, so its columns are empty.  ``direct_data`` and
     ``direct_gap`` are None unless the scheme includes the direct endpoint
     (the gap additionally needs the iterated endpoint, i.e. scheme 'both').
-    Every number a result holds is finite.
+    ``log_amplification``, None under scheme 'direct', is
+    max_c (2^N/2) log1p(dt^2 w_c^2), the log of the largest factor by which
+    the steps grow a class's ||X_c^-1 u_c||, which the exact flow keeps
+    (:func:`_flow`).  Every number a result holds is finite.
     """
 
     config: RunConfig
@@ -283,6 +283,7 @@ class RunResult(NamedTuple):
     reference_energy_drift: float
     direct_data: np.ndarray = None
     direct_gap: float = None
+    log_amplification: float = None
 
 
 def parse_config(mapping, scheme=None):
@@ -461,25 +462,47 @@ def _refuse_nonfinite(steps, columns, values):
             raise NonFiniteOutput(f"{name} is not finite; the run has overflowed")
 
 
-def _direct_endpoint(total_time, generator, classes, d0):
-    """The continuous-limit endpoint exp(T M') d(0), one Fourier class at a time.
+def _flow(classes, flow, d0, total_time, steps=None):
+    """exp(T M') d(0), or (1 + dt M')^n d(0) at n = 0..``steps`` with dt = T/``steps``, in closed form.
 
-    M' couples only the data coefficients of one class, so exp(T M') is
-    block diagonal over the classes' data indices.  ``generator`` is what
-    :func:`kleingordon.update_generator_blocks` returns: per class group the
-    blocks M'_c = X_c K_c X_c^-1, the antisymmetric cores K_c and the
-    scales x_c.  So exp(T M'_c) d_c(0) = X_c exp(T K_c) X_c^-1 d_c(0), a
-    rotation that keeps ||X_c^-1 d_c||.  Classes without data indices have
-    no block.  A T M' that has overflowed raises :class:`NonFiniteOutput`.
+    ``flow`` is :attr:`_Setup.flow`: M'_c = w X J X^-1 with J^3 = -J, so
+    exp(T M'_c) d and (1 + dt M'_c)^n d are d + X (Im z J y + (1 - Re z) J^2 y),
+    y = X^-1 d, with z = e^(iwT) and z = (1 + i dt w)^n.  As z = e^(r + i p),
+    Im z = e^r sin p and 1 - Re z = 2 e^r sin^2(p/2) - expm1(r) cancel
+    nothing.  Each class's d is first scaled by a power of two, so nothing
+    overflows before the result does.  Returns a (k, b, m) stack per class
+    group, m = 1 or ``steps`` + 1.
     """
-    m_prime, cores, scales = generator
+    n = np.arange(1 if steps is None else steps + 1)
+    out = []
+    for (_, dat), (w, unit, x) in zip(classes, flow):
+        d = d0[dat]
+        if not dat.shape[1]:
+            out.append(np.empty(d.shape + n.shape))
+            continue
+        if steps is None:
+            r, p = 0.0, total_time * w
+        else:
+            dt = total_time / steps
+            r, p = 0.5 * np.log1p((dt * w) ** 2) * n, np.arctan(dt * w) * n
+        grow, half = np.exp(r), np.sin(0.5 * p)
+        turns = np.stack([grow * np.sin(p), 2.0 * grow * half * half - np.expm1(r)], axis=-2)
+        exponent = np.frexp(np.max(np.abs(d), axis=-1))[1][:, None]
+        jy = unit @ (np.ldexp(d, -exponent) / x)[..., None]
+        u = (x[..., None] * np.concatenate([jy, unit @ jy], axis=-1)) @ turns
+        np.ldexp(u, exponent[..., None], out=u)
+        u += d[..., None]
+        out.append(u)
+    return out
+
+
+def _direct_endpoint(total_time, m_prime, classes, flow, d0):
+    """exp(T M') d(0) (:func:`_flow`); raises :class:`NonFiniteOutput` if T M' overflows."""
     if not all(np.all(np.isfinite(total_time * block)) for block in m_prime):
         raise NonFiniteOutput("T M' is not finite; the run has overflowed")
     out = np.zeros(len(d0))
-    for (_, dat), core, x in zip(classes, cores, scales):
-        if dat.shape[1]:
-            rotation = matfun.expm_antisymmetric(core, total_time)
-            out[dat] = x * (rotation @ (d0[dat] / x)[:, :, None])[:, :, 0]
+    for (_, dat), u in zip(classes, _flow(classes, flow, d0, total_time)):
+        out[dat] = u[..., 0]
     return out
 
 
@@ -491,10 +514,9 @@ class _Setup(NamedTuple):
     ``root`` and ``filter`` the class blocks of (V, t), which give the root
     S = Phi^1/2 (1 + V (t^1/2 - 1) V^T) of the posterior covariance
     D = S S^T, not formed, and of the Wiener filter W, ``mean`` the
-    posterior mean,
-    ``m_prime`` the class blocks of M'
-    (:func:`kleingordon.update_generator_blocks`) and ``direct_data`` the
-    direct endpoint exp(T M') d(0), or None when it was not asked for.
+    posterior mean, ``flow`` per class group the (k, 1) frequencies w, unit
+    cores J = K / w and scales x of M'_c = w X J X^-1 (:func:`_flow`) and
+    ``direct_data`` the direct endpoint exp(T M') d(0), or None.
     """
 
     classes: list
@@ -504,7 +526,7 @@ class _Setup(NamedTuple):
     root: list
     filter: list
     mean: np.ndarray
-    m_prime: list
+    flow: list
     direct_data: np.ndarray
 
 
@@ -556,29 +578,19 @@ def _setup(config, direct):
             "data-space Gram condition numbers: phi part %.6g, chi part %.6g",
             *(s_max + s2) / (s_min + s2),
         )
-        generator = kleingordon.update_generator_blocks(model, classes, response, prior)
+        m_prime, cores, scales = kleingordon.update_generator_blocks(model, classes, response, prior)
+        # Each core K has one frequency w = ||K^2||_F / ||K||_F, K^3 = -w^2 K.  K does
+        # not depend on beta or sigma_n2, and the prior's test keeps mu within
+        # about 1e-6 and 7e5, so no norm of K over- or underflows.
+        flow = []
+        for core, x in zip(cores, scales):
+            norm = np.linalg.norm(core, axis=(-2, -1))
+            w = np.linalg.norm(core @ core, axis=(-2, -1)) / np.where(norm > 0.0, norm, 1.0)
+            flow.append((w[:, None], core / np.where(w > 0.0, w, 1.0)[:, None, None], x))
         direct_data = (
-            _direct_endpoint(config.total_time, generator, classes, d0) if direct else None
+            _direct_endpoint(config.total_time, m_prime, classes, flow, d0) if direct else None
         )
-    return _Setup(classes, response, prior, d0, root, filters, mean, generator[0], direct_data)
-
-
-def _powers_applied(m_update, u0, steps):
-    """The (k, b, steps + 1) stack of M^i u0, i = 0..steps, for a (k, b, b) stack M.
-
-    By doubling: with ``steps`` = 2^N, columns 2^j..2^(j+1) - 1 are M^(2^j)
-    times columns 0..2^j - 1, so N + 1 stacked products and N squarings.
-    """
-    out = np.empty(u0.shape + (steps + 1,))
-    out[..., 0] = u0
-    power, filled = m_update, 1
-    while True:
-        count = min(filled, steps + 1 - filled)
-        out[..., filled : filled + count] = power @ out[..., :count]
-        filled += count
-        if filled > steps:
-            return out
-        power = power @ power
+    return _Setup(classes, response, prior, d0, root, filters, mean, flow, direct_data)
 
 
 def _iterate(config, setup, reference):
@@ -634,14 +646,10 @@ def _iterate(config, setup, reference):
     )
     # Per class, the data u of every step, as columns; ``data`` is filled by
     # data index, so it is held transposed.
-    trajectory = []
+    trajectory = _flow(classes, setup.flow, setup.initial_data, config.total_time, config.steps)
     data = np.empty((model.data_dim, config.steps + 1))
-    for (_, dat), block in zip(classes, setup.m_prime):
-        m_update = dt * block
-        diag = np.arange(dat.shape[1])
-        m_update[:, diag, diag] += 1.0
-        trajectory.append(_powers_applied(m_update, setup.initial_data[dat], config.steps))
-        data[dat] = trajectory[-1]
+    for (_, dat), u in zip(classes, trajectory):
+        data[dat] = u
     data = data.T
 
     # Per class and step, as columns, the mean offsets A W u - W u'' and,
@@ -697,10 +705,10 @@ def _iterate(config, setup, reference):
 def run_ifd(config):
     """Run the iterated data update, then compute per-step diagnostics batched.
 
-    The class blocks of the generator M' are built once; the update
-    M = 1 + dt M' and the direct endpoint exp(T M') d(0) both come from
-    them.  The trajectory is the powers of M's class blocks applied to
-    d(0), by doubling.  Afterwards, over all steps at once, the run
+    The class blocks of the generator M' are built once; every step
+    (1 + dt M')^n d(0) of the trajectory and the direct endpoint
+    exp(T M') d(0) come from them in closed form (:func:`_flow`), with the
+    scheme's growth ``log_amplification``.  Afterwards, over all steps at once, the run
     computes the two relative entropies described in the module docstring
     (a constant covariance term from a root of D, plus the quadratic form
     of D^-1 on the mean offset per step), the deviation from the exact
@@ -739,7 +747,7 @@ def _run(config, setup):
         reference = _exact_reference(
             model, setup.mean, setup.classes, setup.response, times
         )
-        direct_data, direct_gap = setup.direct_data, None
+        direct_data, direct_gap, log_amplification = setup.direct_data, None, None
         if direct:
             # No steps: every per-step column is empty.
             columns = dict.fromkeys(
@@ -754,6 +762,8 @@ def _run(config, setup):
             columns, branch = _iterate(config, setup, reference)
             final_data = columns["data"][-1]
             final_deviation = float(columns["exact_deviation"][-1])
+            top = max(w.max(initial=0.0) for w, _, _ in setup.flow)
+            log_amplification = float(0.5 * config.steps * np.log1p((config.dt * top) ** 2))
         if config.scheme == SCHEME_BOTH:
             direct_gap = float(np.linalg.norm(final_data - direct_data))
     _refuse_nonfinite(
@@ -781,6 +791,7 @@ def _run(config, setup):
         reference_energy_drift=reference.energy_drift,
         direct_data=direct_data,
         direct_gap=direct_gap,
+        log_amplification=log_amplification,
     )
 
 
@@ -955,6 +966,7 @@ def report_dict(result):
         out["kl_total"] = float(result.kl_cumulative[-1])
         out["kl_step_final"] = float(result.kl_step[-1])
         out["kl_evolution_total"] = float(np.sum(result.kl_evolution))
+        out["log_amplification"] = result.log_amplification
     if result.direct_data is not None:
         out["direct_data"] = [float(x) for x in result.direct_data]
     if result.direct_gap is not None:

@@ -425,10 +425,10 @@ def test_overflowing_precisions_exit_2(tmp_path, config_path, capsys, overrides,
 @pytest.mark.parametrize("total_time", [1e20, 5.92e307])
 def test_direct_endpoint_at_huge_times_exits_0(tmp_path, config_path, total_time):
     # At (2, 3, sigma_n2 1) both T M' are finite, and so is the true
-    # endpoint.  X exp(T K) X^-1 d(0) factors the antisymmetric core K
-    # without T, so T enters only the phases: the endpoint is finite and
-    # keeps ||X^-1 d||, though its phase is off by about eps T max|w|.  The
-    # accepted configs' property test found T 5.92e307.
+    # endpoint.  X exp(T K) X^-1 d(0) takes T only in the phases wT of each
+    # class core's one frequency w: the endpoint is finite and keeps
+    # ||X^-1 d||, though its phase is off by about eps T w.  The accepted
+    # configs' property test found T 5.92e307.
     mapping = json.loads(config_path.read_text())
     mapping.update(n_modes=2, Y=3, sigma_n2=1.0, T=total_time, N=2, seed=0, scheme="direct")
     assert _simulate_quietly(tmp_path, config_path, mapping) == 0

